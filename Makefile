@@ -45,11 +45,13 @@ vulncheck:
 	fi
 
 # The parallel-pipeline determinism suite under the race detector: the
-# merge property test, the sharded-collector equivalence tests, and the
-# grid/singleflight/cancellation tests of the experiments package.
+# Distribution.Merge tests, and the worker-count, concurrent-walk, grid,
+# singleflight and cancellation tests of the experiments package. Every
+# alternative in each -run pattern must match a test (go test -list),
+# since -run passes silently when nothing matches.
 test-parallel:
-	$(GO) test -race -count=1 -run 'TestMerge|TestSharded' ./internal/interval/
-	$(GO) test -race -count=1 -run 'TestShardedSuite|TestGridMatches|TestAllContextCancel|TestDataSingleflight|TestWaiterCancellation' ./internal/experiments/
+	$(GO) test -race -count=1 -run 'TestMergePropertySharding|TestDistributionMerge' ./internal/interval/
+	$(GO) test -race -count=1 -run 'TestWorkersDoNotChangeResults|TestL2WalksRaceFree|TestGridMatches|TestAllContextCancel|TestDataSingleflight|TestWaiterCancellation' ./internal/experiments/
 
 # One iteration of every benchmark, no unit tests: a smoke test that keeps
 # bench_test.go compiling and running (the nightly CI job runs this).

@@ -17,8 +17,8 @@
 // recorded traces (.trc) as extra benchmarks evaluated alongside the
 // built-in six in every table, sweep, and frontier.
 // -scale stretches the benchmark lengths (1.0 = the full study length);
-// -workers bounds the parallel pipeline (benchmark fan-out, per-benchmark
-// collection shards, and evaluation-grid workers; 0 = GOMAXPROCS);
+// -workers bounds the benchmark pool and the evaluation grid (each
+// benchmark simulates on one goroutine; 0 = GOMAXPROCS);
 // -timeout aborts the whole run after a duration. Ctrl-C (SIGINT/SIGTERM)
 // cancels cleanly: in-flight simulations stop at their next cancellation
 // check and partial telemetry is still flushed.
@@ -50,7 +50,7 @@ import (
 
 func main() {
 	scale := flag.Float64("scale", experiments.DefaultScale, "workload scale (1.0 = full study length)")
-	workers := flag.Int("workers", 0, "parallelism bound: benchmark fan-out, per-benchmark shards, grid workers (0 = GOMAXPROCS)")
+	workers := flag.Int("workers", 0, "parallelism bound: benchmark pool and evaluation-grid workers (0 = GOMAXPROCS)")
 	timeout := flag.Duration("timeout", 0, "abort the whole run after this duration (0 = no limit)")
 	only := flag.String("only", "", "comma-separated subset: fig1,table1,table2,table3,fig7,fig8,fig9,fig10,profile,extensions,policies,pareto,families,sweep")
 	cacheDir := flag.String("cache", "", "directory for on-disk simulation caching (empty = off)")

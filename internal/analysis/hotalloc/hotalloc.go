@@ -86,7 +86,6 @@ type rosterEntry struct {
 // kernels (BENCH r3), and the zero-alloc replay pass (BENCH r4).
 var roster = []rosterEntry{
 	{pkg: "internal/sim/cpu", name: "RunStream", tier: entryTier},
-	{pkg: "internal/sim/cpu", name: "RunRingContext", tier: entryTier},
 	{pkg: "internal/interval", recv: "Collector", name: "AddCols", tier: entryTier},
 	{pkg: "internal/prefetch", recv: "Classifier", name: "ClassifyObserve", tier: fullTier},
 	{pkg: "internal/leakage", name: "EvaluateAggregate", tier: entryTier},

@@ -3,8 +3,8 @@
 // nothing), and every acquisition is released on every path — either by
 // an immediate defer or by one unconditional unlock with no way for
 // control to leave the critical section in between. A leaked lock in the
-// sharded collector or the suite singleflight deadlocks a sweep instead
-// of failing it.
+// suite singleflight or the server's cache deadlocks a sweep instead of
+// failing it.
 package locks
 
 import (

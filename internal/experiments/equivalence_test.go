@@ -1,11 +1,11 @@
 package experiments
 
-// Property test for the streaming tentpole: the per-event golden path
+// Property test for the streaming pipeline: the per-event golden path
 // (cpu.Run with a one-event-at-a-time sink and standalone Classify/Observe
-// calls), the fused single-pass streaming path (cpu.RunStream with
-// ClassifyObserve and shared stride tables), and the ring/sharded path
-// must produce byte-identical interval distributions, engine statistics
-// and leakage evaluations — for randomized workloads, not just the six
+// calls) and the fused single-pass streaming path the suite uses
+// (cpu.RunStream with ClassifyObserve and shared stride tables) must
+// produce byte-identical interval distributions, engine statistics and
+// leakage evaluations — for randomized workloads, not just the six
 // built-in benchmarks. Runs under -race in CI (make race covers ./...).
 
 import (
@@ -62,34 +62,26 @@ func seededWorkload(t *testing.T, seed uint64) workload.Workload {
 	return w
 }
 
-// equivParts builds the fresh hierarchy, classifiers and engines every
-// pipeline variant starts from.
-func equivParts(t *testing.T) (*cache.Hierarchy, *prefetch.Classifier, *prefetch.Classifier, *prefetch.Engine, *prefetch.Engine) {
-	t.Helper()
-	hier, err := cache.NewHierarchy(cache.AlphaLike())
-	if err != nil {
-		t.Fatal(err)
-	}
-	iEng, err := prefetch.NewEngine(prefetch.DefaultEngineConfig(prefetch.ForICache()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	dEng, err := prefetch.NewEngine(prefetch.DefaultEngineConfig(prefetch.ForDCache()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	iClass := prefetch.MustNewClassifier(prefetch.ForICache())
-	dClass := prefetch.MustNewClassifier(prefetch.ForDCache())
-	return hier, iClass, dClass, iEng, dEng
-}
-
 // simulateGolden is the reference pipeline: one sink callback per event,
 // collectors on the classic Classify/Observe interface, engines probing
 // their own private stride tables. Everything the fused streaming path
 // optimized away is still present here, which is exactly why it anchors
 // the equivalence.
-func simulateGolden(t *testing.T, name string, w workload.Workload) (*BenchmarkData, error) {
-	hier, iClass, dClass, iEng, dEng := equivParts(t)
+func simulateGolden(name string, w workload.Workload) (*BenchmarkData, error) {
+	hier, err := cache.NewHierarchy(cache.AlphaLike())
+	if err != nil {
+		return nil, err
+	}
+	iEng, err := prefetch.NewEngine(prefetch.DefaultEngineConfig(prefetch.ForICache()))
+	if err != nil {
+		return nil, err
+	}
+	dEng, err := prefetch.NewEngine(prefetch.DefaultEngineConfig(prefetch.ForDCache()))
+	if err != nil {
+		return nil, err
+	}
+	iClass := prefetch.MustNewClassifier(prefetch.ForICache())
+	dClass := prefetch.MustNewClassifier(prefetch.ForDCache())
 	iCol, err := interval.NewCollector(trace.L1I, uint32(hier.L1I().Config().NumLines()), iClass)
 	if err != nil {
 		return nil, err
@@ -169,10 +161,9 @@ func requireSameData(t *testing.T, label string, a, b *BenchmarkData) {
 	}
 }
 
-// TestStreamingEquivalenceRandomWorkloads is the tentpole's property
-// test: for randomized workload seeds, the fused streaming pipeline and
-// the ring/sharded pipeline must match the per-event golden pipeline bit
-// for bit.
+// TestStreamingEquivalenceRandomWorkloads is the pipeline's property
+// test: for randomized workload seeds, the fused streaming pipeline must
+// match the per-event golden pipeline bit for bit.
 func TestStreamingEquivalenceRandomWorkloads(t *testing.T) {
 	seeds := []uint64{1, 0xDECAF, 0xC0FFEE42}
 	if testing.Short() {
@@ -184,27 +175,17 @@ func TestStreamingEquivalenceRandomWorkloads(t *testing.T) {
 			t.Parallel()
 			name := fmt.Sprintf("prop-%016x", seed)
 
-			golden, err := simulateGolden(t, name, seededWorkload(t, seed))
+			golden, err := simulateGolden(name, seededWorkload(t, seed))
 			if err != nil {
 				t.Fatalf("golden: %v", err)
 			}
 
-			hier, iClass, dClass, iEng, dEng := equivParts(t)
-			fused, err := simulateInline(context.Background(), name,
-				seededWorkload(t, seed), hier, iClass, dClass, iEng, dEng)
+			fused, err := simulate(context.Background(), name, seededWorkload(t, seed))
 			if err != nil {
-				t.Fatalf("inline: %v", err)
+				t.Fatalf("fused: %v", err)
 			}
 
-			hier, iClass, dClass, iEng, dEng = equivParts(t)
-			ring, err := simulateRing(context.Background(), name,
-				seededWorkload(t, seed), hier, iClass, dClass, iEng, dEng, 4)
-			if err != nil {
-				t.Fatalf("ring: %v", err)
-			}
-
-			requireSameData(t, "golden-vs-inline", golden, fused)
-			requireSameData(t, "golden-vs-ring", golden, ring)
+			requireSameData(t, "golden-vs-fused", golden, fused)
 		})
 	}
 }

@@ -63,10 +63,10 @@ func WithMetrics(reg *telemetry.Registry) Option {
 	}
 }
 
-// WithWorkers bounds the suite's parallelism: the benchmark fan-out of
-// All, the shard count of each benchmark's interval collection, and the
-// worker count of the evaluation grid. n <= 0 (the default) means
-// GOMAXPROCS, resolved at each use.
+// WithWorkers bounds the suite's parallelism: the benchmark pool of
+// AllContext and the evaluation pools (EvaluateGrid, sweeps, Pareto
+// populations). Each benchmark simulates on one goroutine whatever n is.
+// n <= 0 (the default) means GOMAXPROCS, resolved at each use.
 func WithWorkers(n int) Option {
 	return func(s *Suite) error {
 		s.workers = n

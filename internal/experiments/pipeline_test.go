@@ -1,10 +1,11 @@
 package experiments
 
-// Tests for the parallel pipeline: sharded collection must be
-// bit-identical to sequential collection, the evaluation grid must be
-// bit-identical to the sequential evaluation loops it replaced,
-// cancellation must be prompt and leak-free, and the singleflight gate
-// must collapse concurrent simulations of one benchmark into one run.
+// Tests for the parallel pipeline: the worker count must not change any
+// simulation product, shared distributions must be safe to walk
+// concurrently, the evaluation grid must be bit-identical to the
+// sequential evaluation loops it replaced, cancellation must be prompt
+// and leak-free, and the singleflight gate must collapse concurrent
+// simulations of one benchmark into one run.
 
 import (
 	"context"
@@ -15,46 +16,104 @@ import (
 	"testing"
 	"time"
 
+	"leakbound/internal/interval"
 	"leakbound/internal/leakage"
 	"leakbound/internal/power"
 	"leakbound/internal/telemetry"
 )
 
-// TestShardedSuiteMatchesSequential pins the tentpole invariant end to
-// end: a suite collecting with 4 shards per cache produces byte-identical
-// distributions and identical simulation results to a 1-worker
-// (inline, sequential) suite.
-func TestShardedSuiteMatchesSequential(t *testing.T) {
-	seq := MustNew(WithScale(0.05), WithWorkers(1), WithMetrics(telemetry.NewRegistry()))
-	par := MustNew(WithScale(0.05), WithWorkers(4), WithMetrics(telemetry.NewRegistry()))
-	for _, name := range []string{"gzip", "vortex"} {
-		sd, err := seq.Data(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		pd, err := par.Data(name)
-		if err != nil {
-			t.Fatal(err)
+// TestWorkersDoNotChangeResults pins pool determinism end to end: a
+// suite simulating every benchmark through a 4-worker pool produces
+// byte-identical distributions, identical simulation results and
+// identical engine statistics to a 1-worker suite.
+func TestWorkersDoNotChangeResults(t *testing.T) {
+	seqAll, err := MustNew(WithScale(0.05), WithWorkers(1), WithMetrics(telemetry.NewRegistry())).All()
+	if err != nil {
+		t.Fatal(err)
+	}
+	parAll, err := MustNew(WithScale(0.05), WithWorkers(4), WithMetrics(telemetry.NewRegistry())).All()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, sd := range seqAll {
+		pd, name := parAll[i], sd.Name
+		if pd.Name != name {
+			t.Fatalf("benchmark %d: %s vs %s", i, name, pd.Name)
 		}
 		if sd.Result != pd.Result {
 			t.Errorf("%s: results differ: %+v vs %+v", name, sd.Result, pd.Result)
 		}
 		if !sd.ICache.Equal(pd.ICache) {
-			t.Errorf("%s: I-cache distributions differ between 1 and 4 shards", name)
+			t.Errorf("%s: I-cache distributions differ between 1 and 4 workers", name)
 		}
 		if !sd.DCache.Equal(pd.DCache) {
-			t.Errorf("%s: D-cache distributions differ between 1 and 4 shards", name)
+			t.Errorf("%s: D-cache distributions differ between 1 and 4 workers", name)
 		}
 		if !sd.L2Cache.Equal(pd.L2Cache) {
-			t.Errorf("%s: L2 distributions differ between 1 and 4 shards", name)
+			t.Errorf("%s: L2 distributions differ between 1 and 4 workers", name)
 		}
 		if sd.IEngine != pd.IEngine || sd.DEngine != pd.DEngine {
-			t.Errorf("%s: prefetch engine stats differ between shard counts", name)
+			t.Errorf("%s: prefetch engine stats differ between worker counts", name)
 		}
-		// Conservation must hold on the sharded output too.
+		// Conservation must hold on the parallel suite's output too.
 		if pd.ICache.Mass() != uint64(pd.ICache.NumFrames)*pd.Result.Cycles {
-			t.Errorf("%s: sharded I-cache violates mass conservation", name)
+			t.Errorf("%s: 4-worker I-cache violates mass conservation", name)
 		}
+	}
+}
+
+// TestL2WalksRaceFree walks a benchmark's L2 distribution from two
+// goroutines at once, on a freshly simulated suite and on one loaded from
+// the disk cache. No aggregates are built for the L2 side, so only the
+// tail compaction in Collector.Finish and ReadDistribution keeps the two
+// walks from racing; run under -race (make race, make test-parallel).
+func TestL2WalksRaceFree(t *testing.T) {
+	fresh := MustNew(WithScale(0.05), WithMetrics(telemetry.NewRegistry()))
+	fd, err := fresh.Data("gzip")
+	if err != nil {
+		t.Fatal(err)
+	}
+	walkConcurrently(t, "fresh", fd.L2Cache)
+
+	reg := telemetry.NewRegistry()
+	loaded := MustNew(WithScale(0.05), WithCacheDir(t.TempDir()), WithMetrics(reg))
+	loaded.storeCached(loaded.cacheKey("gzip"), fd)
+	ld, err := loaded.Data("gzip")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if hits := reg.Scope("diskcache").Counter("hits").Value(); hits != 1 {
+		t.Fatalf("diskcache hits = %d, want 1", hits)
+	}
+	walkConcurrently(t, "loaded", ld.L2Cache)
+}
+
+// walkConcurrently runs an Each walk and a MassWhere walk over d on two
+// goroutines and checks both saw the whole distribution, including its
+// long tail.
+func walkConcurrently(t *testing.T, label string, d *interval.Distribution) {
+	t.Helper()
+	var wg sync.WaitGroup
+	var counted, mass uint64
+	wg.Add(2)
+	go func() {
+		defer wg.Done()
+		d.Each(func(_ uint64, _ interval.Flags, count uint64) bool {
+			counted += count
+			return true
+		})
+	}()
+	go func() {
+		defer wg.Done()
+		mass = d.MassWhere(func(uint64, interval.Flags) bool { return true })
+	}()
+	wg.Wait()
+	if counted != d.NumIntervals() || mass != d.Mass() {
+		t.Errorf("%s: walks saw %d intervals / mass %d, want %d / %d", label, counted, mass, d.NumIntervals(), d.Mass())
+	}
+	// Lengths from 8192 up live in the sparse tail that compaction sorts.
+	if long := d.Count(func(l uint64, _ interval.Flags) bool { return l >= 8192 }); long == 0 {
+		t.Errorf("%s: no long intervals, so the walks never touched the tail", label)
 	}
 }
 
@@ -154,8 +213,8 @@ func TestGridMatchesSequential(t *testing.T) {
 }
 
 // TestAllContextCancelNoLeak cancels a suite-wide simulation mid-flight:
-// AllContext must return ctx.Err() promptly, and every pipeline goroutine
-// (pool workers, shard workers) must drain afterwards.
+// AllContext must return ctx.Err() promptly, and every pool worker must
+// drain afterwards.
 func TestAllContextCancelNoLeak(t *testing.T) {
 	before := runtime.NumGoroutine()
 	reg := telemetry.NewRegistry()
@@ -173,8 +232,8 @@ func TestAllContextCancelNoLeak(t *testing.T) {
 	if elapsed := time.Since(start); elapsed > 10*time.Second {
 		t.Fatalf("cancellation took %v, want prompt return", elapsed)
 	}
-	// All pipeline goroutines must exit; poll because worker teardown
-	// finishes just after AllContext returns.
+	// All pool workers must exit; poll because worker teardown finishes
+	// just after AllContext returns.
 	deadline := time.Now().Add(5 * time.Second)
 	for {
 		if g := runtime.NumGoroutine(); g <= before+2 {

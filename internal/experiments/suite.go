@@ -11,18 +11,16 @@
 // distributions, exactly as the limit study separates trace collection from
 // policy analysis.
 //
-// Simulation is a single streaming pass: the workload generator feeds the
-// CPU model, which feeds the interval collectors and prefetch engines
-// through reused struct-of-arrays batches (internal/sim/stream) — no
-// intermediate trace is ever materialized. The pipeline is parallel at two
-// levels, both governed by WithWorkers: benchmarks fan out across a
-// bounded pool (AllContext), and within one benchmark the batches can be
-// shipped over an SPSC ring to frame-sharded collectors
-// (interval.ShardedCollector). Parallel results are bit-identical to the
-// sequential path, so shard and worker counts are pure performance knobs.
-// Long sweeps are cancellable: every entry point has a ...Context variant
-// that returns ctx.Err() promptly, flushing partial telemetry on the way
-// out.
+// Simulation is a single streaming pass on one goroutine: the workload
+// generator feeds the CPU model, which feeds the interval collectors and
+// prefetch engines through one reused struct-of-arrays batch
+// (internal/sim/stream) — no intermediate trace is ever materialized.
+// Parallelism lives above that pass, sized by WithWorkers: benchmarks fan
+// out across a bounded pool (AllContext), and policy evaluations across
+// the grid (EvaluateGrid). Each benchmark's products are the same whatever
+// the worker count, so it is a pure performance knob. Long sweeps are
+// cancellable: every entry point has a ...Context variant that returns
+// ctx.Err() promptly, flushing partial telemetry on the way out.
 package experiments
 
 import (
@@ -62,23 +60,20 @@ type BenchmarkData struct {
 	// capture most misses).
 	IEngine prefetch.EngineStats
 	DEngine prefetch.EngineStats
-	// IAgg, DAgg and L2Agg are the prefix-aggregate summaries of the three
+	// IAgg and DAgg are the prefix-aggregate summaries of the two L1
 	// distributions (interval.Aggregates), built once when the benchmark is
 	// produced and shared by every dense sweep and Pareto population. They
 	// are read-only after construction and safe for concurrent use.
-	IAgg  *interval.Aggregates
-	DAgg  *interval.Aggregates
-	L2Agg *interval.Aggregates
+	IAgg *interval.Aggregates
+	DAgg *interval.Aggregates
 }
 
-// buildAggregates summarizes the three distributions. Called once on the
-// producing goroutine before the BenchmarkData is shared: the walk also
-// compacts each distribution's tail, so later concurrent walks are
-// race-free (see interval.Distribution.Each).
+// buildAggregates summarizes the two L1 distributions. The distributions
+// arrive compacted (interval.Collector.Finish and ReadDistribution both
+// compact), so concurrent walks of the shared BenchmarkData are race-free.
 func (d *BenchmarkData) buildAggregates() {
 	d.IAgg = interval.NewAggregates(d.ICache)
 	d.DAgg = interval.NewAggregates(d.DCache)
-	d.L2Agg = interval.NewAggregates(d.L2Cache)
 }
 
 // Side returns the distribution and its aggregates for one L1 side
@@ -236,7 +231,7 @@ func (s *Suite) produceWorkload(ctx context.Context, name, key string, perName b
 	if err != nil {
 		return nil, err
 	}
-	d, err := simulate(ctx, name, w, s.poolWorkers())
+	d, err := simulate(ctx, name, w)
 	if err != nil {
 		if ctx.Err() != nil {
 			// Partial-telemetry flush on cancellation: the abandoned work
@@ -306,14 +301,11 @@ func (s *Suite) AllContext(ctx context.Context) ([]*BenchmarkData, error) {
 
 // simulate runs one resolved workload through the paper's machine
 // configuration and collects flagged interval distributions for all three
-// caches in a single streaming pass: the generator feeds the CPU model,
-// which feeds the collectors through reused struct-of-arrays batches, and
-// no intermediate trace is ever materialized. shards selects the
-// collection topology — <=1 collects in-line on the simulation goroutine
-// (the single-core fast path), >1 ships batches through an SPSC ring to a
-// consumer that fans events out to frame-sharded collectors. The outputs
-// are bit-identical either way.
-func simulate(ctx context.Context, name string, w workload.Workload, shards int) (*BenchmarkData, error) {
+// caches in a single streaming pass on the calling goroutine: the CPU
+// model hands each full batch straight to the collectors and engines, so
+// the whole pipeline shares one batch buffer, the per-event cost is a
+// handful of column reads, and no intermediate trace is ever materialized.
+func simulate(ctx context.Context, name string, w workload.Workload) (*BenchmarkData, error) {
 	hier, err := cache.NewHierarchy(cache.AlphaLike())
 	if err != nil {
 		return nil, err
@@ -334,46 +326,6 @@ func simulate(ctx context.Context, name string, w workload.Workload, shards int)
 	if err != nil {
 		return nil, err
 	}
-	if shards <= 1 {
-		return simulateInline(ctx, name, w, hier, iClass, dClass, iEng, dEng)
-	}
-	return simulateRing(ctx, name, w, hier, iClass, dClass, iEng, dEng, shards)
-}
-
-// finisher closes a collector at the simulation horizon; satisfied by both
-// interval.Collector and interval.ShardedCollector.
-type finisher interface {
-	Finish(totalCycles uint64) (*interval.Distribution, error)
-}
-
-// finishData closes the three collectors and both engines into a
-// BenchmarkData.
-func finishData(name string, res cpu.Result, iCol, dCol, l2Col finisher, iEng, dEng *prefetch.Engine) (*BenchmarkData, error) {
-	iDist, err := iCol.Finish(res.Cycles)
-	if err != nil {
-		return nil, err
-	}
-	dDist, err := dCol.Finish(res.Cycles)
-	if err != nil {
-		return nil, err
-	}
-	l2Dist, err := l2Col.Finish(res.Cycles)
-	if err != nil {
-		return nil, err
-	}
-	return &BenchmarkData{
-		Name: name, Result: res,
-		ICache: iDist, DCache: dDist, L2Cache: l2Dist,
-		IEngine: iEng.Finish(), DEngine: dEng.Finish(),
-	}, nil
-}
-
-// simulateInline is the single-goroutine streaming path: the CPU model
-// hands each full batch straight to the collectors and engines on the
-// same goroutine, so the whole pipeline shares one batch buffer and the
-// per-event cost is a handful of column reads.
-func simulateInline(ctx context.Context, name string, w workload.Workload, hier *cache.Hierarchy,
-	iClass, dClass *prefetch.Classifier, iEng, dEng *prefetch.Engine) (*BenchmarkData, error) {
 	iCol, err := interval.NewCollector(trace.L1I, uint32(hier.L1I().Config().NumLines()), iClass)
 	if err != nil {
 		return nil, err
@@ -428,70 +380,26 @@ func simulateInline(ctx context.Context, name string, w workload.Workload, hier 
 	return finishData(name, res, iCol, dCol, l2Col, iEng, dEng)
 }
 
-// simulateRing is the decoupled streaming path for shards > 1: batches
-// travel through an SPSC ring to a consumer goroutine, which fans events
-// out to frame-sharded collectors (producer-side classification happens on
-// the consumer, where global stream order is still visible). On
-// cancellation the deferred Close calls release the shard workers and
-// flush partial telemetry (TestAllContextCancelNoLeak exercises this).
-func simulateRing(ctx context.Context, name string, w workload.Workload, hier *cache.Hierarchy,
-	iClass, dClass *prefetch.Classifier, iEng, dEng *prefetch.Engine, shards int) (*BenchmarkData, error) {
-	iCol, err := interval.NewShardedCollector(trace.L1I, uint32(hier.L1I().Config().NumLines()), iClass, shards)
+// finishData closes the three collectors and both engines into a
+// BenchmarkData.
+func finishData(name string, res cpu.Result, iCol, dCol, l2Col *interval.Collector, iEng, dEng *prefetch.Engine) (*BenchmarkData, error) {
+	iDist, err := iCol.Finish(res.Cycles)
 	if err != nil {
 		return nil, err
 	}
-	defer iCol.Close()
-	dCol, err := interval.NewShardedCollector(trace.L1D, uint32(hier.L1D().Config().NumLines()), dClass, shards)
+	dDist, err := dCol.Finish(res.Cycles)
 	if err != nil {
 		return nil, err
 	}
-	defer dCol.Close()
-	l2Col, err := interval.NewShardedCollector(trace.L2, uint32(hier.L2().Config().NumLines()), nil, shards)
+	l2Dist, err := l2Col.Finish(res.Cycles)
 	if err != nil {
 		return nil, err
 	}
-	defer l2Col.Close()
-
-	ring := stream.NewRing(4, stream.DefaultBatchEvents)
-	var consumeErr error
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		consumeErr = ring.Consume(func(b *stream.Batch) error {
-			for i, n := 0, b.Len(); i < n; i++ {
-				e := b.Event(i)
-				switch e.Cache {
-				case trace.L1I:
-					if err := iCol.Add(e); err != nil {
-						return err
-					}
-					iEng.Access(e)
-				case trace.L1D:
-					if err := dCol.Add(e); err != nil {
-						return err
-					}
-					dEng.Access(e)
-				case trace.L2:
-					if err := l2Col.Add(e); err != nil {
-						return err
-					}
-				}
-			}
-			return nil
-		})
-	}()
-	res, err := cpu.RunRingContext(ctx, w, hier, cpu.DefaultConfig(), ring)
-	// RunRingContext closes the ring on every exit path, so the consumer
-	// always drains and terminates; wait for it before touching collector
-	// or engine state.
-	<-done
-	if err != nil {
-		return nil, err
-	}
-	if consumeErr != nil {
-		return nil, fmt.Errorf("experiments: collecting %s: %w", name, consumeErr)
-	}
-	return finishData(name, res, iCol, dCol, l2Col, iEng, dEng)
+	return &BenchmarkData{
+		Name: name, Result: res,
+		ICache: iDist, DCache: dDist, L2Cache: l2Dist,
+		IEngine: iEng.Finish(), DEngine: dEng.Finish(),
+	}, nil
 }
 
 // MergedDistributions returns suite-wide merged I- and D-cache

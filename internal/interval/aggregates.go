@@ -88,9 +88,7 @@ type Aggregates struct {
 
 // NewAggregates builds the prefix-sum summary of d in one ordered walk.
 // It returns nil for a nil distribution. The walk compacts d's sparse
-// tail as a side effect, so building the aggregates on the goroutine
-// that finished the distribution also makes later concurrent Each walks
-// race-free by construction.
+// tail if anything was appended since the last compaction (see Each).
 func NewAggregates(d *Distribution) *Aggregates {
 	if d == nil {
 		return nil

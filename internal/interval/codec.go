@@ -109,6 +109,9 @@ func ReadDistribution(r io.Reader) (*Distribution, error) {
 		}
 		d.Add(length, Flags(fb), count)
 	}
+	// Compact here, as Collector.Finish does, so a loaded distribution is
+	// safe to walk concurrently (see Each).
+	d.compact()
 	return d, nil
 }
 

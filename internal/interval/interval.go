@@ -24,7 +24,6 @@ import (
 	"sort"
 	"strconv"
 
-	"leakbound/internal/sim/stream"
 	"leakbound/internal/sim/trace"
 	"leakbound/internal/telemetry"
 )
@@ -253,8 +252,9 @@ func (d *Distribution) Mass() uint64 { return d.mass }
 // false.
 //
 // The first Each after new tail appends compacts the tail in place, so it
-// must not race with other walks; walk once (e.g. via NewAggregates) on
-// the goroutine that finished the distribution before sharing it.
+// must not race with other walks. Collector.Finish and ReadDistribution
+// return compacted distributions, which concurrent walks may share until
+// the next Add or Merge.
 func (d *Distribution) Each(fn func(length uint64, flags Flags, count uint64) bool) {
 	var max uint64
 	for _, f := range d.present {
@@ -283,15 +283,17 @@ func (d *Distribution) Each(fn func(length uint64, flags Flags, count uint64) bo
 }
 
 // Merge folds other into d. Frame counts add — the operands are treated as
-// disjoint frame populations observed over the same run, which covers both
-// uses: recombining per-shard distributions from a ShardedCollector
-// (bit-identical to the unsharded result, since bucket counts, interval
-// counts and mass are all additive) and aggregating benchmarks for
-// suite-wide views. Time horizons are maxed so the conservation invariant
-// (Mass == NumFrames x TotalCycles) survives merging same-horizon shards.
+// disjoint frame populations, as when aggregating benchmarks for
+// suite-wide views (Suite.MergedDistributionsContext). Bucket counts,
+// interval counts and mass are all additive, so merging the collections
+// of a frame partition of one run is bit-identical to collecting the run
+// whole (TestMergePropertySharding). Time horizons are maxed so the
+// conservation invariant (Mass == NumFrames x TotalCycles) survives
+// merging same-horizon parts.
 //
 // Merge adds rows directly rather than iterating buckets through Each, so
-// folding a shard in costs a few row sweeps, not a full ordered walk.
+// folding a distribution in costs a few row sweeps, not a full ordered
+// walk. It leaves d's tail uncompacted until the next walk.
 func (d *Distribution) Merge(other *Distribution) error {
 	if other == nil {
 		return fmt.Errorf("%w: merge operand", ErrNilDistribution)
@@ -406,15 +408,6 @@ func NewCollector(cacheID trace.CacheID, numFrames uint32, classifier Classifier
 // simulator sink can fan out to several collectors. Events must arrive in
 // non-decreasing cycle order.
 func (c *Collector) Add(e trace.Event) error {
-	return c.add(e, 0, true)
-}
-
-// add is the collection core. When classify is true the collector's own
-// classifier computes the prefetch flags in stream order; when false the
-// caller supplies them in pre (the sharded path classifies on the producer
-// side, where global stream order is still visible, and ships the flags
-// with the event).
-func (c *Collector) add(e trace.Event, pre Flags, classify bool) error {
 	if c.finished {
 		return fmt.Errorf("%w: Add after Finish", ErrFinished)
 	}
@@ -441,8 +434,8 @@ func (c *Collector) add(e trace.Event, pre Flags, classify bool) error {
 		start := prev - 1
 		length := e.Cycle - start
 		if length > 0 {
-			flags := pre & (NLPrefetchable | StridePrefetchable)
-			if classify && c.classifier != nil {
+			var flags Flags
+			if c.classifier != nil {
 				flags = c.classifier.Classify(e, start) & (NLPrefetchable | StridePrefetchable)
 			}
 			if c.dirty[e.Frame] {
@@ -456,7 +449,7 @@ func (c *Collector) add(e trace.Event, pre Flags, classify bool) error {
 			c.dist.Add(length, flags, 1)
 		}
 	}
-	if classify && c.classifier != nil {
+	if c.classifier != nil {
 		c.classifier.Observe(e)
 	}
 	c.lastAccess[e.Frame] = e.Cycle + 1
@@ -473,36 +466,6 @@ func (c *Collector) add(e trace.Event, pre Flags, classify bool) error {
 	return nil
 }
 
-// AddBatch consumes one column batch from the streaming pipeline. It is
-// equivalent to calling Add for each event in batch order, but skips the
-// trace.Event materialization on the hot path. Events for other caches are
-// ignored, as in Add.
-func (c *Collector) AddBatch(b *stream.Batch) error {
-	if c.finished {
-		return fmt.Errorf("%w: Add after Finish", ErrFinished)
-	}
-	if c.classifier != nil && c.streamCl == nil {
-		// Classifier without a fused fast path: fall back to event form so
-		// Classify/Observe see exactly what Add would hand them.
-		for i, n := 0, b.Len(); i < n; i++ {
-			if err := c.add(b.Event(i), 0, true); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	n := b.Len()
-	for i := 0; i < n; i++ {
-		if b.Caches[i] != c.cache {
-			continue
-		}
-		if err := c.addCols(b.Cycles[i], b.LineAddrs[i], b.PCs[i], b.Frames[i], b.Kinds[i], b.Misses[i]); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // AddCols is Add by columns — one event, no trace.Event box. Events for
 // other caches are ignored, as in Add.
 //
@@ -515,10 +478,10 @@ func (c *Collector) AddCols(cycle, lineAddr, pc uint64, frame uint32, cacheID tr
 		return fmt.Errorf("%w: Add after Finish", ErrFinished)
 	}
 	if c.classifier != nil && c.streamCl == nil {
-		return c.add(trace.Event{
+		return c.Add(trace.Event{
 			Cycle: cycle, LineAddr: lineAddr, Frame: frame, PC: pc,
 			Cache: cacheID, Kind: kind, Miss: miss,
-		}, 0, true)
+		})
 	}
 	return c.addCols(cycle, lineAddr, pc, frame, kind, miss)
 }
@@ -608,5 +571,8 @@ func (c *Collector) Finish(totalCycles uint64) (*Distribution, error) {
 	sc.Counter("events").Add(c.events)
 	sc.Counter("intervals_closed").Add(c.dist.numIntervals)
 	sc.Counter("frames_untouched").Add(untouched)
+	// Compact on the finishing goroutine so the returned distribution can
+	// be walked from several goroutines at once (see Each).
+	c.dist.compact()
 	return c.dist, nil
 }

@@ -134,51 +134,7 @@ func RunStreamContext(ctx context.Context, w workload.Workload, hier *cache.Hier
 		return Result{}, err
 	}
 	m.batch = stream.NewBatch(stream.DefaultBatchEvents)
-	m.flushFn = func(b *stream.Batch) (*stream.Batch, error) {
-		//lint:ignore hotalloc one indirect sink call per full batch, amortized over DefaultBatchEvents events
-		err := sink(b)
-		b.Reset()
-		return b, err
-	}
-	m.finishFn = func(b *stream.Batch) error {
-		if b.Len() == 0 {
-			return nil
-		}
-		//lint:ignore hotalloc final partial-batch flush, once per run
-		return sink(b)
-	}
-	return m.run(w)
-}
-
-// RunRingContext is RunStreamContext decoupled through an SPSC ring: the
-// simulation (producer) fills batches from the ring's free list and a
-// consumer goroutine drains them (typically via Ring.Consume),
-// overlapping simulation with analysis on multi-core hosts. The ring is
-// always closed before RunRingContext returns — including on
-// cancellation — so the consumer terminates; callers must still wait for
-// the consumer to finish before reading its results.
-//
-//lint:hotpath entry
-func RunRingContext(ctx context.Context, w workload.Workload, hier *cache.Hierarchy, cfg Config, ring *stream.Ring) (Result, error) {
-	if ring == nil {
-		return Result{}, errors.New("cpu: nil ring")
-	}
-	m, err := newMachine(ctx, w, hier, cfg)
-	if err != nil {
-		return Result{}, err
-	}
-	defer ring.Close()
-	m.batch = ring.Get()
-	m.flushFn = func(b *stream.Batch) (*stream.Batch, error) {
-		ring.Send(b)
-		return ring.Get(), nil
-	}
-	m.finishFn = func(b *stream.Batch) error {
-		if b.Len() > 0 {
-			ring.Send(b)
-		}
-		return nil
-	}
+	m.batchSink = sink
 	return m.run(w)
 }
 
@@ -212,8 +168,8 @@ func newMachine(ctx context.Context, w workload.Workload, hier *cache.Hierarchy,
 func (m *machine) run(w workload.Workload) (Result, error) {
 	w.Emit(m.consume)
 	m.flushGroup()
-	if m.finishFn != nil && m.sinkErr == nil && m.ctxErr == nil {
-		m.sinkErr = m.finishFn(m.batch)
+	if m.batch != nil && m.batch.Len() > 0 && m.ctxErr == nil {
+		m.flushBatch() // the final partial batch
 	}
 	res := Result{
 		Cycles:       m.cycle,
@@ -246,7 +202,7 @@ func (m *machine) run(w workload.Workload) (Result, error) {
 }
 
 // machine holds the in-flight fetch group and the cycle clock. Exactly
-// one of sink (per-event mode) or batch+flushFn (streaming mode) is set.
+// one of sink (per-event mode) or batch+batchSink (streaming mode) is set.
 type machine struct {
 	cfg    Config
 	hier   *cache.Hierarchy
@@ -260,14 +216,12 @@ type machine struct {
 	l1i, l1d, l2                           *cache.Cache
 	l1iHitLat, l1dHitLat, l2HitLat, memLat uint64
 
-	// Streaming mode: emit appends columns to batch; when it fills,
-	// flushFn delivers it and returns the next buffer to fill (the same
-	// one reset, or a fresh ring batch). finishFn delivers the final
-	// partial batch after the last fetch group retires.
-	batch    *stream.Batch
-	flushFn  func(*stream.Batch) (*stream.Batch, error)
-	finishFn func(*stream.Batch) error
-	sinkErr  error
+	// Streaming mode: emit appends columns to batch; flushBatch hands it
+	// to batchSink whenever it fills, and once more for the final partial
+	// batch after the last fetch group retires.
+	batch     *stream.Batch
+	batchSink stream.Sink
+	sinkErr   error
 
 	cycle  uint64
 	instrs uint64
@@ -403,20 +357,17 @@ func (m *machine) emit(cycle, lineAddr, pc uint64, frame uint32, cacheID trace.C
 	}
 }
 
+// flushBatch hands the current batch to batchSink and resets it for
+// reuse. After a sink error the simulation stops and the batch is dropped.
 func (m *machine) flushBatch() {
-	if m.sinkErr != nil {
-		m.batch.Reset()
-		return
+	if m.sinkErr == nil {
+		//lint:ignore hotalloc one indirect flush per full batch
+		if err := m.batchSink(m.batch); err != nil {
+			m.sinkErr = err
+			m.stopping = true
+		}
 	}
-	//lint:ignore hotalloc one indirect flush per full batch
-	next, err := m.flushFn(m.batch)
-	if err != nil {
-		m.sinkErr = err
-		m.stopping = true
-		m.batch.Reset()
-		return
-	}
-	m.batch = next
+	m.batch.Reset()
 }
 
 // RunToStream is a convenience wrapper that collects all events for one

@@ -1,20 +1,11 @@
 // Package stream is the single-pass conduit between the timing simulator
 // and its consumers: instead of materializing a []trace.Event (or calling
 // a per-event closure with a 48-byte struct), the producer fills
-// fixed-capacity struct-of-arrays Batches and hands each one to a
-// consumer, which processes it and releases it for reuse. No intermediate
-// trace ever exists in memory — at any moment the pipeline holds at most
-// a handful of batches, regardless of run length.
-//
-// Two wirings share the Batch type:
-//
-//   - Inline (one goroutine): the producer invokes a Sink synchronously
-//     per full batch and reuses the same buffer afterwards. This is the
-//     default path — on one core it is strictly faster than any
-//     cross-goroutine handoff.
-//   - Ring (two goroutines): a fixed-depth SPSC ring built from a pair of
-//     channels (filled and free) decouples the simulator from a consumer
-//     goroutine, recycling batches so steady state allocates nothing.
+// a fixed-capacity struct-of-arrays Batch and hands it to a Sink,
+// synchronously and on its own goroutine, each time it fills; when the
+// Sink returns, the producer resets the batch and fills it again. No
+// intermediate trace ever exists in memory — the pipeline holds one
+// batch, regardless of run length.
 //
 // The struct-of-arrays layout is deliberate: consumers that filter by
 // cache scan one byte per event (the Caches column) and touch the wide
@@ -22,11 +13,7 @@
 // small arrays instead of copying whole structs through an interface.
 package stream
 
-import (
-	"errors"
-
-	"leakbound/internal/sim/trace"
-)
+import "leakbound/internal/sim/trace"
 
 // DefaultBatchEvents is the default batch capacity. It matches the CPU
 // core's 4096-instruction cancellation-poll granularity: one batch is
@@ -116,83 +103,3 @@ func (b *Batch) Event(i int) trace.Event {
 // the call: the producer reuses it as soon as Sink returns. A non-nil
 // error stops the producer, which returns the error to its caller.
 type Sink func(*Batch) error
-
-// ErrRingClosed reports a send on a closed ring.
-var ErrRingClosed = errors.New("stream: ring closed")
-
-// Ring is a fixed-depth single-producer single-consumer batch queue: the
-// producer takes empty batches from the free list, fills and Sends them;
-// the consumer Recvs, processes, and Recycles. Both directions are
-// buffered channels, so the ring never allocates after construction and
-// applies backpressure when the consumer lags by more than depth batches.
-//
-// The SPSC contract: exactly one goroutine calls Get/Send/Close and
-// exactly one calls Recv/Recycle. (The channels would tolerate more, but
-// batch recycling makes reuse single-owner by design.)
-type Ring struct {
-	filled chan *Batch
-	free   chan *Batch
-}
-
-// NewRing builds a ring of depth batches, each with capacity batchEvents
-// (DefaultBatchEvents if <= 0). Depth 2 already decouples producer and
-// consumer; deeper rings only smooth bursty consumers.
-func NewRing(depth, batchEvents int) *Ring {
-	if depth < 2 {
-		depth = 2
-	}
-	r := &Ring{
-		filled: make(chan *Batch, depth),
-		free:   make(chan *Batch, depth),
-	}
-	for i := 0; i < depth; i++ {
-		r.free <- NewBatch(batchEvents)
-	}
-	return r
-}
-
-// Get blocks until an empty batch is available.
-func (r *Ring) Get() *Batch { return <-r.free }
-
-// Send hands a filled batch to the consumer.
-func (r *Ring) Send(b *Batch) { r.filled <- b }
-
-// Close signals the consumer that no more batches will arrive. The
-// producer must not Send after Close.
-func (r *Ring) Close() { close(r.filled) }
-
-// Recv blocks for the next filled batch; ok is false after Close drains.
-func (r *Ring) Recv() (b *Batch, ok bool) {
-	b, ok = <-r.filled
-	return b, ok
-}
-
-// Recycle returns a consumed batch to the producer's free list.
-func (r *Ring) Recycle(b *Batch) {
-	b.Reset()
-	r.free <- b
-}
-
-// Consume drains the ring into sink until the ring closes or sink fails,
-// recycling every batch. It is the standard consumer-goroutine body.
-func (r *Ring) Consume(sink Sink) error {
-	for {
-		b, ok := r.Recv()
-		if !ok {
-			return nil
-		}
-		err := sink(b)
-		r.Recycle(b)
-		if err != nil {
-			// Keep draining so the producer never blocks on a full ring,
-			// but drop the data: the pipeline is already failed.
-			for {
-				b, ok := r.Recv()
-				if !ok {
-					return err
-				}
-				r.Recycle(b)
-			}
-		}
-	}
-}

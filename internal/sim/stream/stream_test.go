@@ -1,8 +1,6 @@
 package stream
 
 import (
-	"errors"
-	"sync"
 	"testing"
 
 	"leakbound/internal/sim/trace"
@@ -43,82 +41,5 @@ func TestNewBatchDefaultCapacity(t *testing.T) {
 	b := NewBatch(0)
 	if cap(b.Cycles) != DefaultBatchEvents {
 		t.Fatalf("default capacity = %d", cap(b.Cycles))
-	}
-}
-
-func TestRingRoundTrip(t *testing.T) {
-	r := NewRing(2, 8)
-	const total = 100
-	var got []uint64
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		if err := r.Consume(func(b *Batch) error {
-			got = append(got, b.Cycles...)
-			return nil
-		}); err != nil {
-			t.Errorf("Consume: %v", err)
-		}
-	}()
-	b := r.Get()
-	for c := uint64(0); c < total; c++ {
-		b.Append(c, 0, 0, 0, trace.L1I, trace.Fetch, false)
-		if b.Full() {
-			r.Send(b)
-			b = r.Get()
-		}
-	}
-	if b.Len() > 0 {
-		r.Send(b)
-	}
-	r.Close()
-	wg.Wait()
-	if len(got) != total {
-		t.Fatalf("consumed %d events, want %d", len(got), total)
-	}
-	for i, c := range got {
-		if c != uint64(i) {
-			t.Fatalf("event %d has cycle %d (order broken)", i, c)
-		}
-	}
-}
-
-func TestRingConsumerErrorDoesNotBlockProducer(t *testing.T) {
-	r := NewRing(2, 4)
-	sentinel := errors.New("boom")
-	done := make(chan error, 1)
-	go func() {
-		done <- r.Consume(func(b *Batch) error { return sentinel })
-	}()
-	// Keep producing well past ring depth; a consumer that stopped
-	// recycling would deadlock this loop.
-	for i := 0; i < 50; i++ {
-		b := r.Get()
-		b.Append(uint64(i), 0, 0, 0, trace.L1I, trace.Fetch, false)
-		r.Send(b)
-	}
-	r.Close()
-	if err := <-done; !errors.Is(err, sentinel) {
-		t.Fatalf("Consume error = %v, want sentinel", err)
-	}
-}
-
-func TestRingRecyclesBatches(t *testing.T) {
-	r := NewRing(2, 4)
-	b1, b2 := r.Get(), r.Get() // drain the free list: depth 2 = two batches
-	r.Send(b1)
-	got, ok := r.Recv()
-	if !ok || got != b1 {
-		t.Fatal("Recv did not deliver the sent batch")
-	}
-	got.Append(1, 0, 0, 0, trace.L1I, trace.Fetch, false)
-	r.Recycle(got)
-	b3 := r.Get()
-	if b3 != b1 && b3 != b2 {
-		t.Fatal("Get returned a batch outside the fixed pool")
-	}
-	if b3.Len() != 0 {
-		t.Fatal("Recycle did not reset the batch")
 	}
 }

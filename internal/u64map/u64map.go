@@ -14,7 +14,7 @@
 // by construction rather than by discipline.
 //
 // Not safe for concurrent use; every call site owns its table from one
-// goroutine, matching the SPSC discipline of the streaming pipeline.
+// goroutine, as each benchmark's simulation runs on one goroutine.
 package u64map
 
 const (
