@@ -16,8 +16,8 @@ race:
 
 # gofmt -l lists unformatted files; any output fails the target.
 # leakbound-lint is the repo's own multichecker (determinism, ctxflow,
-# errwrap, telemetryscope, locks, plus the interprocedural hotalloc,
-# detflow, ctxpair); `go run` needs no install step. -timing prints the
+# errwrap, telemetryscope, locks, plus the interprocedural hotalloc and
+# detflow); `go run` needs no install step. -timing prints the
 # per-analyzer wall time so a slow summary pass is visible immediately.
 # staticcheck runs when installed (CI installs the pinned 2024.1.1; offline
 # dev boxes may not have it, and must not fail for lack of a network).
@@ -71,7 +71,7 @@ bench-json:
 # report without failing; GATE_FLAGS+='-summary $$GITHUB_STEP_SUMMARY'
 # in CI to publish the comparison table.
 bench-gate:
-	$(GO) test -run '^$$' -bench '^(BenchmarkSuiteAll|BenchmarkPipelineSimulateGzip|BenchmarkPipelineSimulateGzipSharded|BenchmarkGridFigure8Workers1|BenchmarkSweepDense256Reference|BenchmarkSweepDense256Aggregates|BenchmarkParetoPopulation|BenchmarkSpecCompile|BenchmarkReplayPass)$$' \
+	$(GO) test -run '^$$' -bench '^(BenchmarkSuiteAll|BenchmarkPipelineSimulateGzip|BenchmarkGridFigure8Workers1|BenchmarkGridFigure8Workers4|BenchmarkSweepDense256Reference|BenchmarkSweepDense256Aggregates|BenchmarkParetoPopulation|BenchmarkSpecCompile|BenchmarkReplayPass)$$' \
 		-benchmem -benchtime 100ms -count 3 . | $(GO) run ./cmd/benchsnap -compare . $(GATE_FLAGS)
 
 cover:

@@ -89,10 +89,10 @@ func BenchmarkTable2_TechnologyScaling(b *testing.B) {
 	b.ResetTimer()
 	var hybrid70 float64
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Table2(s); err != nil {
+		if _, err := experiments.Table2Context(context.Background(), s); err != nil {
 			b.Fatal(err)
 		}
-		v, err := experiments.Table2Value(s, "OPT-Hybrid", true, power.Default())
+		v, err := experiments.Table2ValueContext(context.Background(), s, "OPT-Hybrid", true, power.Default())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -106,7 +106,7 @@ func BenchmarkFigure7_HybridVsSleepSweep(b *testing.B) {
 	b.ResetTimer()
 	var gapAt10K float64
 	for i := 0; i < b.N; i++ {
-		sleep, hybrid, err := experiments.Figure7(s, true)
+		sleep, hybrid, err := experiments.Figure7Context(context.Background(), s, true)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -121,7 +121,7 @@ func BenchmarkFigure8_SchemeComparison(b *testing.B) {
 	b.ResetTimer()
 	var hybridI float64
 	for i := 0; i < b.N; i++ {
-		rows, err := experiments.Figure8(s, true)
+		rows, err := experiments.Figure8Context(context.Background(), s, true)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -131,7 +131,7 @@ func BenchmarkFigure8_SchemeComparison(b *testing.B) {
 				hybridI = avg.Savings[j]
 			}
 		}
-		if _, err := experiments.Figure8(s, false); err != nil {
+		if _, err := experiments.Figure8Context(context.Background(), s, false); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -143,11 +143,11 @@ func BenchmarkFigure9_Prefetchability(b *testing.B) {
 	b.ResetTimer()
 	var dTotal float64
 	for i := 0; i < b.N; i++ {
-		iP, err := experiments.Figure9(s, true)
+		iP, err := experiments.Figure9Context(context.Background(), s, true)
 		if err != nil {
 			b.Fatal(err)
 		}
-		dP, err := experiments.Figure9(s, false)
+		dP, err := experiments.Figure9Context(context.Background(), s, false)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -186,21 +186,6 @@ func BenchmarkPipelineSimulateGzip(b *testing.B) {
 	}
 }
 
-// BenchmarkPipelineSimulateGzipSharded times a WithWorkers(4) suite
-// producing one benchmark. The worker count sizes only the benchmark pool
-// and the evaluation grid, so this should cost the same as
-// BenchmarkPipelineSimulateGzip; it keeps its historical name so the
-// committed BENCH_*.json baselines still cover it.
-func BenchmarkPipelineSimulateGzipSharded(b *testing.B) {
-	ctx := context.Background()
-	for i := 0; i < b.N; i++ {
-		s := experiments.MustNew(experiments.WithScale(0.05), experiments.WithWorkers(4))
-		if _, err := s.DataContext(ctx, "gzip"); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // Grid benches: the Figure 8 evaluation cell set (6 benchmarks x 6
 // schemes x both caches) through EvaluateGrid at different worker counts.
 // Cells carry their own distributions, so the grid suites need no
@@ -209,7 +194,7 @@ func BenchmarkPipelineSimulateGzipSharded(b *testing.B) {
 func benchGrid(b *testing.B, workers int) {
 	b.Helper()
 	s := sharedSuite(b)
-	all, err := s.All()
+	all, err := s.AllContext(context.Background())
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -242,7 +227,7 @@ func BenchmarkGridFigure8Workers4(b *testing.B) { benchGrid(b, 4) }
 func BenchmarkAblationHybridVsSleepOnly(b *testing.B) {
 	s := sharedSuite(b)
 	tech := power.Default()
-	data, err := s.Data("gcc")
+	data, err := s.DataContext(context.Background(), "gcc")
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -267,7 +252,7 @@ func BenchmarkAblationHybridVsSleepOnly(b *testing.B) {
 func BenchmarkAblationDecayTheta(b *testing.B) {
 	s := sharedSuite(b)
 	tech := power.Default()
-	data, err := s.Data("vortex")
+	data, err := s.DataContext(context.Background(), "vortex")
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -293,7 +278,7 @@ func BenchmarkAblationDecayTheta(b *testing.B) {
 // paper's footnote 2 accounts for.
 func BenchmarkAblationCounterOverhead(b *testing.B) {
 	s := sharedSuite(b)
-	data, err := s.Data("mesa")
+	data, err := s.DataContext(context.Background(), "mesa")
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -337,7 +322,7 @@ func BenchmarkExtensionL2Study(b *testing.B) {
 	b.ResetTimer()
 	var avg float64
 	for i := 0; i < b.N; i++ {
-		data, err := s.Data("gcc")
+		data, err := s.DataContext(context.Background(), "gcc")
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -354,7 +339,7 @@ func BenchmarkExtensionL2Study(b *testing.B) {
 // baseline (Velusamy et al.) against the oracle gap.
 func BenchmarkExtensionAdaptiveDecay(b *testing.B) {
 	s := sharedSuite(b)
-	data, err := s.Data("vortex")
+	data, err := s.DataContext(context.Background(), "vortex")
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -376,7 +361,7 @@ func BenchmarkExtensionWriteback(b *testing.B) {
 	s := sharedSuite(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.WritebackAblation(s); err != nil {
+		if _, err := experiments.WritebackAblationContext(context.Background(), s); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -1,4 +1,4 @@
-// Command leakbound-lint is the repo's multichecker: it runs the eight
+// Command leakbound-lint is the repo's multichecker: it runs the seven
 // leakbound analyzers over the requested packages and exits nonzero if
 // any diagnostic survives directive filtering. `make lint` runs it as
 // `go run ./cmd/leakbound-lint ./...` alongside go vet, gofmt, and
@@ -6,9 +6,9 @@
 // paper's oracle argument rests on are machine-checked on every push.
 //
 // Five analyzers work a package at a time (ctxflow, determinism,
-// errwrap, locks, telemetryscope); three are interprocedural and see the
-// whole load at once (hotalloc, detflow, ctxpair), chasing facts through
-// the call graph bottom-up.
+// errwrap, locks, telemetryscope); two are interprocedural and see the
+// whole load at once (hotalloc, detflow), chasing facts through the call
+// graph bottom-up.
 //
 // A diagnostic is suppressed by a directive comment on the same line or
 // the line above:
@@ -33,7 +33,6 @@ import (
 
 	"leakbound/internal/analysis"
 	"leakbound/internal/analysis/ctxflow"
-	"leakbound/internal/analysis/ctxpair"
 	"leakbound/internal/analysis/determinism"
 	"leakbound/internal/analysis/detflow"
 	"leakbound/internal/analysis/errwrap"
@@ -45,7 +44,6 @@ import (
 // analyzers is the full suite in presentation order.
 var analyzers = []*analysis.Analyzer{
 	ctxflow.Analyzer,
-	ctxpair.Analyzer,
 	determinism.Analyzer,
 	detflow.Analyzer,
 	errwrap.Analyzer,

@@ -22,6 +22,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"os"
@@ -32,6 +33,7 @@ import (
 	"leakbound/internal/report"
 	"leakbound/internal/sim/cache"
 	"leakbound/internal/sim/cpu"
+	"leakbound/internal/sim/stream"
 	"leakbound/internal/sim/trace"
 	"leakbound/internal/workload/spec"
 )
@@ -57,17 +59,16 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	var sinkErr error
-	res, err := cpu.Run(wl, hier, cpu.DefaultConfig(), func(e trace.Event) {
-		if sinkErr == nil && e.Cache == trace.L1D {
-			sinkErr = col.Add(e)
+	res, err := cpu.RunStreamContext(context.Background(), wl, hier, cpu.DefaultConfig(), func(b *stream.Batch) error {
+		for i := 0; i < b.Len(); i++ {
+			if err := col.Add(b.Event(i)); err != nil { // Add keeps only L1D events
+				return err
+			}
 		}
+		return nil
 	})
 	if err != nil {
 		log.Fatal(err)
-	}
-	if sinkErr != nil {
-		log.Fatal(sinkErr)
 	}
 	dist, err := col.Finish(res.Cycles)
 	if err != nil {

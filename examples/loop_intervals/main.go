@@ -15,6 +15,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"os"
@@ -25,6 +26,7 @@ import (
 	"leakbound/internal/report"
 	"leakbound/internal/sim/cache"
 	"leakbound/internal/sim/cpu"
+	"leakbound/internal/sim/stream"
 	"leakbound/internal/sim/trace"
 	"leakbound/internal/workload"
 )
@@ -122,22 +124,24 @@ func addLineInterval(innerRange int) (float64, error) {
 	addLine := uint64(addPC) >> 6
 	var addFrame uint32
 	seen := false
-	var sinkErr error
-	res, err := cpu.Run(w, hier, cpu.DefaultConfig(), func(e trace.Event) {
-		if sinkErr != nil || e.Cache != trace.L1I {
-			return
+	res, err := cpu.RunStreamContext(context.Background(), w, hier, cpu.DefaultConfig(), func(b *stream.Batch) error {
+		for i := 0; i < b.Len(); i++ {
+			e := b.Event(i)
+			if e.Cache != trace.L1I {
+				continue
+			}
+			if e.LineAddr == addLine {
+				addFrame = e.Frame
+				seen = true
+			}
+			if err := col.Add(e); err != nil {
+				return err
+			}
 		}
-		if e.LineAddr == addLine {
-			addFrame = e.Frame
-			seen = true
-		}
-		sinkErr = col.Add(e)
+		return nil
 	})
 	if err != nil {
 		return 0, err
-	}
-	if sinkErr != nil {
-		return 0, sinkErr
 	}
 	if !seen {
 		return 0, fmt.Errorf("add line never fetched")

@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"os"
@@ -27,7 +28,7 @@ func main() {
 	tech := power.Default()
 
 	for _, bench := range []string{"ammp", "applu"} {
-		data, err := suite.Data(bench)
+		data, err := suite.DataContext(context.Background(), bench)
 		if err != nil {
 			log.Fatal(err)
 		}

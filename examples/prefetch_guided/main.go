@@ -10,6 +10,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -19,6 +20,7 @@ import (
 	"leakbound/internal/prefetch"
 	"leakbound/internal/sim/cache"
 	"leakbound/internal/sim/cpu"
+	"leakbound/internal/sim/stream"
 	"leakbound/internal/sim/trace"
 	"leakbound/internal/workload"
 )
@@ -44,17 +46,16 @@ func main() {
 		log.Fatal(err)
 	}
 
-	var collectErr error
-	res, err := cpu.Run(w, hier, cpu.DefaultConfig(), func(e trace.Event) {
-		if collectErr == nil && e.Cache == trace.L1D {
-			collectErr = collector.Add(e)
+	res, err := cpu.RunStreamContext(context.Background(), w, hier, cpu.DefaultConfig(), func(b *stream.Batch) error {
+		for i := 0; i < b.Len(); i++ {
+			if err := collector.Add(b.Event(i)); err != nil { // Add keeps only L1D events
+				return err
+			}
 		}
+		return nil
 	})
 	if err != nil {
 		log.Fatal(err)
-	}
-	if collectErr != nil {
-		log.Fatal(collectErr)
 	}
 	dist, err := collector.Finish(res.Cycles)
 	if err != nil {

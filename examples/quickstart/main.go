@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -24,7 +25,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	data, err := suite.Data("gzip")
+	data, err := suite.DataContext(context.Background(), "gzip")
 	if err != nil {
 		log.Fatal(err)
 	}

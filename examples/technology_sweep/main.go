@@ -12,6 +12,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math"
@@ -28,7 +29,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	data, err := suite.Data("mesa")
+	data, err := suite.DataContext(context.Background(), "mesa")
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -1,130 +1,45 @@
-// Package ctxflow enforces the context discipline the PR-2 API split
-// established: once a caller holds a ctx it must stay on the ...Context
-// spine (dropping it silently severs cancellation for a whole subtree),
-// and library code never mints its own background context — only main
-// packages, tests, and the sanctioned single-return compatibility
-// wrappers (`func X(...) { return XContext(context.Background(), ...) }`)
-// may do that.
+// Package ctxflow enforces the context discipline of the library API:
+// every operation has exactly one, ctx-taking entry point, and library
+// code never mints its own background context — only main packages and
+// tests may do that. A reintroduced convenience wrapper
+// (`func X(...) { return XContext(context.Background(), ...) }`) in an
+// internal package is therefore a finding, which keeps the API at one
+// function per operation.
 package ctxflow
 
 import (
 	"go/ast"
-	"go/types"
 	"strings"
 
 	"leakbound/internal/analysis"
 )
 
-// Analyzer flags dropped contexts and background contexts minted inside
-// library packages.
+// Analyzer flags background contexts minted inside library packages.
 var Analyzer = &analysis.Analyzer{
 	Name: "ctxflow",
-	Doc:  "flag calls that drop a held context when a ...Context sibling exists, and context.Background/TODO in internal library code",
+	Doc:  "flag context.Background/TODO in internal library code, including non-ctx wrappers around ...Context functions",
 	Run:  run,
 }
 
 func run(pass *analysis.Pass) (interface{}, error) {
+	if !strings.Contains(pass.Pkg.Path(), "internal/") || pass.Pkg.Name() == "main" {
+		return nil, nil
+	}
 	for _, file := range pass.Files {
-		filename := pass.Fset.Position(file.Pos()).Filename
-		isTest := strings.HasSuffix(filename, "_test.go")
-		for _, decl := range file.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
-				continue
-			}
-			if !isTest {
-				checkBackground(pass, fd)
-			}
-			checkDroppedContext(pass, fd)
+		if strings.HasSuffix(pass.Fset.Position(file.Pos()).Filename, "_test.go") {
+			continue
 		}
+		ast.Inspect(file, func(n ast.Node) bool {
+			call, ok := n.(*ast.CallExpr)
+			if !ok {
+				return true
+			}
+			fn := analysis.CalleeFunc(pass.TypesInfo, call)
+			if analysis.IsPkgFunc(fn, "context", "Background") || analysis.IsPkgFunc(fn, "context", "TODO") {
+				pass.Reportf(call.Pos(), "context.%s in library package: accept a ctx from the caller", fn.Name())
+			}
+			return true
+		})
 	}
 	return nil, nil
-}
-
-// checkDroppedContext flags calls inside exported context-accepting
-// functions that invoke the non-context variant of an API that has a
-// ...Context sibling.
-func checkDroppedContext(pass *analysis.Pass, fd *ast.FuncDecl) {
-	obj, ok := pass.TypesInfo.Defs[fd.Name].(*types.Func)
-	if !ok || !fd.Name.IsExported() || !analysis.HasContextParam(obj.Type().(*types.Signature)) {
-		return
-	}
-	ast.Inspect(fd.Body, func(n ast.Node) bool {
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		callee := analysis.CalleeFunc(pass.TypesInfo, call)
-		if callee == nil || strings.HasSuffix(callee.Name(), "Context") {
-			return true
-		}
-		sig := callee.Type().(*types.Signature)
-		if analysis.HasContextParam(sig) {
-			return true // already context-aware under a different name
-		}
-		if sib := contextSibling(callee); sib != nil {
-			pass.Reportf(call.Pos(), "calls %s while holding a ctx; %s accepts it", callee.Name(), sib.Name())
-		}
-		return true
-	})
-}
-
-// contextSibling returns the ...Context variant of fn — a function of the
-// same package (or method of the same receiver type) named fn+"Context"
-// whose first parameter is a context.Context — or nil.
-func contextSibling(fn *types.Func) *types.Func {
-	sibName := fn.Name() + "Context"
-	sig := fn.Type().(*types.Signature)
-	var obj types.Object
-	if recv := sig.Recv(); recv != nil {
-		obj, _, _ = types.LookupFieldOrMethod(recv.Type(), true, fn.Pkg(), sibName)
-	} else if fn.Pkg() != nil {
-		obj = fn.Pkg().Scope().Lookup(sibName)
-	}
-	sib, ok := obj.(*types.Func)
-	if !ok || !analysis.HasContextParam(sib.Type().(*types.Signature)) {
-		return nil
-	}
-	return sib
-}
-
-// checkBackground flags context.Background/TODO in internal library
-// packages, exempting the sanctioned compatibility-wrapper shape.
-func checkBackground(pass *analysis.Pass, fd *ast.FuncDecl) {
-	if !strings.Contains(pass.Pkg.Path(), "internal/") || pass.Pkg.Name() == "main" {
-		return
-	}
-	if isCompatWrapper(pass.TypesInfo, fd) {
-		return
-	}
-	ast.Inspect(fd.Body, func(n ast.Node) bool {
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		fn := analysis.CalleeFunc(pass.TypesInfo, call)
-		if analysis.IsPkgFunc(fn, "context", "Background") || analysis.IsPkgFunc(fn, "context", "TODO") {
-			pass.Reportf(call.Pos(), "context.%s in library package: accept a ctx from the caller", fn.Name())
-		}
-		return true
-	})
-}
-
-// isCompatWrapper recognizes the one blessed Background shape: a function
-// whose entire body is `return XContext(context.Background(), ...)` where
-// X is the function's own name.
-func isCompatWrapper(info *types.Info, fd *ast.FuncDecl) bool {
-	if len(fd.Body.List) != 1 {
-		return false
-	}
-	ret, ok := fd.Body.List[0].(*ast.ReturnStmt)
-	if !ok || len(ret.Results) != 1 {
-		return false
-	}
-	call, ok := ast.Unparen(ret.Results[0]).(*ast.CallExpr)
-	if !ok {
-		return false
-	}
-	callee := analysis.CalleeFunc(info, call)
-	return callee != nil && callee.Name() == fd.Name.Name+"Context"
 }

@@ -50,35 +50,6 @@ func PathHasSuffix(path, suffix string) bool {
 	return path == suffix || strings.HasSuffix(path, "/"+suffix)
 }
 
-// IsContextType reports whether t is context.Context.
-func IsContextType(t types.Type) bool {
-	named, ok := t.(*types.Named)
-	if !ok {
-		return false
-	}
-	obj := named.Obj()
-	return obj.Name() == "Context" && obj.Pkg() != nil && obj.Pkg().Path() == "context"
-}
-
-// HasContextParam reports whether the signature's first parameter is a
-// context.Context.
-func HasContextParam(sig *types.Signature) bool {
-	return sig != nil && sig.Params().Len() > 0 && IsContextType(sig.Params().At(0).Type())
-}
-
-// InspectFuncs walks every function declaration and function literal in
-// the file, calling fn with the enclosing declaration's name ("" for
-// literals outside a declaration) and the body.
-func InspectFuncs(f *ast.File, fn func(name string, decl *ast.FuncDecl, body *ast.BlockStmt)) {
-	for _, d := range f.Decls {
-		decl, ok := d.(*ast.FuncDecl)
-		if !ok || decl.Body == nil {
-			continue
-		}
-		fn(decl.Name.Name, decl, decl.Body)
-	}
-}
-
 // ContainsReturn reports whether the statement contains a return or a
 // branching statement (break/continue/goto) anywhere outside nested
 // function literals — the test the locks analyzer uses for "does control

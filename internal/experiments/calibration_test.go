@@ -7,13 +7,14 @@ package experiments
 // test suite runs at reduced scale.
 
 import (
+	"context"
 	"testing"
 )
 
 // figure8Avg fetches the average row of Figure 8 as a name->savings map.
 func figure8Avg(t *testing.T, iCache bool) map[string]float64 {
 	t.Helper()
-	rows, err := Figure8(testSuiteShared, iCache)
+	rows, err := Figure8Context(context.Background(), testSuiteShared, iCache)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +67,7 @@ func TestCalibrationImprovementFactor(t *testing.T) {
 func TestCalibrationBenchmarkCharacter(t *testing.T) {
 	// Per-benchmark shape: the loop codes must out-save the irregular
 	// codes on the I-cache under sleep-family policies.
-	rows, err := Figure8(testSuiteShared, true)
+	rows, err := Figure8Context(context.Background(), testSuiteShared, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +103,7 @@ func TestCalibrationBenchmarkCharacter(t *testing.T) {
 func TestCalibrationPrefetchability(t *testing.T) {
 	// Figure 9 bands: I-cache NL near the paper's 23%; D-cache stride
 	// present but small; short intervals dominate counts.
-	iP, err := Figure9(testSuiteShared, true)
+	iP, err := Figure9Context(context.Background(), testSuiteShared, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +114,7 @@ func TestCalibrationPrefetchability(t *testing.T) {
 	if short < 0.4 {
 		t.Errorf("I short-interval count share %.3f — the (0,6] bucket must dominate", short)
 	}
-	dP, err := Figure9(testSuiteShared, false)
+	dP, err := Figure9Context(context.Background(), testSuiteShared, false)
 	if err != nil {
 		t.Fatal(err)
 	}

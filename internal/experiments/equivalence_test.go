@@ -1,9 +1,9 @@
 package experiments
 
 // Property test for the streaming pipeline: the per-event golden path
-// (cpu.Run with a one-event-at-a-time sink and standalone Classify/Observe
-// calls) and the fused single-pass streaming path the suite uses
-// (cpu.RunStream with ClassifyObserve and shared stride tables) must
+// (every batch row boxed into a trace.Event and fed to standalone
+// Classify/Observe calls) and the fused single-pass streaming path the
+// suite uses (column reads, ClassifyObserve and shared stride tables) must
 // produce byte-identical interval distributions, engine statistics and
 // leakage evaluations — for randomized workloads, not just the six
 // built-in benchmarks. Runs under -race in CI (make race covers ./...).
@@ -19,6 +19,7 @@ import (
 	"leakbound/internal/prefetch"
 	"leakbound/internal/sim/cache"
 	"leakbound/internal/sim/cpu"
+	"leakbound/internal/sim/stream"
 	"leakbound/internal/sim/trace"
 	"leakbound/internal/workload"
 )
@@ -62,8 +63,8 @@ func seededWorkload(t *testing.T, seed uint64) workload.Workload {
 	return w
 }
 
-// simulateGolden is the reference pipeline: one sink callback per event,
-// collectors on the classic Classify/Observe interface, engines probing
+// simulateGolden is the reference pipeline: one boxed trace.Event per
+// batch row, collectors on the classic Classify/Observe interface, engines probing
 // their own private stride tables. Everything the fused streaming path
 // optimized away is still present here, which is exactly why it anchors
 // the equivalence.
@@ -94,27 +95,28 @@ func simulateGolden(name string, w workload.Workload) (*BenchmarkData, error) {
 	if err != nil {
 		return nil, err
 	}
-	var sinkErr error
-	res, err := cpu.Run(w, hier, cpu.DefaultConfig(), func(e trace.Event) {
-		if sinkErr != nil {
-			return
+	res, err := cpu.RunStreamContext(context.Background(), w, hier, cpu.DefaultConfig(), func(b *stream.Batch) error {
+		for i := 0; i < b.Len(); i++ {
+			e := b.Event(i)
+			var err error
+			switch e.Cache {
+			case trace.L1I:
+				err = iCol.Add(e)
+				iEng.Access(e)
+			case trace.L1D:
+				err = dCol.Add(e)
+				dEng.Access(e)
+			case trace.L2:
+				err = l2Col.Add(e)
+			}
+			if err != nil {
+				return err
+			}
 		}
-		switch e.Cache {
-		case trace.L1I:
-			sinkErr = iCol.Add(e)
-			iEng.Access(e)
-		case trace.L1D:
-			sinkErr = dCol.Add(e)
-			dEng.Access(e)
-		case trace.L2:
-			sinkErr = l2Col.Add(e)
-		}
+		return nil
 	})
 	if err != nil {
 		return nil, err
-	}
-	if sinkErr != nil {
-		return nil, sinkErr
 	}
 	return finishData(name, res, iCol, dCol, l2Col, iEng, dEng)
 }

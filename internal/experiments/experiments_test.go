@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"math"
 	"strings"
 	"testing"
@@ -29,18 +30,18 @@ func TestNewSuiteValidation(t *testing.T) {
 
 func TestSuiteDataCaching(t *testing.T) {
 	s := testSuiteShared
-	a, err := s.Data("gzip")
+	a, err := s.DataContext(context.Background(), "gzip")
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := s.Data("gzip")
+	b, err := s.DataContext(context.Background(), "gzip")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if a != b {
 		t.Error("Data did not cache")
 	}
-	if _, err := s.Data("nope"); err == nil {
+	if _, err := s.DataContext(context.Background(), "nope"); err == nil {
 		t.Error("unknown benchmark accepted")
 	}
 	if a.ICache.Mass() != uint64(a.ICache.NumFrames)*a.ICache.TotalCycles {
@@ -52,7 +53,7 @@ func TestSuiteDataCaching(t *testing.T) {
 }
 
 func TestSuiteAll(t *testing.T) {
-	all, err := testSuiteShared.All()
+	all, err := testSuiteShared.AllContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +108,7 @@ func TestTable1MatchesPaper(t *testing.T) {
 
 func TestTable2Shape(t *testing.T) {
 	s := testSuiteShared
-	tab, err := Table2(s)
+	tab, err := Table2Context(context.Background(), s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,26 +121,26 @@ func TestTable2Shape(t *testing.T) {
 		techs := power.Technologies()
 		prev := math.Inf(1)
 		for i := len(techs) - 1; i >= 0; i-- { // 180nm -> 70nm
-			v, err := Table2Value(s, "OPT-Hybrid", iCache, techs[i])
+			v, err := Table2ValueContext(context.Background(), s, "OPT-Hybrid", iCache, techs[i])
 			if err != nil {
 				t.Fatal(err)
 			}
 			_ = prev
 			prev = v
 		}
-		v70, _ := Table2Value(s, "OPT-Hybrid", iCache, techs[0])
-		v180, _ := Table2Value(s, "OPT-Hybrid", iCache, techs[3])
+		v70, _ := Table2ValueContext(context.Background(), s, "OPT-Hybrid", iCache, techs[0])
+		v180, _ := Table2ValueContext(context.Background(), s, "OPT-Hybrid", iCache, techs[3])
 		if v70 <= v180 {
 			t.Errorf("iCache=%v: hybrid savings at 70nm (%.3f) not above 180nm (%.3f)", iCache, v70, v180)
 		}
 		// 2. At 180nm drowsy beats sleep; at 70nm sleep beats drowsy.
-		d180, _ := Table2Value(s, "OPT-Drowsy", iCache, techs[3])
-		s180, _ := Table2Value(s, "OPT-Sleep", iCache, techs[3])
+		d180, _ := Table2ValueContext(context.Background(), s, "OPT-Drowsy", iCache, techs[3])
+		s180, _ := Table2ValueContext(context.Background(), s, "OPT-Sleep", iCache, techs[3])
 		if s180 >= d180 {
 			t.Errorf("iCache=%v: at 180nm sleep (%.3f) beat drowsy (%.3f)", iCache, s180, d180)
 		}
-		d70, _ := Table2Value(s, "OPT-Drowsy", iCache, techs[0])
-		s70, _ := Table2Value(s, "OPT-Sleep", iCache, techs[0])
+		d70, _ := Table2ValueContext(context.Background(), s, "OPT-Drowsy", iCache, techs[0])
+		s70, _ := Table2ValueContext(context.Background(), s, "OPT-Sleep", iCache, techs[0])
 		if s70 <= d70 {
 			t.Errorf("iCache=%v: at 70nm drowsy (%.3f) beat sleep (%.3f)", iCache, d70, s70)
 		}
@@ -148,7 +149,7 @@ func TestTable2Shape(t *testing.T) {
 			t.Errorf("iCache=%v: OPT-Drowsy at 70nm = %.3f, want ~0.667", iCache, d70)
 		}
 	}
-	if _, err := Table2Value(s, "bogus", true, power.Default()); err == nil {
+	if _, err := Table2ValueContext(context.Background(), s, "bogus", true, power.Default()); err == nil {
 		t.Error("unknown scheme accepted")
 	}
 }
@@ -165,7 +166,7 @@ func TestTable3(t *testing.T) {
 func TestFigure7Shape(t *testing.T) {
 	s := testSuiteShared
 	for _, iCache := range []bool{true, false} {
-		sleep, hybrid, err := Figure7(s, iCache)
+		sleep, hybrid, err := Figure7Context(context.Background(), s, iCache)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -194,11 +195,11 @@ func TestFigure7Shape(t *testing.T) {
 	}
 	// 3. The sleep-mode degradation is steeper for the I-cache than the
 	// D-cache (the paper: sleep plays a bigger role in the D-cache).
-	iSleep, _, err := Figure7(s, true)
+	iSleep, _, err := Figure7Context(context.Background(), s, true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	dSleep, _, err := Figure7(s, false)
+	dSleep, _, err := Figure7Context(context.Background(), s, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,7 +217,7 @@ func TestFigure8Orderings(t *testing.T) {
 		idx[p.Name()] = i
 	}
 	for _, iCache := range []bool{true, false} {
-		rows, err := Figure8(s, iCache)
+		rows, err := Figure8Context(context.Background(), s, iCache)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -252,7 +253,7 @@ func TestFigure8Orderings(t *testing.T) {
 }
 
 func TestFigure8TableRenders(t *testing.T) {
-	tab, err := Figure8Table(testSuiteShared, true)
+	tab, err := Figure8TableContext(context.Background(), testSuiteShared, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -264,11 +265,11 @@ func TestFigure8TableRenders(t *testing.T) {
 
 func TestFigure9Shape(t *testing.T) {
 	s := testSuiteShared
-	iP, err := Figure9(s, true)
+	iP, err := Figure9Context(context.Background(), s, true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	dP, err := Figure9(s, false)
+	dP, err := Figure9Context(context.Background(), s, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -286,7 +287,7 @@ func TestFigure9Shape(t *testing.T) {
 	if dP.NLShare() <= dP.StrideShare() {
 		t.Errorf("D-cache NL (%.3f) not above stride (%.3f)", dP.NLShare(), dP.StrideShare())
 	}
-	tab, err := Figure9Table(s, false)
+	tab, err := Figure9TableContext(context.Background(), s, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -325,7 +326,7 @@ func TestFigure10Envelope(t *testing.T) {
 }
 
 func TestGapToOptimal(t *testing.T) {
-	pb, opt, gap, err := GapToOptimal(testSuiteShared, true)
+	pb, opt, gap, err := GapToOptimalContext(context.Background(), testSuiteShared, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -338,7 +339,7 @@ func TestGapToOptimal(t *testing.T) {
 }
 
 func TestMassProfile(t *testing.T) {
-	d, err := testSuiteShared.Data("gzip")
+	d, err := testSuiteShared.DataContext(context.Background(), "gzip")
 	if err != nil {
 		t.Fatal(err)
 	}

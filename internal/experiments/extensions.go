@@ -15,15 +15,10 @@ import (
 	"leakbound/internal/report"
 )
 
-// ExtendedSchemesTable compares the related-work baselines (periodic
-// drowsy, feedback-tuned decay, AMC) against the paper's oracle bounds, on
-// both caches, at 70nm. This is the comparison Section 2's survey implies
-// but the paper never plots.
-func ExtendedSchemesTable(s *Suite) (*report.Table, error) {
-	return ExtendedSchemesTableContext(context.Background(), s)
-}
-
-// ExtendedSchemesTableContext is the cancellable ExtendedSchemesTable.
+// ExtendedSchemesTableContext compares the related-work baselines
+// (periodic drowsy, feedback-tuned decay, AMC) against the paper's oracle
+// bounds, on both caches, at 70nm. This is the comparison Section 2's
+// survey implies but the paper never plots.
 func ExtendedSchemesTableContext(ctx context.Context, s *Suite) (*report.Table, error) {
 	all, err := s.AllContext(ctx)
 	if err != nil {
@@ -107,16 +102,11 @@ func ExtendedSchemesTableContext(ctx context.Context, s *Suite) (*report.Table, 
 	return t, nil
 }
 
-// L2Study evaluates the oracle policies on the unified 2MB L2 — a cache
-// 32x larger than the L1s whose frames are touched only on L1 misses, so
-// nearly all of its (much larger) leakage is recoverable. The paper
-// restricts itself to the L1s; this is the natural next target its
+// L2StudyContext evaluates the oracle policies on the unified 2MB L2 — a
+// cache 32x larger than the L1s whose frames are touched only on L1
+// misses, so nearly all of its (much larger) leakage is recoverable. The
+// paper restricts itself to the L1s; this is the natural next target its
 // conclusion implies.
-func L2Study(s *Suite) (*report.Table, error) {
-	return L2StudyContext(context.Background(), s)
-}
-
-// L2StudyContext is the cancellable L2Study.
 func L2StudyContext(ctx context.Context, s *Suite) (*report.Table, error) {
 	all, err := s.AllContext(ctx)
 	if err != nil {
@@ -154,15 +144,11 @@ func L2StudyContext(ctx context.Context, s *Suite) (*report.Table, error) {
 	return t, nil
 }
 
-// WritebackAblation quantifies the cost the paper leaves unmodelled: a
-// dirty line must be written back before it can be gated. The write-back
-// energy is swept from zero (the paper's implicit assumption) to the full
-// induced-miss energy, and OPT-Hybrid's D-cache savings re-evaluated.
-func WritebackAblation(s *Suite) (*report.Table, error) {
-	return WritebackAblationContext(context.Background(), s)
-}
-
-// WritebackAblationContext is the cancellable WritebackAblation.
+// WritebackAblationContext quantifies the cost the paper leaves
+// unmodelled: a dirty line must be written back before it can be gated.
+// The write-back energy is swept from zero (the paper's implicit
+// assumption) to the full induced-miss energy, and OPT-Hybrid's D-cache
+// savings re-evaluated.
 func WritebackAblationContext(ctx context.Context, s *Suite) (*report.Table, error) {
 	all, err := s.AllContext(ctx)
 	if err != nil {
@@ -235,15 +221,10 @@ func TemperatureSweepContext(ctx context.Context, s *Suite, benchmark string) (*
 	return t, nil
 }
 
-// PrefetcherQualityTable reports the hardware prefetch engines' coverage
-// and accuracy per benchmark — the implementable check of Section 5's
-// premise (citing Sair, Sherwood & Calder) that next-line and stride
+// PrefetcherQualityTableContext reports the hardware prefetch engines'
+// coverage and accuracy per benchmark — the implementable check of Section
+// 5's premise (citing Sair, Sherwood & Calder) that next-line and stride
 // prefetching capture most cache misses.
-func PrefetcherQualityTable(s *Suite) (*report.Table, error) {
-	return PrefetcherQualityTableContext(context.Background(), s)
-}
-
-// PrefetcherQualityTableContext is the cancellable PrefetcherQualityTable.
 func PrefetcherQualityTableContext(ctx context.Context, s *Suite) (*report.Table, error) {
 	all, err := s.AllContext(ctx)
 	if err != nil {
@@ -267,11 +248,12 @@ func PrefetcherQualityTableContext(ctx context.Context, s *Suite) (*report.Table
 	return t, nil
 }
 
-// LiveDeadStudy verifies the paper's Section 3.1 claim: "dead periods did
-// not contribute a large amount of leakage savings in the optimal case,
-// because any long interval would be turned off whether live or dead.
-// Thus the only additional savings that are achieved from considering dead
-// intervals are from short dead intervals, of which there are very few."
+// LiveDeadStudyContext verifies the paper's Section 3.1 claim: "dead
+// periods did not contribute a large amount of leakage savings in the
+// optimal case, because any long interval would be turned off whether live
+// or dead. Thus the only additional savings that are achieved from
+// considering dead intervals are from short dead intervals, of which there
+// are very few."
 //
 // The length-only OPT-Hybrid treats every interior interval identically; a
 // dead-aware oracle additionally knows that a dead-ending gap's block is
@@ -279,11 +261,6 @@ func PrefetcherQualityTableContext(ctx context.Context, s *Suite) (*report.Table
 // pays off at much shorter lengths. The delta between the two is exactly
 // the savings attributable to live/dead knowledge — per the paper, it
 // should be small.
-func LiveDeadStudy(s *Suite) (*report.Table, error) {
-	return LiveDeadStudyContext(context.Background(), s)
-}
-
-// LiveDeadStudyContext is the cancellable LiveDeadStudy.
 func LiveDeadStudyContext(ctx context.Context, s *Suite) (*report.Table, error) {
 	all, err := s.AllContext(ctx)
 	if err != nil {
@@ -315,15 +292,10 @@ func LiveDeadStudyContext(ctx context.Context, s *Suite) (*report.Table, error) 
 	return t, nil
 }
 
-// BreakdownTable explains Figure 8's OPT-Hybrid bars: where the residual
-// energy goes, per benchmark and cache, in the terms the calibration notes
-// use (active mass, drowsy retention, transitions, induced misses,
-// residual sleep leakage).
-func BreakdownTable(s *Suite) (*report.Table, error) {
-	return BreakdownTableContext(context.Background(), s)
-}
-
-// BreakdownTableContext is the cancellable BreakdownTable.
+// BreakdownTableContext explains Figure 8's OPT-Hybrid bars: where the
+// residual energy goes, per benchmark and cache, in the terms the
+// calibration notes use (active mass, drowsy retention, transitions,
+// induced misses, residual sleep leakage).
 func BreakdownTableContext(ctx context.Context, s *Suite) (*report.Table, error) {
 	all, err := s.AllContext(ctx)
 	if err != nil {

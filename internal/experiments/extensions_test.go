@@ -14,7 +14,7 @@ import (
 )
 
 func TestExtendedSchemesTable(t *testing.T) {
-	tab, err := ExtendedSchemesTable(testSuiteShared)
+	tab, err := ExtendedSchemesTableContext(context.Background(), testSuiteShared)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +53,7 @@ func TestExtendedSchemesTable(t *testing.T) {
 }
 
 func TestL2Study(t *testing.T) {
-	tab, err := L2Study(testSuiteShared)
+	tab, err := L2StudyContext(context.Background(), testSuiteShared)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +63,7 @@ func TestL2Study(t *testing.T) {
 	}
 	// The L2's frames are touched only on L1 misses: its oracle savings
 	// must be at least as high as the L1 D-cache's on every benchmark.
-	all, err := testSuiteShared.All()
+	all, err := testSuiteShared.AllContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +91,7 @@ func TestL2Study(t *testing.T) {
 }
 
 func TestWritebackAblation(t *testing.T) {
-	tab, err := WritebackAblation(testSuiteShared)
+	tab, err := WritebackAblationContext(context.Background(), testSuiteShared)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +144,7 @@ func TestTemperatureSweep(t *testing.T) {
 func TestDirtyIntervalsCollected(t *testing.T) {
 	// The D-cache sees stores, so its distribution must contain
 	// dirty-flagged intervals; the I-cache (fetch-only) must not.
-	d, err := testSuiteShared.Data("mesa")
+	d, err := testSuiteShared.DataContext(context.Background(), "mesa")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,7 +159,7 @@ func TestDirtyIntervalsCollected(t *testing.T) {
 }
 
 func TestPrefetcherQualityTable(t *testing.T) {
-	tab, err := PrefetcherQualityTable(testSuiteShared)
+	tab, err := PrefetcherQualityTableContext(context.Background(), testSuiteShared)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +168,7 @@ func TestPrefetcherQualityTable(t *testing.T) {
 	}
 	// Every benchmark's engines must have seen traffic and produced rates
 	// within [0,1]; the loop-structured codes must show high I coverage.
-	all, err := testSuiteShared.All()
+	all, err := testSuiteShared.AllContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,13 +192,13 @@ func TestPrefetcherQualityTable(t *testing.T) {
 	}
 	// Sequential code makes next-line I-prefetch highly effective for the
 	// tight-loop benchmarks.
-	gz, _ := testSuiteShared.Data("gzip")
+	gz, _ := testSuiteShared.DataContext(context.Background(), "gzip")
 	if gz.IEngine.Coverage() < 0.5 {
 		t.Errorf("gzip I coverage %.3f implausibly low for straight-line loops", gz.IEngine.Coverage())
 	}
 	// applu's strided sweeps must make its D-side accuracy the best of the
 	// suite (stride prefetch locks on).
-	ap, _ := testSuiteShared.Data("applu")
+	ap, _ := testSuiteShared.DataContext(context.Background(), "applu")
 	for _, bd := range all {
 		if bd.Name != "applu" && bd.DEngine.Accuracy() > ap.DEngine.Accuracy() {
 			t.Errorf("%s D accuracy %.3f above applu's %.3f (stride should dominate)",
@@ -209,19 +209,19 @@ func TestPrefetcherQualityTable(t *testing.T) {
 
 func TestSimulateCustom(t *testing.T) {
 	hc := cache.AlphaLike()
-	dist, res, err := SimulateCustom("gzip", 0.05, hc, trace.L1D)
+	dist, res, err := SimulateCustomContext(context.Background(), "gzip", 0.05, hc, trace.L1D)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if dist.Mass() != uint64(dist.NumFrames)*res.Cycles {
 		t.Error("custom simulation violates mass conservation")
 	}
-	if _, _, err := SimulateCustom("nope", 0.05, hc, trace.L1D); err == nil {
+	if _, _, err := SimulateCustomContext(context.Background(), "nope", 0.05, hc, trace.L1D); err == nil {
 		t.Error("unknown benchmark accepted")
 	}
 	bad := hc
 	bad.L1D.SizeBytes = 1000
-	if _, _, err := SimulateCustom("gzip", 0.05, bad, trace.L1D); err == nil {
+	if _, _, err := SimulateCustomContext(context.Background(), "gzip", 0.05, bad, trace.L1D); err == nil {
 		t.Error("bad hierarchy accepted")
 	}
 }
@@ -258,7 +258,7 @@ func TestDiskCacheRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	// First suite simulates and stores.
 	s1 := MustNew(WithScale(0.03), WithCacheDir(dir))
-	d1, err := s1.Data("gzip")
+	d1, err := s1.DataContext(context.Background(), "gzip")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -294,7 +294,7 @@ func TestDiskCacheRoundTrip(t *testing.T) {
 }
 
 func TestLiveDeadStudy(t *testing.T) {
-	tab, err := LiveDeadStudy(testSuiteShared)
+	tab, err := LiveDeadStudyContext(context.Background(), testSuiteShared)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -324,7 +324,7 @@ func TestLiveDeadStudy(t *testing.T) {
 }
 
 func TestDeadEndFlagsCollected(t *testing.T) {
-	d, err := testSuiteShared.Data("vortex")
+	d, err := testSuiteShared.DataContext(context.Background(), "vortex")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -345,7 +345,7 @@ func TestDeadEndFlagsCollected(t *testing.T) {
 }
 
 func TestBreakdownTable(t *testing.T) {
-	tab, err := BreakdownTable(testSuiteShared)
+	tab, err := BreakdownTableContext(context.Background(), testSuiteShared)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -368,7 +368,7 @@ func TestBreakdownTable(t *testing.T) {
 }
 
 func TestIntervalStats(t *testing.T) {
-	d, err := testSuiteShared.Data("gcc")
+	d, err := testSuiteShared.DataContext(context.Background(), "gcc")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -19,19 +19,14 @@ func Figure7Thetas() []uint64 {
 	return []uint64{1057, 1200, 1500, 2000, 3000, 4000, 5000, 6000, 7000, 8000, 9000, 10000}
 }
 
-// Figure7 compares the pure sleep method against the hybrid (sleep+drowsy)
-// method while sweeping the minimum interval length that may be put to
-// sleep. Results are averaged across all benchmarks, as in the paper.
-// iCache selects Figure 7(a) (instruction cache) vs 7(b) (data cache).
-// It is Figure7Context with a background context.
-func Figure7(s *Suite, iCache bool) (sleep, hybrid *report.Series, err error) {
-	return Figure7Context(context.Background(), s, iCache)
-}
-
-// Figure7Context is the cancellable Figure7. The (theta x benchmark x
-// {sleep, hybrid}) cells evaluate concurrently on the suite's grid; the
-// per-theta averages are then reduced in the sequential loop order, so the
-// series are bit-identical to a sequential evaluation.
+// Figure7Context compares the pure sleep method against the hybrid
+// (sleep+drowsy) method while sweeping the minimum interval length that
+// may be put to sleep. Results are averaged across all benchmarks, as in
+// the paper. iCache selects Figure 7(a) (instruction cache) vs 7(b) (data
+// cache). The (theta x benchmark x {sleep, hybrid}) cells evaluate
+// concurrently on the suite's grid; the per-theta averages are then
+// reduced in the sequential loop order, so the series are bit-identical to
+// a sequential evaluation.
 func Figure7Context(ctx context.Context, s *Suite, iCache bool) (sleep, hybrid *report.Series, err error) {
 	all, err := s.AllContext(ctx)
 	if err != nil {
@@ -90,17 +85,10 @@ type Figure8Row struct {
 	Savings []float64
 }
 
-// Figure8 evaluates the six schemes on every benchmark plus the average,
-// for one cache side, at 70nm. It is Figure8Context with a background
-// context.
-func Figure8(s *Suite, iCache bool) ([]Figure8Row, error) {
-	return Figure8Context(context.Background(), s, iCache)
-}
-
-// Figure8Context is the cancellable Figure8. The (benchmark x scheme)
-// cells evaluate concurrently on the suite's grid; rows and averages are
-// reduced in the sequential loop order, bit-identical to a sequential
-// evaluation.
+// Figure8Context evaluates the six schemes on every benchmark plus the
+// average, for one cache side, at 70nm. The (benchmark x scheme) cells
+// evaluate concurrently on the suite's grid; rows and averages are reduced
+// in the sequential loop order, bit-identical to a sequential evaluation.
 func Figure8Context(ctx context.Context, s *Suite, iCache bool) ([]Figure8Row, error) {
 	all, err := s.AllContext(ctx)
 	if err != nil {
@@ -136,13 +124,7 @@ func Figure8Context(ctx context.Context, s *Suite, iCache bool) ([]Figure8Row, e
 	return rows, nil
 }
 
-// Figure8Table renders Figure 8 as a table (benchmarks x schemes). It is
-// Figure8TableContext with a background context.
-func Figure8Table(s *Suite, iCache bool) (*report.Table, error) {
-	return Figure8TableContext(context.Background(), s, iCache)
-}
-
-// Figure8TableContext is the cancellable Figure8Table.
+// Figure8TableContext renders Figure 8 as a table (benchmarks x schemes).
 func Figure8TableContext(ctx context.Context, s *Suite, iCache bool) (*report.Table, error) {
 	rows, err := Figure8Context(ctx, s, iCache)
 	if err != nil {
@@ -167,16 +149,10 @@ func Figure8TableContext(ctx context.Context, s *Suite, iCache bool) (*report.Ta
 	return t, nil
 }
 
-// Figure9 computes the prefetchability breakdown of cache access intervals
-// by length regime, aggregated over all benchmarks, for one cache side.
-// The paper reports next-line prefetchability of 23% for the instruction
-// cache, and 16.3% next-line + 5.1% stride for the data cache. It is
-// Figure9Context with a background context.
-func Figure9(s *Suite, iCache bool) (prefetch.Prefetchability, error) {
-	return Figure9Context(context.Background(), s, iCache)
-}
-
-// Figure9Context is the cancellable Figure9.
+// Figure9Context computes the prefetchability breakdown of cache access
+// intervals by length regime, aggregated over all benchmarks, for one
+// cache side. The paper reports next-line prefetchability of 23% for the
+// instruction cache, and 16.3% next-line + 5.1% stride for the data cache.
 func Figure9Context(ctx context.Context, s *Suite, iCache bool) (prefetch.Prefetchability, error) {
 	iDist, dDist, err := s.MergedDistributionsContext(ctx)
 	if err != nil {
@@ -193,13 +169,7 @@ func Figure9Context(ctx context.Context, s *Suite, iCache bool) (prefetch.Prefet
 	return prefetch.Analyze(dist, a, b), nil
 }
 
-// Figure9Table renders the Figure 9 breakdown. It is Figure9TableContext
-// with a background context.
-func Figure9Table(s *Suite, iCache bool) (*report.Table, error) {
-	return Figure9TableContext(context.Background(), s, iCache)
-}
-
-// Figure9TableContext is the cancellable Figure9Table.
+// Figure9TableContext renders the Figure 9 breakdown.
 func Figure9TableContext(ctx context.Context, s *Suite, iCache bool) (*report.Table, error) {
 	p, err := Figure9Context(ctx, s, iCache)
 	if err != nil {
@@ -278,15 +248,9 @@ func Figure10Table() (*report.Table, error) {
 	return t, nil
 }
 
-// GapToOptimal reports the paper's Section 5.2 headline: how close
+// GapToOptimalContext reports the paper's Section 5.2 headline: how close
 // Prefetch-B comes to OPT-Hybrid, for one cache side (paper: within 5.3%
-// for the instruction cache, 6.7% for the data cache). It is
-// GapToOptimalContext with a background context.
-func GapToOptimal(s *Suite, iCache bool) (prefetchB, optHybrid, gap float64, err error) {
-	return GapToOptimalContext(context.Background(), s, iCache)
-}
-
-// GapToOptimalContext is the cancellable GapToOptimal.
+// for the instruction cache, 6.7% for the data cache).
 func GapToOptimalContext(ctx context.Context, s *Suite, iCache bool) (prefetchB, optHybrid, gap float64, err error) {
 	rows, err := Figure8Context(ctx, s, iCache)
 	if err != nil {

@@ -17,19 +17,15 @@ import (
 	"leakbound/internal/report"
 	"leakbound/internal/sim/cache"
 	"leakbound/internal/sim/cpu"
+	"leakbound/internal/sim/stream"
 	"leakbound/internal/sim/trace"
 	"leakbound/internal/workload"
 )
 
-// SimulateCustom runs one benchmark on an arbitrary hierarchy and returns
-// the flagged interval distribution of the selected cache. It exists for
-// geometry sweeps and one-off studies outside the fixed-config Suite. It
-// is SimulateCustomContext with a background context.
-func SimulateCustom(name string, scale float64, hc cache.HierarchyConfig, side trace.CacheID) (*interval.Distribution, cpu.Result, error) {
-	return SimulateCustomContext(context.Background(), name, scale, hc, side)
-}
-
-// SimulateCustomContext is the cancellable SimulateCustom.
+// SimulateCustomContext runs one benchmark on an arbitrary hierarchy and
+// returns the flagged interval distribution of the selected cache. It
+// exists for geometry sweeps and one-off studies outside the fixed-config
+// Suite.
 func SimulateCustomContext(ctx context.Context, name string, scale float64, hc cache.HierarchyConfig, side trace.CacheID) (*interval.Distribution, cpu.Result, error) {
 	w, err := workload.New(name, scale)
 	if err != nil {
@@ -47,17 +43,18 @@ func SimulateCustomContext(ctx context.Context, name string, scale float64, hc c
 	if err != nil {
 		return nil, cpu.Result{}, err
 	}
-	var sinkErr error
-	res, err := cpu.RunContext(ctx, w, hier, cpu.DefaultConfig(), func(e trace.Event) {
-		if sinkErr == nil && e.Cache == side {
-			sinkErr = col.Add(e)
+	res, err := cpu.RunStreamContext(ctx, w, hier, cpu.DefaultConfig(), func(b *stream.Batch) error {
+		for i, c := range b.Caches {
+			if c == side {
+				if err := col.AddCols(b.Cycles[i], b.LineAddrs[i], b.PCs[i], b.Frames[i], side, b.Kinds[i], b.Misses[i]); err != nil {
+					return err
+				}
+			}
 		}
+		return nil
 	})
 	if err != nil {
 		return nil, cpu.Result{}, err
-	}
-	if sinkErr != nil {
-		return nil, cpu.Result{}, sinkErr
 	}
 	dist, err := col.Finish(res.Cycles)
 	if err != nil {

@@ -62,9 +62,9 @@ func TestGoldenResultsUnchanged(t *testing.T) {
 		}
 	}
 	for _, iCache := range []bool{true, false} {
-		tbl, err := Figure8Table(s, iCache)
+		tbl, err := Figure8TableContext(context.Background(), s, iCache)
 		if err != nil {
-			t.Fatalf("Figure8Table(iCache=%v): %v", iCache, err)
+			t.Fatalf("Figure8TableContext(context.Background(), iCache=%v): %v", iCache, err)
 		}
 		var buf bytes.Buffer
 		if err := tbl.Render(&buf); err != nil {
@@ -72,7 +72,7 @@ func TestGoldenResultsUnchanged(t *testing.T) {
 		}
 		check("Figure 8", buf.Bytes())
 	}
-	tbl, err := Table2(s)
+	tbl, err := Table2Context(context.Background(), s)
 	if err != nil {
 		t.Fatalf("Table2: %v", err)
 	}

@@ -125,7 +125,7 @@ func TestTechniqueFamiliesTable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	all, err := s.All()
+	all, err := s.AllContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}

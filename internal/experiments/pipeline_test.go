@@ -27,11 +27,11 @@ import (
 // byte-identical distributions, identical simulation results and
 // identical engine statistics to a 1-worker suite.
 func TestWorkersDoNotChangeResults(t *testing.T) {
-	seqAll, err := MustNew(WithScale(0.05), WithWorkers(1), WithMetrics(telemetry.NewRegistry())).All()
+	seqAll, err := MustNew(WithScale(0.05), WithWorkers(1), WithMetrics(telemetry.NewRegistry())).AllContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
-	parAll, err := MustNew(WithScale(0.05), WithWorkers(4), WithMetrics(telemetry.NewRegistry())).All()
+	parAll, err := MustNew(WithScale(0.05), WithWorkers(4), WithMetrics(telemetry.NewRegistry())).AllContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +69,7 @@ func TestWorkersDoNotChangeResults(t *testing.T) {
 // walks from racing; run under -race (make race, make test-parallel).
 func TestL2WalksRaceFree(t *testing.T) {
 	fresh := MustNew(WithScale(0.05), WithMetrics(telemetry.NewRegistry()))
-	fd, err := fresh.Data("gzip")
+	fd, err := fresh.DataContext(context.Background(), "gzip")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +78,7 @@ func TestL2WalksRaceFree(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	loaded := MustNew(WithScale(0.05), WithCacheDir(t.TempDir()), WithMetrics(reg))
 	loaded.storeCached(loaded.cacheKey("gzip"), fd)
-	ld, err := loaded.Data("gzip")
+	ld, err := loaded.DataContext(context.Background(), "gzip")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,14 +128,14 @@ func walkConcurrently(t *testing.T, label string, d *interval.Distribution) {
 // leakage.TestEvaluateAggregateMatchesReference.
 func TestGridMatchesSequential(t *testing.T) {
 	s := testSuiteShared
-	all, err := s.All()
+	all, err := s.AllContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
 	tech := power.Default()
 
 	// Figure 8, I-cache side.
-	rows, err := Figure8(s, true)
+	rows, err := Figure8Context(context.Background(), s, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +163,7 @@ func TestGridMatchesSequential(t *testing.T) {
 
 	// Figure 7, D-cache side: the per-theta averages must match the
 	// sequential accumulation order exactly.
-	sleep, hybrid, err := Figure7(s, false)
+	sleep, hybrid, err := Figure7Context(context.Background(), s, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,7 +190,7 @@ func TestGridMatchesSequential(t *testing.T) {
 
 	// One Table 2 cell per scheme.
 	for _, scheme := range []string{"OPT-Drowsy", "OPT-Sleep", "OPT-Hybrid"} {
-		got, err := Table2Value(s, scheme, false, tech)
+		got, err := Table2ValueContext(context.Background(), s, scheme, false, tech)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -282,6 +282,31 @@ func TestDataSingleflight(t *testing.T) {
 	}
 }
 
+// TestDataLeaderPanicReleasesKey: a singleflight leader whose produce
+// panics must not wedge its key. The panic reaches the leader's caller,
+// and the next caller for that key leads a fresh produce instead of
+// waiting out its deadline on the dead leader's gate.
+func TestDataLeaderPanicReleasesKey(t *testing.T) {
+	s := MustNew(WithScale(0.02), WithMetrics(telemetry.NewRegistry()))
+	func() {
+		defer func() {
+			if v := recover(); v != "boom" {
+				t.Fatalf("leader recovered %v, want produce's panic", v)
+			}
+		}()
+		_, _ = s.dataByKey(context.Background(), "k", false, func(context.Context) (*BenchmarkData, error) {
+			panic("boom")
+		})
+	}()
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	want := &BenchmarkData{Name: "k"}
+	d, err := s.dataByKey(ctx, "k", false, func(context.Context) (*BenchmarkData, error) { return want, nil })
+	if err != nil || d != want {
+		t.Fatalf("caller after a panicked leader: %v, %v", d, err)
+	}
+}
+
 // TestWaiterCancellationDoesNotPoison verifies one caller's context does
 // not decide another's fate: a waiter with a cancelled context gets
 // context.Canceled while the patient caller still gets data.
@@ -333,7 +358,7 @@ func TestOptionsValidation(t *testing.T) {
 	if def := MustNew(); def.poolWorkers() != runtime.GOMAXPROCS(0) {
 		t.Errorf("default poolWorkers = %d, want GOMAXPROCS", def.poolWorkers())
 	}
-	if _, err := Table2Value(testSuiteShared, "OPT-Bogus", true, power.Default()); !errors.Is(err, ErrUnknownScheme) {
+	if _, err := Table2ValueContext(context.Background(), testSuiteShared, "OPT-Bogus", true, power.Default()); !errors.Is(err, ErrUnknownScheme) {
 		t.Errorf("unknown scheme: got %v, want ErrUnknownScheme", err)
 	}
 }

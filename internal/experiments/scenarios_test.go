@@ -86,7 +86,7 @@ func TestScenarioThroughSuite(t *testing.T) {
 	s := MustNew(WithScale(0.5), WithScenarios(sc), WithMetrics(telemetry.NewRegistry()))
 
 	// Resolves by name like any benchmark, and joins AllContext.
-	d, err := s.Data("extra-bench")
+	d, err := s.DataContext(context.Background(), "extra-bench")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +96,7 @@ func TestScenarioThroughSuite(t *testing.T) {
 	if d.IAgg == nil || d.DAgg == nil {
 		t.Fatal("scenario data missing aggregates")
 	}
-	all, err := s.All()
+	all, err := s.AllContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +109,7 @@ func TestScenarioThroughSuite(t *testing.T) {
 
 	// Same spec + same scale in a fresh suite is bit-identical.
 	s2 := MustNew(WithScale(0.5), WithScenarios(testSpec(t, "extra-bench", 7)), WithMetrics(telemetry.NewRegistry()))
-	d2, err := s2.Data("extra-bench")
+	d2, err := s2.DataContext(context.Background(), "extra-bench")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +125,7 @@ func TestScenarioDiskCache(t *testing.T) {
 	dir := t.TempDir()
 	sc := testSpec(t, "cached-bench", 3)
 	s1 := MustNew(WithScale(0.5), WithScenarios(sc), WithCacheDir(dir), WithMetrics(telemetry.NewRegistry()))
-	d1, err := s1.Data("cached-bench")
+	d1, err := s1.DataContext(context.Background(), "cached-bench")
 	if err != nil {
 		t.Fatal(err)
 	}

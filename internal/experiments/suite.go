@@ -18,13 +18,14 @@
 // Parallelism lives above that pass, sized by WithWorkers: benchmarks fan
 // out across a bounded pool (AllContext), and policy evaluations across
 // the grid (EvaluateGrid). Each benchmark's products are the same whatever
-// the worker count, so it is a pure performance knob. Long sweeps are
-// cancellable: every entry point has a ...Context variant that returns
-// ctx.Err() promptly, flushing partial telemetry on the way out.
+// the worker count, so it is a pure performance knob. Every operation has
+// one entry point, and it takes a ctx: long sweeps return ctx.Err()
+// promptly, flushing partial telemetry on the way out.
 package experiments
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sort"
 	"strings"
@@ -128,12 +129,6 @@ const DefaultScale = 1.0
 // Scale returns the suite's workload scale.
 func (s *Suite) Scale() float64 { return s.scale }
 
-// Data returns the simulation products for one benchmark, simulating on
-// first use. It is DataContext with a background context.
-func (s *Suite) Data(name string) (*BenchmarkData, error) {
-	return s.DataContext(context.Background(), name)
-}
-
 // DataContext returns the simulation products for one benchmark,
 // simulating on first use. Concurrent callers for the same benchmark
 // share one simulation: the first caller (the leader) simulates while the
@@ -180,11 +175,24 @@ func (s *Suite) dataByKey(ctx context.Context, key string, adhoc bool, produce f
 		c := &inflightSim{done: make(chan struct{})}
 		s.inflight[key] = c
 		s.mu.Unlock()
+		return s.lead(ctx, key, adhoc, c, produce)
+	}
+}
 
-		d, err := produce(ctx)
+// errLeaderPanicked is what waiters see when their leader's produce
+// panicked; like any leader failure, it sends them round the loop to retry.
+var errLeaderPanicked = errors.New("experiments: simulation leader panicked")
+
+// lead runs produce as key's singleflight leader and publishes the result.
+// The cleanup is deferred so it runs even if produce panics: the gate
+// leaves inflight and done closes, so waiters retry rather than block
+// until their own deadlines, and the panic continues to the caller.
+func (s *Suite) lead(ctx context.Context, key string, adhoc bool, c *inflightSim, produce func(context.Context) (*BenchmarkData, error)) (*BenchmarkData, error) {
+	c.err = errLeaderPanicked // replaced unless produce panics
+	defer func() {
 		s.mu.Lock()
 		delete(s.inflight, key)
-		if err == nil {
+		if c.err == nil {
 			if adhoc {
 				s.adhocOrder = append(s.adhocOrder, key)
 				if len(s.adhocOrder) > adhocDataCap {
@@ -192,13 +200,13 @@ func (s *Suite) dataByKey(ctx context.Context, key string, adhoc bool, produce f
 					s.adhocOrder = s.adhocOrder[1:]
 				}
 			}
-			s.data[key] = d
+			s.data[key] = c.d
 		}
 		s.mu.Unlock()
-		c.d, c.err = d, err
 		close(c.done)
-		return d, err
-	}
+	}()
+	c.d, c.err = produce(ctx)
+	return c.d, c.err
 }
 
 // produce loads one benchmark from the disk cache or simulates it; called
@@ -258,12 +266,6 @@ func (s *Suite) produceWorkload(ctx context.Context, name, key string, perName b
 	s.storeCached(key, d)
 	d.buildAggregates()
 	return d, nil
-}
-
-// All simulates every benchmark in parallel and returns them in
-// presentation order. It is AllContext with a background context.
-func (s *Suite) All() ([]*BenchmarkData, error) {
-	return s.AllContext(context.Background())
 }
 
 // AllContext simulates every benchmark in parallel — through a bounded,
@@ -402,14 +404,8 @@ func finishData(name string, res cpu.Result, iCol, dCol, l2Col *interval.Collect
 	}, nil
 }
 
-// MergedDistributions returns suite-wide merged I- and D-cache
-// distributions (used by Figure 9's aggregate prefetchability). It is
-// MergedDistributionsContext with a background context.
-func (s *Suite) MergedDistributions() (iDist, dDist *interval.Distribution, err error) {
-	return s.MergedDistributionsContext(context.Background())
-}
-
-// MergedDistributionsContext is the cancellable MergedDistributions.
+// MergedDistributionsContext returns suite-wide merged I- and D-cache
+// distributions (used by Figure 9's aggregate prefetchability).
 func (s *Suite) MergedDistributionsContext(ctx context.Context) (iDist, dDist *interval.Distribution, err error) {
 	all, err := s.AllContext(ctx)
 	if err != nil {

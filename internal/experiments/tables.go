@@ -61,19 +61,13 @@ func Table1() (*report.Table, error) {
 	return t, nil
 }
 
-// Table2 reproduces the technology-scaling study: the average (over all
-// benchmarks) optimal savings of OPT-Drowsy, OPT-Sleep (theta = the
+// Table2Context reproduces the technology-scaling study: the average (over
+// all benchmarks) optimal savings of OPT-Drowsy, OPT-Sleep (theta = the
 // inflection point b) and OPT-Hybrid, for both caches, at each process
-// node. The rows also carry Vdd and Vth as the paper's table does. It is
-// Table2Context with a background context.
-func Table2(s *Suite) (*report.Table, error) {
-	return Table2Context(context.Background(), s)
-}
-
-// Table2Context is the cancellable Table2. The full
-// (cache x scheme x technology x benchmark) nest evaluates concurrently
-// on the suite's grid; cell averages are reduced in the sequential loop
-// order, bit-identical to a sequential evaluation.
+// node. The rows also carry Vdd and Vth as the paper's table does. The
+// full (cache x scheme x technology x benchmark) nest evaluates
+// concurrently on the suite's grid; cell averages are reduced in the
+// sequential loop order, bit-identical to a sequential evaluation.
 func Table2Context(ctx context.Context, s *Suite) (*report.Table, error) {
 	all, err := s.AllContext(ctx)
 	if err != nil {
@@ -134,16 +128,10 @@ func Table2Context(ctx context.Context, s *Suite) (*report.Table, error) {
 	return t, nil
 }
 
-// Table2Value computes one cell of Table 2 programmatically: the average
-// savings for a scheme/cache/technology triple. Scheme is one of
+// Table2ValueContext computes one cell of Table 2 programmatically: the
+// average savings for a scheme/cache/technology triple. Scheme is one of
 // "OPT-Drowsy", "OPT-Sleep", "OPT-Hybrid"; iCache selects the cache side.
-// It is Table2ValueContext with a background context.
-func Table2Value(s *Suite, scheme string, iCache bool, tech power.Technology) (float64, error) {
-	return Table2ValueContext(context.Background(), s, scheme, iCache, tech)
-}
-
-// Table2ValueContext is the cancellable Table2Value. Unknown schemes
-// report ErrUnknownScheme.
+// Unknown schemes report ErrUnknownScheme.
 func Table2ValueContext(ctx context.Context, s *Suite, scheme string, iCache bool, tech power.Technology) (float64, error) {
 	all, err := s.AllContext(ctx)
 	if err != nil {

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"bytes"
+	"context"
 	"strings"
 	"sync"
 	"testing"
@@ -11,10 +12,10 @@ import (
 )
 
 // TestSuiteAllConcurrentRace is the -race regression for the event-sink
-// contract: several goroutines drive Suite.All() on the same suite at
-// once, so every per-benchmark sink (and its unsynchronized sinkErr) runs
-// inside the bounded pool while other callers race on Data's cache. The
-// sink state must stay single-goroutine-owned per cpu.Run call.
+// contract: several goroutines drive Suite.AllContext on the same suite
+// at once, so every per-benchmark sink runs inside the bounded pool while
+// other callers race on DataContext's cache. The sink state must stay
+// single-goroutine-owned per cpu.RunStreamContext call.
 func TestSuiteAllConcurrentRace(t *testing.T) {
 	s := MustNew(WithScale(0.02))
 	var wg sync.WaitGroup
@@ -22,7 +23,7 @@ func TestSuiteAllConcurrentRace(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			all, err := s.All()
+			all, err := s.AllContext(context.Background())
 			if err != nil {
 				t.Error(err)
 				return
@@ -41,12 +42,12 @@ func TestSuiteAllConcurrentRace(t *testing.T) {
 func TestSuiteAllReportsTelemetry(t *testing.T) {
 	dir := t.TempDir()
 	s := MustNew(WithScale(0.02), WithCacheDir(dir))
-	if _, err := s.All(); err != nil {
+	if _, err := s.AllContext(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	// Second pass must be served from the disk cache.
 	s2 := MustNew(WithScale(0.02), WithCacheDir(dir))
-	if _, err := s2.All(); err != nil {
+	if _, err := s2.AllContext(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 

@@ -1,6 +1,7 @@
 package leakage
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -179,15 +180,11 @@ func testTraceEvents(t *testing.T) ([]trace.Event, uint64) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := cpu.Run(w, hier, cpu.DefaultConfig(), func(e trace.Event) {
-		if e.Cache == trace.L1D {
-			sharedEvents = append(sharedEvents, e)
-		}
-	})
+	s, res, err := cpu.RunToStreamContext(context.Background(), w, hier, cpu.DefaultConfig(), trace.L1D)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sharedTotal = res.Cycles
+	sharedEvents, sharedTotal = s.Events, res.Cycles
 	return sharedEvents, sharedTotal
 }
 

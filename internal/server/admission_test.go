@@ -6,6 +6,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"runtime"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -255,5 +256,38 @@ func waitForCounter(t *testing.T, c *telemetry.Counter, want uint64) {
 			t.Fatalf("counter stuck at %d, want >= %d", c.Value(), want)
 		}
 		time.Sleep(2 * time.Millisecond)
+	}
+}
+
+// TestComputePanicIsCounted500: a compute fn that panics answers 500,
+// counts server/panics, releases its admission units, and leaves its key
+// usable, so the next identical request computes normally.
+func TestComputePanicIsCounted500(t *testing.T) {
+	s, reg := newTestServer(t, 0.02, func(c *Config) {
+		c.Workers = 1
+		c.RequestTimeout = 10 * time.Second
+	})
+	var calls atomic.Int64
+	s.handleCompute("GET /flaky", "/flaky", weightHeavy,
+		func(context.Context, *http.Request) ([]byte, string, error) {
+			if calls.Add(1) == 1 {
+				panic("boom")
+			}
+			return []byte("ok\n"), "text/plain", nil
+		})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	for i, want := range []int{http.StatusInternalServerError, http.StatusOK} {
+		r, err := ts.Client().Get(ts.URL + "/flaky")
+		if err != nil {
+			t.Fatalf("request %d: %v", i, err)
+		}
+		r.Body.Close()
+		if r.StatusCode != want {
+			t.Fatalf("request %d: status %d, want %d", i, r.StatusCode, want)
+		}
+	}
+	if got := reg.Scope("server").Counter("panics").Value(); got != 1 {
+		t.Errorf("server/panics = %d, want 1", got)
 	}
 }

@@ -11,6 +11,7 @@ package server
 
 import (
 	"context"
+	"errors"
 	"sync"
 
 	"leakbound/internal/telemetry"
@@ -73,13 +74,26 @@ func (g *flightGroup) Do(ctx context.Context, key string, fn func() (*cachedResu
 		g.inflight[key] = f
 		g.mu.Unlock()
 		g.leaders.Add(1)
+		return g.lead(key, f, fn)
+	}
+}
 
-		res, err := fn()
+// errLeaderPanicked is what waiters see when their leader's fn panicked;
+// like any leader failure, it sends them round the loop to retry.
+var errLeaderPanicked = errors.New("server: coalesced computation panicked")
+
+// lead runs fn as key's leader. The cleanup is deferred so it runs even if
+// fn panics: the flight leaves the map and done closes, so waiters retry
+// rather than block until their own deadlines, and the panic continues up
+// to the handler's recovery.
+func (g *flightGroup) lead(key string, f *flight, fn func() (*cachedResult, error)) (*cachedResult, error) {
+	f.err = errLeaderPanicked // replaced unless fn panics
+	defer func() {
 		g.mu.Lock()
 		delete(g.inflight, key)
 		g.mu.Unlock()
-		f.res, f.err = res, err
 		close(f.done)
-		return res, err
-	}
+	}()
+	f.res, f.err = fn()
+	return f.res, f.err
 }

@@ -168,3 +168,52 @@ func TestFlightGroupWaiterCancel(t *testing.T) {
 		t.Errorf("leader result = %q, want %q", res.body, "done")
 	}
 }
+
+// TestFlightGroupLeaderPanicReleasesKey: a leader whose fn panics must not
+// wedge its key. The panic reaches the leader's caller, a waiter blocked
+// on the flight retries as the next leader, and later calls run normally
+// instead of waiting out their deadlines.
+func TestFlightGroupLeaderPanicReleasesKey(t *testing.T) {
+	fg, reg := newTestFlights()
+	leaderIn := make(chan struct{})
+	gate := make(chan struct{})
+	var calls atomic.Int64
+	fn := func() (*cachedResult, error) {
+		if calls.Add(1) == 1 {
+			close(leaderIn)
+			<-gate
+			panic("boom")
+		}
+		return &cachedResult{body: []byte("after")}, nil
+	}
+	leaderPanic := make(chan any, 1)
+	go func() {
+		defer func() { leaderPanic <- recover() }()
+		_, _ = fg.Do(context.Background(), "k", fn)
+	}()
+	<-leaderIn
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	waiter := make(chan error, 1)
+	go func() {
+		res, err := fg.Do(ctx, "k", fn)
+		if err == nil && string(res.body) != "after" {
+			err = errors.New("waiter got " + string(res.body))
+		}
+		waiter <- err
+	}()
+	waitForCounter(t, reg.Scope("server").Counter("coalesce/coalesced_waits"), 1)
+	close(gate)
+	if v := <-leaderPanic; v != "boom" {
+		t.Fatalf("leader recovered %v, want the fn's panic", v)
+	}
+	if err := <-waiter; err != nil {
+		t.Fatalf("waiter after a panicked leader: %v", err)
+	}
+	if _, err := fg.Do(ctx, "k", fn); err != nil {
+		t.Fatalf("Do on the released key: %v", err)
+	}
+	if got := calls.Load(); got != 3 {
+		t.Errorf("fn ran %d times, want 3 (panicked leader, retrying waiter, later call)", got)
+	}
+}

@@ -6,7 +6,9 @@ package server
 // logfmt-style line per completed request.
 
 import (
+	"errors"
 	"net/http"
+	"runtime/debug"
 	"time"
 
 	"leakbound/internal/telemetry"
@@ -37,8 +39,33 @@ func (r *logRecorder) Write(b []byte) (int, error) {
 
 // instrument wraps h in the standard middleware stack for a route.
 func (s *Server) instrument(route string, h http.Handler) http.Handler {
+	h = s.recoverPanics(h)
 	h = s.accessLog(h)
 	return telemetry.HTTPMetrics(s.reg, "http", route, h)
+}
+
+// recoverPanics turns a handler panic into a counted 500 (server scope
+// "panics"), so the request is answered and the access log and status
+// metrics see it. http.ErrAbortHandler keeps its meaning: the handler
+// chose to abort the response, and net/http handles it.
+func (s *Server) recoverPanics(h http.Handler) http.Handler {
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		defer func() {
+			v := recover()
+			if v == nil {
+				return
+			}
+			if err, ok := v.(error); ok && errors.Is(err, http.ErrAbortHandler) {
+				panic(v)
+			}
+			s.scope.Counter("panics").Add(1)
+			if s.logger != nil {
+				s.logger.Printf("panic serving %s: %v\n%s", r.URL.RequestURI(), v, debug.Stack())
+			}
+			http.Error(w, "server: internal error", http.StatusInternalServerError)
+		}()
+		h.ServeHTTP(w, r)
+	})
 }
 
 // accessLog emits one structured line per request when a log sink is

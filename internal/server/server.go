@@ -14,9 +14,9 @@
 // WithWorkers bound — keeps the simulator from oversubscribing the
 // machine, with bounded queueing and honest 429/503 + Retry-After
 // responses past the bound. Each request's context is tied to its client
-// connection and to the server's lifetime, and flows into cpu.RunContext,
-// so a hung-up client or a drain cancels the simulation it was paying
-// for.
+// connection and to the server's lifetime, and flows into
+// cpu.RunStreamContext, so a hung-up client or a drain cancels the
+// simulation it was paying for.
 //
 // Shutdown is a graceful drain: stop accepting, flip /readyz to 503,
 // finish in-flight requests up to DrainTimeout, then cancel the base

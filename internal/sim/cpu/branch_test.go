@@ -1,6 +1,7 @@
 package cpu
 
 import (
+	"context"
 	"testing"
 
 	"leakbound/internal/sim/cache"
@@ -38,7 +39,7 @@ func TestBranchDisabledMatchesBaseline(t *testing.T) {
 		cfg.Branch.Enabled = enabled
 		cfg.Branch.MispredictPenalty = 0 // even when enabled, zero penalty
 		w := workload.MustNew("gzip", 0.02)
-		res, err := Run(w, newHier(t), cfg, nil)
+		res, err := runEvents(context.Background(), w, newHier(t), cfg, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -61,7 +62,7 @@ func TestBranchPenaltyStretchesTime(t *testing.T) {
 		cfg := DefaultConfig()
 		cfg.Branch = BranchConfig{Enabled: true, MispredictPenalty: penalty, TableBits: 12}
 		w := workload.MustNew("gcc", 0.02)
-		res, err := Run(w, newHier(t), cfg, nil)
+		res, err := runEvents(context.Background(), w, newHier(t), cfg, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -94,7 +95,7 @@ func TestBranchPredictorLearnsLoops(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Run(&scripted{name: "loop", ins: ins}, h, cfg, nil)
+	res, err := runEvents(context.Background(), &scripted{name: "loop", ins: ins}, h, cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +126,7 @@ func TestBranchPredictorStruggles(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Run(&scripted{name: "jumpy", ins: ins}, h, cfg, nil)
+	res, err := runEvents(context.Background(), &scripted{name: "jumpy", ins: ins}, h, cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

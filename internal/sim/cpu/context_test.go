@@ -7,13 +7,14 @@ import (
 	"time"
 
 	"leakbound/internal/sim/cache"
+	"leakbound/internal/sim/stream"
 	"leakbound/internal/sim/trace"
 	"leakbound/internal/workload"
 )
 
 // TestRunContextCancelled verifies an already-cancelled context stops the
 // run almost immediately, returns ctx.Err(), and never calls the sink
-// after RunContext returns.
+// after RunStreamContext returns.
 func TestRunContextCancelled(t *testing.T) {
 	w := workload.MustNew("gzip", 0.2)
 	hier, err := cache.NewHierarchy(cache.AlphaLike())
@@ -23,7 +24,7 @@ func TestRunContextCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	var events uint64
-	res, err := RunContext(ctx, w, hier, DefaultConfig(), func(e trace.Event) { events++ })
+	res, err := runEvents(ctx, w, hier, DefaultConfig(), func(e trace.Event) { events++ })
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("got %v, want context.Canceled", err)
 	}
@@ -47,7 +48,7 @@ func TestRunContextDeadline(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), time.Millisecond)
 	defer cancel()
 	start := time.Now()
-	res, err := RunContext(ctx, w, hier, DefaultConfig(), nil)
+	res, err := runEvents(ctx, w, hier, DefaultConfig(), nil)
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("got %v, want context.DeadlineExceeded", err)
 	}
@@ -56,7 +57,7 @@ func TestRunContextDeadline(t *testing.T) {
 	}
 	// A full gcc run is millions of instructions; a 1ms budget must have
 	// stopped it early, and the partial result must still be coherent.
-	full, err := Run(workload.MustNew("gcc", 1.0), mustHierarchy(t), DefaultConfig(), nil)
+	full, err := runEvents(context.Background(), workload.MustNew("gcc", 1.0), mustHierarchy(t), DefaultConfig(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,27 +67,44 @@ func TestRunContextDeadline(t *testing.T) {
 	}
 }
 
-// TestRunContextBackgroundMatchesRun proves the context plumbing does not
-// perturb the simulation: Run and RunContext(Background) produce identical
-// results and identical event streams.
-func TestRunContextBackgroundMatchesRun(t *testing.T) {
-	mk := func() (workload.Workload, *cache.Hierarchy) {
-		return workload.MustNew("gzip", 0.05), mustHierarchy(t)
+// TestRunStreamNilSink verifies a nil batch sink is rejected before any
+// simulation work.
+func TestRunStreamNilSink(t *testing.T) {
+	res, err := RunStreamContext(context.Background(), workload.MustNew("gzip", 0.01), mustHierarchy(t), DefaultConfig(), nil)
+	if err == nil {
+		t.Fatal("nil sink accepted")
 	}
-	w1, h1 := mk()
-	var n1 uint64
-	r1, err := Run(w1, h1, DefaultConfig(), func(e trace.Event) { n1++ })
+	if res != (Result{}) {
+		t.Fatalf("nil sink ran a simulation: %+v", res)
+	}
+}
+
+// TestRunStreamSinkErrorStops verifies a sink error stops the simulation:
+// the call returns that error with the partial Result, and the sink is
+// never called again.
+func TestRunStreamSinkErrorStops(t *testing.T) {
+	boom := errors.New("sink full")
+	calls := 0
+	res, err := RunStreamContext(context.Background(), workload.MustNew("gcc", 1.0), mustHierarchy(t), DefaultConfig(), func(b *stream.Batch) error {
+		calls++
+		if calls == 2 {
+			return boom
+		}
+		return nil
+	})
+	if !errors.Is(err, boom) {
+		t.Fatalf("got %v, want the sink's error", err)
+	}
+	if calls != 2 {
+		t.Fatalf("sink called %d times, want 2 (never again after its error)", calls)
+	}
+	full, err := runEvents(context.Background(), workload.MustNew("gcc", 1.0), mustHierarchy(t), DefaultConfig(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	w2, h2 := mk()
-	var n2 uint64
-	r2, err := RunContext(context.Background(), w2, h2, DefaultConfig(), func(e trace.Event) { n2++ })
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r1 != r2 || n1 != n2 {
-		t.Fatalf("Run %+v (%d events) != RunContext %+v (%d events)", r1, n1, r2, n2)
+	if res.Instructions == 0 || res.Instructions >= full.Instructions {
+		t.Fatalf("stopped run executed %d instructions, full run %d — want a partial result",
+			res.Instructions, full.Instructions)
 	}
 }
 

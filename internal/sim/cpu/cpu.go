@@ -11,6 +11,10 @@
 // I-cache line boundaries and control-flow discontinuities, each group costs
 // one cycle plus any miss stalls, and data accesses issue in program order
 // within their group.
+//
+// RunStreamContext is the one simulation entry point: it delivers that
+// stream in reused struct-of-arrays batches (internal/sim/stream). A
+// consumer that wants one event at a time reads Batch.Event(i).
 package cpu
 
 import (
@@ -51,16 +55,6 @@ func (c Config) Validate() error {
 	return c.Branch.validate()
 }
 
-// Sink receives timed cache access events as the simulation runs. Events
-// arrive in non-decreasing cycle order.
-//
-// Contract: Run invokes sink synchronously, on the goroutine Run itself was
-// called from, and never after Run returns. A sink therefore needs no
-// internal synchronization for state owned by that one Run call (e.g. an
-// error variable the caller inspects afterwards) — but state shared between
-// concurrent Run calls must be synchronized by the caller.
-type Sink func(trace.Event)
-
 // Result summarizes one simulation run.
 type Result struct {
 	Cycles       uint64
@@ -80,73 +74,43 @@ func (r Result) IPC() float64 {
 	return float64(r.Instructions) / float64(r.Cycles)
 }
 
-// Run simulates the workload through the hierarchy, pushing every L1I, L1D
-// and L2 access to sink (which may be nil to collect statistics only).
-// It is RunContext with a background context.
-func Run(w workload.Workload, hier *cache.Hierarchy, cfg Config, sink Sink) (Result, error) {
-	return RunContext(context.Background(), w, hier, cfg, sink)
-}
-
 // ctxCheckMask throttles cancellation checks to every 4096 instructions —
 // frequent enough that a multi-million-instruction run stops within
 // microseconds of cancellation, rare enough that the hot loop never feels
 // the context's mutex.
 const ctxCheckMask = 1<<12 - 1
 
-// RunContext is Run with cooperative cancellation: the simulation polls
-// ctx every few thousand instructions and, once the context is done, stops
-// emitting, flushes its partial run totals to telemetry (so an aborted
-// sweep still leaves an audit trail), and returns the partial Result
-// together with ctx.Err(). The sink contract is unchanged: it is invoked
-// synchronously on this goroutine and never after RunContext returns.
-func RunContext(ctx context.Context, w workload.Workload, hier *cache.Hierarchy, cfg Config, sink Sink) (Result, error) {
-	m, err := newMachine(ctx, w, hier, cfg)
-	if err != nil {
-		return Result{}, err
-	}
-	m.sink = sink
-	return m.run(w)
-}
-
-// RunStream simulates the workload, delivering events to sink in
-// fixed-capacity struct-of-arrays batches instead of one callback per
-// event — the single-pass streaming path: no event slice is ever
-// materialized, and the one batch buffer is reused for the whole run.
-// It is RunStreamContext with a background context.
+// RunStreamContext simulates the workload through the hierarchy,
+// delivering every L1I, L1D and L2 access to sink in fixed-capacity
+// struct-of-arrays batches: no event slice is ever materialized, and the
+// one batch buffer is reused for the whole run. Events arrive in
+// non-decreasing cycle order.
+//
+// sink runs synchronously on the calling goroutine, roughly once per
+// cancellation-poll window, and never after RunStreamContext returns; the
+// batch it receives is reused as soon as it returns, so a sink needs no
+// synchronization for state owned by this one call. A sink error stops
+// the simulation and is returned with the partial Result; the sink is not
+// called again.
+//
+// The simulation polls ctx every few thousand instructions and, once the
+// context is done, stops emitting, flushes its partial run totals to
+// telemetry (so an aborted sweep still leaves an audit trail), and
+// returns the partial Result together with ctx.Err().
 //
 //lint:hotpath entry
-func RunStream(w workload.Workload, hier *cache.Hierarchy, cfg Config, sink stream.Sink) (Result, error) {
-	return RunStreamContext(context.Background(), w, hier, cfg, sink)
-}
-
-// RunStreamContext is RunStream with cooperative cancellation (see
-// RunContext). sink runs synchronously on this goroutine, roughly once
-// per cancellation-poll window; the batch it receives is reused as soon
-// as it returns. A sink error stops the simulation and is returned with
-// the partial Result. Event order and timing are bit-identical to
-// RunContext over the same inputs.
 func RunStreamContext(ctx context.Context, w workload.Workload, hier *cache.Hierarchy, cfg Config, sink stream.Sink) (Result, error) {
 	if sink == nil {
 		return Result{}, errors.New("cpu: nil batch sink")
 	}
-	m, err := newMachine(ctx, w, hier, cfg)
-	if err != nil {
+	if err := cfg.Validate(); err != nil {
 		return Result{}, err
 	}
-	m.batch = stream.NewBatch(stream.DefaultBatchEvents)
-	m.batchSink = sink
-	return m.run(w)
-}
-
-func newMachine(ctx context.Context, w workload.Workload, hier *cache.Hierarchy, cfg Config) (*machine, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
 	if w == nil {
-		return nil, errors.New("cpu: nil workload")
+		return Result{}, errors.New("cpu: nil workload")
 	}
 	if hier == nil {
-		return nil, errors.New("cpu: nil hierarchy")
+		return Result{}, errors.New("cpu: nil hierarchy")
 	}
 	hc := hier.Config()
 	m := &machine{
@@ -156,19 +120,21 @@ func newMachine(ctx context.Context, w workload.Workload, hier *cache.Hierarchy,
 		l1dHitLat: uint64(hc.L1D.HitLatency),
 		l2HitLat:  uint64(hc.L2.HitLatency),
 		memLat:    uint64(hc.MemoryLatency),
+		batch:     stream.NewBatch(stream.DefaultBatchEvents),
+		batchSink: sink,
 	}
 	if cfg.Branch.Enabled {
 		m.predictor = newBimodal(cfg.Branch.TableBits)
 	}
-	return m, nil
+	return m.run(w)
 }
 
 // run drives the instruction stream to completion (or cancellation) and
-// assembles the Result; shared by the per-event and batched entry points.
+// assembles the Result.
 func (m *machine) run(w workload.Workload) (Result, error) {
 	w.Emit(m.consume)
 	m.flushGroup()
-	if m.batch != nil && m.batch.Len() > 0 && m.ctxErr == nil {
+	if m.batch.Len() > 0 && m.ctxErr == nil {
 		m.flushBatch() // the final partial batch
 	}
 	res := Result{
@@ -201,12 +167,10 @@ func (m *machine) run(w workload.Workload) (Result, error) {
 	return res, nil
 }
 
-// machine holds the in-flight fetch group and the cycle clock. Exactly
-// one of sink (per-event mode) or batch+batchSink (streaming mode) is set.
+// machine holds the in-flight fetch group and the cycle clock.
 type machine struct {
 	cfg    Config
 	hier   *cache.Hierarchy
-	sink   Sink
 	ctx    context.Context
 	ctxErr error
 
@@ -216,9 +180,9 @@ type machine struct {
 	l1i, l1d, l2                           *cache.Cache
 	l1iHitLat, l1dHitLat, l2HitLat, memLat uint64
 
-	// Streaming mode: emit appends columns to batch; flushBatch hands it
-	// to batchSink whenever it fills, and once more for the final partial
-	// batch after the last fetch group retires.
+	// emit appends columns to batch; flushBatch hands it to batchSink
+	// whenever it fills, and once more for the final partial batch after
+	// the last fetch group retires.
 	batch     *stream.Batch
 	batchSink stream.Sink
 	sinkErr   error
@@ -330,30 +294,14 @@ func (m *machine) flushGroup() {
 	m.group = m.group[:0]
 }
 
-// emit delivers one event by columns: appended to the current batch in
-// streaming mode (flushing when full), or boxed into a trace.Event for
-// the per-event sink.
+// emit appends one event to the current batch by columns, flushing it
+// to the sink when full.
 func (m *machine) emit(cycle, lineAddr, pc uint64, frame uint32, cacheID trace.CacheID, kind trace.Kind, miss bool) {
 	m.events++
-	if m.batch != nil {
-		//lint:ignore hotalloc batch columns are fixed-capacity and Full() flushes before any append could grow them
-		m.batch.Append(cycle, lineAddr, pc, frame, cacheID, kind, miss)
-		if m.batch.Full() {
-			m.flushBatch()
-		}
-		return
-	}
-	if m.sink != nil {
-		//lint:ignore hotalloc per-event sink is the compatibility path; the streaming entry points leave m.sink nil
-		m.sink(trace.Event{
-			Cycle:    cycle,
-			LineAddr: lineAddr,
-			Frame:    frame,
-			PC:       pc,
-			Cache:    cacheID,
-			Kind:     kind,
-			Miss:     miss,
-		})
+	//lint:ignore hotalloc batch columns are fixed-capacity and Full() flushes before any append could grow them
+	m.batch.Append(cycle, lineAddr, pc, frame, cacheID, kind, miss)
+	if m.batch.Full() {
+		m.flushBatch()
 	}
 }
 
@@ -370,23 +318,20 @@ func (m *machine) flushBatch() {
 	m.batch.Reset()
 }
 
-// RunToStream is a convenience wrapper that collects all events for one
-// cache into an in-memory trace.Stream; intended for tests and small tools,
-// not full-length runs. It is RunToStreamContext with a background context.
-func RunToStream(w workload.Workload, hier *cache.Hierarchy, cfg Config, id trace.CacheID) (*trace.Stream, Result, error) {
-	return RunToStreamContext(context.Background(), w, hier, cfg, id)
-}
-
-// RunToStreamContext is RunToStream with cooperative cancellation; see
-// RunContext for the cancellation semantics.
+// RunToStreamContext collects all events for one cache into an in-memory
+// trace.Stream; intended for tests and small tools, not full-length runs.
+// Cancellation behaves as in RunStreamContext.
 func RunToStreamContext(ctx context.Context, w workload.Workload, hier *cache.Hierarchy, cfg Config, id trace.CacheID) (*trace.Stream, Result, error) {
 	s := &trace.Stream{}
-	res, err := RunContext(ctx, w, hier, cfg, func(e trace.Event) {
-		if e.Cache == id {
-			if err := s.Append(e); err != nil {
-				panic(err) // Run guarantees monotone cycles; a failure here is a bug
+	res, err := RunStreamContext(ctx, w, hier, cfg, func(b *stream.Batch) error {
+		for i, c := range b.Caches {
+			if c == id {
+				if err := s.Append(b.Event(i)); err != nil {
+					return err
+				}
 			}
 		}
+		return nil
 	})
 	if err != nil {
 		return nil, Result{}, err

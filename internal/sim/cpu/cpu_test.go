@@ -1,9 +1,11 @@
 package cpu
 
 import (
+	"context"
 	"testing"
 
 	"leakbound/internal/sim/cache"
+	"leakbound/internal/sim/stream"
 	"leakbound/internal/sim/trace"
 	"leakbound/internal/workload"
 )
@@ -32,6 +34,17 @@ func straightLine(base uint64, n int) []workload.Instr {
 	return ins
 }
 
+// runEvents is RunStreamContext with one callback per event, in stream
+// order; a nil fn collects statistics only.
+func runEvents(ctx context.Context, w workload.Workload, h *cache.Hierarchy, cfg Config, fn func(trace.Event)) (Result, error) {
+	return RunStreamContext(ctx, w, h, cfg, func(b *stream.Batch) error {
+		for i := 0; fn != nil && i < b.Len(); i++ {
+			fn(b.Event(i))
+		}
+		return nil
+	})
+}
+
 func newHier(t testing.TB) *cache.Hierarchy {
 	t.Helper()
 	h, err := cache.NewHierarchy(cache.AlphaLike())
@@ -52,14 +65,14 @@ func TestConfigValidate(t *testing.T) {
 
 func TestRunNilArgs(t *testing.T) {
 	h := newHier(t)
-	if _, err := Run(nil, h, DefaultConfig(), nil); err == nil {
+	if _, err := runEvents(context.Background(), nil, h, DefaultConfig(), nil); err == nil {
 		t.Error("nil workload accepted")
 	}
 	w := &scripted{name: "w"}
-	if _, err := Run(w, nil, DefaultConfig(), nil); err == nil {
+	if _, err := runEvents(context.Background(), w, nil, DefaultConfig(), nil); err == nil {
 		t.Error("nil hierarchy accepted")
 	}
-	if _, err := Run(w, h, Config{}, nil); err == nil {
+	if _, err := runEvents(context.Background(), w, h, Config{}, nil); err == nil {
 		t.Error("invalid config accepted")
 	}
 }
@@ -67,7 +80,7 @@ func TestRunNilArgs(t *testing.T) {
 func TestFetchGrouping(t *testing.T) {
 	// 8 sequential ops in one 64B line -> 2 groups of 4 (width limit).
 	w := &scripted{name: "seq", ins: straightLine(0x400000, 8)}
-	res, err := Run(w, newHier(t), DefaultConfig(), nil)
+	res, err := runEvents(context.Background(), w, newHier(t), DefaultConfig(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +103,7 @@ func TestGroupBreaksAtLineBoundary(t *testing.T) {
 	// 4 ops straddling a 64B line boundary: 0x40003c is the last slot of a
 	// line, so the group must split 1 + 3.
 	w := &scripted{name: "straddle", ins: straightLine(0x40003c, 4)}
-	res, err := Run(w, newHier(t), DefaultConfig(), nil)
+	res, err := runEvents(context.Background(), w, newHier(t), DefaultConfig(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +122,7 @@ func TestGroupBreaksAtDiscontinuity(t *testing.T) {
 		{PC: 0x400000, Kind: workload.Op},
 		{PC: 0x400020, Kind: workload.Op},
 	}
-	res, err := Run(&scripted{name: "br", ins: ins}, newHier(t), DefaultConfig(), nil)
+	res, err := runEvents(context.Background(), &scripted{name: "br", ins: ins}, newHier(t), DefaultConfig(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +137,7 @@ func TestDataStallOnlyOnMiss(t *testing.T) {
 		{PC: 0x400000, Kind: workload.Load, Addr: 0x10000000},
 		{PC: 0x400004, Kind: workload.Load, Addr: 0x10000000},
 	}
-	res, err := Run(&scripted{name: "ld", ins: ins}, h, DefaultConfig(), nil)
+	res, err := runEvents(context.Background(), &scripted{name: "ld", ins: ins}, h, DefaultConfig(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +158,7 @@ func TestEventStreamShape(t *testing.T) {
 		{PC: 0x400008, Kind: workload.Store, Addr: 0x10000080},
 	}
 	var events []trace.Event
-	_, err := Run(&scripted{name: "ev", ins: ins}, newHier(t), DefaultConfig(), func(e trace.Event) {
+	_, err := runEvents(context.Background(), &scripted{name: "ev", ins: ins}, newHier(t), DefaultConfig(), func(e trace.Event) {
 		events = append(events, e)
 	})
 	if err != nil {
@@ -189,7 +202,7 @@ func TestMaxInstrs(t *testing.T) {
 	w := workload.MustNew("gzip", 1)
 	cfg := DefaultConfig()
 	cfg.MaxInstrs = 5000
-	res, err := Run(w, newHier(t), cfg, nil)
+	res, err := runEvents(context.Background(), w, newHier(t), cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,7 +215,7 @@ func TestMaxCycles(t *testing.T) {
 	w := workload.MustNew("ammp", 1)
 	cfg := DefaultConfig()
 	cfg.MaxCycles = 2000
-	res, err := Run(w, newHier(t), cfg, nil)
+	res, err := runEvents(context.Background(), w, newHier(t), cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,7 +228,7 @@ func TestMaxCycles(t *testing.T) {
 
 func TestIPCSane(t *testing.T) {
 	w := workload.MustNew("gzip", 0.02)
-	res, err := Run(w, newHier(t), DefaultConfig(), nil)
+	res, err := runEvents(context.Background(), w, newHier(t), DefaultConfig(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,7 +244,7 @@ func TestIPCSane(t *testing.T) {
 
 func TestRunToStream(t *testing.T) {
 	w := workload.MustNew("gzip", 0.01)
-	s, res, err := RunToStream(w, newHier(t), DefaultConfig(), trace.L1D)
+	s, res, err := RunToStreamContext(context.Background(), w, newHier(t), DefaultConfig(), trace.L1D)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -257,7 +270,7 @@ func TestRunToStream(t *testing.T) {
 func TestDeterministicTiming(t *testing.T) {
 	run := func() Result {
 		w := workload.MustNew("vortex", 0.01)
-		res, err := Run(w, newHier(t), DefaultConfig(), nil)
+		res, err := runEvents(context.Background(), w, newHier(t), DefaultConfig(), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -273,7 +286,7 @@ func TestFrameWithinRange(t *testing.T) {
 	w := workload.MustNew("mesa", 0.02)
 	h := newHier(t)
 	bad := 0
-	_, err := Run(w, h, DefaultConfig(), func(e trace.Event) {
+	_, err := runEvents(context.Background(), w, h, DefaultConfig(), func(e trace.Event) {
 		c := h.CacheByID(e.Cache)
 		if int(e.Frame) >= c.Config().NumLines() {
 			bad++
@@ -294,7 +307,7 @@ func BenchmarkRunGzip(b *testing.B) {
 			b.Fatal(err)
 		}
 		w := workload.MustNew("gzip", 0.05)
-		if _, err := Run(w, h, DefaultConfig(), func(e trace.Event) {}); err != nil {
+		if _, err := RunStreamContext(context.Background(), w, h, DefaultConfig(), func(*stream.Batch) error { return nil }); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -287,15 +287,11 @@ func Analyze(rawWindows []map[uint32]float64, k, maxIter int) (Result, error) {
 	return Result{Phases: sorted, Assignment: finalAssign}, nil
 }
 
-// PickSimPoints runs the full pipeline over a workload: collect BBVs with
-// the given window size, cluster into k phases, and return the result.
-func PickSimPoints(w workload.Workload, windowSize, k int) (Result, error) {
-	return PickSimPointsContext(context.Background(), w, windowSize, k)
-}
-
-// PickSimPointsContext is PickSimPoints with cooperative cancellation: the
-// BBV collection pass polls ctx every few thousand instructions and the
-// function returns ctx.Err() once the context is done.
+// PickSimPointsContext runs the full pipeline over a workload: collect
+// BBVs with the given window size, cluster into k phases, and return the
+// result. The BBV collection pass polls ctx every few thousand
+// instructions and the function returns ctx.Err() once the context is
+// done.
 func PickSimPointsContext(ctx context.Context, w workload.Workload, windowSize, k int) (Result, error) {
 	col, err := NewBBVCollector(windowSize, 6)
 	if err != nil {

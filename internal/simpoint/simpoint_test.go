@@ -1,6 +1,7 @@
 package simpoint
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -161,7 +162,7 @@ func TestPickSimPointsOnBenchmarks(t *testing.T) {
 	// weights must sum to 1.
 	for _, name := range []string{"gcc", "mesa"} {
 		w := workload.MustNew(name, 0.05)
-		res, err := PickSimPoints(w, 50000, 6)
+		res, err := PickSimPointsContext(context.Background(), w, 50000, 6)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -183,11 +184,11 @@ func TestPickSimPointsOnBenchmarks(t *testing.T) {
 
 func TestAnalyzeDeterministic(t *testing.T) {
 	w := workload.MustNew("vortex", 0.02)
-	r1, err := PickSimPoints(w, 20000, 4)
+	r1, err := PickSimPointsContext(context.Background(), w, 20000, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := PickSimPoints(workload.MustNew("vortex", 0.02), 20000, 4)
+	r2, err := PickSimPointsContext(context.Background(), workload.MustNew("vortex", 0.02), 20000, 4)
 	if err != nil {
 		t.Fatal(err)
 	}

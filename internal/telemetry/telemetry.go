@@ -3,10 +3,11 @@
 // histograms, organized into named scopes under a registry that snapshots
 // deterministically to text and JSON.
 //
-// The hot paths (cpu.Run, interval.Collector, prefetch.Engine) accumulate
-// locally and flush into the default registry once per run/Finish, so
-// instrumentation costs nothing per simulated event; coarse-grained callers
-// (experiments.Suite, the worker pool) record directly. All metric
+// The hot paths (cpu.RunStreamContext, interval.Collector,
+// prefetch.Engine) accumulate locally and flush into the default registry
+// once per run/Finish, so instrumentation costs nothing per simulated
+// event; coarse-grained callers (experiments.Suite, the worker pool)
+// record directly. All metric
 // operations are safe for concurrent use; snapshots observe each metric
 // atomically (counters are exact, cross-metric consistency is best-effort).
 package telemetry
