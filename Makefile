@@ -15,9 +15,9 @@ race:
 	$(GO) test -race ./...
 
 # gofmt -l lists unformatted files; any output fails the target.
-# leakbound-lint is the repo's own multichecker (determinism, ctxflow,
-# errwrap, telemetryscope, locks, plus the interprocedural hotalloc and
-# detflow); `go run` needs no install step. -timing prints the
+# go vet owns lock copies (copylocks). leakbound-lint is the repo's own
+# multichecker (ctxflow, errwrap, telemetryscope, locks, plus the
+# interprocedural detflow and hotalloc); `go run` needs no install step. -timing prints the
 # per-analyzer wall time so a slow summary pass is visible immediately.
 # staticcheck runs when installed (CI installs the pinned 2024.1.1; offline
 # dev boxes may not have it, and must not fail for lack of a network).

@@ -1,14 +1,14 @@
-// Command leakbound-lint is the repo's multichecker: it runs the seven
+// Command leakbound-lint is the repo's multichecker: it runs the six
 // leakbound analyzers over the requested packages and exits nonzero if
 // any diagnostic survives directive filtering. `make lint` runs it as
-// `go run ./cmd/leakbound-lint ./...` alongside go vet, gofmt, and
-// staticcheck, so the determinism/context/telemetry invariants the
-// paper's oracle argument rests on are machine-checked on every push.
+// `go run ./cmd/leakbound-lint ./...` alongside go vet (which owns lock
+// copies), gofmt, and staticcheck, so the determinism/context/telemetry
+// invariants the paper's oracle argument rests on are machine-checked on
+// every push.
 //
-// Five analyzers work a package at a time (ctxflow, determinism,
-// errwrap, locks, telemetryscope); two are interprocedural and see the
-// whole load at once (hotalloc, detflow), chasing facts through the call
-// graph bottom-up.
+// Four analyzers work a package at a time (ctxflow, errwrap, locks,
+// telemetryscope); two are interprocedural and see the whole load at once
+// (detflow, hotalloc), chasing facts through the call graph bottom-up.
 //
 // A diagnostic is suppressed by a directive comment on the same line or
 // the line above:
@@ -17,7 +17,8 @@
 //
 // The reason is mandatory; "all" matches every analyzer. Interprocedural
 // findings carry the call chain, and a directive on any call site along
-// the chain suppresses the finding too.
+// the chain suppresses the finding too. A full run (no -only) also
+// reports every directive name that suppressed nothing.
 //
 // -sarif writes the findings as a SARIF 2.1.0 log (for GitHub code
 // scanning upload); -timing prints per-analyzer wall time to stderr.
@@ -33,7 +34,6 @@ import (
 
 	"leakbound/internal/analysis"
 	"leakbound/internal/analysis/ctxflow"
-	"leakbound/internal/analysis/determinism"
 	"leakbound/internal/analysis/detflow"
 	"leakbound/internal/analysis/errwrap"
 	"leakbound/internal/analysis/hotalloc"
@@ -44,7 +44,6 @@ import (
 // analyzers is the full suite in presentation order.
 var analyzers = []*analysis.Analyzer{
 	ctxflow.Analyzer,
-	determinism.Analyzer,
 	detflow.Analyzer,
 	errwrap.Analyzer,
 	hotalloc.Analyzer,
@@ -97,7 +96,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, err)
 		return 2
 	}
-	findings, timings, err := analysis.RunTimed(pkgs, selected)
+	findings, timings, err := analysis.RunTimed(pkgs, selected, *only == "")
 	if err != nil {
 		fmt.Fprintln(stderr, err)
 		return 2

@@ -12,7 +12,7 @@ func TestListPrintsEveryAnalyzer(t *testing.T) {
 	if code := run([]string{"-list"}, &out, &errb); code != 0 {
 		t.Fatalf("run(-list) = %d, stderr %q", code, errb.String())
 	}
-	for _, name := range []string{"ctxflow", "determinism", "errwrap", "locks", "telemetryscope"} {
+	for _, name := range []string{"ctxflow", "detflow", "errwrap", "hotalloc", "locks", "telemetryscope"} {
 		if !strings.Contains(out.String(), name) {
 			t.Errorf("-list output missing %s:\n%s", name, out.String())
 		}

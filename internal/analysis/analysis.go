@@ -4,14 +4,14 @@
 // standard library's gc importer, and a runner that understands
 // `//lint:ignore` suppression directives.
 //
-// The repo's invariants are enforced by five analyzers built on this
+// The repo's invariants are enforced by six analyzers built on this
 // package (see the subdirectories); cmd/leakbound-lint is the
 // multichecker that runs them all. The framework deliberately mirrors the
 // upstream API (an analyzer is a value with Name, Doc, and a Run function
 // over a Pass) so that the analyzers could be ported to the real
 // x/tools framework by swapping one import — the module itself stays
-// dependency-free and builds hermetically, which is the same property the
-// determinism analyzer exists to protect.
+// dependency-free and builds hermetically, the build-side twin of the
+// reproducibility the detflow analyzer exists to protect.
 package analysis
 
 import (
@@ -66,13 +66,15 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...interface{}) {
 
 // ProgramPass presents the whole loaded program to an interprocedural
 // analyzer: every target package (sharing one FileSet — the loader and the
-// analysistest harness both guarantee it) and a Report sink. Packages are
-// sorted by import path, so program analyzers see a deterministic order.
+// analysistest harness both guarantee it), the run's suppression
+// directives, and a Report sink. Packages are sorted by import path, so
+// program analyzers see a deterministic order.
 type ProgramPass struct {
-	Analyzer *Analyzer
-	Fset     *token.FileSet
-	Packages []*Package
-	Report   func(Diagnostic)
+	Analyzer   *Analyzer
+	Fset       *token.FileSet
+	Packages   []*Package
+	Directives DirectiveIndex
+	Report     func(Diagnostic)
 }
 
 // Reportf reports a formatted diagnostic at pos with an optional call

@@ -1,23 +1,30 @@
-// Package detflow is the interprocedural extension of the determinism
-// analyzer: where determinism flags nondeterministic constructs used
-// directly inside result-producing packages, detflow computes a
-// per-function taint summary bottom-up over the call graph and reports
-// when nondeterminism reaches a result-producing function through a call
-// chain — a time.Now two helpers deep is invisible to the intraprocedural
-// check but corrupts RESULTS.txt just the same.
+// Package detflow guards the property the paper's oracle argument rests
+// on: every run of Figure 7/8/Table 2 yields bit-identical energies, so
+// measured energies can be compared against the provable lower bound
+// (Equations 1–3 and the appendix optimality proof). Map iteration
+// order, wall-clock reads, and random sources are the ways Go code
+// silently loses that property.
 //
-// Sources (per-function direct facts): time.Now/time.Since calls, any use
-// of math/rand or math/rand/v2, and appends into outer variables in map
-// iteration order without a later sort. A source site already covered by
-// a //lint:ignore determinism (or detflow) directive is treated as
-// reviewed and does not taint — the existing telemetry-timing
-// suppressions in internal/experiments keep their force transitively.
+// One source scanner finds those hazards: time.Now/time.Since calls, any
+// use of math/rand or math/rand/v2, a map handed to fmt's print family,
+// and, inside a map range, an append to an outer slice with no later
+// sort, floating-point accumulation into an outer variable (float
+// addition is not associative), and fmt prints or Write* calls. The
+// analyzer applies the scanner two ways:
 //
-// Sinks: every function in a result-producing package (the same set the
-// determinism analyzer guards) plus any function named Digest. A finding
-// is reported at the sink's call site into the tainted subgraph, with the
-// chain down to the originating source; direct uses inside a sink are
-// deliberately not re-reported — that is determinism's finding.
+//   - Depth 0. In a result-producing package every source site is a
+//     finding, wherever it sits in a file: function bodies, signatures,
+//     and package-level declarations alike.
+//   - Through calls. Everywhere else the scanner yields a per-function
+//     taint fact, computed bottom-up over the call graph; a finding is
+//     reported at a sink's call site into the tainted subgraph, with the
+//     chain down to the originating source — a time.Now two helpers deep
+//     corrupts RESULTS.txt just as a direct one does. Sinks are every
+//     function in a result-producing package plus any function named
+//     Digest; a Digest outside the result packages also has its own
+//     sources reported directly. A source site covered by a
+//     //lint:ignore detflow directive is reviewed and does not taint, so
+//     a suppression keeps its force transitively.
 //
 // Soundness caveats, documented rather than papered over: taint does not
 // propagate through interface or function-value calls (no points-to
@@ -27,6 +34,7 @@
 package detflow
 
 import (
+	"fmt"
 	"go/ast"
 	"go/token"
 	"go/types"
@@ -40,11 +48,13 @@ import (
 
 var Analyzer = &analysis.Analyzer{
 	Name:       "detflow",
-	Doc:        "trace nondeterminism (clocks, randomness, map order) through call chains into result-producing code",
+	Doc:        "flag clocks, randomness, and map-order dependence in result-producing code, directly or through call chains",
 	RunProgram: run,
 }
 
-// resultPackages mirrors the determinism analyzer's sink set.
+// resultPackages matches the packages whose outputs are the paper's
+// numbers; everything else (servers, CLIs, telemetry plumbing) may
+// legitimately read clocks unless it feeds them.
 var resultPackages = regexp.MustCompile(`(^|/)internal/(leakage|interval|experiments|report|stats)$`)
 
 // telemetryBarrier matches the observability layer: clock reads inside it
@@ -55,21 +65,29 @@ const telemetryBarrier = "internal/telemetry"
 // statically reachable from it, what kind, and one witness route.
 type fact struct {
 	tainted bool
-	what    string      // "time.Now", "math/rand", "map iteration order"
+	what    string      // "time.Now", "math/rand", "map iteration order", ...
 	chain   []token.Pos // call sites from this function down to the source site, then the site itself
 	route   []string    // node names from this function down to the source holder
 }
 
 func run(pass *analysis.ProgramPass) error {
-	g := callgraph.Build(pass.Packages)
-	sanctioned := analysis.Directives(pass.Packages...)
+	report := func(pos token.Pos, _, msg string) { pass.Reportf(pos, nil, "%s", msg) }
+	for _, pkg := range pass.Packages {
+		if !resultPackages.MatchString(pkg.PkgPath) {
+			continue
+		}
+		for _, f := range pkg.Syntax {
+			scan(pkg.TypesInfo, f, false, report)
+		}
+	}
 
+	g := callgraph.Build(pass.Packages)
 	facts := summary.Compute(g,
 		func(n *callgraph.Node) fact {
 			if inTelemetry(n) {
 				return fact{}
 			}
-			return directFact(pass.Fset, sanctioned, n)
+			return directFact(pass, n)
 		},
 		func(caller *callgraph.Node, f fact, call callgraph.Call, calleeFact fact) (fact, bool) {
 			if f.tainted || !calleeFact.tainted || inTelemetry(call.Callee) {
@@ -88,13 +106,15 @@ func run(pass *analysis.ProgramPass) error {
 		if !isSink(n) {
 			continue
 		}
+		if !resultPackages.MatchString(n.Pkg.PkgPath) {
+			scan(n.Pkg.TypesInfo, n.Body(), true, report)
+		}
 		for _, c := range n.Calls {
 			if c.Callee == nil || !facts[c.Callee].tainted {
 				continue
 			}
 			// A tainted callee that is itself a sink carries its own finding
-			// (or determinism's, if the use is direct) — report at the
-			// deepest sink boundary only.
+			// — report at the deepest sink boundary only.
 			if isSink(c.Callee) {
 				continue
 			}
@@ -106,92 +126,155 @@ func run(pass *analysis.ProgramPass) error {
 	return nil
 }
 
-// directFact scans a node's own body for nondeterminism sources, skipping
-// sites already suppressed for determinism or detflow.
-func directFact(fset *token.FileSet, sanctioned analysis.DirectiveIndex, n *callgraph.Node) fact {
-	info := n.Pkg.TypesInfo
-	reviewed := func(pos token.Pos) bool {
-		p := fset.Position(pos)
-		return sanctioned.Covers("determinism", p) || sanctioned.Covers("detflow", p)
-	}
+// directFact is the first unreviewed source site in a node's own body.
+func directFact(pass *analysis.ProgramPass, n *callgraph.Node) fact {
 	var f fact
-	source := func(pos token.Pos, what string) {
-		if f.tainted || reviewed(pos) {
+	scan(n.Pkg.TypesInfo, n.Body(), true, func(pos token.Pos, what, _ string) {
+		if f.tainted || pass.Directives.Covers("detflow", pass.Fset.Position(pos)) {
 			return
 		}
 		f = fact{tainted: true, what: what, chain: []token.Pos{pos}, route: []string{n.String()}}
-	}
-	body := n.Body()
-	inspectOwn(body, func(x ast.Node) {
+	})
+	return f
+}
+
+// scan calls emit for every nondeterminism source under root, with a
+// short name for call-chain messages and a depth-0 message. The
+// collect-then-sort fix is looked for within root, so root is a whole
+// file at depth 0 and a function body for a taint fact. With own set,
+// nested function literals are skipped: the call graph gives each its
+// own node.
+func scan(info *types.Info, root ast.Node, own bool, emit func(pos token.Pos, what, msg string)) {
+	ast.Inspect(root, func(x ast.Node) bool {
 		switch x := x.(type) {
+		case *ast.FuncLit:
+			return !own
 		case *ast.CallExpr:
 			fn := analysis.CalleeFunc(info, x)
-			if analysis.IsPkgFunc(fn, "time", "Now") {
-				source(x.Pos(), "time.Now")
-			} else if analysis.IsPkgFunc(fn, "time", "Since") {
-				source(x.Pos(), "time.Since")
+			if analysis.IsPkgFunc(fn, "time", "Now") || analysis.IsPkgFunc(fn, "time", "Since") {
+				what := "time." + fn.Name()
+				emit(x.Pos(), what, what+" in result-producing code: wall clock must not influence results")
+			} else if isFmtPrint(fn) {
+				for _, arg := range x.Args {
+					if isMap(info.TypeOf(arg)) {
+						emit(arg.Pos(), "a map printed by fmt", fmt.Sprintf("map passed to fmt.%s: emit results in explicitly sorted order", fn.Name()))
+					}
+				}
 			}
 		case *ast.SelectorExpr:
 			if id, ok := x.X.(*ast.Ident); ok {
 				if pn, ok := info.Uses[id].(*types.PkgName); ok {
 					switch pn.Imported().Path() {
 					case "math/rand", "math/rand/v2":
-						source(x.Pos(), "math/rand")
+						emit(x.Pos(), "math/rand", "math/rand in result-producing code: randomness must not influence results")
 					}
 				}
 			}
 		case *ast.RangeStmt:
-			if t := info.TypeOf(x.X); t != nil {
-				if _, isMap := t.Underlying().(*types.Map); isMap {
-					if pos, ok := unsortedMapAppend(info, body, x); ok {
-						source(pos, "map iteration order")
-					}
-				}
-			}
-		}
-	})
-	return f
-}
-
-// unsortedMapAppend reports an append into a variable declared outside
-// the map range, unless a sort call mentioning that variable follows in
-// the same body — the same collect-then-sort contract the determinism
-// analyzer enforces.
-func unsortedMapAppend(info *types.Info, body *ast.BlockStmt, rs *ast.RangeStmt) (token.Pos, bool) {
-	var hit token.Pos
-	ast.Inspect(rs.Body, func(x ast.Node) bool {
-		if hit.IsValid() {
-			return false
-		}
-		as, ok := x.(*ast.AssignStmt)
-		if !ok || (as.Tok != token.ASSIGN && as.Tok != token.DEFINE) {
-			return true
-		}
-		for i, rhs := range as.Rhs {
-			call, ok := ast.Unparen(rhs).(*ast.CallExpr)
-			if !ok || i >= len(as.Lhs) {
-				continue
-			}
-			if id, ok := ast.Unparen(call.Fun).(*ast.Ident); ok {
-				if b, ok := info.Uses[id].(*types.Builtin); ok && b.Name() == "append" {
-					if obj := assignedObject(info, as.Lhs[i]); obj != nil && obj.Pos() < rs.Pos() {
-						if !sortedAfter(info, body, rs, obj) {
-							hit = as.Pos()
-						}
-					}
-				}
+			if isMap(info.TypeOf(x.X)) {
+				scanMapRange(info, root, x, emit)
 			}
 		}
 		return true
 	})
-	return hit, hit.IsValid()
 }
 
-// sortedAfter reports whether a sort.*/slices.Sort* call mentioning obj
-// appears after the range within the same body.
-func sortedAfter(info *types.Info, body *ast.BlockStmt, rs *ast.RangeStmt, obj types.Object) bool {
+// scanMapRange emits the order-sensitive work inside one map range. A
+// nested map range is left to its own visit, whose notion of "outer" is
+// the stricter one.
+func scanMapRange(info *types.Info, root ast.Node, rs *ast.RangeStmt, emit func(pos token.Pos, what, msg string)) {
+	const what = "map iteration order"
+	ast.Inspect(rs.Body, func(x ast.Node) bool {
+		switch x := x.(type) {
+		case *ast.RangeStmt:
+			return !isMap(info.TypeOf(x.X))
+		case *ast.AssignStmt:
+			for i, lhs := range x.Lhs {
+				obj := assignedObject(info, lhs)
+				if obj == nil || within(obj.Pos(), rs) {
+					continue
+				}
+				switch x.Tok {
+				case token.ADD_ASSIGN, token.SUB_ASSIGN:
+					if b, ok := obj.Type().Underlying().(*types.Basic); ok && b.Info()&types.IsFloat != 0 {
+						emit(x.Pos(), what, fmt.Sprintf("floating-point accumulation into %s in map iteration order: float addition is not associative", obj.Name()))
+					}
+				case token.ASSIGN, token.DEFINE:
+					if i < len(x.Rhs) && isAppend(info, x.Rhs[i]) && !sortedAfter(info, root, rs, obj) {
+						emit(x.Pos(), what, fmt.Sprintf("append to %s in map iteration order without a later sort", obj.Name()))
+					}
+				}
+			}
+		case *ast.CallExpr:
+			fn := analysis.CalleeFunc(info, x)
+			if isFmtPrint(fn) {
+				emit(x.Pos(), what, fmt.Sprintf("fmt.%s inside a map range: output depends on map iteration order", fn.Name()))
+			} else if fn != nil && fn.Type().(*types.Signature).Recv() != nil && isWriteName(fn.Name()) {
+				emit(x.Pos(), what, fmt.Sprintf("%s call inside a map range: output depends on map iteration order", fn.Name()))
+			}
+		}
+		return true
+	})
+}
+
+func isMap(t types.Type) bool {
+	if t == nil {
+		return false
+	}
+	_, ok := t.Underlying().(*types.Map)
+	return ok
+}
+
+func isFmtPrint(fn *types.Func) bool {
+	if fn == nil || fn.Pkg() == nil || fn.Pkg().Path() != "fmt" {
+		return false
+	}
+	name := fn.Name()
+	return strings.HasPrefix(name, "Print") || strings.HasPrefix(name, "Fprint") || strings.HasPrefix(name, "Sprint")
+}
+
+func isWriteName(name string) bool {
+	return name == "Write" || name == "WriteString" || name == "WriteByte" || name == "WriteRune"
+}
+
+// isAppend matches a call to the append builtin.
+func isAppend(info *types.Info, e ast.Expr) bool {
+	call, ok := ast.Unparen(e).(*ast.CallExpr)
+	if !ok {
+		return false
+	}
+	id, ok := ast.Unparen(call.Fun).(*ast.Ident)
+	if !ok {
+		return false
+	}
+	b, ok := info.Uses[id].(*types.Builtin)
+	return ok && b.Name() == "append"
+}
+
+// assignedObject resolves the variable an assignment target refers to.
+func assignedObject(info *types.Info, e ast.Expr) types.Object {
+	switch e := ast.Unparen(e).(type) {
+	case *ast.Ident:
+		if obj := info.Defs[e]; obj != nil {
+			return obj
+		}
+		return info.Uses[e]
+	case *ast.SelectorExpr:
+		return info.Uses[e.Sel]
+	}
+	return nil
+}
+
+func within(pos token.Pos, n ast.Node) bool {
+	return pos >= n.Pos() && pos <= n.End()
+}
+
+// sortedAfter reports whether a sort.* or slices.Sort* call mentioning
+// obj appears after the range within root — the canonical
+// collect-then-sort fix.
+func sortedAfter(info *types.Info, root ast.Node, rs *ast.RangeStmt, obj types.Object) bool {
 	found := false
-	ast.Inspect(body, func(x ast.Node) bool {
+	ast.Inspect(root, func(x ast.Node) bool {
 		if found {
 			return false
 		}
@@ -223,19 +306,6 @@ func sortedAfter(info *types.Info, body *ast.BlockStmt, rs *ast.RangeStmt, obj t
 	return found
 }
 
-func assignedObject(info *types.Info, e ast.Expr) types.Object {
-	switch e := ast.Unparen(e).(type) {
-	case *ast.Ident:
-		if obj := info.Defs[e]; obj != nil {
-			return obj
-		}
-		return info.Uses[e]
-	case *ast.SelectorExpr:
-		return info.Uses[e.Sel]
-	}
-	return nil
-}
-
 func inTelemetry(n *callgraph.Node) bool {
 	return n != nil && analysis.PathHasSuffix(n.Pkg.PkgPath, telemetryBarrier)
 }
@@ -248,16 +318,4 @@ func isSink(n *callgraph.Node) bool {
 		return true
 	}
 	return n.Fn != nil && n.Fn.Name() == "Digest"
-}
-
-// inspectOwn walks root without descending into nested function literals.
-func inspectOwn(root *ast.BlockStmt, visit func(ast.Node)) {
-	ast.Inspect(root, func(x ast.Node) bool {
-		if x == nil {
-			return false
-		}
-		visit(x)
-		_, isLit := x.(*ast.FuncLit)
-		return !isLit
-	})
 }

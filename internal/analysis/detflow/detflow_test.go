@@ -10,6 +10,8 @@ import (
 func TestDetflow(t *testing.T) {
 	analysistest.Run(t, "testdata", detflow.Analyzer,
 		"example.com/internal/leakage",
+		"example.com/internal/other",
+		"example.com/internal/stats",
 		"example.com/store",
 	)
 }

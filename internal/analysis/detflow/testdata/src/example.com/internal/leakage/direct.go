@@ -1,6 +1,5 @@
-// Package leakage is a determinism fixture standing in for a
-// result-producing package (its import path ends in internal/leakage, so
-// the analyzer applies).
+// This file holds the depth-0 cases: sources used directly inside a
+// result-producing package are findings where they sit.
 package leakage
 
 import (
@@ -13,20 +12,20 @@ import (
 
 // Clock reads the wall clock in the result path.
 func Clock() int64 {
-	t := time.Now() // want `time.Now in result-producing package`
+	t := time.Now() // want `time.Now in result-producing code`
 	return t.Unix()
 }
 
 // SuppressedClock demonstrates directive suppression.
 func SuppressedClock() int64 {
-	//lint:ignore determinism fixture: telemetry-only wall clock
+	//lint:ignore detflow fixture: telemetry-only wall clock
 	t := time.Now()
 	return t.Unix()
 }
 
 // Random draws from math/rand in the result path.
 func Random() int {
-	return rand.Intn(8) // want `math/rand in result-producing package`
+	return rand.Intn(8) // want `math/rand in result-producing code`
 }
 
 // PrintMap hands a map straight to fmt.

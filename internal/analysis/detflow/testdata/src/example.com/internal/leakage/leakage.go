@@ -24,7 +24,7 @@ func KeysSorted(m map[string]int) []string {
 	return util.CollectSorted(m)
 }
 
-// Reviewed calls a source that carries a determinism suppression: the
+// Reviewed calls a source that carries a detflow suppression: the
 // human sign-off holds transitively.
 func Reviewed() int64 {
 	return util.Sanctioned()
@@ -36,9 +36,7 @@ func Observed() int64 {
 	return telemetry.TimeIt()
 }
 
-// Direct uses the clock in its own body — that is the intraprocedural
-// determinism analyzer's finding, not detflow's, so nothing is reported
-// here by this analyzer.
+// Direct uses the clock in its own body: a depth-0 finding at the site.
 func Direct() time.Time {
-	return time.Now()
+	return time.Now() // want `time.Now in result-producing code`
 }

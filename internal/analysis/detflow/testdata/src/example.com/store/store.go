@@ -2,7 +2,11 @@
 // by name: digests must be reproducible wherever they are computed.
 package store
 
-import "example.com/util"
+import (
+	"time"
+
+	"example.com/util"
+)
 
 // Store owns a content digest.
 type Store struct {
@@ -18,4 +22,13 @@ func (s *Store) Digest() int64 {
 // are not findings.
 func (s *Store) List(m map[string]int) []string {
 	return util.Collect(m)
+}
+
+// Stamped is a Digest that reads the clock itself: outside a result
+// package, a Digest's own sources are reported where they sit.
+type Stamped struct{}
+
+// Digest is a sink by name with a direct source.
+func (Stamped) Digest() int64 {
+	return time.Now().UnixNano() // want `time.Now in result-producing code`
 }

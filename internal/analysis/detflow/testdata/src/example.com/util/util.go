@@ -15,10 +15,10 @@ func Stamp() time.Time { return time.Now() }
 // calls deep.
 func Wrap() int64 { return Stamp().UnixNano() }
 
-// Sanctioned reads the clock under a reviewed determinism suppression:
+// Sanctioned reads the clock under a reviewed detflow suppression:
 // the site does not taint.
 func Sanctioned() int64 {
-	//lint:ignore determinism timing feeds a local log only, never results
+	//lint:ignore detflow timing feeds a local log only, never results
 	t := time.Now()
 	return t.UnixNano()
 }

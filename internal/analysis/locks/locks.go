@@ -1,10 +1,10 @@
-// Package locks enforces the mutex hygiene the parallel pipeline depends
-// on: sync.Mutex/RWMutex values are never copied (a copied lock guards
-// nothing), and every acquisition is released on every path — either by
-// an immediate defer or by one unconditional unlock with no way for
-// control to leave the critical section in between. A leaked lock in the
-// suite singleflight or the server's cache deadlocks a sweep instead of
-// failing it.
+// Package locks enforces the release discipline the parallel pipeline
+// depends on: every acquisition is released on every path — either by an
+// immediate defer or by one unconditional unlock with no way for control
+// to leave the critical section in between. A leaked lock in the
+// singleflight or the server's cache deadlocks a sweep instead of failing
+// it. Lock copies (a copied lock guards nothing) are go vet's copylocks
+// check, which `make lint` runs first.
 package locks
 
 import (
@@ -15,98 +15,23 @@ import (
 	"leakbound/internal/analysis"
 )
 
-// Analyzer flags lock copies and unbalanced lock/unlock discipline.
+// Analyzer flags unbalanced lock/unlock discipline.
 var Analyzer = &analysis.Analyzer{
 	Name: "locks",
-	Doc:  "flag sync.Mutex/RWMutex value copies, and Lock calls not released by defer or by one unconditional Unlock on every path",
+	Doc:  "flag sync.Mutex/RWMutex Lock calls not released by defer or by one unconditional Unlock on every path",
 	Run:  run,
 }
 
 func run(pass *analysis.Pass) (interface{}, error) {
 	for _, file := range pass.Files {
 		ast.Inspect(file, func(n ast.Node) bool {
-			switch n := n.(type) {
-			case *ast.FuncDecl:
-				checkSignature(pass, n)
-			case *ast.AssignStmt:
-				checkCopy(pass, n)
-			case *ast.BlockStmt:
-				checkBlock(pass, n)
+			if b, ok := n.(*ast.BlockStmt); ok {
+				checkBlock(pass, b)
 			}
 			return true
 		})
 	}
 	return nil, nil
-}
-
-// checkSignature flags receivers and parameters that carry a lock by
-// value.
-func checkSignature(pass *analysis.Pass, fd *ast.FuncDecl) {
-	fields := []*ast.FieldList{fd.Recv, fd.Type.Params}
-	for _, fl := range fields {
-		if fl == nil {
-			continue
-		}
-		for _, f := range fl.List {
-			t := pass.TypesInfo.TypeOf(f.Type)
-			if t == nil {
-				continue
-			}
-			if _, isPtr := t.Underlying().(*types.Pointer); isPtr {
-				continue
-			}
-			if containsLock(t, 0) {
-				pass.Reportf(f.Pos(), "%s passes a lock by value; use a pointer", fd.Name.Name)
-			}
-		}
-	}
-}
-
-// checkCopy flags assignments that copy an existing lock-bearing value.
-// Composite literals and conversions construct fresh values and are fine;
-// copying an addressable expression (or a call result) is not.
-func checkCopy(pass *analysis.Pass, as *ast.AssignStmt) {
-	if len(as.Rhs) == 0 {
-		return
-	}
-	for _, rhs := range as.Rhs {
-		e := ast.Unparen(rhs)
-		switch e.(type) {
-		case *ast.CompositeLit, *ast.UnaryExpr, *ast.FuncLit:
-			continue
-		}
-		t := pass.TypesInfo.TypeOf(e)
-		if t == nil || !containsLock(t, 0) {
-			continue
-		}
-		pass.Reportf(as.Pos(), "assignment copies a lock value")
-	}
-}
-
-// containsLock reports whether t is or embeds a sync.Mutex or
-// sync.RWMutex by value.
-func containsLock(t types.Type, depth int) bool {
-	if depth > 4 {
-		return false
-	}
-	if named, ok := t.(*types.Named); ok {
-		obj := named.Obj()
-		if obj.Pkg() != nil && obj.Pkg().Path() == "sync" &&
-			(obj.Name() == "Mutex" || obj.Name() == "RWMutex" || obj.Name() == "WaitGroup" || obj.Name() == "Once") {
-			return true
-		}
-	}
-	switch u := t.Underlying().(type) {
-	case *types.Struct:
-		for i := 0; i < u.NumFields(); i++ {
-			if containsLock(u.Field(i).Type(), depth+1) {
-				return true
-			}
-		}
-	case *types.Array:
-		return containsLock(u.Elem(), depth+1)
-	}
-	return false
 }
 
 // checkBlock enforces release discipline for each Lock/RLock statement in

@@ -1,5 +1,4 @@
-// Package locks is the locks fixture: copy hazards and release
-// discipline, both ways.
+// Package locks is the locks fixture: release discipline, both ways.
 package locks
 
 import "sync"
@@ -82,34 +81,6 @@ func (b *Box) ClosureRelease() {
 		b.mu.Unlock()
 	}()
 	b.n++
-}
-
-// PassByValue copies the lock through the parameter list.
-func PassByValue(b Box) int { // want `PassByValue passes a lock by value`
-	return b.n
-}
-
-// ValueReceiver copies the lock through the receiver.
-func (b Box) ValueReceiver() int { // want `ValueReceiver passes a lock by value`
-	return b.n
-}
-
-// AssignCopy copies an existing lock-bearing value.
-func AssignCopy(src *Box) int {
-	local := *src // want `assignment copies a lock value`
-	return local.n
-}
-
-// PointerUse takes the address instead: fine.
-func PointerUse(src *Box) int {
-	local := src
-	return local.n
-}
-
-// FreshValue constructs a new value rather than copying one: fine.
-func FreshValue() *Box {
-	b := Box{}
-	return &b
 }
 
 // SuppressedHandoff shows the escape hatch for deliberate ownership

@@ -29,18 +29,21 @@ type Timing struct {
 }
 
 // Run applies every analyzer to every package and returns the surviving
-// findings sorted by file, line, column, then analyzer name — the output
-// order is deterministic by construction, like everything else in this
-// repo. Diagnostics suppressed by a well-formed `//lint:ignore` directive
+// findings sorted by file, line, column, analyzer name, then message —
+// the output order is deterministic by construction, like everything
+// else in this repo. Diagnostics suppressed by a well-formed `//lint:ignore` directive
 // are dropped; malformed directives are themselves findings.
 func Run(pkgs []*Package, analyzers []*Analyzer) ([]Finding, error) {
-	findings, _, err := RunTimed(pkgs, analyzers)
+	findings, _, err := RunTimed(pkgs, analyzers, false)
 	return findings, err
 }
 
 // RunTimed is Run, additionally reporting per-analyzer wall time in the
-// analyzers' presentation order (the `make lint` timing table).
-func RunTimed(pkgs []*Package, analyzers []*Analyzer) ([]Finding, []Timing, error) {
+// analyzers' presentation order (the `make lint` timing table). With
+// unused set — a run of the full suite — every directive name that
+// suppressed nothing is a finding too, so a directive outliving its
+// hazard (or naming a deleted analyzer) cannot linger.
+func RunTimed(pkgs []*Package, analyzers []*Analyzer, unused bool) ([]Finding, []Timing, error) {
 	var findings []Finding
 	dirs := make(directiveSet)
 	for _, pkg := range pkgs {
@@ -70,9 +73,10 @@ func RunTimed(pkgs []*Package, analyzers []*Analyzer) ([]Finding, []Timing, erro
 				break
 			}
 			pass := &ProgramPass{
-				Analyzer: a,
-				Fset:     pkgs[0].Fset,
-				Packages: pkgs,
+				Analyzer:   a,
+				Fset:       pkgs[0].Fset,
+				Packages:   pkgs,
+				Directives: DirectiveIndex{set: dirs},
 			}
 			pass.Report = func(d Diagnostic) {
 				if f, ok := keep(a.Name, pass.Fset, d); ok {
@@ -103,6 +107,9 @@ func RunTimed(pkgs []*Package, analyzers []*Analyzer) ([]Finding, []Timing, erro
 		}
 		elapsed[a.Name] += time.Since(start)
 	}
+	if unused {
+		findings = append(findings, dirs.unused()...)
+	}
 	timings := make([]Timing, 0, len(analyzers))
 	for _, a := range analyzers {
 		timings = append(timings, Timing{Name: a.Name, Duration: elapsed[a.Name]})
@@ -118,7 +125,10 @@ func RunTimed(pkgs []*Package, analyzers []*Analyzer) ([]Finding, []Timing, erro
 		if a.Pos.Column != b.Pos.Column {
 			return a.Pos.Column < b.Pos.Column
 		}
-		return a.Analyzer < b.Analyzer
+		if a.Analyzer != b.Analyzer {
+			return a.Analyzer < b.Analyzer
+		}
+		return a.Message < b.Message
 	})
 	return findings, timings, nil
 }
@@ -134,41 +144,62 @@ func RunTimed(pkgs []*Package, analyzers []*Analyzer) ([]Finding, []Timing, erro
 // are treated as findings.
 const directivePrefix = "//lint:ignore "
 
-// directiveSet indexes suppressions by file and line.
-type directiveSet map[string]map[int][]string // file -> line -> analyzer names
+// directive is one analyzer name on one //lint:ignore line; used records
+// whether it suppressed anything during the run.
+type directive struct {
+	name string
+	pos  token.Position
+	used bool
+}
 
+// directiveSet indexes suppressions by file and line.
+type directiveSet map[string]map[int][]*directive
+
+// suppresses reports whether a directive naming the analyzer (or "all")
+// covers pos, marking every such directive used.
 func (d directiveSet) suppresses(analyzer string, pos token.Position) bool {
 	lines := d[pos.Filename]
 	if lines == nil {
 		return false
 	}
+	hit := false
 	for _, line := range []int{pos.Line, pos.Line - 1} {
-		for _, name := range lines[line] {
-			if name == analyzer || name == "all" {
-				return true
+		for _, dir := range lines[line] {
+			if dir.name == analyzer || dir.name == "all" {
+				dir.used = true
+				hit = true
 			}
 		}
 	}
-	return false
+	return hit
 }
 
-// DirectiveIndex is a read-only view of the //lint:ignore directives in a
-// set of packages, for analyzers that need to know whether a site has
-// already been human-sanctioned (detflow treats a time.Now carrying a
-// determinism suppression as a reviewed non-source rather than re-raising
-// it through every caller).
+// unused returns a finding per directive name that suppressed nothing.
+func (d directiveSet) unused() []Finding {
+	var out []Finding
+	for _, lines := range d {
+		for _, dirs := range lines {
+			for _, dir := range dirs {
+				if !dir.used {
+					out = append(out, Finding{
+						Analyzer: "directives",
+						Pos:      dir.pos,
+						Message:  fmt.Sprintf("//lint:ignore %s suppresses nothing: delete it", dir.name),
+					})
+				}
+			}
+		}
+	}
+	return out
+}
+
+// DirectiveIndex is a read-only view of the run's //lint:ignore
+// directives, for analyzers that need to know whether a site has already
+// been human-sanctioned (detflow treats a time.Now carrying a detflow
+// suppression as a reviewed non-source rather than re-raising it through
+// every caller). A directive consulted this way counts as used.
 type DirectiveIndex struct {
 	set directiveSet
-}
-
-// Directives indexes the well-formed suppression directives of pkgs
-// (malformed ones are the runner's business and are ignored here).
-func Directives(pkgs ...*Package) DirectiveIndex {
-	set := make(directiveSet)
-	for _, pkg := range pkgs {
-		collectDirectives(pkg, set)
-	}
-	return DirectiveIndex{set: set}
 }
 
 // Covers reports whether a directive naming the analyzer (or "all")
@@ -201,10 +232,12 @@ func collectDirectives(pkg *Package, dirs directiveSet) []Finding {
 				}
 				lines := dirs[pos.Filename]
 				if lines == nil {
-					lines = make(map[int][]string)
+					lines = make(map[int][]*directive)
 					dirs[pos.Filename] = lines
 				}
-				lines[pos.Line] = append(lines[pos.Line], strings.Split(names, ",")...)
+				for _, name := range strings.Split(names, ",") {
+					lines[pos.Line] = append(lines[pos.Line], &directive{name: name, pos: pos})
+				}
 			}
 		}
 	}

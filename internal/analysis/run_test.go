@@ -1,6 +1,7 @@
 package analysis
 
 import (
+	"fmt"
 	"go/ast"
 	"go/parser"
 	"go/token"
@@ -90,6 +91,52 @@ func MissingReason() {}
 	}
 	if findings[1].Message != "function MissingReason" {
 		t.Errorf("second finding = %+v, want the unsuppressed function", findings[1])
+	}
+}
+
+// TestRunUnusedDirectives: a full run reports each directive name that
+// suppressed nothing — a wrong or deleted analyzer name, or a directive
+// over code that no longer trips the check — and a partial run does not.
+// A directive a program analyzer consults as a reviewed site (detflow's
+// sanctioned sources) counts as used.
+func TestRunUnusedDirectives(t *testing.T) {
+	pkg := loadSource(t, `package fixture
+
+//lint:ignore flagfuncs,gone the second name suppresses nothing
+func Suppressed() {}
+
+//lint:ignore flagfuncs nothing to suppress on a variable
+var x = 1
+
+//lint:ignore reviewer consulted by the analyzer
+var y = 2
+`)
+	reviewer := &Analyzer{
+		Name: "reviewer",
+		Doc:  "consults the directive above the last declaration",
+		RunProgram: func(pass *ProgramPass) error {
+			decls := pass.Packages[0].Syntax[0].Decls
+			pass.Directives.Covers("reviewer", pass.Fset.Position(decls[len(decls)-1].Pos()))
+			return nil
+		},
+	}
+	findings, _, err := RunTimed([]*Package{pkg}, []*Analyzer{funcFlagger, reviewer}, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, f := range findings {
+		got = append(got, fmt.Sprintf("%d %s %s", f.Pos.Line, f.Analyzer, f.Message))
+	}
+	want := []string{
+		"3 directives //lint:ignore gone suppresses nothing: delete it",
+		"6 directives //lint:ignore flagfuncs suppresses nothing: delete it",
+	}
+	if strings.Join(got, "|") != strings.Join(want, "|") {
+		t.Errorf("findings = %q, want %q", got, want)
+	}
+	if findings, err := Run([]*Package{pkg}, []*Analyzer{funcFlagger}); err != nil || len(findings) != 0 {
+		t.Errorf("partial run = %v, %v; want no findings", findings, err)
 	}
 }
 

@@ -71,8 +71,8 @@ type sarifRegion struct {
 
 // WriteSARIF encodes findings as a SARIF 2.1.0 log. analyzers supplies
 // the rule table (every registered analyzer appears as a rule even with
-// zero findings, plus the implicit "directives" rule for malformed
-// suppressions); root, when non-empty, is stripped from filenames so the
+// zero findings, plus the implicit "directives" rule for malformed and
+// unused suppressions); root, when non-empty, is stripped from filenames so the
 // log carries repo-relative URIs.
 func WriteSARIF(w io.Writer, root string, analyzers []*Analyzer, findings []Finding) error {
 	rules := make([]sarifRule, 0, len(analyzers)+1)
@@ -85,7 +85,7 @@ func WriteSARIF(w io.Writer, root string, analyzers []*Analyzer, findings []Find
 	}
 	rules = append(rules, sarifRule{
 		ID:               "directives",
-		ShortDescription: sarifMessage{Text: "report malformed //lint:ignore suppression directives"},
+		ShortDescription: sarifMessage{Text: "report malformed or unused //lint:ignore suppression directives"},
 	})
 	sort.Slice(rules, func(i, j int) bool { return rules[i].ID < rules[j].ID })
 

@@ -49,21 +49,3 @@ func IsPkgFunc(fn *types.Func, pkgPath, name string) bool {
 func PathHasSuffix(path, suffix string) bool {
 	return path == suffix || strings.HasSuffix(path, "/"+suffix)
 }
-
-// ContainsReturn reports whether the statement contains a return or a
-// branching statement (break/continue/goto) anywhere outside nested
-// function literals — the test the locks analyzer uses for "does control
-// possibly leave this span".
-func ContainsReturn(n ast.Node) bool {
-	found := false
-	ast.Inspect(n, func(n ast.Node) bool {
-		switch n.(type) {
-		case *ast.FuncLit:
-			return false
-		case *ast.ReturnStmt, *ast.BranchStmt:
-			found = true
-		}
-		return !found
-	})
-	return found
-}

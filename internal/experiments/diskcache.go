@@ -94,9 +94,11 @@ func (s *Suite) loadCached(key, name string) (d *BenchmarkData) {
 	if iDist == nil || dDist == nil || l2Dist == nil {
 		return nil
 	}
-	// Sanity: the cached distributions must be mutually consistent.
-	if iDist.TotalCycles != meta.Result.Cycles || dDist.TotalCycles != meta.Result.Cycles {
-		return nil
+	// Sanity: every distribution must come from the sidecar's simulation.
+	for _, dist := range []*interval.Distribution{iDist, dDist, l2Dist} {
+		if dist.TotalCycles != meta.Result.Cycles {
+			return nil
+		}
 	}
 	return &BenchmarkData{
 		Name: name, Result: meta.Result,

@@ -2,6 +2,8 @@ package experiments
 
 import (
 	"context"
+	"os"
+	"path/filepath"
 	"strconv"
 	"strings"
 	"testing"
@@ -11,6 +13,7 @@ import (
 	"leakbound/internal/power"
 	"leakbound/internal/sim/cache"
 	"leakbound/internal/sim/trace"
+	"leakbound/internal/telemetry"
 )
 
 func TestExtendedSchemesTable(t *testing.T) {
@@ -290,6 +293,30 @@ func TestDiskCacheRoundTrip(t *testing.T) {
 	}
 	if s2.loadCached(key, "gzip") != nil {
 		t.Error("corrupted cache accepted")
+	}
+}
+
+// TestDiskCacheRejectsForeignL2: an entry whose L2 distribution came from
+// another simulation must miss, not serve a mismatched hierarchy.
+func TestDiskCacheRejectsForeignL2(t *testing.T) {
+	dir := t.TempDir()
+	s1 := MustNew(WithScale(0.02), WithCacheDir(dir), WithMetrics(telemetry.NewRegistry()))
+	for _, name := range []string{"gzip", "mesa"} {
+		if _, err := s1.DataContext(context.Background(), name); err != nil {
+			t.Fatal(err)
+		}
+	}
+	foreign, err := os.ReadFile(filepath.Join(dir, s1.cacheKey("mesa")+".l2"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := osWriteFileHelper(filepath.Join(dir, s1.cacheKey("gzip")+".l2"), foreign); err != nil {
+		t.Fatal(err)
+	}
+	s2 := MustNew(WithScale(0.02), WithCacheDir(dir), WithMetrics(telemetry.NewRegistry()))
+	if d := s2.loadCached(s2.cacheKey("gzip"), "gzip"); d != nil {
+		t.Errorf("served gzip with a foreign L2: L2Cache.TotalCycles %d, Result.Cycles %d",
+			d.L2Cache.TotalCycles, d.Result.Cycles)
 	}
 }
 

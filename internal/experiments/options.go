@@ -79,10 +79,9 @@ func WithWorkers(n int) Option {
 // telemetry registry, parallelized over GOMAXPROCS workers.
 func New(opts ...Option) (*Suite, error) {
 	s := &Suite{
-		scale:    DefaultScale,
-		metrics:  telemetry.Default(),
-		data:     make(map[string]*BenchmarkData),
-		inflight: make(map[string]*inflightSim),
+		scale:   DefaultScale,
+		metrics: telemetry.Default(),
+		data:    make(map[string]*BenchmarkData),
 	}
 	for _, opt := range opts {
 		if opt == nil {

@@ -25,7 +25,6 @@ package experiments
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"sort"
 	"strings"
@@ -38,6 +37,7 @@ import (
 	"leakbound/internal/sim/cpu"
 	"leakbound/internal/sim/stream"
 	"leakbound/internal/sim/trace"
+	"leakbound/internal/singleflight"
 	"leakbound/internal/telemetry"
 	"leakbound/internal/workload"
 )
@@ -102,22 +102,14 @@ type Suite struct {
 	scenarios   []Scenario
 	scenarioIdx map[string]Scenario
 
-	mu       sync.Mutex
-	data     map[string]*BenchmarkData
-	inflight map[string]*inflightSim
+	mu   sync.Mutex
+	data map[string]*BenchmarkData
 	// adhocOrder tracks insertion order of ad-hoc scenario entries in data
 	// (keys carry the "adhoc:" prefix) for bounded LRU-ish eviction; see
 	// DataForScenarioContext.
 	adhocOrder []string
+	flights    singleflight.Group[*BenchmarkData]
 	cacheDir   string // optional on-disk cache (see diskcache.go)
-}
-
-// inflightSim is the per-benchmark singleflight gate: the leader closes
-// done after publishing d/err, and waiters read them only after <-done.
-type inflightSim struct {
-	done chan struct{}
-	d    *BenchmarkData
-	err  error
 }
 
 // DefaultScale is the workload scale used by the experiment binaries: the
@@ -147,66 +139,47 @@ func (s *Suite) DataContext(ctx context.Context, name string) (*BenchmarkData, e
 // disjoint). adhoc entries are retained in a small bounded window rather
 // than forever — see adhocDataCap.
 func (s *Suite) dataByKey(ctx context.Context, key string, adhoc bool, produce func(context.Context) (*BenchmarkData, error)) (*BenchmarkData, error) {
-	for {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		s.mu.Lock()
-		if d, ok := s.data[key]; ok {
-			s.mu.Unlock()
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	if d := s.published(key); d != nil {
+		return d, nil
+	}
+	return s.flights.Do(ctx, key, func() (*BenchmarkData, error) {
+		// A leader that finished after the lookup above has published.
+		if d := s.published(key); d != nil {
 			return d, nil
 		}
-		if c, ok := s.inflight[key]; ok {
-			s.mu.Unlock()
-			select {
-			case <-c.done:
-				if c.err == nil {
-					return c.d, nil
-				}
-				// Leader failed — maybe its own context was cancelled.
-				// Loop: a deterministic failure will fail again under this
-				// caller's leadership; a leader-only cancellation must not
-				// poison everyone else.
-				continue
-			case <-ctx.Done():
-				return nil, ctx.Err()
-			}
+		d, err := produce(ctx)
+		if err != nil {
+			return nil, err
 		}
-		c := &inflightSim{done: make(chan struct{})}
-		s.inflight[key] = c
-		s.mu.Unlock()
-		return s.lead(ctx, key, adhoc, c, produce)
-	}
+		s.publish(key, adhoc, d)
+		return d, nil
+	})
 }
 
-// errLeaderPanicked is what waiters see when their leader's produce
-// panicked; like any leader failure, it sends them round the loop to retry.
-var errLeaderPanicked = errors.New("experiments: simulation leader panicked")
+// published returns the data stored under key, or nil.
+func (s *Suite) published(key string) *BenchmarkData {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.data[key]
+}
 
-// lead runs produce as key's singleflight leader and publishes the result.
-// The cleanup is deferred so it runs even if produce panics: the gate
-// leaves inflight and done closes, so waiters retry rather than block
-// until their own deadlines, and the panic continues to the caller.
-func (s *Suite) lead(ctx context.Context, key string, adhoc bool, c *inflightSim, produce func(context.Context) (*BenchmarkData, error)) (*BenchmarkData, error) {
-	c.err = errLeaderPanicked // replaced unless produce panics
-	defer func() {
-		s.mu.Lock()
-		delete(s.inflight, key)
-		if c.err == nil {
-			if adhoc {
-				s.adhocOrder = append(s.adhocOrder, key)
-				if len(s.adhocOrder) > adhocDataCap {
-					delete(s.data, s.adhocOrder[0])
-					s.adhocOrder = s.adhocOrder[1:]
-				}
-			}
-			s.data[key] = c.d
+// publish stores a leader's result before its flight ends, so a caller
+// that leads next finds it. An ad-hoc entry joins the bounded window and
+// evicts the oldest beyond adhocDataCap.
+func (s *Suite) publish(key string, adhoc bool, d *BenchmarkData) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if adhoc {
+		s.adhocOrder = append(s.adhocOrder, key)
+		if len(s.adhocOrder) > adhocDataCap {
+			delete(s.data, s.adhocOrder[0])
+			s.adhocOrder = s.adhocOrder[1:]
 		}
-		s.mu.Unlock()
-		close(c.done)
-	}()
-	c.d, c.err = produce(ctx)
-	return c.d, c.err
+	}
+	s.data[key] = d
 }
 
 // produce loads one benchmark from the disk cache or simulates it; called
@@ -232,7 +205,7 @@ func (s *Suite) produceWorkload(ctx context.Context, name, key string, perName b
 		d.buildAggregates()
 		return d, nil
 	}
-	//lint:ignore determinism wall clock feeds the sim_ms/sim_ns telemetry only, never the simulation products
+	//lint:ignore detflow wall clock feeds the sim_ms/sim_ns telemetry only, never the simulation products
 	start := time.Now()
 	sc := s.metrics.Scope("suite")
 	w, err := mk()
@@ -240,6 +213,8 @@ func (s *Suite) produceWorkload(ctx context.Context, name, key string, perName b
 		return nil, err
 	}
 	d, err := simulate(ctx, name, w)
+	//lint:ignore detflow wall clock feeds the sim_ms/sim_ns telemetry only, never the simulation products
+	elapsed := time.Since(start)
 	if err != nil {
 		if ctx.Err() != nil {
 			// Partial-telemetry flush on cancellation: the abandoned work
@@ -247,12 +222,11 @@ func (s *Suite) produceWorkload(ctx context.Context, name, key string, perName b
 			sc.Counter("sims_cancelled").Add(1)
 			if perName {
 				//lint:ignore telemetryscope registered benchmark names are a closed set (BenchmarkNames(), fixed at construction), so cardinality is bounded and snapshots stay deterministic
-				sc.Gauge("cancelled_after_ms/" + name).Set(time.Since(start).Milliseconds())
+				sc.Gauge("cancelled_after_ms/" + name).Set(elapsed.Milliseconds())
 			}
 		}
 		return nil, err
 	}
-	elapsed := time.Since(start)
 	sc.Counter("fresh_sims").Add(1)
 	if perName {
 		//lint:ignore telemetryscope registered benchmark names are a closed set (BenchmarkNames(), fixed at construction), so cardinality is bounded and snapshots stay deterministic

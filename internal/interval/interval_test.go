@@ -494,3 +494,30 @@ func BenchmarkDistributionEach(b *testing.B) {
 		})
 	}
 }
+
+// TestCollectorAddColsAllocationFree is the dynamic twin of AddCols'
+// //lint:hotpath entry marker: once the buckets a stream lands in exist,
+// collecting more of it allocates nothing.
+func TestCollectorAddColsAllocationFree(t *testing.T) {
+	c, err := NewCollector(trace.L1D, 64, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var cycle uint64
+	pass := func() {
+		for i := 0; i < 1024; i++ {
+			cycle++
+			kind := trace.Load
+			if i%5 == 0 {
+				kind = trace.Store
+			}
+			if err := c.AddCols(cycle, uint64(i), 0, uint32(cycle%64), trace.L1D, kind, i%7 == 0); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	pass() // warm-up: leading gaps and the first bucket of each flags class
+	if allocs := testing.AllocsPerRun(20, pass); allocs != 0 {
+		t.Errorf("AddCols: %v allocs/run, want 0", allocs)
+	}
+}

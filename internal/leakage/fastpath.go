@@ -79,7 +79,6 @@ func EvaluateAggregate(t power.Technology, agg *interval.Aggregates, p Policy) (
 		if !ok {
 			// No closed form for this flags class: the whole evaluation
 			// falls back, never a mixed fast/reference sum.
-			//lint:ignore hotalloc a class without a curve sends the whole evaluation down the audited reference walk
 			return Evaluate(t, agg.Source(), p)
 		}
 		energy += evalCurveOverClass(curve, cls)

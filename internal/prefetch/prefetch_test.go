@@ -239,3 +239,21 @@ func BenchmarkClassifierObserve(b *testing.B) {
 		c.Observe(dEvent(uint64(i), uint64(i%100000), uint64(i%512)))
 	}
 }
+
+// TestClassifyObserveAllocationFree is the dynamic twin of the
+// //lint:hotpath marker: once the line pages and stride entries a stream
+// touches exist, classifying more of it allocates nothing.
+func TestClassifyObserveAllocationFree(t *testing.T) {
+	c := MustNewClassifier(ForDCache())
+	var cycle uint64
+	pass := func() {
+		for i := uint64(0); i < 4096; i++ {
+			cycle++
+			c.ClassifyObserve(cycle, i%1024, i%64, trace.Load, cycle-i%7, i%3 == 0)
+		}
+	}
+	pass() // warm-up: first touch of every page and stride entry
+	if allocs := testing.AllocsPerRun(20, pass); allocs != 0 {
+		t.Errorf("ClassifyObserve: %v allocs/run, want 0", allocs)
+	}
+}

@@ -41,6 +41,7 @@ import (
 	"time"
 
 	"leakbound/internal/experiments"
+	"leakbound/internal/singleflight"
 	"leakbound/internal/telemetry"
 )
 
@@ -92,7 +93,7 @@ type Server struct {
 	scope    *telemetry.Scope
 	mux      *http.ServeMux
 	cache    *resultCache
-	flights  *flightGroup
+	flights  *singleflight.Group[*cachedResult] // request coalescing by canonical key
 	sem      *admission
 	logger   *log.Logger
 	draining atomic.Bool
@@ -136,7 +137,7 @@ func New(cfg Config) (*Server, error) {
 		scope:      sc,
 		mux:        http.NewServeMux(),
 		cache:      newResultCache(cfg.CacheEntries, sc),
-		flights:    newFlightGroup(sc),
+		flights:    &singleflight.Group[*cachedResult]{Led: sc.Counter("coalesce/leader_runs"), Waited: sc.Counter("coalesce/coalesced_waits")},
 		sem:        newAdmission(int64(cfg.Workers), cfg.QueueDepth, cfg.QueueWait, sc),
 		base:       base,
 		baseCancel: cancel,

@@ -1,4 +1,4 @@
-package server
+package singleflight
 
 import (
 	"context"
@@ -11,25 +11,38 @@ import (
 	"leakbound/internal/telemetry"
 )
 
-func newTestFlights() (*flightGroup, *telemetry.Registry) {
-	reg := telemetry.NewRegistry()
-	return newFlightGroup(reg.Scope("server")), reg
+// newTestGroup wires a group's counters into a fresh registry.
+func newTestGroup() (*Group[string], *telemetry.Scope) {
+	sc := telemetry.NewRegistry().Scope("test")
+	return &Group[string]{Led: sc.Counter("leader_runs"), Waited: sc.Counter("coalesced_waits")}, sc
 }
 
-// TestFlightGroupCoalesces: N concurrent calls on one key run fn once and
+// waitForCounter polls until c reaches want, failing after a deadline.
+func waitForCounter(t *testing.T, c *telemetry.Counter, want uint64) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for c.Value() < want {
+		if time.Now().After(deadline) {
+			t.Fatalf("counter stuck at %d, want >= %d", c.Value(), want)
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+}
+
+// TestGroupCoalesces: N concurrent calls on one key run fn once and
 // all observe the leader's result.
-func TestFlightGroupCoalesces(t *testing.T) {
-	fg, reg := newTestFlights()
+func TestGroupCoalesces(t *testing.T) {
+	fg, sc := newTestGroup()
 	var runs atomic.Int64
 	gate := make(chan struct{})
-	fn := func() (*cachedResult, error) {
+	fn := func() (string, error) {
 		runs.Add(1)
 		<-gate
-		return &cachedResult{body: []byte("shared")}, nil
+		return "shared", nil
 	}
 	const n = 8
 	var wg sync.WaitGroup
-	results := make([]*cachedResult, n)
+	results := make([]string, n)
 	errs := make([]error, n)
 	for i := 0; i < n; i++ {
 		wg.Add(1)
@@ -39,39 +52,32 @@ func TestFlightGroupCoalesces(t *testing.T) {
 		}(i)
 	}
 	// Let every goroutine reach the flight before the leader finishes.
-	deadline := time.Now().Add(5 * time.Second)
-	for reg.Scope("server").Counter("coalesce/coalesced_waits").Value() < n-1 {
-		if time.Now().After(deadline) {
-			t.Fatalf("only %d waiters coalesced",
-				reg.Scope("server").Counter("coalesce/coalesced_waits").Value())
-		}
-		time.Sleep(time.Millisecond)
-	}
+	waitForCounter(t, sc.Counter("coalesced_waits"), n-1)
 	close(gate)
 	wg.Wait()
 	for i := 0; i < n; i++ {
 		if errs[i] != nil {
 			t.Fatalf("call %d: %v", i, errs[i])
 		}
-		if string(results[i].body) != "shared" {
-			t.Fatalf("call %d got %q", i, results[i].body)
+		if results[i] != "shared" {
+			t.Fatalf("call %d got %q", i, results[i])
 		}
 	}
 	if got := runs.Load(); got != 1 {
 		t.Errorf("fn ran %d times, want 1", got)
 	}
-	if got := reg.Scope("server").Counter("coalesce/leader_runs").Value(); got != 1 {
+	if got := sc.Counter("leader_runs").Value(); got != 1 {
 		t.Errorf("leader_runs = %d, want 1", got)
 	}
 }
 
-// TestFlightGroupDistinctKeys run independently.
-func TestFlightGroupDistinctKeys(t *testing.T) {
-	fg, _ := newTestFlights()
+// TestGroupDistinctKeys run independently.
+func TestGroupDistinctKeys(t *testing.T) {
+	fg, _ := newTestGroup()
 	var runs atomic.Int64
-	fn := func() (*cachedResult, error) {
+	fn := func() (string, error) {
 		runs.Add(1)
-		return &cachedResult{}, nil
+		return "", nil
 	}
 	for _, k := range []string{"a", "b", "a"} {
 		if _, err := fg.Do(context.Background(), k, fn); err != nil {
@@ -84,21 +90,21 @@ func TestFlightGroupDistinctKeys(t *testing.T) {
 	}
 }
 
-// TestFlightGroupWaiterRetriesAfterLeaderFailure: a leader cancelled by
+// TestGroupWaiterRetriesAfterLeaderFailure: a leader cancelled by
 // its own client must not poison waiters — a surviving waiter retries and
 // becomes the next leader.
-func TestFlightGroupWaiterRetriesAfterLeaderFailure(t *testing.T) {
-	fg, reg := newTestFlights()
+func TestGroupWaiterRetriesAfterLeaderFailure(t *testing.T) {
+	fg, sc := newTestGroup()
 	leaderIn := make(chan struct{})
 	leaderCtx, cancelLeader := context.WithCancel(context.Background())
 	var calls atomic.Int64
-	fn := func() (*cachedResult, error) {
+	fn := func() (string, error) {
 		if calls.Add(1) == 1 {
 			close(leaderIn)
 			<-leaderCtx.Done()
-			return nil, leaderCtx.Err()
+			return "", leaderCtx.Err()
 		}
-		return &cachedResult{body: []byte("retried")}, nil
+		return "retried", nil
 	}
 	leaderErr := make(chan error, 1)
 	go func() {
@@ -106,7 +112,7 @@ func TestFlightGroupWaiterRetriesAfterLeaderFailure(t *testing.T) {
 		leaderErr <- err
 	}()
 	<-leaderIn
-	waiterRes := make(chan *cachedResult, 1)
+	waiterRes := make(chan string, 1)
 	go func() {
 		res, err := fg.Do(context.Background(), "k", fn)
 		if err != nil {
@@ -114,15 +120,15 @@ func TestFlightGroupWaiterRetriesAfterLeaderFailure(t *testing.T) {
 		}
 		waiterRes <- res
 	}()
-	waitForCounter(t, reg.Scope("server").Counter("coalesce/coalesced_waits"), 1)
+	waitForCounter(t, sc.Counter("coalesced_waits"), 1)
 	cancelLeader()
 	if err := <-leaderErr; !errors.Is(err, context.Canceled) {
 		t.Errorf("leader error = %v, want Canceled", err)
 	}
 	select {
 	case res := <-waiterRes:
-		if string(res.body) != "retried" {
-			t.Errorf("waiter result = %q, want %q", res.body, "retried")
+		if res != "retried" {
+			t.Errorf("waiter result = %q, want %q", res, "retried")
 		}
 	case <-time.After(10 * time.Second):
 		t.Fatal("waiter never recovered from leader failure")
@@ -132,18 +138,18 @@ func TestFlightGroupWaiterRetriesAfterLeaderFailure(t *testing.T) {
 	}
 }
 
-// TestFlightGroupWaiterCancel: a waiter that gives up returns its own
+// TestGroupWaiterCancel: a waiter that gives up returns its own
 // context error without disturbing the leader.
-func TestFlightGroupWaiterCancel(t *testing.T) {
-	fg, reg := newTestFlights()
+func TestGroupWaiterCancel(t *testing.T) {
+	fg, sc := newTestGroup()
 	leaderIn := make(chan struct{})
 	gate := make(chan struct{})
-	fn := func() (*cachedResult, error) {
+	fn := func() (string, error) {
 		close(leaderIn)
 		<-gate
-		return &cachedResult{body: []byte("done")}, nil
+		return "done", nil
 	}
-	leaderRes := make(chan *cachedResult, 1)
+	leaderRes := make(chan string, 1)
 	go func() {
 		res, err := fg.Do(context.Background(), "k", fn)
 		if err != nil {
@@ -158,33 +164,33 @@ func TestFlightGroupWaiterCancel(t *testing.T) {
 		_, err := fg.Do(wctx, "k", fn)
 		waiterErr <- err
 	}()
-	waitForCounter(t, reg.Scope("server").Counter("coalesce/coalesced_waits"), 1)
+	waitForCounter(t, sc.Counter("coalesced_waits"), 1)
 	cancelWaiter()
 	if err := <-waiterErr; !errors.Is(err, context.Canceled) {
 		t.Errorf("waiter error = %v, want Canceled", err)
 	}
 	close(gate)
-	if res := <-leaderRes; string(res.body) != "done" {
-		t.Errorf("leader result = %q, want %q", res.body, "done")
+	if res := <-leaderRes; res != "done" {
+		t.Errorf("leader result = %q, want %q", res, "done")
 	}
 }
 
-// TestFlightGroupLeaderPanicReleasesKey: a leader whose fn panics must not
+// TestGroupLeaderPanicReleasesKey: a leader whose fn panics must not
 // wedge its key. The panic reaches the leader's caller, a waiter blocked
 // on the flight retries as the next leader, and later calls run normally
 // instead of waiting out their deadlines.
-func TestFlightGroupLeaderPanicReleasesKey(t *testing.T) {
-	fg, reg := newTestFlights()
+func TestGroupLeaderPanicReleasesKey(t *testing.T) {
+	fg, sc := newTestGroup()
 	leaderIn := make(chan struct{})
 	gate := make(chan struct{})
 	var calls atomic.Int64
-	fn := func() (*cachedResult, error) {
+	fn := func() (string, error) {
 		if calls.Add(1) == 1 {
 			close(leaderIn)
 			<-gate
 			panic("boom")
 		}
-		return &cachedResult{body: []byte("after")}, nil
+		return "after", nil
 	}
 	leaderPanic := make(chan any, 1)
 	go func() {
@@ -197,12 +203,12 @@ func TestFlightGroupLeaderPanicReleasesKey(t *testing.T) {
 	waiter := make(chan error, 1)
 	go func() {
 		res, err := fg.Do(ctx, "k", fn)
-		if err == nil && string(res.body) != "after" {
-			err = errors.New("waiter got " + string(res.body))
+		if err == nil && res != "after" {
+			err = errors.New("waiter got " + res)
 		}
 		waiter <- err
 	}()
-	waitForCounter(t, reg.Scope("server").Counter("coalesce/coalesced_waits"), 1)
+	waitForCounter(t, sc.Counter("coalesced_waits"), 1)
 	close(gate)
 	if v := <-leaderPanic; v != "boom" {
 		t.Fatalf("leader recovered %v, want the fn's panic", v)

@@ -157,3 +157,38 @@ func BenchmarkUpsertGet(b *testing.B) {
 		}
 	}
 }
+
+// TestPagesReadsAllocationFree is the dynamic twin of the //lint:hotpath
+// markers on Lookup and Get: once its pages exist, a read allocates
+// nothing, whether it hits the one-page memo, misses it, or finds no page.
+func TestPagesReadsAllocationFree(t *testing.T) {
+	keys := []uint64{1, 2, pageSize + 3, 1 << 20, 5} // three pages
+	var p Pages
+	for _, k := range keys {
+		*p.Slot(k) = k + 1
+	}
+	lookup := func(k uint64) uint64 {
+		if v := p.Lookup(k); v != nil {
+			return *v
+		}
+		return 0
+	}
+	for _, r := range []struct {
+		name string
+		read func(uint64) uint64
+	}{{"Lookup", lookup}, {"Get", p.Get}} {
+		name, read := r.name, r.read
+		t.Run(name, func(t *testing.T) {
+			allocs := testing.AllocsPerRun(100, func() {
+				for _, k := range keys {
+					if read(k) != k+1 || read(k+1<<30) != 0 {
+						t.Fatalf("%s(%d) = %d, want %d", name, k, read(k), k+1)
+					}
+				}
+			})
+			if allocs != 0 {
+				t.Errorf("%s: %v allocs/run, want 0", name, allocs)
+			}
+		})
+	}
+}

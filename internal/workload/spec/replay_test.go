@@ -192,12 +192,15 @@ func simulateBoth(t *testing.T, w workload.Workload) (iRaw, dRaw []byte, iDist, 
 // replayed must produce byte-identical interval distributions and
 // bit-identical leakage results. `make race` runs this under the race
 // detector.
-func TestRecordReplayEquivalence(t *testing.T) {
+// recordReplay compiles validSpec at scale, records it, and reads the
+// recording back.
+func recordReplay(t *testing.T, scale float64) (workload.Workload, *Replay) {
+	t.Helper()
 	s, err := Parse(validSpec())
 	if err != nil {
 		t.Fatal(err)
 	}
-	w, err := s.Compile(0.5)
+	w, err := s.Compile(scale)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,7 +212,11 @@ func TestRecordReplayEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	return w, r
+}
 
+func TestRecordReplayEquivalence(t *testing.T) {
+	w, r := recordReplay(t, 0.5)
 	iOrig, dOrig, iDistO, dDistO := simulateBoth(t, w)
 	iPlay, dPlay, iDistP, dDistP := simulateBoth(t, r)
 	if !bytes.Equal(iOrig, iPlay) {
@@ -238,5 +245,19 @@ func TestRecordReplayEquivalence(t *testing.T) {
 					pol.Name(), side.name, evO, evP)
 			}
 		}
+	}
+}
+
+// TestReplayEmitAllocationFree is the dynamic twin of Emit's
+// //lint:hotpath marker: replaying a recording allocates nothing.
+func TestReplayEmitAllocationFree(t *testing.T) {
+	_, r := recordReplay(t, 0.05)
+	var n int
+	yield := func(workload.Instr) bool { n++; return true }
+	if allocs := testing.AllocsPerRun(10, func() { r.Emit(yield) }); allocs != 0 {
+		t.Errorf("Emit: %v allocs/run, want 0", allocs)
+	}
+	if n != 11*r.Len() {
+		t.Errorf("yielded %d instrs, want %d", n, 11*r.Len())
 	}
 }
