@@ -148,8 +148,13 @@ func run(pass *analysis.ProgramPass) error {
 		}
 		work = append(work, n)
 	}
-	for n, t := range marked {
-		raise(n, t, nil, token.NoPos)
+	// Seed in graph order, not map order: the first raise to a node's final
+	// tier fixes its reported chain, and so which call-site directive that
+	// chain meets.
+	for _, n := range g.Nodes {
+		if t := marked[n]; t != cool {
+			raise(n, t, nil, token.NoPos)
+		}
 	}
 	for len(work) > 0 {
 		n := work[len(work)-1]
