@@ -45,13 +45,14 @@ vulncheck:
 	fi
 
 # The parallel-pipeline determinism suite under the race detector: the
-# Distribution.Merge tests, and the worker-count, concurrent-walk, grid,
-# singleflight and cancellation tests of the experiments package. Every
-# alternative in each -run pattern must match a test (go test -list),
-# since -run passes silently when nothing matches.
+# Distribution.Merge tests, and the worker-count (suite and studies),
+# concurrent-walk, grid, singleflight and cancellation (AllContext and
+# forEach) tests of the experiments package. Every alternative in each
+# -run pattern must match a test (go test -list), since -run passes
+# silently when nothing matches.
 test-parallel:
 	$(GO) test -race -count=1 -run 'TestMergePropertySharding|TestDistributionMerge' ./internal/interval/
-	$(GO) test -race -count=1 -run 'TestWorkersDoNotChangeResults|TestL2WalksRaceFree|TestGridMatches|TestAllContextCancel|TestDataSingleflight|TestWaiterCancellation' ./internal/experiments/
+	$(GO) test -race -count=1 -run 'TestWorkersDoNotChangeResults|TestStudiesDoNotDependOnWorkers|TestL2WalksRaceFree|TestGridMatches|TestAllContextCancel|TestForEachCancel|TestDataSingleflight|TestWaiterCancellation' ./internal/experiments/
 
 # One iteration of every benchmark, no unit tests: a smoke test that keeps
 # bench_test.go compiling and running (the nightly CI job runs this).
@@ -71,7 +72,7 @@ bench-json:
 # report without failing; GATE_FLAGS+='-summary $$GITHUB_STEP_SUMMARY'
 # in CI to publish the comparison table.
 bench-gate:
-	$(GO) test -run '^$$' -bench '^(BenchmarkSuiteAll|BenchmarkPipelineSimulateGzip|BenchmarkGridFigure8Workers1|BenchmarkGridFigure8Workers4|BenchmarkSweepDense256Reference|BenchmarkSweepDense256Aggregates|BenchmarkParetoPopulation|BenchmarkSpecCompile|BenchmarkReplayPass)$$' \
+	$(GO) test -run '^$$' -bench '^(BenchmarkSuiteAll|BenchmarkPipelineSimulateGzip|BenchmarkGridFigure8Workers1|BenchmarkGridFigure8Workers4|BenchmarkGeometrySweepWorkers1|BenchmarkGeometrySweepWorkers4|BenchmarkSweepDense256Reference|BenchmarkSweepDense256Aggregates|BenchmarkParetoPopulation|BenchmarkSpecCompile|BenchmarkReplayPass)$$' \
 		-benchmem -benchtime 100ms -count 3 . | $(GO) run ./cmd/benchsnap -compare . $(GATE_FLAGS)
 
 cover:

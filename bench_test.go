@@ -220,6 +220,23 @@ func benchGrid(b *testing.B, workers int) {
 func BenchmarkGridFigure8Workers1(b *testing.B) { benchGrid(b, 1) }
 func BenchmarkGridFigure8Workers4(b *testing.B) { benchGrid(b, 4) }
 
+// benchGeometrySweep measures the geometry sweep's 30 (geometry, benchmark)
+// simulations fanned out over a pool of the given size. The sweep takes
+// its own scale and simulates outside the suite's cache, so every
+// iteration re-simulates; 0.05 keeps one iteration well under a second.
+func benchGeometrySweep(b *testing.B, workers int) {
+	gs := experiments.MustNew(experiments.WithWorkers(workers))
+	ctx := context.Background()
+	for i := 0; i < b.N; i++ {
+		if _, err := gs.GeometrySweepContext(ctx, 0.05); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func BenchmarkGeometrySweepWorkers1(b *testing.B) { benchGeometrySweep(b, 1) }
+func BenchmarkGeometrySweepWorkers4(b *testing.B) { benchGeometrySweep(b, 4) }
+
 // Ablation benches (design choices called out in DESIGN.md):
 
 // BenchmarkAblationHybridVsSleepOnly quantifies what the drowsy mode adds on

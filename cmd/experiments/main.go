@@ -17,8 +17,9 @@
 // recorded traces (.trc) as extra benchmarks evaluated alongside the
 // built-in six in every table, sweep, and frontier.
 // -scale stretches the benchmark lengths (1.0 = the full study length);
-// -workers bounds the benchmark pool and the evaluation grid (each
-// benchmark simulates on one goroutine; 0 = GOMAXPROCS);
+// -workers bounds every parallel fan-out: the benchmark simulations, the
+// geometry sweep's simulations, and the evaluation cells of every figure,
+// table and study (each simulation runs on one goroutine; 0 = GOMAXPROCS);
 // -timeout aborts the whole run after a duration. Ctrl-C (SIGINT/SIGTERM)
 // cancels cleanly: in-flight simulations stop at their next cancellation
 // check and partial telemetry is still flushed.
@@ -50,7 +51,7 @@ import (
 
 func main() {
 	scale := flag.Float64("scale", experiments.DefaultScale, "workload scale (1.0 = full study length)")
-	workers := flag.Int("workers", 0, "parallelism bound: benchmark pool and evaluation-grid workers (0 = GOMAXPROCS)")
+	workers := flag.Int("workers", 0, "parallelism bound: workers for the simulations, geometry sweep and evaluations (0 = GOMAXPROCS)")
 	timeout := flag.Duration("timeout", 0, "abort the whole run after this duration (0 = no limit)")
 	only := flag.String("only", "", "comma-separated subset: fig1,table1,table2,table3,fig7,fig8,fig9,fig10,profile,extensions,policies,pareto,families,sweep")
 	cacheDir := flag.String("cache", "", "directory for on-disk simulation caching (empty = off)")
@@ -262,13 +263,10 @@ func run(ctx context.Context, scale float64, workers int, only, cacheDir, specsD
 			return err
 		}
 		fmt.Fprintln(out)
-		// The geometry sweep re-simulates every configuration; run it at a
-		// reduced scale to keep the full run under a minute.
-		geomScale := scale
-		if geomScale > 0.25 {
-			geomScale = 0.25
-		}
-		geo, err := experiments.GeometrySweepContext(ctx, geomScale)
+		// The geometry sweep re-simulates every configuration (5 geometries
+		// x 6 benchmarks), so it runs at no more than a quarter scale; the
+		// committed results are made that way.
+		geo, err := suite.GeometrySweepContext(ctx, min(scale, 0.25))
 		if err != nil {
 			return err
 		}

@@ -25,81 +25,63 @@ func ExtendedSchemesTableContext(ctx context.Context, s *Suite) (*report.Table, 
 		return nil, err
 	}
 	tech := power.Default()
-	t := report.NewTable("Extension: related-work schemes vs the oracle bounds (70nm, benchmark average)",
-		"scheme", "I-cache", "D-cache")
-
-	type rowFn func(d *BenchmarkData, iCache bool) (float64, error)
 	rows := []struct {
 		label string
-		fn    rowFn
+		fn    column
 	}{
-		{"Drowsy(2000) periodic", func(d *BenchmarkData, iCache bool) (float64, error) {
-			dist := d.ICache
-			if !iCache {
-				dist = d.DCache
-			}
-			ev, err := leakage.Evaluate(tech, dist, leakage.PeriodicDrowsy{Window: 2000})
+		{"Drowsy(2000) periodic", savingsOf(tech, leakage.PeriodicDrowsy{Window: 2000})},
+		{"Drowsy(4000) periodic", savingsOf(tech, leakage.PeriodicDrowsy{Window: 4000})},
+		{"Adaptive decay (feedback)", func(d *interval.Distribution) (float64, error) {
+			ev, err := leakage.EvaluateAdaptiveDecay(tech, d)
 			return ev.Savings, err
 		}},
-		{"Drowsy(4000) periodic", func(d *BenchmarkData, iCache bool) (float64, error) {
-			dist := d.ICache
-			if !iCache {
-				dist = d.DCache
-			}
-			ev, err := leakage.Evaluate(tech, dist, leakage.PeriodicDrowsy{Window: 4000})
+		{"AMC (tags alive)", func(d *interval.Distribution) (float64, error) {
+			ev, err := leakage.EvaluateAMC(tech, d, 0.06)
 			return ev.Savings, err
 		}},
-		{"Adaptive decay (feedback)", func(d *BenchmarkData, iCache bool) (float64, error) {
-			dist := d.ICache
-			if !iCache {
-				dist = d.DCache
-			}
-			ev, err := leakage.EvaluateAdaptiveDecay(tech, dist)
-			return ev.Savings, err
-		}},
-		{"AMC (tags alive)", func(d *BenchmarkData, iCache bool) (float64, error) {
-			dist := d.ICache
-			if !iCache {
-				dist = d.DCache
-			}
-			ev, err := leakage.EvaluateAMC(tech, dist, 0.06)
-			return ev.Savings, err
-		}},
-		{"OPT-Drowsy (bound)", func(d *BenchmarkData, iCache bool) (float64, error) {
-			dist := d.ICache
-			if !iCache {
-				dist = d.DCache
-			}
-			ev, err := leakage.Evaluate(tech, dist, leakage.OPTDrowsy{})
-			return ev.Savings, err
-		}},
-		{"OPT-Hybrid (bound)", func(d *BenchmarkData, iCache bool) (float64, error) {
-			dist := d.ICache
-			if !iCache {
-				dist = d.DCache
-			}
-			ev, err := leakage.Evaluate(tech, dist, leakage.OPTHybrid{})
-			return ev.Savings, err
-		}},
+		{"OPT-Drowsy (bound)", savingsOf(tech, leakage.OPTDrowsy{})},
+		{"OPT-Hybrid (bound)", savingsOf(tech, leakage.OPTHybrid{})},
 	}
-	for _, r := range rows {
+	// One cell per (row, benchmark, side), the side innermost: even cells
+	// are the I-cache, odd the D-cache.
+	vals := make([]float64, len(rows)*len(all)*2)
+	err = s.forEach(ctx, len(vals), func(k int) error {
+		r, bd := rows[k/(2*len(all))], all[k/2%len(all)]
+		dist, _ := bd.Side(k%2 == 0)
+		v, err := r.fn(dist)
+		if err != nil {
+			return fmt.Errorf("experiments: %s on %s: %w", r.label, bd.Name, err)
+		}
+		vals[k] = v
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	t := report.NewTable("Extension: related-work schemes vs the oracle bounds (70nm, benchmark average)",
+		"scheme", "I-cache", "D-cache")
+	for ri, r := range rows {
 		var iSum, dSum float64
-		for _, bd := range all {
-			iv, err := r.fn(bd, true)
-			if err != nil {
-				return nil, fmt.Errorf("experiments: %s on %s: %w", r.label, bd.Name, err)
-			}
-			dv, err := r.fn(bd, false)
-			if err != nil {
-				return nil, fmt.Errorf("experiments: %s on %s: %w", r.label, bd.Name, err)
-			}
-			iSum += iv
-			dSum += dv
+		for bi := range all {
+			iSum += vals[(ri*len(all)+bi)*2]
+			dSum += vals[(ri*len(all)+bi)*2+1]
 		}
 		n := float64(len(all))
 		t.MustAddRow(r.label, report.Pct(iSum/n), report.Pct(dSum/n))
 	}
 	return t, nil
+}
+
+// column computes one table value over one distribution; the extension
+// studies fan their (benchmark, column) cells out through forEach.
+type column func(*interval.Distribution) (float64, error)
+
+// savingsOf is the column of p's savings at tech.
+func savingsOf(tech power.Technology, p leakage.Policy) column {
+	return func(d *interval.Distribution) (float64, error) {
+		ev, err := leakage.Evaluate(tech, d, p)
+		return ev.Savings, err
+	}
 }
 
 // L2StudyContext evaluates the oracle policies on the unified 2MB L2 — a
@@ -113,29 +95,37 @@ func L2StudyContext(ctx context.Context, s *Suite) (*report.Table, error) {
 		return nil, err
 	}
 	tech := power.Default()
+	cols := []column{
+		func(d *interval.Distribution) (float64, error) {
+			untouchedMass := d.MassWhere(func(l uint64, f interval.Flags) bool {
+				return f&interval.Untouched == interval.Untouched
+			})
+			return 1 - float64(untouchedMass)/float64(d.Mass()), nil
+		},
+		savingsOf(tech, leakage.OPTDrowsy{}),
+		savingsOf(tech, leakage.OPTSleep{Theta: 10000}),
+		savingsOf(tech, leakage.OPTHybrid{}),
+	}
+	vals := make([]float64, len(all)*len(cols))
+	err = s.forEach(ctx, len(vals), func(k int) error {
+		v, err := cols[k%len(cols)](all[k/len(cols)].L2Cache)
+		vals[k] = v
+		return err
+	})
+	if err != nil {
+		return nil, err
+	}
 	t := report.NewTable("Extension: L2 leakage savings (2MB unified, 70nm)",
 		"benchmark", "frames touched", "OPT-Drowsy", "OPT-Sleep(10K)", "OPT-Hybrid")
-	policies := []leakage.Policy{
-		leakage.OPTDrowsy{},
-		leakage.OPTSleep{Theta: 10000},
-		leakage.OPTHybrid{},
-	}
 	var sums [3]float64
-	for _, bd := range all {
+	for bi, bd := range all {
+		row := vals[bi*len(cols) : (bi+1)*len(cols)]
 		cells := []string{bd.Name}
-		untouchedMass := bd.L2Cache.MassWhere(func(l uint64, f interval.Flags) bool {
-			return f&interval.Untouched == interval.Untouched
-		})
-		total := bd.L2Cache.Mass()
-		frac := 1 - float64(untouchedMass)/float64(total)
-		cells = append(cells, report.Pct(frac))
-		for i, p := range policies {
-			ev, err := leakage.Evaluate(tech, bd.L2Cache, p)
-			if err != nil {
-				return nil, err
+		for j, v := range row {
+			cells = append(cells, report.Pct(v))
+			if j > 0 {
+				sums[j-1] += v
 			}
-			cells = append(cells, report.Pct(ev.Savings))
-			sums[i] += ev.Savings
 		}
 		t.MustAddRow(cells...)
 	}
@@ -154,20 +144,29 @@ func WritebackAblationContext(ctx context.Context, s *Suite) (*report.Table, err
 	if err != nil {
 		return nil, err
 	}
-	base := power.Default()
+	ratios := []float64{0, 0.25, 0.5, 1.0}
+	cols := make([]column, len(ratios))
+	for i, ratio := range ratios {
+		tech := power.Default()
+		tech.WBEnergy = ratio * tech.CD
+		cols[i] = savingsOf(tech, leakage.OPTHybrid{})
+	}
+	vals := make([]float64, len(all)*len(cols))
+	err = s.forEach(ctx, len(vals), func(k int) error {
+		v, err := cols[k%len(cols)](all[k/len(cols)].DCache)
+		vals[k] = v
+		return err
+	})
+	if err != nil {
+		return nil, err
+	}
 	t := report.NewTable("Extension: write-back cost ablation (OPT-Hybrid, D-cache, 70nm)",
 		"WB energy / CD", "average savings", "delta vs free")
 	var free float64
-	for _, ratio := range []float64{0, 0.25, 0.5, 1.0} {
-		tech := base
-		tech.WBEnergy = ratio * tech.CD
+	for i, ratio := range ratios {
 		var sum float64
-		for _, bd := range all {
-			ev, err := leakage.Evaluate(tech, bd.DCache, leakage.OPTHybrid{})
-			if err != nil {
-				return nil, err
-			}
-			sum += ev.Savings
+		for bi := range all {
+			sum += vals[bi*len(cols)+i]
 		}
 		avg := sum / float64(len(all))
 		if ratio == 0 {
@@ -267,26 +266,34 @@ func LiveDeadStudyContext(ctx context.Context, s *Suite) (*report.Table, error) 
 		return nil, err
 	}
 	tech := power.Default()
+	cols := []column{
+		func(d *interval.Distribution) (float64, error) {
+			deadMass := d.MassWhere(func(l uint64, f interval.Flags) bool {
+				return f&interval.DeadEnd != 0
+			})
+			return float64(deadMass) / float64(d.Mass()), nil
+		},
+		savingsOf(tech, leakage.OPTHybrid{}),
+		savingsOf(tech, leakage.DeadAwareHybrid{}),
+	}
+	vals := make([]float64, len(all)*len(cols))
+	err = s.forEach(ctx, len(vals), func(k int) error {
+		v, err := cols[k%len(cols)](all[k/len(cols)].DCache)
+		vals[k] = v
+		return err
+	})
+	if err != nil {
+		return nil, err
+	}
 	t := report.NewTable("Extension: live vs dead intervals (D-cache, 70nm) — Section 3.1's claim",
 		"benchmark", "dead mass share", "OPT-Hybrid (length only)", "dead-aware hybrid", "delta")
-	for _, bd := range all {
-		deadMass := bd.DCache.MassWhere(func(l uint64, f interval.Flags) bool {
-			return f&interval.DeadEnd != 0
-		})
-		share := float64(deadMass) / float64(bd.DCache.Mass())
-		lengthOnly, err := leakage.Evaluate(tech, bd.DCache, leakage.OPTHybrid{})
-		if err != nil {
-			return nil, err
-		}
-		deadAware, err := leakage.Evaluate(tech, bd.DCache, leakage.DeadAwareHybrid{})
-		if err != nil {
-			return nil, err
-		}
+	for bi, bd := range all {
+		share, lengthOnly, deadAware := vals[bi*3], vals[bi*3+1], vals[bi*3+2]
 		t.MustAddRow(bd.Name,
 			report.Pct(share),
-			report.Pct(lengthOnly.Savings),
-			report.Pct(deadAware.Savings),
-			fmt.Sprintf("%.2f pts", (deadAware.Savings-lengthOnly.Savings)*100),
+			report.Pct(lengthOnly),
+			report.Pct(deadAware),
+			fmt.Sprintf("%.2f pts", (deadAware-lengthOnly)*100),
 		)
 	}
 	return t, nil
@@ -302,22 +309,25 @@ func BreakdownTableContext(ctx context.Context, s *Suite) (*report.Table, error)
 		return nil, err
 	}
 	tech := power.Default()
+	// One cell per (benchmark, side): even cells are the I-cache, odd the
+	// D-cache.
+	brs := make([]leakage.Breakdown, len(all)*2)
+	err = s.forEach(ctx, len(brs), func(k int) error {
+		dist, _ := all[k/2].Side(k%2 == 0)
+		br, err := leakage.HybridBreakdown(tech, dist)
+		brs[k] = br
+		return err
+	})
+	if err != nil {
+		return nil, err
+	}
 	t := report.NewTable("Extension: OPT-Hybrid residual energy breakdown (70nm, % of baseline)",
 		"benchmark", "cache", "savings", "active", "drowsy", "transitions", "induced miss", "sleep leak")
-	for _, bd := range all {
-		for _, side := range []struct {
-			label string
-			dist  *interval.Distribution
-		}{{"I", bd.ICache}, {"D", bd.DCache}} {
-			br, err := leakage.HybridBreakdown(tech, side.dist)
-			if err != nil {
-				return nil, err
-			}
-			t.MustAddRow(bd.Name, side.label,
-				report.Pct(br.Savings), report.Pct(br.ActiveShare),
-				report.Pct(br.DrowsyShare), report.Pct(br.TransitionShare),
-				report.Pct(br.InducedMissShare), report.Pct(br.SleepShare))
-		}
+	for k, br := range brs {
+		t.MustAddRow(all[k/2].Name, []string{"I", "D"}[k%2],
+			report.Pct(br.Savings), report.Pct(br.ActiveShare),
+			report.Pct(br.DrowsyShare), report.Pct(br.TransitionShare),
+			report.Pct(br.InducedMissShare), report.Pct(br.SleepShare))
 	}
 	return t, nil
 }

@@ -154,13 +154,16 @@ func Figure8TableContext(ctx context.Context, s *Suite, iCache bool) (*report.Ta
 // cache side. The paper reports next-line prefetchability of 23% for the
 // instruction cache, and 16.3% next-line + 5.1% stride for the data cache.
 func Figure9Context(ctx context.Context, s *Suite, iCache bool) (prefetch.Prefetchability, error) {
-	iDist, dDist, err := s.MergedDistributionsContext(ctx)
+	all, err := s.AllContext(ctx)
 	if err != nil {
 		return prefetch.Prefetchability{}, err
 	}
-	dist := iDist
-	if !iCache {
-		dist = dDist
+	dist := interval.NewDistribution(0, 0)
+	for _, d := range all {
+		side, _ := d.Side(iCache)
+		if err := dist.Merge(side); err != nil {
+			return prefetch.Prefetchability{}, err
+		}
 	}
 	a, b, err := power.Default().InflectionPoints()
 	if err != nil {

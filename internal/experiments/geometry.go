@@ -77,44 +77,67 @@ func GeometrySweepPoints() []GeometryPoint {
 	}
 }
 
-// GeometrySweepContext evaluates OPT-Hybrid and Sleep(10K) on the D-cache
-// across L1 geometries, averaged over the benchmark suite at the given
-// scale. Each simulated distribution is aggregated once and both policies
-// are answered in one leakage.EvaluateMany pass.
+// GeometrySweepContext is Suite.GeometrySweepContext on a default Suite
+// (GOMAXPROCS workers, the default telemetry registry). It is the package's
+// one duplicate entry point, kept only because benchmark/leakbench/ladder.go
+// calls it; delete it when the ladder moves to the method.
 func GeometrySweepContext(ctx context.Context, scale float64) (*report.Table, error) {
+	return MustNew().GeometrySweepContext(ctx, scale)
+}
+
+// GeometrySweepContext evaluates OPT-Hybrid and Sleep(10K) on the D-cache
+// across L1 geometries, averaged over the built-in benchmarks at the given
+// scale. Each (geometry, benchmark) point is a SimulateCustomContext run —
+// D-cache only, no prefetch classifiers, a fraction of a suite
+// simulation's memory — fanned out through forEach, and answers both
+// policies in one leakage.EvaluateMany pass.
+func (s *Suite) GeometrySweepContext(ctx context.Context, scale float64) (*report.Table, error) {
 	if scale <= 0 {
 		return nil, fmt.Errorf("%w: %g", ErrNonPositiveScale, scale)
 	}
 	tech := power.Default()
 	pols := []leakage.Policy{leakage.OPTHybrid{}, leakage.SleepDecay{Theta: 10000}}
-	t := report.NewTable("Extension: L1 D-cache geometry sweep (70nm, benchmark average)",
-		"L1 size", "assoc", "frames", "OPT-Hybrid", "Sleep(10K)")
-	for _, pt := range GeometrySweepPoints() {
+	pts, names := GeometrySweepPoints(), workload.Names()
+	type point struct {
+		frames        uint32
+		hybrid, sleep float64
+	}
+	res := make([]point, len(pts)*len(names))
+	err := s.forEach(ctx, len(res), func(k int) error {
+		pt, name := pts[k/len(names)], names[k%len(names)]
 		hc := cache.AlphaLike()
 		hc.L1D.SizeBytes = pt.SizeKB << 10
 		hc.L1D.Assoc = pt.Assoc
 		hc.L1I.SizeBytes = pt.SizeKB << 10
 		hc.L1I.Assoc = pt.Assoc
-		var hySum, dcSum float64
-		var frames int
-		for _, name := range workload.Names() {
-			dist, _, err := SimulateCustomContext(ctx, name, scale, hc, trace.L1D)
-			if err != nil {
-				return nil, fmt.Errorf("experiments: %s at %dKB/%d-way: %w", name, pt.SizeKB, pt.Assoc, err)
-			}
-			frames = int(dist.NumFrames)
-			evs, err := leakage.EvaluateMany(tech, interval.NewAggregates(dist), pols)
-			if err != nil {
-				return nil, err
-			}
-			hySum += evs[0].Savings
-			dcSum += evs[1].Savings
+		dist, _, err := SimulateCustomContext(ctx, name, scale, hc, trace.L1D)
+		if err != nil {
+			return fmt.Errorf("experiments: %s at %dKB/%d-way: %w", name, pt.SizeKB, pt.Assoc, err)
 		}
-		n := float64(len(workload.Names()))
+		evs, err := leakage.EvaluateMany(tech, interval.NewAggregates(dist), pols)
+		if err != nil {
+			return err
+		}
+		res[k] = point{dist.NumFrames, evs[0].Savings, evs[1].Savings}
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	t := report.NewTable("Extension: L1 D-cache geometry sweep (70nm, benchmark average)",
+		"L1 size", "assoc", "frames", "OPT-Hybrid", "Sleep(10K)")
+	for pi, pt := range pts {
+		row := res[pi*len(names) : (pi+1)*len(names)]
+		var hySum, dcSum float64
+		for _, r := range row {
+			hySum += r.hybrid
+			dcSum += r.sleep
+		}
+		n := float64(len(names))
 		t.MustAddRow(
 			fmt.Sprintf("%dKB", pt.SizeKB),
 			fmt.Sprintf("%d", pt.Assoc),
-			fmt.Sprintf("%d", frames),
+			fmt.Sprintf("%d", row[len(row)-1].frames),
 			report.Pct(hySum/n),
 			report.Pct(dcSum/n),
 		)

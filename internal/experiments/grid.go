@@ -7,21 +7,22 @@ package experiments
 // suite's worker pool instead of evaluating them one by one.
 //
 // Determinism: EvaluateGrid writes each cell's result into the slot the
-// caller assigned it, so scheduling order never leaks into the output.
-// Callers reduce the returned slice in the exact order the sequential
-// loops used, keeping every floating-point sum bit-identical to the
-// pre-grid implementation (TestGridMatchesSequential pins this).
+// caller assigned it (the forEach contract), so scheduling order never
+// leaks into the output. Callers reduce the returned slice in the exact
+// order the sequential loops used, keeping every floating-point sum
+// bit-identical to the pre-grid implementation (TestGridMatchesSequential
+// pins this).
 
 import (
 	"context"
 	"fmt"
 	"math"
+	"sync/atomic"
 	"time"
 
 	"leakbound/internal/interval"
 	"leakbound/internal/leakage"
 	"leakbound/internal/power"
-	"leakbound/internal/telemetry"
 )
 
 // Cell is one (technology, policy, distribution) evaluation of the grid.
@@ -40,11 +41,11 @@ type Cell struct {
 	Label string
 }
 
-// EvaluateGrid evaluates every cell concurrently over the suite's worker
-// pool (WithWorkers) and returns evaluations indexed exactly like cells:
-// out[i] is the evaluation of cells[i] regardless of completion order.
-// Cancelling ctx skips cells not yet started and returns ctx.Err(); per-cell
-// metrics land in the "grid" telemetry scope either way.
+// EvaluateGrid evaluates every cell concurrently through forEach and
+// returns evaluations indexed exactly like cells: out[i] is the evaluation
+// of cells[i] regardless of completion order. Cancelling ctx skips cells
+// not yet started and returns ctx.Err(); per-cell metrics land in the
+// "grid" telemetry scope either way.
 func (s *Suite) EvaluateGrid(ctx context.Context, cells []Cell) ([]leakage.Evaluation, error) {
 	out := make([]leakage.Evaluation, len(cells))
 	sc := s.metrics.Scope("grid")
@@ -52,43 +53,36 @@ func (s *Suite) EvaluateGrid(ctx context.Context, cells []Cell) ([]leakage.Evalu
 	failed := sc.Counter("cells_failed")
 	skipped := sc.Counter("cells_skipped")
 	cellNS := sc.Histogram("cell_ns")
-	pool := telemetry.NewPoolIn(s.metrics, s.poolWorkers())
-	for i := range cells {
-		i := i
-		pool.Go(func() error {
-			if err := ctx.Err(); err != nil {
-				skipped.Add(1)
-				return err
+	var started atomic.Int64
+	err := s.forEach(ctx, len(cells), func(i int) error {
+		started.Add(1)
+		//lint:ignore detflow wall clock feeds the cell_ns telemetry histogram only, never the evaluated energies
+		start := time.Now()
+		var ev leakage.Evaluation
+		var err error
+		if cells[i].Agg != nil {
+			ev, err = leakage.EvaluateAggregate(cells[i].Tech, cells[i].Agg, cells[i].Policy)
+		} else {
+			ev, err = leakage.Evaluate(cells[i].Tech, cells[i].Dist, cells[i].Policy)
+		}
+		if err != nil {
+			failed.Add(1)
+			label := cells[i].Label
+			if label == "" {
+				label = fmt.Sprintf("#%d", i)
 			}
-			//lint:ignore detflow wall clock feeds the cell_ns telemetry histogram only, never the evaluated energies
-			start := time.Now()
-			var ev leakage.Evaluation
-			var err error
-			if cells[i].Agg != nil {
-				ev, err = leakage.EvaluateAggregate(cells[i].Tech, cells[i].Agg, cells[i].Policy)
-			} else {
-				ev, err = leakage.Evaluate(cells[i].Tech, cells[i].Dist, cells[i].Policy)
-			}
-			if err != nil {
-				failed.Add(1)
-				label := cells[i].Label
-				if label == "" {
-					label = fmt.Sprintf("#%d", i)
-				}
-				return fmt.Errorf("experiments: grid cell %s: %w", label, err)
-			}
-			out[i] = ev
-			evaluated.Add(1)
-			//lint:ignore detflow wall clock feeds the cell_ns telemetry histogram only, never the evaluated energies
-			cellNS.Record(uint64(time.Since(start).Nanoseconds()))
-			return nil
-		})
-	}
-	err := pool.Wait()
-	if cerr := ctx.Err(); cerr != nil {
-		return nil, cerr
-	}
+			return fmt.Errorf("experiments: grid cell %s: %w", label, err)
+		}
+		out[i] = ev
+		evaluated.Add(1)
+		//lint:ignore detflow wall clock feeds the cell_ns telemetry histogram only, never the evaluated energies
+		cellNS.Record(uint64(time.Since(start).Nanoseconds()))
+		return nil
+	})
 	if err != nil {
+		if ctx.Err() != nil {
+			skipped.Add(uint64(int64(len(cells)) - started.Load()))
+		}
 		return nil, err
 	}
 	return out, nil

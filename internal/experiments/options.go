@@ -63,9 +63,9 @@ func WithMetrics(reg *telemetry.Registry) Option {
 	}
 }
 
-// WithWorkers bounds the suite's parallelism: the benchmark pool of
-// AllContext and the evaluation pools (EvaluateGrid, sweeps, Pareto
-// populations). Each benchmark simulates on one goroutine whatever n is.
+// WithWorkers bounds the suite's parallelism: each fan-out (forEach) — the
+// benchmarks, the geometry sweep, every evaluation's cells — runs on a pool
+// of n workers, one simulation per goroutine, and no result depends on n.
 // n <= 0 (the default) means GOMAXPROCS, resolved at each use.
 func WithWorkers(n int) Option {
 	return func(s *Suite) error {

@@ -16,7 +16,6 @@ import (
 	"leakbound/internal/leakage"
 	"leakbound/internal/power"
 	"leakbound/internal/report"
-	"leakbound/internal/telemetry"
 )
 
 // ParetoPoint is one policy's position in the (normalized leakage,
@@ -89,34 +88,23 @@ func (s *Suite) ParetoFrontierContext(ctx context.Context, iCache bool, tech pow
 	evsAll := make([][]leakage.Evaluation, len(all))
 	rates := make([][]float64, len(all))
 	missErrs := make([][]error, len(all))
-	pool := telemetry.NewPoolIn(s.metrics, s.poolWorkers())
-	for bi, bd := range all {
-		bi, bd := bi, bd
-		pool.Go(func() error {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			_, agg := bd.Side(iCache)
-			evs, err := leakage.EvaluateMany(tech, agg, policies)
-			if err != nil {
-				return fmt.Errorf("experiments: pareto %s: %w", bd.Name, err)
-			}
-			evsAll[bi] = evs
-			rates[bi] = make([]float64, len(policies))
-			missErrs[bi] = make([]error, len(policies))
-			for si, pol := range policies {
-				// Miss-fold errors are per (spec, benchmark): stash them and
-				// surface the first one in deterministic reduction order
-				// below, not in completion order.
-				rates[bi][si], missErrs[bi][si] = leakage.InducedMissRateAggregate(tech, agg, pol)
-			}
-			return nil
-		})
-	}
-	err = pool.Wait()
-	if cerr := ctx.Err(); cerr != nil {
-		return nil, cerr
-	}
+	err = s.forEach(ctx, len(all), func(bi int) error {
+		_, agg := all[bi].Side(iCache)
+		evs, err := leakage.EvaluateMany(tech, agg, policies)
+		if err != nil {
+			return fmt.Errorf("experiments: pareto %s: %w", all[bi].Name, err)
+		}
+		evsAll[bi] = evs
+		rates[bi] = make([]float64, len(policies))
+		missErrs[bi] = make([]error, len(policies))
+		for si, pol := range policies {
+			// Miss-fold errors are per (spec, benchmark): stash them and
+			// surface the first one in deterministic reduction order
+			// below, not in completion order.
+			rates[bi][si], missErrs[bi][si] = leakage.InducedMissRateAggregate(tech, agg, pol)
+		}
+		return nil
+	})
 	if err != nil {
 		return nil, err
 	}

@@ -13,12 +13,14 @@ import (
 	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"leakbound/internal/interval"
 	"leakbound/internal/leakage"
 	"leakbound/internal/power"
+	"leakbound/internal/report"
 	"leakbound/internal/telemetry"
 )
 
@@ -248,6 +250,91 @@ func TestAllContextCancelNoLeak(t *testing.T) {
 	// singleflight entries must not wedge the suite).
 	if _, err := s.DataContext(context.Background(), "gzip"); err != nil {
 		t.Fatalf("suite unusable after cancellation: %v", err)
+	}
+}
+
+// TestForEachCancelNoLeak cancels the suite's fan-out from inside a task:
+// forEach must return ctx.Err() — not a task's own error — skip the tasks
+// not yet started, and leave no pool worker behind. A real fan-out, the
+// geometry sweep, must also stop promptly when cancelled mid-simulation.
+func TestForEachCancelNoLeak(t *testing.T) {
+	before := runtime.NumGoroutine()
+	s := MustNew(WithWorkers(4), WithMetrics(telemetry.NewRegistry()))
+	ctx, cancel := context.WithCancel(context.Background())
+	const n = 1000
+	errTask := errors.New("task")
+	var ran atomic.Int64
+	err := s.forEach(ctx, n, func(i int) error {
+		if ran.Add(1) >= 8 {
+			cancel()
+			return errTask
+		}
+		return nil
+	})
+	if !errors.Is(err, context.Canceled) || errors.Is(err, errTask) {
+		t.Fatalf("got %v, want context.Canceled and not the task error", err)
+	}
+	if got := ran.Load(); got >= n {
+		t.Errorf("%d of %d tasks ran after cancellation; want the rest skipped", got, n)
+	}
+
+	ctx, cancel = context.WithCancel(context.Background())
+	go func() {
+		time.Sleep(30 * time.Millisecond)
+		cancel()
+	}()
+	start := time.Now()
+	if _, err := s.GeometrySweepContext(ctx, 0.5); !errors.Is(err, context.Canceled) {
+		t.Fatalf("geometry sweep: got %v, want context.Canceled", err)
+	}
+	if elapsed := time.Since(start); elapsed > 10*time.Second {
+		t.Fatalf("geometry sweep cancellation took %v, want prompt return", elapsed)
+	}
+	// Poll: worker teardown finishes just after forEach returns.
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		if g := runtime.NumGoroutine(); g <= before+2 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("goroutines leaked: %d before, %d after cancellation", before, runtime.NumGoroutine())
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+// TestStudiesDoNotDependOnWorkers pins the forEach contract on every study
+// that fans out through it: each extension table and the geometry sweep
+// render byte-identical text at 1 and at 4 workers.
+func TestStudiesDoNotDependOnWorkers(t *testing.T) {
+	render := func(workers int) string {
+		s := MustNew(WithScale(0.05), WithWorkers(workers), WithMetrics(telemetry.NewRegistry()))
+		ctx := context.Background()
+		studies := []func() (*report.Table, error){
+			func() (*report.Table, error) { return ExtendedSchemesTableContext(ctx, s) },
+			func() (*report.Table, error) { return L2StudyContext(ctx, s) },
+			func() (*report.Table, error) { return WritebackAblationContext(ctx, s) },
+			func() (*report.Table, error) { return TemperatureSweepContext(ctx, s, "gzip") },
+			func() (*report.Table, error) { return PrefetcherQualityTableContext(ctx, s) },
+			func() (*report.Table, error) { return s.GeometrySweepContext(ctx, 0.05) },
+			func() (*report.Table, error) { return LiveDeadStudyContext(ctx, s) },
+			func() (*report.Table, error) { return BreakdownTableContext(ctx, s) },
+		}
+		var b strings.Builder
+		for i, study := range studies {
+			tab, err := study()
+			if err != nil {
+				t.Fatalf("workers=%d, study %d: %v", workers, i, err)
+			}
+			if err := tab.Render(&b); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return b.String()
+	}
+	seq, par := render(1), render(4)
+	if seq != par {
+		t.Errorf("studies differ between 1 and 4 workers:\n--- 1 worker\n%s\n--- 4 workers\n%s", seq, par)
 	}
 }
 

@@ -16,7 +16,6 @@ import (
 
 	"leakbound/internal/leakage"
 	"leakbound/internal/power"
-	"leakbound/internal/telemetry"
 )
 
 // Sentinel errors for query parsing; match with errors.Is.
@@ -207,26 +206,15 @@ func (s *Suite) SweepParamContext(ctx context.Context, scheme, param string, iCa
 	}
 	sc := s.metrics.Scope("sweep")
 	res := make([][]leakage.Evaluation, len(all))
-	pool := telemetry.NewPoolIn(s.metrics, s.poolWorkers())
-	for bi, bd := range all {
-		bi, bd := bi, bd
-		pool.Go(func() error {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			_, agg := bd.Side(iCache)
-			evs, err := leakage.EvaluateMany(tech, agg, pols)
-			if err != nil {
-				return fmt.Errorf("experiments: sweep %s/%s: %w", name, bd.Name, err)
-			}
-			res[bi] = evs
-			return nil
-		})
-	}
-	err = pool.Wait()
-	if cerr := ctx.Err(); cerr != nil {
-		return nil, cerr
-	}
+	err = s.forEach(ctx, len(all), func(bi int) error {
+		_, agg := all[bi].Side(iCache)
+		evs, err := leakage.EvaluateMany(tech, agg, pols)
+		if err != nil {
+			return fmt.Errorf("experiments: sweep %s/%s: %w", name, all[bi].Name, err)
+		}
+		res[bi] = evs
+		return nil
+	})
 	if err != nil {
 		return nil, err
 	}

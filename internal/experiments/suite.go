@@ -15,12 +15,15 @@
 // generator feeds the CPU model, which feeds the interval collectors and
 // prefetch engines through one reused struct-of-arrays batch
 // (internal/sim/stream) — no intermediate trace is ever materialized.
-// Parallelism lives above that pass, sized by WithWorkers: benchmarks fan
-// out across a bounded pool (AllContext), and policy evaluations across
-// the grid (EvaluateGrid). Each benchmark's products are the same whatever
-// the worker count, so it is a pure performance knob. Every operation has
-// one entry point, and it takes a ctx: long sweeps return ctx.Err()
-// promptly, flushing partial telemetry on the way out.
+// Parallelism lives above that pass, in one indexed fan-out (Suite.forEach)
+// on a pool sized by WithWorkers: the benchmarks of AllContext, the
+// geometry sweep's simulations, and the cells of every evaluation — the
+// grid, sweeps, Pareto populations and extension studies — all run
+// through it. Each task fills its own slot and callers reduce in index
+// order, so every result is the same whatever the worker count: it is a
+// pure performance knob. Every operation has one entry point, and it takes
+// a ctx: long sweeps return ctx.Err() promptly, flushing partial telemetry
+// on the way out.
 package experiments
 
 import (
@@ -242,37 +245,48 @@ func (s *Suite) produceWorkload(ctx context.Context, name, key string, perName b
 	return d, nil
 }
 
-// AllContext simulates every benchmark in parallel — through a bounded,
-// metric-instrumented worker pool (WithWorkers, default GOMAXPROCS),
-// never an unbounded goroutine fan-out — and returns them in presentation
-// order. Cancelling ctx aborts in-flight simulations at their next
-// cancellation check, skips queued ones, and returns ctx.Err().
+// AllContext simulates every benchmark in parallel through forEach and
+// returns them in presentation order. Cancelling ctx aborts in-flight
+// simulations at their next cancellation check, skips queued ones, and
+// returns ctx.Err().
 func (s *Suite) AllContext(ctx context.Context) ([]*BenchmarkData, error) {
 	names := s.BenchmarkNames()
 	out := make([]*BenchmarkData, len(names))
-	pool := telemetry.NewPoolIn(s.metrics, s.poolWorkers())
-	for i, name := range names {
-		i, name := i, name
-		pool.Go(func() error {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			d, err := s.DataContext(ctx, name)
-			if err != nil {
-				return fmt.Errorf("experiments: %s: %w", name, err)
-			}
-			out[i] = d
-			return nil
-		})
-	}
-	err := pool.Wait()
-	if cerr := ctx.Err(); cerr != nil {
-		return nil, cerr
-	}
+	err := s.forEach(ctx, len(names), func(i int) error {
+		d, err := s.DataContext(ctx, names[i])
+		if err != nil {
+			return fmt.Errorf("experiments: %s: %w", names[i], err)
+		}
+		out[i] = d
+		return nil
+	})
 	if err != nil {
 		return nil, err
 	}
 	return out, nil
+}
+
+// forEach is the suite's one parallel primitive: it runs fn(0..n-1) on a
+// bounded, metric-instrumented pool of WithWorkers workers and returns once
+// every task has finished. Each task writes only its own slot i and the
+// caller reduces in index order, so results (floating-point sums included)
+// are bit-identical at any worker count. Cancelling ctx skips tasks not
+// yet started and returns ctx.Err(); otherwise the first task error.
+func (s *Suite) forEach(ctx context.Context, n int, fn func(i int) error) error {
+	pool := telemetry.NewPoolIn(s.metrics, s.poolWorkers())
+	for i := 0; i < n; i++ {
+		pool.Go(func() error {
+			if err := ctx.Err(); err != nil {
+				return err
+			}
+			return fn(i)
+		})
+	}
+	err := pool.Wait()
+	if cerr := ctx.Err(); cerr != nil {
+		return cerr
+	}
+	return err
 }
 
 // simulate runs one resolved workload through the paper's machine
@@ -376,26 +390,6 @@ func finishData(name string, res cpu.Result, iCol, dCol, l2Col *interval.Collect
 		ICache: iDist, DCache: dDist, L2Cache: l2Dist,
 		IEngine: iEng.Finish(), DEngine: dEng.Finish(),
 	}, nil
-}
-
-// MergedDistributionsContext returns suite-wide merged I- and D-cache
-// distributions (used by Figure 9's aggregate prefetchability).
-func (s *Suite) MergedDistributionsContext(ctx context.Context) (iDist, dDist *interval.Distribution, err error) {
-	all, err := s.AllContext(ctx)
-	if err != nil {
-		return nil, nil, err
-	}
-	iDist = interval.NewDistribution(0, 0)
-	dDist = interval.NewDistribution(0, 0)
-	for _, d := range all {
-		if err := iDist.Merge(d.ICache); err != nil {
-			return nil, nil, err
-		}
-		if err := dDist.Merge(d.DCache); err != nil {
-			return nil, nil, err
-		}
-	}
-	return iDist, dDist, nil
 }
 
 // SortedNames returns the benchmark names the suite has simulated so far;

@@ -284,7 +284,7 @@ func (d *Distribution) Each(fn func(length uint64, flags Flags, count uint64) bo
 
 // Merge folds other into d. Frame counts add — the operands are treated as
 // disjoint frame populations, as when aggregating benchmarks for
-// suite-wide views (Suite.MergedDistributionsContext). Bucket counts,
+// suite-wide views (experiments.Figure9Context). Bucket counts,
 // interval counts and mass are all additive, so merging the collections
 // of a frame partition of one run is bit-identical to collecting the run
 // whole (TestMergePropertySharding). Time horizons are maxed so the

@@ -21,14 +21,15 @@
 #
 # The benchmark selection is intentionally the *end-to-end* set: the
 # full-suite simulation (BenchmarkSuiteAll) that the ≥5x streaming claim
-# is made against, plus the per-benchmark pipeline and grid benches.
+# is made against, plus the per-benchmark pipeline, grid and geometry
+# sweep benches (the last two at 1 and 4 workers: the parallel speedup).
 # Micro-benches churn too much to gate on.
 set -eu
 
 cd "$(dirname "$0")/.."
 
 GO="${GO:-go}"
-BENCH="${BENCH:-^(BenchmarkSuiteAll|BenchmarkPipelineSimulateGzip|BenchmarkGridFigure8Workers1|BenchmarkGridFigure8Workers4|BenchmarkSweepDense256Reference|BenchmarkSweepDense256Aggregates|BenchmarkParetoPopulation|BenchmarkSpecCompile|BenchmarkReplayPass)\$}"
+BENCH="${BENCH:-^(BenchmarkSuiteAll|BenchmarkPipelineSimulateGzip|BenchmarkGridFigure8Workers1|BenchmarkGridFigure8Workers4|BenchmarkGeometrySweepWorkers1|BenchmarkGeometrySweepWorkers4|BenchmarkSweepDense256Reference|BenchmarkSweepDense256Aggregates|BenchmarkParetoPopulation|BenchmarkSpecCompile|BenchmarkReplayPass)\$}"
 BENCHTIME="${BENCHTIME:-100ms}"
 COUNT="${COUNT:-3}"
 OUT="${OUT:-.}"
