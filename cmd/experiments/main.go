@@ -36,7 +36,6 @@ import (
 	"errors"
 	"flag"
 	"fmt"
-	"math"
 	"os"
 	"os/signal"
 	"strings"
@@ -327,7 +326,7 @@ func run(ctx context.Context, scale float64, workers int, only, cacheDir, specsD
 	// each benchmark answers the whole ladder in one aggregate-kernel
 	// pass.
 	if len(want) != 0 && want["sweep"] {
-		thetas := denseThetas(1057, 103084, 256)
+		thetas := experiments.GeometricThetas(1057, 103084, 256)
 		for _, iCache := range []bool{true, false} {
 			side := "(a) Instruction Cache"
 			if !iCache {
@@ -378,25 +377,4 @@ func run(ctx context.Context, scale float64, workers int, only, cacheDir, specsD
 		}
 	}
 	return nil
-}
-
-// denseThetas builds a geometrically spaced theta ladder from from to to
-// with up to points samples, deduplicated after rounding — the same
-// spacing the serving layer's sweep endpoint defaults to.
-func denseThetas(from, to uint64, points int) []uint64 {
-	if points <= 1 || from >= to {
-		return []uint64{from}
-	}
-	ratio := math.Pow(float64(to)/float64(from), 1/float64(points-1))
-	out := make([]uint64, 0, points)
-	last := uint64(0)
-	for i := 0; i < points; i++ {
-		v := uint64(math.Round(float64(from) * math.Pow(ratio, float64(i))))
-		if v <= last {
-			continue
-		}
-		out = append(out, v)
-		last = v
-	}
-	return out
 }

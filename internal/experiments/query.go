@@ -11,6 +11,7 @@ package experiments
 import (
 	"context"
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 
@@ -147,13 +148,20 @@ func (s *Suite) EvaluateCellContext(ctx context.Context, benchmark string, iCach
 	if err != nil {
 		return CellEvaluation{}, err
 	}
+	return s.evaluateCell(ctx, bd, benchmark, benchmark, iCache, tech, pol)
+}
+
+// evaluateCell evaluates pol on one cache side of bd as a one-cell grid,
+// reporting the cell under benchmark; scope is the grid label's element
+// naming where the data came from (the benchmark, or "adhoc").
+func (s *Suite) evaluateCell(ctx context.Context, bd *BenchmarkData, benchmark, scope string, iCache bool, tech power.Technology, pol leakage.Policy) (CellEvaluation, error) {
 	dist, agg := bd.Side(iCache)
 	side := "i"
 	if !iCache {
 		side = "d"
 	}
 	evs, err := s.EvaluateGrid(ctx, []Cell{{Tech: tech, Policy: pol, Dist: dist, Agg: agg,
-		Label: fmt.Sprintf("query/%s/%s/%s/%s", benchmark, side, tech.Name, pol.Name())}})
+		Label: fmt.Sprintf("query/%s/%s/%s/%s", scope, side, tech.Name, pol.Name())}})
 	if err != nil {
 		return CellEvaluation{}, err
 	}
@@ -286,6 +294,28 @@ func (s *Suite) SweepThetaContext(ctx context.Context, scheme string, iCache boo
 		out[i] = SweepPoint{Theta: thetas[i], Savings: p.Savings}
 	}
 	return out, nil
+}
+
+// GeometricThetas is the geometrically spaced theta ladder from from to
+// to with up to points samples, deduplicated after rounding — the dense
+// sweep spacing of `experiments -only sweep` and the serving layer's
+// sweep endpoint. It is {from} when points <= 1 or from >= to.
+func GeometricThetas(from, to uint64, points int) []uint64 {
+	if points <= 1 || from >= to {
+		return []uint64{from}
+	}
+	ratio := math.Pow(float64(to)/float64(from), 1/float64(points-1))
+	out := make([]uint64, 0, points)
+	last := uint64(0)
+	for i := 0; i < points; i++ {
+		v := uint64(math.Round(float64(from) * math.Pow(ratio, float64(i))))
+		if v <= last {
+			continue
+		}
+		out = append(out, v)
+		last = v
+	}
+	return out
 }
 
 // Workers reports the suite's resolved parallelism bound (WithWorkers,

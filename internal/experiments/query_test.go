@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math"
+	"slices"
 	"testing"
 
 	"leakbound/internal/leakage"
@@ -168,5 +169,39 @@ func TestSuiteWorkers(t *testing.T) {
 	}
 	if got := MustNew(WithScale(0.02)).Workers(); got < 1 {
 		t.Errorf("default Workers() = %d, want >= 1", got)
+	}
+}
+
+func TestGeometricThetas(t *testing.T) {
+	for _, tc := range []struct {
+		name        string
+		from, to    uint64
+		points      int
+		want        []uint64 // exact ladder, when short enough to spell out
+		len         int
+		first, last uint64
+	}{
+		{name: "dense-figure7", from: 1057, to: 103084, points: 256, len: 256, first: 1057, last: 103084},
+		{name: "from==to", from: 5000, to: 5000, points: 256, want: []uint64{5000}},
+		{name: "inverted", from: 10, to: 3, points: 8, want: []uint64{10}},
+		{name: "one-point", from: 1057, to: 10000, points: 1, want: []uint64{1057}},
+		{name: "rounding-dedup", from: 1, to: 3, points: 256, want: []uint64{1, 2, 3}},
+	} {
+		got := GeometricThetas(tc.from, tc.to, tc.points)
+		if tc.want != nil {
+			if !slices.Equal(got, tc.want) {
+				t.Errorf("%s: GeometricThetas(%d, %d, %d) = %v, want %v", tc.name, tc.from, tc.to, tc.points, got, tc.want)
+			}
+			continue
+		}
+		if len(got) != tc.len || got[0] != tc.first || got[len(got)-1] != tc.last {
+			t.Errorf("%s: %d thetas %d..%d, want %d thetas %d..%d",
+				tc.name, len(got), got[0], got[len(got)-1], tc.len, tc.first, tc.last)
+		}
+		for i := 1; i < len(got); i++ {
+			if got[i] <= got[i-1] {
+				t.Fatalf("%s: ladder not strictly ascending at %d: %d after %d", tc.name, i, got[i], got[i-1])
+			}
+		}
 	}
 }

@@ -142,25 +142,7 @@ func (s *Suite) EvaluateScenarioCellContext(ctx context.Context, sc Scenario, iC
 	if err != nil {
 		return CellEvaluation{}, err
 	}
-	dist, agg := bd.Side(iCache)
-	side := "i"
-	if !iCache {
-		side = "d"
-	}
-	evs, err := s.EvaluateGrid(ctx, []Cell{{Tech: tech, Policy: pol, Dist: dist, Agg: agg,
-		Label: fmt.Sprintf("query/adhoc/%s/%s/%s", side, tech.Name, pol.Name())}})
-	if err != nil {
-		return CellEvaluation{}, err
-	}
-	return CellEvaluation{
-		Benchmark:  bd.Name,
-		Cache:      side,
-		Technology: tech.Name,
-		Policy:     evs[0].Policy,
-		Energy:     evs[0].Energy,
-		Baseline:   evs[0].Baseline,
-		Savings:    evs[0].Savings,
-	}, nil
+	return s.evaluateCell(ctx, bd, bd.Name, "adhoc", iCache, tech, pol)
 }
 
 // SweepParamScenarioContext sweeps a scheme parameter over a single

@@ -1,9 +1,10 @@
 package leakage
 
 // The closed forms behind the aggregate fast path: every builtin policy
-// declares its IntervalEnergy (and IntervalMisses) as a piecewise-affine
-// Curve per flags value. The curves mirror the reference implementations
-// in policy.go/extended.go/coloring.go/waymemo.go branch for branch —
+// declares its IntervalEnergy as a piecewise-affine Curve per flags
+// value, each piece tagged with the IntervalMisses of its lengths. The
+// curves mirror the reference implementations in
+// policy.go/extended.go/coloring.go/waymemo.go branch for branch —
 // same threshold comparisons on float64(length), same flag dispatch —
 // differing only by floating-point regrouping of each branch's affine
 // arithmetic. TestClosedFormsMatchReference pins the agreement pointwise
@@ -21,17 +22,13 @@ import (
 
 // ClosedForm is implemented by policies whose IntervalEnergy is piecewise
 // affine in the interval length for any fixed flags value. EnergyCurve
-// returns the curve for one flags value; ok=false means the policy cannot
-// express this flags class in closed form and the caller must fall back
-// to the bucket-walking reference path for the whole distribution.
+// returns the curve for one flags value, whose pieces also carry the
+// policy's IntervalMisses; ok=false (or an invalid curve) means the
+// policy cannot express this flags class in closed form and the caller
+// must fall back to the bucket-walking reference path for the whole
+// distribution.
 type ClosedForm interface {
 	EnergyCurve(t power.Technology, flags interval.Flags) (Curve, bool)
-}
-
-// MissClosedForm is the induced-miss counterpart of ClosedForm: the
-// piecewise form of MissModel.IntervalMisses for one flags value.
-type MissClosedForm interface {
-	MissCurve(t power.Technology, flags interval.Flags) (Curve, bool)
 }
 
 // Shared building blocks, mirroring the helpers in policy.go.
@@ -65,7 +62,8 @@ func trailingSleepCurve(t power.Technology) Curve {
 func untouchedSleepCurve(t power.Technology) Curve { return affine(0, t.PSleep) }
 
 // sleepForCurve mirrors sleepEnergyFor's flag dispatch, including the
-// write-back charge riding on trailing and interior dirty intervals.
+// write-back charge riding on trailing and interior dirty intervals. Only
+// the interior piece charges CD, so only it re-fetches.
 func sleepForCurve(t power.Technology, flags interval.Flags) Curve {
 	var wb float64
 	if flags&interval.Dirty != 0 {
@@ -77,34 +75,21 @@ func sleepForCurve(t power.Technology, flags interval.Flags) Curve {
 	case flags&interval.Leading != 0:
 		return leadingSleepCurve(t)
 	case flags&interval.Trailing != 0:
-		return trailingSleepCurve(t).plusConst(wb)
+		return trailingSleepCurve(t).plus(wb, 0, 0)
 	default:
 		ohS := float64(t.Durations.SleepOverhead())
-		return affine(ohS*t.PActive-ohS*t.PSleep+t.CD+wb, t.PSleep)
+		return affine(ohS*t.PActive-ohS*t.PSleep+t.CD+wb, t.PSleep).plus(0, 0, 1)
 	}
 }
-
-// zeroCurve is the all-zero miss curve.
-func zeroCurve() Curve { return constant(0) }
 
 // EnergyCurve implements ClosedForm.
 func (AlwaysActive) EnergyCurve(t power.Technology, flags interval.Flags) (Curve, bool) {
 	return activeCurve(t), true
 }
 
-// MissCurve implements MissClosedForm.
-func (AlwaysActive) MissCurve(power.Technology, interval.Flags) (Curve, bool) {
-	return zeroCurve(), true
-}
-
 // EnergyCurve implements ClosedForm.
 func (OPTDrowsy) EnergyCurve(t power.Technology, flags interval.Flags) (Curve, bool) {
 	return drowsyForCurve(t), true
-}
-
-// MissCurve implements MissClosedForm.
-func (OPTDrowsy) MissCurve(power.Technology, interval.Flags) (Curve, bool) {
-	return zeroCurve(), true
 }
 
 // optSleepTheta applies the reference's clamp: theta never drops below
@@ -122,23 +107,15 @@ func (p OPTSleep) EnergyCurve(t power.Technology, flags interval.Flags) (Curve, 
 	return switchAt(p.theta(t), activeCurve(t), sleepForCurve(t, flags)), true
 }
 
-// MissCurve implements MissClosedForm.
-func (p OPTSleep) MissCurve(t power.Technology, flags interval.Flags) (Curve, bool) {
-	if !flags.Interior() {
-		return zeroCurve(), true
-	}
-	return switchAt(p.theta(t), zeroCurve(), constant(1)), true
-}
-
 // EnergyCurve implements ClosedForm.
 func (p SleepDecay) EnergyCurve(t power.Technology, flags interval.Flags) (Curve, bool) {
 	d := t.Durations
 	counter := t.CounterLeak
 	switch {
 	case flags&interval.Untouched == interval.Untouched:
-		return untouchedSleepCurve(t).plusSlope(counter), true
+		return untouchedSleepCurve(t).plus(0, counter, 0), true
 	case flags&interval.Leading != 0:
-		return leadingSleepCurve(t).plusSlope(counter), true
+		return leadingSleepCurve(t).plus(0, counter, 0), true
 	}
 	theta := float64(p.Theta)
 	need := theta + float64(d.S1)
@@ -154,19 +131,9 @@ func (p SleepDecay) EnergyCurve(t power.Technology, flags interval.Flags) (Curve
 		gated = affine(theta*t.PActive+float64(d.S1)*t.PActive-(theta+float64(d.S1))*t.PSleep+wb, t.PSleep)
 	} else {
 		wake := float64(d.S3+d.S4) * t.PActive
-		gated = affine(theta*t.PActive+float64(d.S1)*t.PActive+wake+t.CD+wb-need*t.PSleep, t.PSleep)
+		gated = affine(theta*t.PActive+float64(d.S1)*t.PActive+wake+t.CD+wb-need*t.PSleep, t.PSleep).plus(0, 0, 1)
 	}
-	return switchAt(need, activeCurve(t), gated).plusSlope(counter), true
-}
-
-// MissCurve implements MissClosedForm.
-func (p SleepDecay) MissCurve(t power.Technology, flags interval.Flags) (Curve, bool) {
-	if !flags.Interior() {
-		return zeroCurve(), true
-	}
-	d := t.Durations
-	need := float64(p.Theta) + float64(d.S1) + float64(d.S3+d.S4)
-	return switchAt(need, zeroCurve(), constant(1)), true
+	return switchAt(need, activeCurve(t), gated).plus(0, counter, 0), true
 }
 
 // EnergyCurve implements ClosedForm.
@@ -180,22 +147,6 @@ func (p OPTHybrid) EnergyCurve(t power.Technology, flags interval.Flags) (Curve,
 		theta = float64(p.SleepTheta)
 	}
 	return switchAt(theta, drowsyForCurve(t), sleepForCurve(t, flags)), true
-}
-
-// MissCurve implements MissClosedForm.
-func (p OPTHybrid) MissCurve(t power.Technology, flags interval.Flags) (Curve, bool) {
-	if !flags.Interior() {
-		return zeroCurve(), true
-	}
-	_, b, err := t.InflectionPoints()
-	if err != nil {
-		return zeroCurve(), true
-	}
-	theta := b
-	if p.SleepTheta > 0 {
-		theta = float64(p.SleepTheta)
-	}
-	return switchAt(theta, zeroCurve(), constant(1)), true
 }
 
 // EnergyCurve implements ClosedForm.
@@ -212,11 +163,6 @@ func (p PeriodicDrowsy) EnergyCurve(t power.Technology, flags interval.Flags) (C
 	oh := float64(t.Durations.DrowsyOverhead())
 	drowsed := affine(wait*t.PActive+oh*t.PActive-(wait+oh)*t.PDrowsy, t.PDrowsy)
 	return switchAt(wait+oh, activeCurve(t), drowsed), true
-}
-
-// MissCurve implements MissClosedForm.
-func (PeriodicDrowsy) MissCurve(power.Technology, interval.Flags) (Curve, bool) {
-	return zeroCurve(), true
 }
 
 // EnergyCurve implements ClosedForm.
@@ -240,31 +186,11 @@ func (p PrefetchGuided) EnergyCurve(t power.Technology, flags interval.Flags) (C
 	return activeCurve(t), true
 }
 
-// MissCurve implements MissClosedForm.
-func (p PrefetchGuided) MissCurve(t power.Technology, flags interval.Flags) (Curve, bool) {
-	if !flags.Interior() || !flags.Prefetchable() {
-		return zeroCurve(), true
-	}
-	_, b, err := t.InflectionPoints()
-	if err != nil {
-		return zeroCurve(), true
-	}
-	return switchAt(b, zeroCurve(), constant(1)), true
-}
-
 // EnergyCurve implements ClosedForm: the decay base curve with the tag
 // array's share of any sleep savings given back.
 func (p AMCSleep) EnergyCurve(t power.Technology, flags interval.Flags) (Curve, bool) {
 	base, ok := SleepDecay{Theta: p.Theta}.EnergyCurve(t, flags)
-	if !ok {
-		return Curve{}, false
-	}
-	return tagTransform(base, p.TagFraction, t.PActive), true
-}
-
-// MissCurve implements MissClosedForm: same decisions as the decay core.
-func (p AMCSleep) MissCurve(t power.Technology, flags interval.Flags) (Curve, bool) {
-	return SleepDecay{Theta: p.Theta}.MissCurve(t, flags)
+	return tagTransform(base, p.TagFraction, t.PActive), ok
 }
 
 // dirtyTheta mirrors DirtyAwareHybrid's per-flag crossover.
@@ -284,21 +210,9 @@ func (DirtyAwareHybrid) EnergyCurve(t power.Technology, flags interval.Flags) (C
 	return switchAt(dirtyTheta(t, b, flags), drowsyForCurve(t), sleepForCurve(t, flags)), true
 }
 
-// MissCurve implements MissClosedForm.
-func (DirtyAwareHybrid) MissCurve(t power.Technology, flags interval.Flags) (Curve, bool) {
-	if !flags.Interior() {
-		return zeroCurve(), true
-	}
-	_, b, err := t.InflectionPoints()
-	if err != nil {
-		return zeroCurve(), true
-	}
-	return switchAt(dirtyTheta(t, b, flags), zeroCurve(), constant(1)), true
-}
-
 // EnergyCurve implements ClosedForm: the dead-interior branch gates
 // wherever CD-free sleep beats the drowsy schedule (for L >= the sleep
-// overhead), everything else follows OPT-Hybrid.
+// overhead) and never re-fetches, everything else follows OPT-Hybrid.
 func (DeadAwareHybrid) EnergyCurve(t power.Technology, flags interval.Flags) (Curve, bool) {
 	if flags&interval.DeadEnd == 0 || !flags.Interior() {
 		return OPTHybrid{}.EnergyCurve(t, flags)
@@ -316,15 +230,6 @@ func (DeadAwareHybrid) EnergyCurve(t power.Technology, flags interval.Flags) (Cu
 	return switchAt(ohS-0.5, base, pickBelow(base, sleepNR)), true
 }
 
-// MissCurve implements MissClosedForm: gated dead intervals never
-// re-fetch.
-func (DeadAwareHybrid) MissCurve(t power.Technology, flags interval.Flags) (Curve, bool) {
-	if flags&interval.DeadEnd != 0 && flags.Interior() {
-		return zeroCurve(), true
-	}
-	return OPTHybrid{}.MissCurve(t, flags)
-}
-
 // EnergyCurve implements ClosedForm.
 func (p Coloring) EnergyCurve(t power.Technology, flags interval.Flags) (Curve, bool) {
 	switch {
@@ -334,14 +239,6 @@ func (p Coloring) EnergyCurve(t power.Technology, flags interval.Flags) (Curve, 
 		return leadingSleepCurve(t), true
 	}
 	return switchAt(p.regionTheta(t), activeCurve(t), sleepForCurve(t, flags)), true
-}
-
-// MissCurve implements MissClosedForm.
-func (p Coloring) MissCurve(t power.Technology, flags interval.Flags) (Curve, bool) {
-	if !flags.Interior() {
-		return zeroCurve(), true
-	}
-	return switchAt(p.regionTheta(t), zeroCurve(), constant(1)), true
 }
 
 // EnergyCurve implements ClosedForm.
@@ -361,19 +258,8 @@ func (p WayMemo) EnergyCurve(t power.Technology, flags interval.Flags) (Curve, b
 	}
 	slept := sleepForCurve(t, flags)
 	if flags.Interior() {
-		slept = slept.plusConst((1 - p.Accuracy) * t.CD)
+		// A mispredicted pre-wake adds one more CD-equivalent re-fetch.
+		slept = slept.plus((1-p.Accuracy)*t.CD, 0, 1-p.Accuracy)
 	}
 	return switchAt(b, drowsyForCurve(t), slept), true
-}
-
-// MissCurve implements MissClosedForm.
-func (p WayMemo) MissCurve(t power.Technology, flags interval.Flags) (Curve, bool) {
-	if !flags.Interior() || !flags.Prefetchable() {
-		return zeroCurve(), true
-	}
-	_, b, err := t.InflectionPoints()
-	if err != nil {
-		return zeroCurve(), true
-	}
-	return switchAt(b, zeroCurve(), constant(1+(1-p.Accuracy))), true
 }

@@ -48,9 +48,9 @@ func testPolicies(t power.Technology) []Policy {
 	}
 }
 
-// curveTestLengths returns the probe lengths for one curve: every cut's
-// integer neighborhood plus a spread of interior points, so every piece
-// and every boundary decision is exercised.
+// curveTestLengths returns the probe lengths for one curve: every piece
+// end's integer neighborhood plus a spread of interior points, so every
+// piece and every boundary decision is exercised.
 func curveTestLengths(c Curve) []uint64 {
 	set := map[uint64]bool{}
 	add := func(l float64) {
@@ -64,9 +64,9 @@ func curveTestLengths(c Curve) []uint64 {
 			}
 		}
 	}
-	for _, cut := range c.Cuts {
-		add(cut)
-		add(math.Ceil(cut))
+	for _, pc := range c.p[:c.n] {
+		add(pc.end)
+		add(math.Ceil(pc.end))
 	}
 	for _, l := range []uint64{1, 2, 3, 5, 6, 7, 36, 37, 38, 100, 1000, 1057, 5088, 10327, 10328, 10329, 103084, 1 << 20, 1 << 40} {
 		set[l] = true
@@ -87,11 +87,11 @@ func relClose(a, b, relTol, absTol float64) bool {
 }
 
 // TestClosedFormsMatchReference checks every builtin policy's
-// EnergyCurve and MissCurve pointwise against its IntervalEnergy and
-// IntervalMisses, for every flags value, at every builtin technology
-// node, on lengths bracketing every curve cut. Energies may differ only
-// by float regrouping (tight relative tolerance); miss counts must match
-// exactly — their curves use the very same threshold comparisons.
+// EnergyCurve pointwise against its IntervalEnergy and IntervalMisses, for
+// every flags value, at every builtin technology node, on lengths
+// bracketing every piece end. Energies may differ only by float
+// regrouping (tight relative tolerance); the misses the same pieces carry
+// must match exactly — they sit on the very same threshold comparisons.
 func TestClosedFormsMatchReference(t *testing.T) {
 	for _, tech := range power.Technologies() {
 		for _, pol := range testPolicies(tech) {
@@ -99,29 +99,21 @@ func TestClosedFormsMatchReference(t *testing.T) {
 			if !ok {
 				t.Fatalf("%s (%T) does not declare a ClosedForm", pol.Name(), pol)
 			}
-			mc, ok := pol.(MissClosedForm)
-			if !ok {
-				t.Fatalf("%s (%T) does not declare a MissClosedForm", pol.Name(), pol)
-			}
 			mm := pol.(MissModel)
 			for f := 0; f < 64; f++ {
 				flags := interval.Flags(f)
 				curve, ok := cf.EnergyCurve(tech, flags)
-				if !ok {
-					t.Fatalf("%s: EnergyCurve !ok for flags %v", pol.Name(), flags)
+				if !ok || !curve.valid() {
+					t.Fatalf("%s flags %v: no valid curve (ok=%v, %d pieces)", pol.Name(), flags, ok, curve.n)
 				}
-				missCurve, ok := mc.MissCurve(tech, flags)
-				if !ok {
-					t.Fatalf("%s: MissCurve !ok for flags %v", pol.Name(), flags)
-				}
-				if len(curve.Consts) != len(curve.Cuts)+1 || len(curve.Slopes) != len(curve.Consts) {
-					t.Fatalf("%s flags %v: ragged curve %d cuts / %d consts / %d slopes",
-						pol.Name(), flags, len(curve.Cuts), len(curve.Consts), len(curve.Slopes))
-				}
-				for i := 1; i < len(curve.Cuts); i++ {
-					if curve.Cuts[i] < curve.Cuts[i-1] {
-						t.Fatalf("%s flags %v: cuts not ascending: %v", pol.Name(), flags, curve.Cuts)
+				pieces := curve.p[:curve.n]
+				for i := 1; i < len(pieces); i++ {
+					if !(pieces[i].end > pieces[i-1].end) {
+						t.Fatalf("%s flags %v: piece ends not ascending: %+v", pol.Name(), flags, pieces)
 					}
+				}
+				if last := pieces[len(pieces)-1].end; !math.IsInf(last, 1) {
+					t.Fatalf("%s flags %v: last piece ends at %g, not +Inf", pol.Name(), flags, last)
 				}
 				for _, L := range curveTestLengths(curve) {
 					want := pol.IntervalEnergy(tech, L, flags)
@@ -130,13 +122,10 @@ func TestClosedFormsMatchReference(t *testing.T) {
 						t.Fatalf("%s @%s flags=%v L=%d: curve %.17g, reference %.17g",
 							pol.Name(), tech.Name, flags, L, got, want)
 					}
-				}
-				for _, L := range curveTestLengths(missCurve) {
-					want := mm.IntervalMisses(tech, L, flags)
-					got := missCurve.Eval(float64(L))
-					if got != want {
-						t.Fatalf("%s @%s flags=%v L=%d: miss curve %g, reference %g",
-							pol.Name(), tech.Name, flags, L, got, want)
+					wantMiss := mm.IntervalMisses(tech, L, flags)
+					if gotMiss := curve.at(float64(L)).misses; gotMiss != wantMiss {
+						t.Fatalf("%s @%s flags=%v L=%d: curve misses %g, reference %g",
+							pol.Name(), tech.Name, flags, L, gotMiss, wantMiss)
 					}
 				}
 			}
@@ -268,6 +257,94 @@ func TestEvaluateAggregateFallsBack(t *testing.T) {
 	}
 	if _, err := InducedMissesAggregate(tech, agg, noClosedForm{}); !errors.Is(err, ErrNoMissModel) {
 		t.Fatalf("want ErrNoMissModel for a policy without a miss model, got %v", err)
+	}
+}
+
+// stairs is a test-only policy whose composed curve needs five pieces,
+// one past maxPieces: energy and misses step up by one at each of four
+// cuts.
+type stairs struct{}
+
+var stairCuts = [...]float64{10, 100, 1000, 10000}
+
+func (stairs) Name() string { return "stairs" }
+
+func (stairs) IntervalMisses(_ power.Technology, length uint64, _ interval.Flags) float64 {
+	var steps float64
+	for _, cut := range stairCuts {
+		if float64(length) > cut {
+			steps++
+		}
+	}
+	return steps
+}
+
+func (s stairs) IntervalEnergy(t power.Technology, length uint64, flags interval.Flags) float64 {
+	return t.PActive*float64(length) + s.IntervalMisses(t, length, flags)
+}
+
+func (stairs) EnergyCurve(t power.Technology, _ interval.Flags) (Curve, bool) {
+	c := affine(float64(len(stairCuts)), t.PActive).plus(0, 0, float64(len(stairCuts)))
+	for i := len(stairCuts) - 1; i >= 0; i-- {
+		c = switchAt(stairCuts[i], affine(float64(i), t.PActive).plus(0, 0, float64(i)), c)
+	}
+	return c, true
+}
+
+// TestOverflowingCurveFallsBack pins the maxPieces bound: a composition
+// past it yields an invalid curve, and both aggregate kernels then take
+// the reference walk for the whole distribution.
+func TestOverflowingCurveFallsBack(t *testing.T) {
+	tech := power.Default()
+	if c, _ := (stairs{}).EnergyCurve(tech, 0); c.valid() {
+		t.Fatalf("a %d-piece composition must be invalid, got %d pieces", maxPieces+1, c.n)
+	}
+	rng := rand.New(rand.NewSource(5))
+	d := randomDistribution(rng)
+	agg := interval.NewAggregates(d)
+	ref, err := Evaluate(tech, d, stairs{})
+	if err != nil {
+		t.Fatalf("Evaluate: %v", err)
+	}
+	fast, err := EvaluateAggregate(tech, agg, stairs{})
+	if err != nil {
+		t.Fatalf("EvaluateAggregate: %v", err)
+	}
+	if fast != ref {
+		t.Fatalf("overflow must fall back bit-identically: %+v vs %+v", fast, ref)
+	}
+	refMiss, err := InducedMisses(tech, d, stairs{})
+	if err != nil {
+		t.Fatalf("InducedMisses: %v", err)
+	}
+	fastMiss, err := InducedMissesAggregate(tech, agg, stairs{})
+	if err != nil || fastMiss != refMiss {
+		t.Fatalf("InducedMissesAggregate = %v, %v; want %v", fastMiss, err, refMiss)
+	}
+}
+
+// TestAggregateKernelsDoNotAllocate is the dynamic twin of the hotalloc
+// contract on EvaluateAggregate/EvaluateMany: curves are built inline, so
+// evaluating a builtin whose Name is constant allocates nothing, the miss
+// fold (which never names the policy) allocates nothing for any builtin,
+// and EvaluateMany allocates only its result slice.
+func TestAggregateKernelsDoNotAllocate(t *testing.T) {
+	agg := interval.NewAggregates(randomDistribution(rand.New(rand.NewSource(11))))
+	constNamed := []Policy{AlwaysActive{}, OPTDrowsy{}, OPTHybrid{}, PrefetchA(), PrefetchB(), DirtyAwareHybrid{}, DeadAwareHybrid{}}
+	for _, tech := range power.Technologies() {
+		for _, pol := range constNamed {
+			if n := testing.AllocsPerRun(10, func() { _, _ = EvaluateAggregate(tech, agg, pol) }); n != 0 {
+				t.Errorf("EvaluateAggregate(%s @%s): %v allocs, want 0", pol.Name(), tech.Name, n)
+			}
+		}
+		for _, pol := range testPolicies(tech) {
+			if n := testing.AllocsPerRun(10, func() { _, _ = InducedMissesAggregate(tech, agg, pol) }); n != 0 {
+				t.Errorf("InducedMissesAggregate(%s @%s): %v allocs, want 0", pol.Name(), tech.Name, n)
+			}
+		}
+		if n := testing.AllocsPerRun(10, func() { _, _ = EvaluateMany(tech, agg, constNamed) }); n != 1 {
+			t.Errorf("EvaluateMany @%s: %v allocs, want 1 (the result slice)", tech.Name, n)
+		}
 	}
 }
 

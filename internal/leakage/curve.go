@@ -7,74 +7,89 @@ package leakage
 // cutoff), so a policy evaluation over a whole distribution collapses to,
 // per piece, const*count + slope*mass of the lengths falling in the
 // piece — two prefix-sum lookups (interval.FlagsClass.Prefix) instead of
-// a walk over every bucket.
+// a walk over every bucket. Each piece also carries its induced-miss
+// count: the sleep decisions that charge CD are exactly the pieces that
+// re-fetch, so the same two lookups answer misses*count too.
 //
 // Branch-boundary discipline: the reference implementations all branch on
 // strict "float64(length) > threshold" comparisons (or their negations),
-// and Prefix answers "float64(length) <= cut", so a Curve cut placed at
+// and Prefix answers "float64(length) <= cut", so a piece end placed at
 // the threshold reproduces the reference's branch decisions exactly.
 // Conditions of the form "length >= k" with integer k are encoded as a
-// cut at k - 0.5 (interval lengths are integers, so no length falls
+// piece end at k - 0.5 (interval lengths are integers, so no length falls
 // between). The only inexactness the fast path admits is floating-point
 // reassociation: a piece's const+slope*L regroups the reference's
 // arithmetic, and prefix sums reorder the additions — both bounded by
 // ulp-scale relative error, pinned by TestClosedFormsMatchReference.
 
-import (
-	"math"
-	"sort"
-)
+import "math"
 
-// Curve is a piecewise-affine function of interval length L > 0.
-// Segment i covers (Cuts[i-1], Cuts[i]] (with Cuts[-1] = 0 and
-// Cuts[len(Cuts)] = +inf implied) and has value Consts[i] + Slopes[i]*L.
-// Cuts ascend; len(Consts) == len(Slopes) == len(Cuts)+1.
+// maxPieces bounds a Curve's pieces. Every builtin curve fits in 4 at
+// every technology node and flags value (TestClosedFormsMatchReference);
+// a composition that would exceed it yields an invalid curve, which sends
+// the whole evaluation down the reference walk.
+const maxPieces = 4
+
+// piece is one affine segment of a Curve: over the lengths in
+// (previous end, end] the curve's energy is cnst + slope*L and each
+// interval is charged misses induced re-fetches.
+type piece struct {
+	end, cnst, slope, misses float64
+}
+
+// Curve is a piecewise-affine function of interval length L > 0, held
+// inline (no heap slices) so building one per flags class allocates
+// nothing. Piece ends ascend and the last one is +Inf. The zero Curve,
+// and any composition that overflowed maxPieces, is invalid.
 type Curve struct {
-	Cuts   []float64
-	Consts []float64
-	Slopes []float64
+	p [maxPieces]piece
+	n int // pieces in use; -1 once a push overflowed
 }
 
-// Eval returns the curve's value at length L.
+// valid reports whether c holds a complete curve.
+func (c *Curve) valid() bool { return c.n > 0 }
+
+// push appends a piece; past maxPieces the curve turns invalid for good.
+func (c *Curve) push(pc piece) {
+	switch {
+	case c.n < 0:
+	case c.n == maxPieces:
+		c.n = -1
+	default:
+		c.p[c.n] = pc
+		c.n++
+	}
+}
+
+// at returns the piece covering length L; c must be valid.
+func (c *Curve) at(L float64) piece {
+	i := 0
+	for i < c.n-1 && L > c.p[i].end {
+		i++
+	}
+	return c.p[i]
+}
+
+// Eval returns the curve's energy at length L.
 func (c Curve) Eval(L float64) float64 {
-	i := sort.Search(len(c.Cuts), func(i int) bool { return L <= c.Cuts[i] })
-	return c.Consts[i] + c.Slopes[i]*L
+	pc := c.at(L)
+	return pc.cnst + pc.slope*L
 }
 
-// segments returns the number of affine pieces.
-func (c Curve) segments() int { return len(c.Consts) }
-
-// affine returns the single-piece curve const + slope*L.
+// affine returns the single-piece, miss-free curve const + slope*L.
 func affine(cnst, slope float64) Curve {
-	return Curve{Consts: []float64{cnst}, Slopes: []float64{slope}}
+	return Curve{p: [maxPieces]piece{{end: math.Inf(1), cnst: cnst, slope: slope}}, n: 1}
 }
 
-// constant returns the single-piece constant curve.
-func constant(v float64) Curve { return affine(v, 0) }
-
-// plusConst shifts every piece up by k.
-func (c Curve) plusConst(k float64) Curve {
-	if k == 0 {
-		return c
+// plus adds dc to every piece's constant, ds to its slope (e.g. an
+// always-leaking decay counter) and dm to its induced misses.
+func (c Curve) plus(dc, ds, dm float64) Curve {
+	for i := 0; i < c.n; i++ {
+		c.p[i].cnst += dc
+		c.p[i].slope += ds
+		c.p[i].misses += dm
 	}
-	out := Curve{Cuts: c.Cuts, Consts: make([]float64, len(c.Consts)), Slopes: c.Slopes}
-	for i, v := range c.Consts {
-		out.Consts[i] = v + k
-	}
-	return out
-}
-
-// plusSlope adds k to every piece's slope (e.g. an always-leaking decay
-// counter).
-func (c Curve) plusSlope(k float64) Curve {
-	if k == 0 {
-		return c
-	}
-	out := Curve{Cuts: c.Cuts, Consts: c.Consts, Slopes: make([]float64, len(c.Slopes))}
-	for i, v := range c.Slopes {
-		out.Slopes[i] = v + k
-	}
-	return out
+	return c
 }
 
 // switchAt composes the curve that equals low for L <= cut and high for
@@ -88,42 +103,21 @@ func switchAt(cut float64, low, high Curve) Curve {
 		return low
 	}
 	var out Curve
-	for i := 0; i < low.segments(); i++ {
-		end := math.Inf(1)
-		if i < len(low.Cuts) {
-			end = low.Cuts[i]
-		}
-		start := 0.0
-		if i > 0 {
-			start = low.Cuts[i-1]
-		}
-		if start >= cut {
-			break
-		}
-		segEnd := end
-		if segEnd > cut {
-			segEnd = cut
-		}
-		out.Cuts = append(out.Cuts, segEnd)
-		out.Consts = append(out.Consts, low.Consts[i])
-		out.Slopes = append(out.Slopes, low.Slopes[i])
+	if !low.valid() || !high.valid() {
+		return out
+	}
+	for _, pc := range low.p[:low.n] {
+		end := pc.end
+		pc.end = math.Min(end, cut)
+		out.push(pc)
 		if end >= cut {
 			break
 		}
 	}
-	for i := 0; i < high.segments(); i++ {
-		end := math.Inf(1)
-		if i < len(high.Cuts) {
-			end = high.Cuts[i]
+	for _, pc := range high.p[:high.n] {
+		if pc.end > cut { // pieces entirely below the switch point drop
+			out.push(pc)
 		}
-		if end <= cut {
-			continue // piece entirely below the switch point
-		}
-		if i < len(high.Cuts) {
-			out.Cuts = append(out.Cuts, end)
-		}
-		out.Consts = append(out.Consts, high.Consts[i])
-		out.Slopes = append(out.Slopes, high.Slopes[i])
 	}
 	return out
 }
@@ -131,110 +125,98 @@ func switchAt(cut float64, low, high Curve) Curve {
 // pickBelow composes the curve that equals alt wherever alt(L) is
 // strictly below base(L), and base elsewhere — the dead-oracle's "gate
 // whenever CD-free sleep beats the drowsy schedule" selection. Affine
-// pieces cross at most once, so each elementary segment of the merged cut
-// set splits at most once at the analytic crossover; both sides agree at
-// the crossover itself, so any ulp-level disagreement with the
+// pieces cross at most once, so each elementary segment of the merged
+// piece ends splits at most once at the analytic crossover; both sides
+// agree at the crossover itself, so any ulp-level disagreement with the
 // reference's per-bucket comparison moves only values equal to within
 // ulps.
 func pickBelow(base, alt Curve) Curve {
-	cuts := make([]float64, 0, len(base.Cuts)+len(alt.Cuts))
-	cuts = append(cuts, base.Cuts...)
-	cuts = append(cuts, alt.Cuts...)
-	sort.Float64s(cuts)
 	var out Curve
-	emit := func(end float64, c Curve, seg int) {
-		if !math.IsInf(end, 1) {
-			out.Cuts = append(out.Cuts, end)
-		}
-		out.Consts = append(out.Consts, c.Consts[seg])
-		out.Slopes = append(out.Slopes, c.Slopes[seg])
+	if !base.valid() || !alt.valid() {
+		return out
 	}
 	lo := 0.0
-	for k := 0; k <= len(cuts); k++ {
-		hi := math.Inf(1)
-		if k < len(cuts) {
-			hi = cuts[k]
-		}
-		if hi <= lo {
-			continue // duplicate boundary
-		}
-		bi := segIndex(base, hi)
-		ai := segIndex(alt, hi)
-		bc, bs := base.Consts[bi], base.Slopes[bi]
-		ac, as := alt.Consts[ai], alt.Slopes[ai]
+	for bi, ai := 0, 0; bi < base.n && ai < alt.n; {
+		b, a := base.p[bi], alt.p[ai]
+		hi := math.Min(b.end, a.end)
 		// Crossover of the two affine pieces inside (lo, hi), if any.
-		bounds := []float64{hi}
-		if bs != as {
-			if x := (ac - bc) / (bs - as); x > lo && x < hi {
-				bounds = []float64{x, hi}
+		if b.slope != a.slope {
+			if x := (a.cnst - b.cnst) / (b.slope - a.slope); x > lo && x < hi {
+				out.push(lower(lo, x, b, a))
+				lo = x
 			}
 		}
-		for _, end := range bounds {
-			probe := (lo + end) / 2
-			if math.IsInf(end, 1) {
-				probe = lo + 1
-			}
-			if ac+as*probe < bc+bs*probe {
-				emit(end, alt, ai)
-			} else {
-				emit(end, base, bi)
-			}
-			lo = end
+		out.push(lower(lo, hi, b, a))
+		lo = hi
+		if b.end == hi {
+			bi++
+		}
+		if a.end == hi {
+			ai++
 		}
 	}
 	return out
 }
 
-// segIndex returns the index of the piece whose range contains lengths
-// just below end (i.e. the piece covering (prevCut, end]).
-func segIndex(c Curve, end float64) int {
-	return sort.Search(len(c.Cuts), func(i int) bool { return end <= c.Cuts[i] })
+// lower returns whichever of base and alt is strictly lower over
+// (lo, end] — alt only when strictly below — as a piece ending at end.
+func lower(lo, end float64, base, alt piece) piece {
+	x := probe(lo, end)
+	pc := base
+	if alt.cnst+alt.slope*x < base.cnst+base.slope*x {
+		pc = alt
+	}
+	pc.end = end
+	return pc
 }
 
 // tagTransform applies the AMC tag-array correction to a decay base
 // curve: wherever the base gated anything (slept(L) = PActive*L - base(L)
 // > 0) the tag's share tf of the savings is given back, i.e. the value
 // becomes (1-tf)*base(L) + tf*PActive*L. Per base piece slept is affine,
-// so the sign changes at most once per piece.
+// so the sign changes at most once per piece. The tag array staying
+// powered changes energy, not the re-fetch count.
 func tagTransform(base Curve, tf, pActive float64) Curve {
 	var out Curve
-	emit := func(end, cnst, slope float64) {
-		if !math.IsInf(end, 1) {
-			out.Cuts = append(out.Cuts, end)
-		}
-		out.Consts = append(out.Consts, cnst)
-		out.Slopes = append(out.Slopes, slope)
+	if !base.valid() {
+		return out
 	}
 	lo := 0.0
-	for i := 0; i < base.segments(); i++ {
-		hi := math.Inf(1)
-		if i < len(base.Cuts) {
-			hi = base.Cuts[i]
-		}
+	for _, pc := range base.p[:base.n] {
+		hi := pc.end
 		if hi <= lo {
 			continue
 		}
-		cnst, slope := base.Consts[i], base.Slopes[i]
 		// slept(L) = (pActive-slope)*L - cnst; transformed piece value:
-		tc, ts := (1-tf)*cnst, slope+tf*(pActive-slope)
-		bounds := []float64{hi}
-		if d := pActive - slope; d != 0 {
-			if x := cnst / d; x > lo && x < hi {
-				bounds = []float64{x, hi}
+		tagged := pc
+		tagged.cnst, tagged.slope = (1-tf)*pc.cnst, pc.slope+tf*(pActive-pc.slope)
+		if d := pActive - pc.slope; d != 0 {
+			if x := pc.cnst / d; x > lo && x < hi {
+				out.push(gated(lo, x, pActive, pc, tagged))
+				lo = x
 			}
 		}
-		for _, end := range bounds {
-			probe := (lo + end) / 2
-			if math.IsInf(end, 1) {
-				probe = lo + 1
-			}
-			if pActive*probe-(cnst+slope*probe) > 0 {
-				emit(end, tc, ts)
-			} else {
-				emit(end, cnst, slope)
-			}
-			lo = end
-		}
+		out.push(gated(lo, hi, pActive, pc, tagged))
+		lo = hi
 	}
 	return out
+}
+
+// gated returns tagged where the base piece pc slept anything over
+// (lo, end], pc otherwise, as a piece ending at end.
+func gated(lo, end, pActive float64, pc, tagged piece) piece {
+	if x := probe(lo, end); pActive*x-(pc.cnst+pc.slope*x) > 0 {
+		pc = tagged
+	}
+	pc.end = end
+	return pc
+}
+
+// probe returns a length strictly inside (lo, end], where one affine
+// comparison decides the whole segment.
+func probe(lo, end float64) float64 {
+	if math.IsInf(end, 1) {
+		return lo + 1
+	}
+	return (lo + end) / 2
 }

@@ -24,25 +24,44 @@ import (
 	"leakbound/internal/power"
 )
 
-// evalCurveOverClass folds one piecewise-affine curve over one flags
-// class: sum over pieces of const*count + slope*mass of the lengths the
-// piece covers, via prefix differences.
-func evalCurveOverClass(c Curve, cls *interval.FlagsClass) float64 {
-	var total float64
+// foldClass folds one curve over one flags class via prefix
+// differences: the energy sum over pieces of cnst*Δcount + slope*Δmass,
+// and from the same two lookups the induced misses, misses*Δcount.
+func foldClass(c *Curve, cls *interval.FlagsClass) (energy, misses float64) {
 	var prevCount, prevMass uint64
-	for i := 0; i < len(c.Consts); i++ {
-		var count, mass uint64
-		if i < len(c.Cuts) {
-			count, mass = cls.Prefix(c.Cuts[i])
-		} else {
-			count, mass = cls.TotalCount(), cls.TotalMass()
+	for i := 0; i < c.n; i++ {
+		pc := &c.p[i]
+		count, mass := cls.TotalCount(), cls.TotalMass()
+		if i < c.n-1 {
+			count, mass = cls.Prefix(pc.end)
 		}
 		if dc, dm := count-prevCount, mass-prevMass; dc != 0 || dm != 0 {
-			total += c.Consts[i]*float64(dc) + c.Slopes[i]*float64(dm)
+			energy += pc.cnst*float64(dc) + pc.slope*float64(dm)
+			misses += pc.misses * float64(dc)
 		}
 		prevCount, prevMass = count, mass
 	}
-	return total
+	return energy, misses
+}
+
+// foldAggregate folds the policy's curve for every flags class, in
+// ascending flags order, into the distribution's total energy and induced
+// misses. ok=false means some class has no closed form (or its curve
+// overflowed maxPieces): the caller takes the reference walk for the
+// whole distribution, never a mixed fast/reference sum.
+func foldAggregate(t power.Technology, agg *interval.Aggregates, cf ClosedForm) (energy, misses float64, ok bool) {
+	for i := range agg.Classes() {
+		cls := &agg.Classes()[i]
+		//lint:ignore hotalloc one virtual EnergyCurve dispatch per flags class (≤64) returning an inline Curve; TestAggregateKernelsDoNotAllocate pins it at 0 allocs
+		curve, ok := cf.EnergyCurve(t, cls.Flags)
+		if !ok || !curve.valid() {
+			return 0, 0, false
+		}
+		e, m := foldClass(&curve, cls)
+		energy += e
+		misses += m
+	}
+	return energy, misses, true
 }
 
 // EvaluateAggregate evaluates one policy over a prefix-aggregated
@@ -63,25 +82,17 @@ func EvaluateAggregate(t power.Technology, agg *interval.Aggregates, p Policy) (
 		return Evaluation{}, ErrNilPolicy
 	}
 	cf, ok := p.(ClosedForm)
+	var energy float64
+	if ok {
+		energy, _, ok = foldAggregate(t, agg, cf)
+	}
 	if !ok {
-		//lint:ignore hotalloc policies without a closed form take the audited reference walk; no builtin policy hits this
+		//lint:ignore hotalloc policies without a closed form, or with a flags class their curve cannot express, take the audited reference walk; no builtin policy hits this
 		return Evaluate(t, agg.Source(), p)
 	}
 	baseline := t.PActive * float64(agg.Mass())
 	if baseline == 0 {
 		return Evaluation{}, fmt.Errorf("%w: zero mass", ErrEmptyDistribution)
-	}
-	var energy float64
-	for i := range agg.Classes() {
-		cls := &agg.Classes()[i]
-		//lint:ignore hotalloc one virtual EnergyCurve dispatch per flags class (≤64), amortized over the whole curve
-		curve, ok := cf.EnergyCurve(t, cls.Flags)
-		if !ok {
-			// No closed form for this flags class: the whole evaluation
-			// falls back, never a mixed fast/reference sum.
-			return Evaluate(t, agg.Source(), p)
-		}
-		energy += evalCurveOverClass(curve, cls)
 	}
 	return Evaluation{
 		//lint:ignore hotalloc one Name dispatch per evaluation to stamp the result
@@ -111,8 +122,9 @@ func EvaluateMany(t power.Technology, agg *interval.Aggregates, ps []Policy) ([]
 }
 
 // InducedMissesAggregate is InducedMisses over aggregates: the total
-// expected induced re-fetches via the policy's MissClosedForm, with the
-// same fallback and error identities as the reference fold.
+// expected induced re-fetches folded from the misses the policy's
+// EnergyCurve pieces carry, with the same fallback and error identities
+// as the reference fold.
 func InducedMissesAggregate(t power.Technology, agg *interval.Aggregates, p Policy) (float64, error) {
 	if err := t.Validate(); err != nil {
 		return 0, err
@@ -126,20 +138,15 @@ func InducedMissesAggregate(t power.Technology, agg *interval.Aggregates, p Poli
 	if _, ok := p.(MissModel); !ok {
 		return 0, fmt.Errorf("%w: %s", ErrNoMissModel, p.Name())
 	}
-	mc, ok := p.(MissClosedForm)
+	cf, ok := p.(ClosedForm)
+	var misses float64
+	if ok {
+		_, misses, ok = foldAggregate(t, agg, cf)
+	}
 	if !ok {
 		return InducedMisses(t, agg.Source(), p)
 	}
-	var total float64
-	for i := range agg.Classes() {
-		cls := &agg.Classes()[i]
-		curve, ok := mc.MissCurve(t, cls.Flags)
-		if !ok {
-			return InducedMisses(t, agg.Source(), p)
-		}
-		total += evalCurveOverClass(curve, cls)
-	}
-	return total, nil
+	return misses, nil
 }
 
 // InducedMissRateAggregate is InducedMissRate over aggregates: induced

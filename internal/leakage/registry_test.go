@@ -309,23 +309,18 @@ func TestBuiltinsEvaluateAndModelMisses(t *testing.T) {
 		}
 		// Every factory must return a policy the aggregate kernels
 		// dispatch statically: a ClosedForm (a value type whose
-		// EnergyCurve sits on the pointer fails here) with a curve for
-		// every flags class, and a MissClosedForm whenever it models
-		// induced misses. Otherwise sweeps silently take the per-bucket
-		// reference walk.
+		// EnergyCurve sits on the pointer fails here) with a valid curve
+		// for every flags class, whose pieces also carry the induced
+		// misses. Otherwise sweeps silently take the per-bucket reference
+		// walk.
 		cf, ok := pol.(ClosedForm)
 		if !ok {
 			t.Errorf("%s: factory returns %T, which is not a ClosedForm", reg.Name, pol)
 		} else {
 			for f := interval.Flags(0); f < interval.DeadEnd<<1; f++ {
-				if _, ok := cf.EnergyCurve(tech, f); !ok {
-					t.Errorf("%s: no energy curve for flags %#x", reg.Name, f)
+				if c, ok := cf.EnergyCurve(tech, f); !ok || !c.valid() {
+					t.Errorf("%s: no valid energy curve for flags %v", reg.Name, f)
 				}
-			}
-		}
-		if _, ok := pol.(MissModel); ok {
-			if _, ok := pol.(MissClosedForm); !ok {
-				t.Errorf("%s: factory returns %T, a MissModel without MissClosedForm", reg.Name, pol)
 			}
 		}
 		ev, err := Evaluate(tech, d, pol)

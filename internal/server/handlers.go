@@ -678,20 +678,5 @@ func sweepThetas(csv, fromStr, toStr, pointsStr string) ([]uint64, error) {
 	if points > maxSweepPoints {
 		return nil, badRequestf("server: sweep capped at %d points, got %d", maxSweepPoints, points)
 	}
-	if points == 1 || from == to {
-		return []uint64{from}, nil
-	}
-	// Geometric spacing, deduplicated after rounding.
-	ratio := math.Pow(float64(to)/float64(from), 1/float64(points-1))
-	out := make([]uint64, 0, points)
-	last := uint64(0)
-	for i := 0; i < points; i++ {
-		v := uint64(math.Round(float64(from) * math.Pow(ratio, float64(i))))
-		if v <= last {
-			continue
-		}
-		out = append(out, v)
-		last = v
-	}
-	return out, nil
+	return experiments.GeometricThetas(from, to, points), nil
 }

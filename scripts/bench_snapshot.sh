@@ -24,9 +24,19 @@
 # is made against, plus the per-benchmark pipeline, grid and geometry
 # sweep benches (the last two at 1 and 4 workers: the parallel speedup).
 # Micro-benches churn too much to gate on.
+#
+# The snapshot records HEAD as the commit it measured, so the script
+# refuses (exit 1, nothing benchmarked or written) while tracked files
+# differ from HEAD: commit or stash them first.
 set -eu
 
 cd "$(dirname "$0")/.."
+
+if [ -n "$(git status --porcelain --untracked-files=no)" ]; then
+    echo "bench_snapshot.sh: tracked files differ from HEAD; commit or stash them so the snapshot's commit names the measured tree" >&2
+    git status --short --untracked-files=no >&2
+    exit 1
+fi
 
 GO="${GO:-go}"
 BENCH="${BENCH:-^(BenchmarkSuiteAll|BenchmarkPipelineSimulateGzip|BenchmarkGridFigure8Workers1|BenchmarkGridFigure8Workers4|BenchmarkGeometrySweepWorkers1|BenchmarkGeometrySweepWorkers4|BenchmarkSweepDense256Reference|BenchmarkSweepDense256Aggregates|BenchmarkParetoPopulation|BenchmarkSpecCompile|BenchmarkReplayPass)\$}"
