@@ -471,11 +471,13 @@ func TestMergePropertySharding(t *testing.T) {
 	}
 }
 
+// BenchmarkCollectorAdd times AddCols, the per-event call the streaming
+// sink makes.
 func BenchmarkCollectorAdd(b *testing.B) {
 	c, _ := NewCollector(trace.L1D, 1024, nil)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = c.Add(mkEvent(uint64(i), uint32(i%1024)))
+		_ = c.AddCols(uint64(i), 0, 0, uint32(i%1024), trace.L1D, trace.Load, false)
 	}
 }
 

@@ -80,21 +80,25 @@ func EvaluateAdaptiveDecay(t power.Technology, d *interval.Distribution) (Evalua
 	if d == nil {
 		return Evaluation{}, ErrNilDistribution
 	}
+	return bestOnLadder(t, d, "Adaptive-Decay", func(theta uint64) Policy { return SleepDecay{Theta: theta} })
+}
+
+// bestOnLadder evaluates policy(theta) for every theta on DecayThetaLadder
+// and returns the lowest-energy evaluation (the earliest theta on ties),
+// its Policy relabelled "label(theta=N)".
+func bestOnLadder(t power.Technology, d *interval.Distribution, label string, policy func(theta uint64) Policy) (Evaluation, error) {
 	var best Evaluation
 	var bestTheta uint64
-	first := true
-	for _, theta := range DecayThetaLadder() {
-		ev, err := Evaluate(t, d, SleepDecay{Theta: theta})
+	for i, theta := range DecayThetaLadder() {
+		ev, err := Evaluate(t, d, policy(theta))
 		if err != nil {
 			return Evaluation{}, err
 		}
-		if first || ev.Energy < best.Energy {
-			best = ev
-			bestTheta = theta
-			first = false
+		if i == 0 || ev.Energy < best.Energy {
+			best, bestTheta = ev, theta
 		}
 	}
-	best.Policy = fmt.Sprintf("Adaptive-Decay(theta=%d)", bestTheta)
+	best.Policy = fmt.Sprintf("%s(theta=%d)", label, bestTheta)
 	return best, nil
 }
 
@@ -119,13 +123,11 @@ func (p AMCSleep) IntervalEnergy(t power.Technology, length uint64, flags interv
 	base := SleepDecay{Theta: p.Theta}.IntervalEnergy(t, length, flags)
 	// Whatever the decay scheme did, the tag keeps leaking at active power
 	// for the whole interval; remove the tag's share of any sleep savings.
-	tagAlwaysOn := p.TagFraction * t.PActive * float64(length)
 	slept := t.ActiveEnergy(float64(length)) - base
 	if slept <= 0 {
 		return base // nothing was gated; tags were already counted
 	}
 	tagGivenBack := p.TagFraction * slept
-	_ = tagAlwaysOn
 	return base + tagGivenBack
 }
 
@@ -139,22 +141,7 @@ func EvaluateAMC(t power.Technology, d *interval.Distribution, tagFraction float
 	if tagFraction < 0 || tagFraction >= 1 {
 		return Evaluation{}, fmt.Errorf("leakage: tag fraction %g outside [0,1)", tagFraction)
 	}
-	var best Evaluation
-	var bestTheta uint64
-	first := true
-	for _, theta := range DecayThetaLadder() {
-		ev, err := Evaluate(t, d, AMCSleep{Theta: theta, TagFraction: tagFraction})
-		if err != nil {
-			return Evaluation{}, err
-		}
-		if first || ev.Energy < best.Energy {
-			best = ev
-			bestTheta = theta
-			first = false
-		}
-	}
-	best.Policy = fmt.Sprintf("AMC(theta=%d)", bestTheta)
-	return best, nil
+	return bestOnLadder(t, d, "AMC", func(theta uint64) Policy { return AMCSleep{Theta: theta, TagFraction: tagFraction} })
 }
 
 // DirtyAwareHybrid extends OPT-Hybrid with write-back awareness: when

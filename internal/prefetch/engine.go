@@ -34,15 +34,12 @@ type EngineConfig struct {
 	// (the L2 hit latency); a demand arriving sooner makes the prefetch
 	// late — it helps, but cannot fully hide the miss.
 	MinLatency uint64
-	// Degree is how many consecutive next lines one access may trigger
-	// (degree-1 is classic next-line).
-	Degree int
 }
 
-// DefaultEngineConfig returns a degree-1 engine with an L2-scaled window
-// for the given predictor set.
+// DefaultEngineConfig returns an engine with an L2-scaled window for the
+// given predictor set.
 func DefaultEngineConfig(cfg Config) EngineConfig {
-	return EngineConfig{Config: cfg, Lookahead: 10000, MinLatency: 7, Degree: 1}
+	return EngineConfig{Config: cfg, Lookahead: 10000, MinLatency: 7}
 }
 
 // Validate checks the configuration.
@@ -52,9 +49,6 @@ func (c EngineConfig) Validate() error {
 	}
 	if c.Lookahead == 0 {
 		return fmt.Errorf("prefetch: zero lookahead")
-	}
-	if c.Degree <= 0 || c.Degree > 8 {
-		return fmt.Errorf("prefetch: implausible degree %d", c.Degree)
 	}
 	return nil
 }
@@ -195,9 +189,7 @@ func (e *Engine) AccessCols(cycle, lineAddr, pc uint64, kind trace.Kind, miss bo
 	issued := 0
 	// Next-line prediction.
 	if e.cfg.NextLine {
-		for d := 1; d <= e.cfg.Degree; d++ {
-			issued += e.issue(lineAddr+uint64(d), cycle)
-		}
+		issued += e.issue(lineAddr+1, cycle)
 	}
 	// Stride prediction (data accesses only).
 	if e.shared != nil {
@@ -210,9 +202,7 @@ func (e *Engine) AccessCols(cycle, lineAddr, pc uint64, kind trace.Kind, miss bo
 		addr := lineAddr << 6
 		s := e.strides.Ptr(pc)
 		if s == nil {
-			if e.cfg.StrideTableSize == 0 || e.strides.Len() < e.cfg.StrideTableSize {
-				e.strides.Set(pc, strideEntry{lastAddr: addr, lastCycle: cycle})
-			}
+			e.strides.Set(pc, strideEntry{lastAddr: addr, lastCycle: cycle})
 		} else {
 			stride := int64(addr) - int64(s.lastAddr)
 			if stride == s.stride && stride != 0 {

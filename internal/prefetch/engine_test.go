@@ -17,16 +17,6 @@ func TestEngineConfigValidate(t *testing.T) {
 		t.Error("zero lookahead accepted")
 	}
 	bad = good
-	bad.Degree = 0
-	if bad.Validate() == nil {
-		t.Error("zero degree accepted")
-	}
-	bad = good
-	bad.Degree = 100
-	if bad.Validate() == nil {
-		t.Error("absurd degree accepted")
-	}
-	bad = good
 	bad.NextLine, bad.Stride = false, false
 	if bad.Validate() == nil {
 		t.Error("no predictors accepted")
@@ -110,13 +100,14 @@ func TestEngineStridePrediction(t *testing.T) {
 	}
 }
 
-func TestEngineDegree(t *testing.T) {
-	cfg := DefaultEngineConfig(Config{NextLine: true})
-	cfg.Degree = 3
-	e := MustNewEngine(cfg)
+func TestEngineNextLineIssuesOnce(t *testing.T) {
+	e := MustNewEngine(DefaultEngineConfig(Config{NextLine: true}))
 	n := e.Access(dEvent(0, 10, 0x1))
-	if n != 3 {
-		t.Errorf("degree-3 issued %d, want 3", n)
+	if n != 1 {
+		t.Errorf("next-line issued %d, want 1", n)
+	}
+	if rec := e.inflight.Lookup(11); rec == nil || *rec == 0 {
+		t.Error("next line 11 not in flight")
 	}
 	// Duplicate issues are suppressed.
 	n = e.Access(dEvent(1, 10, 0x1))

@@ -23,13 +23,11 @@ import (
 
 // Config selects which predictors a classifier runs. The paper uses
 // next-line only for the instruction cache, and next-line plus stride for
-// the data cache (Section 5.1).
+// the data cache (Section 5.1). Stride tables are unbounded (oracle-sized,
+// the paper's limit-study setting).
 type Config struct {
 	NextLine bool
 	Stride   bool
-	// StrideTableSize bounds the per-PC stride table (entries); 0 means
-	// unbounded (oracle-sized, the paper's limit-study setting).
-	StrideTableSize int
 }
 
 // ForICache returns the paper's instruction-cache configuration.
@@ -42,9 +40,6 @@ func ForDCache() Config { return Config{NextLine: true, Stride: true} }
 func (c Config) Validate() error {
 	if !c.NextLine && !c.Stride {
 		return fmt.Errorf("prefetch: no predictor enabled")
-	}
-	if c.StrideTableSize < 0 {
-		return fmt.Errorf("prefetch: negative stride table size %d", c.StrideTableSize)
 	}
 	return nil
 }
@@ -153,12 +148,6 @@ func (c *Classifier) observe(cycle, lineAddr, pc uint64, kind trace.Kind) {
 		addr := lineAddr << 6 // classify at line granularity
 		s := c.strides.Ptr(pc)
 		if s == nil {
-			if c.cfg.StrideTableSize > 0 && c.strides.Len() >= c.cfg.StrideTableSize {
-				// Table full: evict nothing, simply don't track new PCs.
-				// A limit study uses an unbounded table; the bound exists
-				// for sensitivity experiments.
-				return
-			}
 			c.strides.Set(pc, strideEntry{lastAddr: addr, lastCycle: cycle})
 			return
 		}
@@ -203,9 +192,7 @@ func (c *Classifier) ClassifyObserve(cycle, lineAddr, pc uint64, kind trace.Kind
 		addr := lineAddr << 6
 		s := c.strides.Ptr(pc)
 		if s == nil {
-			if c.cfg.StrideTableSize == 0 || c.strides.Len() < c.cfg.StrideTableSize {
-				c.strides.Set(pc, strideEntry{lastAddr: addr, lastCycle: cycle})
-			}
+			c.strides.Set(pc, strideEntry{lastAddr: addr, lastCycle: cycle})
 			return flags
 		}
 		if closing && flags&interval.NLPrefetchable == 0 && s.confirmed {

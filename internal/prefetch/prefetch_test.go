@@ -25,9 +25,6 @@ func TestConfig(t *testing.T) {
 	if err := (Config{}).Validate(); err == nil {
 		t.Error("empty config accepted")
 	}
-	if err := (Config{NextLine: true, StrideTableSize: -1}).Validate(); err == nil {
-		t.Error("negative table accepted")
-	}
 	if _, err := NewClassifier(Config{}); err == nil {
 		t.Error("NewClassifier accepted empty config")
 	}
@@ -148,16 +145,6 @@ func TestStrideZeroStrideNeverFlags(t *testing.T) {
 	}
 }
 
-func TestStrideTableBound(t *testing.T) {
-	c := MustNewClassifier(Config{Stride: true, StrideTableSize: 2})
-	c.Observe(dEvent(1, 10, 0x1))
-	c.Observe(dEvent(2, 20, 0x2))
-	c.Observe(dEvent(3, 30, 0x3)) // table full: not tracked
-	if c.strides.Len() != 2 {
-		t.Errorf("table size = %d, want 2", c.strides.Len())
-	}
-}
-
 func TestNLPriorityOverStride(t *testing.T) {
 	// When both predictors would fire, the interval is counted as NL (the
 	// paper's P-NL and P-stride are disjoint shares).
@@ -233,10 +220,14 @@ func TestAnalyzeEmpty(t *testing.T) {
 	}
 }
 
+// BenchmarkClassifierObserve times ClassifyObserve, the fused call the
+// streaming collector makes per event; every fourth access closes an
+// interval opened 64 cycles before it.
 func BenchmarkClassifierObserve(b *testing.B) {
 	c := MustNewClassifier(ForDCache())
 	for i := 0; i < b.N; i++ {
-		c.Observe(dEvent(uint64(i), uint64(i%100000), uint64(i%512)))
+		cycle := uint64(i) + 64
+		c.ClassifyObserve(cycle, uint64(i%100000), uint64(i%512), trace.Load, cycle-64, i%4 == 0)
 	}
 }
 

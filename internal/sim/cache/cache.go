@@ -1,41 +1,15 @@
 // Package cache implements the set-associative cache model used as the
 // memory-hierarchy substrate for the limit study: configuration and geometry
-// checks, LRU/FIFO/Random replacement, per-access results rich enough to
-// drive timing and interval analysis, and the paper's three-level hierarchy
-// (64KB 2-way L1I with 1-cycle hits, 64KB 2-way L1D with 3-cycle hits, and a
-// unified 2MB direct-mapped L2 with 7-cycle hits, LRU everywhere).
+// checks, LRU replacement, one per-access state machine (AccessLine) that
+// both the CPU model and the Access view drive, and the paper's three-level
+// hierarchy (64KB 2-way L1I with 1-cycle hits, 64KB 2-way L1D with 3-cycle
+// hits, and a unified 2MB direct-mapped L2 with 7-cycle hits).
 package cache
 
 import (
 	"fmt"
 	"math/bits"
 )
-
-// ReplacementPolicy selects the victim way on a miss in a full set.
-type ReplacementPolicy uint8
-
-const (
-	// LRU evicts the least recently used way (the paper's policy throughout).
-	LRU ReplacementPolicy = iota
-	// FIFO evicts the oldest-filled way.
-	FIFO
-	// Random evicts a pseudo-random way (xorshift, deterministic per cache).
-	Random
-)
-
-// String implements fmt.Stringer.
-func (p ReplacementPolicy) String() string {
-	switch p {
-	case LRU:
-		return "LRU"
-	case FIFO:
-		return "FIFO"
-	case Random:
-		return "Random"
-	default:
-		return fmt.Sprintf("ReplacementPolicy(%d)", uint8(p))
-	}
-}
 
 // Config describes a cache's geometry and timing.
 type Config struct {
@@ -44,7 +18,6 @@ type Config struct {
 	BlockBytes int
 	Assoc      int
 	HitLatency int // cycles
-	Policy     ReplacementPolicy
 }
 
 // Validate checks the geometry: powers of two, consistent sizes.
@@ -72,9 +45,6 @@ func (c Config) Validate() error {
 	}
 	if c.HitLatency < 0 {
 		return fmt.Errorf("cache %q: negative hit latency %d", c.Name, c.HitLatency)
-	}
-	if c.Policy > Random {
-		return fmt.Errorf("cache %q: unknown replacement policy %d", c.Name, c.Policy)
 	}
 	return nil
 }
@@ -104,13 +74,11 @@ func (s Stats) MissRate() float64 {
 
 // AccessResult describes the outcome of one cache access.
 type AccessResult struct {
-	Hit       bool
-	Set       int
-	Way       int
-	Frame     int    // Set*Assoc + Way
-	Latency   int    // cycles to satisfy at this level (hit latency; miss handled by caller)
-	Evicted   bool   // a valid block was displaced
-	VictimTag uint64 // line address of the displaced block, if Evicted
+	Hit     bool
+	Set     int
+	Way     int
+	Frame   int // Set*Assoc + Way
+	Latency int // cycles to satisfy at this level (hit latency; miss handled by caller)
 }
 
 // line is one cache frame's metadata.
@@ -118,18 +86,16 @@ type line struct {
 	tag      uint64 // full block-aligned address (we store the line address, not just the tag bits)
 	valid    bool
 	lastUsed uint64 // LRU timestamp
-	filled   uint64 // FIFO timestamp
 }
 
-// Cache is a set-associative cache with configurable replacement. It is a
-// functional model: it tracks presence and recency, not data contents.
+// Cache is a set-associative LRU cache. It is a functional model: it
+// tracks presence and recency, not data contents.
 type Cache struct {
 	cfg       Config
 	lines     []line // flat frame array: frame = set*assoc + way
 	assoc     int
 	stats     Stats
 	tick      uint64 // logical access counter for recency
-	rngState  uint64 // xorshift64 state for Random replacement
 	indexMask uint64
 	blockLog2 uint
 }
@@ -144,7 +110,6 @@ func New(cfg Config) (*Cache, error) {
 		cfg:       cfg,
 		lines:     make([]line, numSets*cfg.Assoc),
 		assoc:     cfg.Assoc,
-		rngState:  0x9E3779B97F4A7C15, // fixed seed: deterministic runs
 		indexMask: uint64(numSets - 1),
 		blockLog2: uint(bits.TrailingZeros(uint(cfg.BlockBytes))),
 	}, nil
@@ -173,49 +138,14 @@ func (c *Cache) SetIndex(addr uint64) int {
 	return int(c.LineAddr(addr) & c.indexMask)
 }
 
-// Access performs one access to byte address addr. On a miss the block is
-// filled (this model assumes the lower level always supplies it); the caller
-// adds lower-level latency based on Hit.
+// Access performs one access to byte address addr through AccessLine and
+// expands the frame into set and way. On a miss the block is filled (this
+// model assumes the lower level always supplies it); the caller adds
+// lower-level latency based on Hit.
 func (c *Cache) Access(addr uint64) AccessResult {
-	lineAddr := c.LineAddr(addr)
-	setIdx := int(lineAddr & c.indexMask)
-	set := c.set(setIdx)
-	c.tick++
-	c.stats.Accesses++
-
-	for w := range set {
-		if set[w].valid && set[w].tag == lineAddr {
-			set[w].lastUsed = c.tick
-			c.stats.Hits++
-			return AccessResult{
-				Hit:     true,
-				Set:     setIdx,
-				Way:     w,
-				Frame:   setIdx*c.cfg.Assoc + w,
-				Latency: c.cfg.HitLatency,
-			}
-		}
-	}
-
-	// Miss: pick a victim.
-	c.stats.Misses++
-	victim := c.pickVictim(set)
-	res := AccessResult{
-		Hit:     false,
-		Set:     setIdx,
-		Way:     victim,
-		Frame:   setIdx*c.cfg.Assoc + victim,
-		Latency: c.cfg.HitLatency,
-	}
-	if set[victim].valid {
-		res.Evicted = true
-		res.VictimTag = set[victim].tag
-		c.stats.Evictions++
-	} else {
-		c.stats.Fills++
-	}
-	set[victim] = line{tag: lineAddr, valid: true, lastUsed: c.tick, filled: c.tick}
-	return res
+	frame, hit := c.AccessLine(addr)
+	f := int(frame)
+	return AccessResult{Hit: hit, Set: f / c.assoc, Way: f % c.assoc, Frame: f, Latency: c.cfg.HitLatency}
 }
 
 // set returns setIdx's ways as a subslice of the flat frame array; the
@@ -225,12 +155,11 @@ func (c *Cache) set(setIdx int) []line {
 	return c.lines[base : base+c.assoc]
 }
 
-// AccessLine is Access specialized for the streaming hot path: identical
-// state transitions (tick, recency, stats, victim choice) but only the
-// frame and hit flag come back, so nothing is copied per access beyond
-// two registers. Access and AccessLine may be interleaved freely — they
-// drive the same state machine. The CPU model calls this directly per
-// fetch group, so it deliberately has no wrapper layers around it.
+// AccessLine is the cache's one state machine: it advances the recency
+// tick and the stats, fills the block on a miss, and returns only the
+// frame and hit flag, so nothing is copied per access beyond two
+// registers. The CPU model calls this directly per fetch group, so it
+// deliberately has no wrapper layers around it.
 func (c *Cache) AccessLine(addr uint64) (frame uint32, hit bool) {
 	lineAddr := addr >> c.blockLog2
 	base := int(lineAddr&c.indexMask) * c.assoc
@@ -247,15 +176,14 @@ func (c *Cache) AccessLine(addr uint64) (frame uint32, hit bool) {
 	}
 
 	c.stats.Misses++
-	set := c.lines[base : base+c.assoc]
-	victim := c.pickVictim(set)
-	if set[victim].valid {
+	victim := c.pickVictim(base)
+	if c.lines[victim].valid {
 		c.stats.Evictions++
 	} else {
 		c.stats.Fills++
 	}
-	set[victim] = line{tag: lineAddr, valid: true, lastUsed: c.tick, filled: c.tick}
-	return uint32(base + victim), false
+	c.lines[victim] = line{tag: lineAddr, valid: true, lastUsed: c.tick}
+	return uint32(victim), false
 }
 
 // Probe reports whether addr is resident without updating recency or stats.
@@ -277,41 +205,20 @@ func (c *Cache) Flush() {
 	}
 }
 
-func (c *Cache) pickVictim(set []line) int {
-	// Prefer an invalid way.
+// pickVictim returns the frame to fill in the set starting at frame base:
+// the first invalid way, else the least recently used one.
+func (c *Cache) pickVictim(base int) int {
+	set := c.lines[base : base+c.assoc]
+	best := 0
 	for w := range set {
 		if !set[w].valid {
-			return w
+			return base + w
+		}
+		if set[w].lastUsed < set[best].lastUsed {
+			best = w
 		}
 	}
-	switch c.cfg.Policy {
-	case LRU:
-		best := 0
-		for w := 1; w < len(set); w++ {
-			if set[w].lastUsed < set[best].lastUsed {
-				best = w
-			}
-		}
-		return best
-	case FIFO:
-		best := 0
-		for w := 1; w < len(set); w++ {
-			if set[w].filled < set[best].filled {
-				best = w
-			}
-		}
-		return best
-	case Random:
-		// xorshift64
-		x := c.rngState
-		x ^= x << 13
-		x ^= x >> 7
-		x ^= x << 17
-		c.rngState = x
-		return int(x % uint64(len(set)))
-	default:
-		return 0
-	}
+	return base + best
 }
 
 // ResidentLines returns the number of currently valid frames; useful for

@@ -7,7 +7,7 @@ import (
 )
 
 func smallConfig() Config {
-	return Config{Name: "t", SizeBytes: 1024, BlockBytes: 64, Assoc: 2, HitLatency: 1, Policy: LRU}
+	return Config{Name: "t", SizeBytes: 1024, BlockBytes: 64, Assoc: 2, HitLatency: 1}
 }
 
 func TestConfigValidate(t *testing.T) {
@@ -25,7 +25,6 @@ func TestConfigValidate(t *testing.T) {
 		{"zero assoc", func(c *Config) { c.Assoc = 0 }},
 		{"assoc not dividing", func(c *Config) { c.Assoc = 3 }},
 		{"negative latency", func(c *Config) { c.HitLatency = -1 }},
-		{"bad policy", func(c *Config) { c.Policy = ReplacementPolicy(9) }},
 	}
 	for _, tc := range cases {
 		c := smallConfig()
@@ -46,15 +45,6 @@ func TestConfigGeometry(t *testing.T) {
 	}
 }
 
-func TestPolicyString(t *testing.T) {
-	if LRU.String() != "LRU" || FIFO.String() != "FIFO" || Random.String() != "Random" {
-		t.Error("policy strings wrong")
-	}
-	if ReplacementPolicy(9).String() != "ReplacementPolicy(9)" {
-		t.Error("unknown policy string wrong")
-	}
-}
-
 func TestMustNewPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
@@ -70,8 +60,8 @@ func TestColdMissThenHit(t *testing.T) {
 	if r.Hit {
 		t.Error("cold access hit")
 	}
-	if r.Evicted {
-		t.Error("cold fill evicted")
+	if st := c.Stats(); st.Fills != 1 || st.Evictions != 0 {
+		t.Errorf("cold fill stats = %+v, want one fill and no eviction", st)
 	}
 	r = c.Access(0x1000)
 	if !r.Hit {
@@ -110,57 +100,19 @@ func TestLRUEviction(t *testing.T) {
 	c.Access(a)
 	c.Access(b)
 	c.Access(a) // a is now MRU, b is LRU
+	bFrame, _ := c.Probe(b)
 	r := c.Access(d)
-	if r.Hit || !r.Evicted {
-		t.Fatalf("conflict access: %+v", r)
+	if r.Hit || c.Stats().Evictions != 1 {
+		t.Fatalf("conflict access: %+v, stats %+v", r, c.Stats())
 	}
-	if r.VictimTag != c.LineAddr(b) {
-		t.Errorf("victim = line %d, want line of b (%d)", r.VictimTag, c.LineAddr(b))
+	if r.Frame != bFrame {
+		t.Errorf("filled frame %d, want b's frame %d", r.Frame, bFrame)
 	}
 	if _, res := c.Probe(a); !res {
 		t.Error("a (MRU) was evicted")
 	}
 	if _, res := c.Probe(b); res {
 		t.Error("b (LRU) still resident")
-	}
-}
-
-func TestFIFOEviction(t *testing.T) {
-	cfg := smallConfig()
-	cfg.Policy = FIFO
-	c := MustNew(cfg)
-	a, b, d := uint64(0), uint64(512), uint64(1024)
-	c.Access(a)
-	c.Access(b)
-	c.Access(a) // recency does not matter for FIFO; a is oldest fill
-	r := c.Access(d)
-	if r.VictimTag != c.LineAddr(a) {
-		t.Errorf("FIFO victim = %d, want line of a", r.VictimTag)
-	}
-}
-
-func TestRandomEvictionDeterministic(t *testing.T) {
-	run := func() []uint64 {
-		cfg := smallConfig()
-		cfg.Policy = Random
-		c := MustNew(cfg)
-		var victims []uint64
-		for i := uint64(0); i < 64; i++ {
-			r := c.Access(i * 512) // all in set 0
-			if r.Evicted {
-				victims = append(victims, r.VictimTag)
-			}
-		}
-		return victims
-	}
-	v1, v2 := run(), run()
-	if len(v1) == 0 {
-		t.Fatal("no evictions")
-	}
-	for i := range v1 {
-		if v1[i] != v2[i] {
-			t.Fatal("Random replacement not deterministic across runs")
-		}
 	}
 }
 
@@ -176,9 +128,12 @@ func TestProbeDoesNotDisturb(t *testing.T) {
 	if st.Accesses != 2 {
 		t.Errorf("probe counted as access: %+v", st)
 	}
-	r := c.Access(1024)
-	if r.VictimTag != 0 {
-		t.Errorf("probe disturbed LRU order: victim %d, want 0", r.VictimTag)
+	c.Access(1024)
+	if _, res := c.Probe(0); res {
+		t.Error("probe disturbed LRU order: line 0 survived the conflict fill")
+	}
+	if _, res := c.Probe(512); !res {
+		t.Error("probe disturbed LRU order: line 512 was evicted")
 	}
 	if _, res := c.Probe(99999); res {
 		t.Error("probe hit absent line")
@@ -245,7 +200,7 @@ func TestLRUStackProperty(t *testing.T) {
 		mk := func(assoc int) *Cache {
 			return MustNew(Config{
 				Name: "p", SizeBytes: 64 * 8 * assoc, BlockBytes: 64,
-				Assoc: assoc, HitLatency: 1, Policy: LRU,
+				Assoc: assoc, HitLatency: 1,
 			})
 		}
 		small, big := mk(2), mk(4) // both 8 sets

@@ -23,15 +23,15 @@ func AlphaLike() HierarchyConfig {
 	return HierarchyConfig{
 		L1I: Config{
 			Name: "L1I", SizeBytes: 64 << 10, BlockBytes: 64, Assoc: 2,
-			HitLatency: 1, Policy: LRU,
+			HitLatency: 1,
 		},
 		L1D: Config{
 			Name: "L1D", SizeBytes: 64 << 10, BlockBytes: 64, Assoc: 2,
-			HitLatency: 3, Policy: LRU,
+			HitLatency: 3,
 		},
 		L2: Config{
 			Name: "L2", SizeBytes: 2 << 20, BlockBytes: 64, Assoc: 1,
-			HitLatency: 7, Policy: LRU,
+			HitLatency: 7,
 		},
 		MemoryLatency: 100,
 	}

@@ -10,7 +10,9 @@
 // simple: fetch groups of up to Width sequential instructions break at
 // I-cache line boundaries and control-flow discontinuities, each group costs
 // one cycle plus any miss stalls, and data accesses issue in program order
-// within their group.
+// within their group. Width is the one setting: there is no branch
+// predictor and no run bound, so a run ends when the workload does or its
+// context is cancelled.
 //
 // RunStreamContext is the one simulation entry point: it delivers that
 // stream in reused struct-of-arrays batches (internal/sim/stream). A
@@ -34,17 +36,9 @@ type Config struct {
 	// Width is the fetch width in instructions per cycle (the paper's
 	// machine is 4-wide).
 	Width int
-	// MaxInstrs bounds the dynamic instruction count; 0 means unlimited.
-	MaxInstrs uint64
-	// MaxCycles bounds simulated time; 0 means unlimited.
-	MaxCycles uint64
-	// Branch optionally enables the branch-prediction model (see
-	// branch.go); disabled by default to match the paper-calibrated
-	// timing.
-	Branch BranchConfig
 }
 
-// DefaultConfig returns the paper's 4-wide configuration with no bounds.
+// DefaultConfig returns the paper's 4-wide configuration.
 func DefaultConfig() Config { return Config{Width: 4} }
 
 // Validate checks the configuration.
@@ -52,7 +46,7 @@ func (c Config) Validate() error {
 	if c.Width <= 0 {
 		return fmt.Errorf("cpu: non-positive width %d", c.Width)
 	}
-	return c.Branch.validate()
+	return nil
 }
 
 // Result summarizes one simulation run.
@@ -63,7 +57,6 @@ type Result struct {
 	L1I          cache.Stats
 	L1D          cache.Stats
 	L2           cache.Stats
-	Branch       BranchStats
 }
 
 // IPC returns instructions per cycle.
@@ -123,9 +116,6 @@ func RunStreamContext(ctx context.Context, w workload.Workload, hier *cache.Hier
 		batch:     stream.NewBatch(stream.DefaultBatchEvents),
 		batchSink: sink,
 	}
-	if cfg.Branch.Enabled {
-		m.predictor = newBimodal(cfg.Branch.TableBits)
-	}
 	return m.run(w)
 }
 
@@ -144,9 +134,6 @@ func (m *machine) run(w workload.Workload) (Result, error) {
 		L1I:          m.hier.L1I().Stats(),
 		L1D:          m.hier.L1D().Stats(),
 		L2:           m.hier.L2().Stats(),
-	}
-	if m.predictor != nil {
-		res.Branch = m.predictor.stats
 	}
 	// Flush run totals to telemetry in one shot — the per-event path stays
 	// free of shared-memory traffic. Cancelled runs flush too, tagged by
@@ -192,14 +179,12 @@ type machine struct {
 	groups uint64
 	events uint64
 
-	group     []workload.Instr
-	stopping  bool
-	predictor *bimodal
-	penalty   uint64 // pending mispredict refill cycles
+	group    []workload.Instr
+	stopping bool
 }
 
 // consume receives one instruction from the workload generator and returns
-// false once a configured bound is reached.
+// false once the run is stopping (cancellation or a sink error).
 func (m *machine) consume(in workload.Instr) bool {
 	if m.stopping {
 		return false
@@ -217,28 +202,12 @@ func (m *machine) consume(in workload.Instr) bool {
 		sameLine := (in.PC >> 6) == (m.group[0].PC >> 6)
 		sequential := in.PC == last.PC+4
 		if len(m.group) >= m.cfg.Width || !sequential || !sameLine {
-			if m.predictor != nil {
-				// The group ends in a control transfer (taken) or a
-				// fall-through (not taken); a misprediction costs a
-				// pipeline refill before the next group fetches.
-				if m.predictor.predictAndUpdate(last.PC, !sequential) {
-					m.penalty += uint64(m.cfg.Branch.MispredictPenalty)
-				}
-			}
 			m.flushGroup()
 		}
 	}
 	//lint:ignore hotalloc group buffer reaches fetch-width capacity within the first few groups and is reused via m.group[:0]
 	m.group = append(m.group, in)
 	m.instrs++
-	if m.cfg.MaxInstrs > 0 && m.instrs >= m.cfg.MaxInstrs {
-		m.stopping = true
-		return false
-	}
-	if m.cfg.MaxCycles > 0 && m.cycle >= m.cfg.MaxCycles {
-		m.stopping = true
-		return false
-	}
 	return true
 }
 
@@ -251,8 +220,6 @@ func (m *machine) flushGroup() {
 		return
 	}
 	m.groups++
-	m.cycle += m.penalty
-	m.penalty = 0
 	pc := m.group[0].PC
 	fetchCycle := m.cycle
 

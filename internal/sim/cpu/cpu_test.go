@@ -198,34 +198,6 @@ func TestEventStreamShape(t *testing.T) {
 	}
 }
 
-func TestMaxInstrs(t *testing.T) {
-	w := workload.MustNew("gzip", 1)
-	cfg := DefaultConfig()
-	cfg.MaxInstrs = 5000
-	res, err := runEvents(context.Background(), w, newHier(t), cfg, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Instructions != 5000 {
-		t.Errorf("instructions = %d, want exactly 5000", res.Instructions)
-	}
-}
-
-func TestMaxCycles(t *testing.T) {
-	w := workload.MustNew("ammp", 1)
-	cfg := DefaultConfig()
-	cfg.MaxCycles = 2000
-	res, err := runEvents(context.Background(), w, newHier(t), cfg, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The bound is checked per instruction, so we may overshoot by at most
-	// one group's stall, but not wildly.
-	if res.Cycles < 2000 || res.Cycles > 3000 {
-		t.Errorf("cycles = %d, want ~2000", res.Cycles)
-	}
-}
-
 func TestIPCSane(t *testing.T) {
 	w := workload.MustNew("gzip", 0.02)
 	res, err := runEvents(context.Background(), w, newHier(t), DefaultConfig(), nil)
