@@ -89,10 +89,11 @@ smoke:
 	GO=$(GO) sh scripts/smoke_leakaged.sh
 
 # Replay the seed corpus of every fuzz target as plain tests (no fuzzing
-# time budget needed) — the regression net for the trace codec, the query
-# parser, and the workload-spec parser.
+# time budget needed) — the regression net for the trace and distribution
+# codecs, the tail compaction, the query parser, and the workload-spec
+# parser.
 fuzz-regress:
-	$(GO) test -run=Fuzz ./internal/sim/trace/ ./internal/experiments/ ./internal/leakage/ ./internal/workload/spec/
+	$(GO) test -run=Fuzz ./internal/sim/trace/ ./internal/interval/ ./internal/experiments/ ./internal/leakage/ ./internal/workload/spec/
 
 # Validate every committed example workload spec (parse + strict
 # validation + digest) via the tracegen -check path CI and users share.

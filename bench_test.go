@@ -188,8 +188,8 @@ func BenchmarkPipelineSimulateGzip(b *testing.B) {
 
 // Grid benches: the Figure 8 evaluation cell set (6 benchmarks x 6
 // schemes x both caches) through EvaluateGrid at different worker counts.
-// Cells carry their own distributions, so the grid suites need no
-// simulation of their own.
+// Cells carry their own aggregates, so the grid suites need no simulation
+// of their own.
 
 func benchGrid(b *testing.B, workers int) {
 	b.Helper()
@@ -203,8 +203,8 @@ func benchGrid(b *testing.B, workers int) {
 	for _, bd := range all {
 		for _, p := range experiments.Figure8Policies() {
 			cells = append(cells,
-				experiments.Cell{Tech: tech, Policy: p, Dist: bd.ICache},
-				experiments.Cell{Tech: tech, Policy: p, Dist: bd.DCache})
+				experiments.Cell{Tech: tech, Policy: p, Agg: bd.IAgg},
+				experiments.Cell{Tech: tech, Policy: p, Agg: bd.DAgg})
 		}
 	}
 	gs := experiments.MustNew(experiments.WithWorkers(workers))
@@ -363,7 +363,7 @@ func BenchmarkExtensionAdaptiveDecay(b *testing.B) {
 	b.ResetTimer()
 	var savings float64
 	for i := 0; i < b.N; i++ {
-		ev, err := leakage.EvaluateAdaptiveDecay(power.Default(), data.DCache)
+		ev, err := leakage.EvaluateAdaptiveDecay(power.Default(), data.DAgg)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -93,7 +93,7 @@ func main() {
 	for _, ev := range evs {
 		t.MustAddRow(ev.Policy, report.Pct(ev.Savings))
 	}
-	adaptive, err := leakage.EvaluateAdaptiveDecay(tech, dist)
+	adaptive, err := leakage.EvaluateAdaptiveDecay(tech, interval.NewAggregates(dist))
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -70,7 +70,7 @@ func main() {
 
 	// Figure 9 for this one benchmark: which intervals could a prefetcher
 	// have predicted?
-	p := prefetch.Analyze(dist, a, b)
+	p := prefetch.Analyze(interval.NewAggregates(dist), a, b)
 	nl, stride := classifier.Stats()
 	fmt.Printf("applu D-cache: %d interior intervals\n", p.Total())
 	fmt.Printf("  next-line prefetchable: %.1f%% (%d closings)\n", 100*p.NLShare(), nl)

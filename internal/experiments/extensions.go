@@ -4,6 +4,11 @@ package experiments
 // library's generality (the "future work" directions Section 6 gestures
 // at): the L2 cache, extra baseline schemes from the related work, the
 // dirty-line write-back cost, and temperature sensitivity.
+//
+// Every L1 table evaluates through the aggregate kernel over the Suite's
+// cached IAgg/DAgg summaries (leakage.EvaluateAggregate), never a bucket
+// walk. The L2 study alone walks its distribution, on purpose: the Suite
+// builds no L2 aggregate, and that one table would be its only reader.
 
 import (
 	"context"
@@ -31,12 +36,12 @@ func ExtendedSchemesTableContext(ctx context.Context, s *Suite) (*report.Table, 
 	}{
 		{"Drowsy(2000) periodic", savingsOf(tech, leakage.PeriodicDrowsy{Window: 2000})},
 		{"Drowsy(4000) periodic", savingsOf(tech, leakage.PeriodicDrowsy{Window: 4000})},
-		{"Adaptive decay (feedback)", func(d *interval.Distribution) (float64, error) {
-			ev, err := leakage.EvaluateAdaptiveDecay(tech, d)
+		{"Adaptive decay (feedback)", func(agg *interval.Aggregates) (float64, error) {
+			ev, err := leakage.EvaluateAdaptiveDecay(tech, agg)
 			return ev.Savings, err
 		}},
-		{"AMC (tags alive)", func(d *interval.Distribution) (float64, error) {
-			ev, err := leakage.EvaluateAMC(tech, d, 0.06)
+		{"AMC (tags alive)", func(agg *interval.Aggregates) (float64, error) {
+			ev, err := leakage.EvaluateAMC(tech, agg, 0.06)
 			return ev.Savings, err
 		}},
 		{"OPT-Drowsy (bound)", savingsOf(tech, leakage.OPTDrowsy{})},
@@ -47,8 +52,8 @@ func ExtendedSchemesTableContext(ctx context.Context, s *Suite) (*report.Table, 
 	vals := make([]float64, len(rows)*len(all)*2)
 	err = s.forEach(ctx, len(vals), func(k int) error {
 		r, bd := rows[k/(2*len(all))], all[k/2%len(all)]
-		dist, _ := bd.Side(k%2 == 0)
-		v, err := r.fn(dist)
+		_, agg := bd.Side(k%2 == 0)
+		v, err := r.fn(agg)
 		if err != nil {
 			return fmt.Errorf("experiments: %s on %s: %w", r.label, bd.Name, err)
 		}
@@ -72,14 +77,15 @@ func ExtendedSchemesTableContext(ctx context.Context, s *Suite) (*report.Table, 
 	return t, nil
 }
 
-// column computes one table value over one distribution; the extension
-// studies fan their (benchmark, column) cells out through forEach.
-type column func(*interval.Distribution) (float64, error)
+// column computes one table value over one L1 side's aggregates; the
+// extension studies fan their (benchmark, column) cells out through
+// forEach.
+type column func(*interval.Aggregates) (float64, error)
 
 // savingsOf is the column of p's savings at tech.
 func savingsOf(tech power.Technology, p leakage.Policy) column {
-	return func(d *interval.Distribution) (float64, error) {
-		ev, err := leakage.Evaluate(tech, d, p)
+	return func(agg *interval.Aggregates) (float64, error) {
+		ev, err := leakage.EvaluateAggregate(tech, agg, p)
 		return ev.Savings, err
 	}
 }
@@ -89,22 +95,32 @@ func savingsOf(tech power.Technology, p leakage.Policy) column {
 // misses, so nearly all of its (much larger) leakage is recoverable. The
 // paper restricts itself to the L1s; this is the natural next target its
 // conclusion implies.
+//
+// Unlike the L1 tables, this one walks the L2 distributions through the
+// reference evaluator on purpose: the Suite builds no L2 aggregate, which
+// would cost about 25 ms and 54 MB per suite for this one table.
 func L2StudyContext(ctx context.Context, s *Suite) (*report.Table, error) {
 	all, err := s.AllContext(ctx)
 	if err != nil {
 		return nil, err
 	}
 	tech := power.Default()
-	cols := []column{
+	walkSavings := func(p leakage.Policy) func(*interval.Distribution) (float64, error) {
+		return func(d *interval.Distribution) (float64, error) {
+			ev, err := leakage.Evaluate(tech, d, p)
+			return ev.Savings, err
+		}
+	}
+	cols := []func(*interval.Distribution) (float64, error){
 		func(d *interval.Distribution) (float64, error) {
 			untouchedMass := d.MassWhere(func(l uint64, f interval.Flags) bool {
 				return f&interval.Untouched == interval.Untouched
 			})
 			return 1 - float64(untouchedMass)/float64(d.Mass()), nil
 		},
-		savingsOf(tech, leakage.OPTDrowsy{}),
-		savingsOf(tech, leakage.OPTSleep{Theta: 10000}),
-		savingsOf(tech, leakage.OPTHybrid{}),
+		walkSavings(leakage.OPTDrowsy{}),
+		walkSavings(leakage.OPTSleep{Theta: 10000}),
+		walkSavings(leakage.OPTHybrid{}),
 	}
 	vals := make([]float64, len(all)*len(cols))
 	err = s.forEach(ctx, len(vals), func(k int) error {
@@ -153,7 +169,7 @@ func WritebackAblationContext(ctx context.Context, s *Suite) (*report.Table, err
 	}
 	vals := make([]float64, len(all)*len(cols))
 	err = s.forEach(ctx, len(vals), func(k int) error {
-		v, err := cols[k%len(cols)](all[k/len(cols)].DCache)
+		v, err := cols[k%len(cols)](all[k/len(cols)].DAgg)
 		vals[k] = v
 		return err
 	})
@@ -184,7 +200,8 @@ func WritebackAblationContext(ctx context.Context, s *Suite) (*report.Table, err
 // silicon should sleep more aggressively. The paper's generalized model
 // exists exactly to answer questions like this. Each temperature point
 // evaluates through the aggregate fast path over the benchmark's cached
-// summary — the sweep never re-walks the distribution.
+// summary — the sweep never re-walks the distribution, like every other
+// L1 table here (only the L2 study walks, see L2StudyContext).
 func TemperatureSweepContext(ctx context.Context, s *Suite, benchmark string) (*report.Table, error) {
 	bd, err := s.DataContext(ctx, benchmark)
 	if err != nil {
@@ -267,18 +284,21 @@ func LiveDeadStudyContext(ctx context.Context, s *Suite) (*report.Table, error) 
 	}
 	tech := power.Default()
 	cols := []column{
-		func(d *interval.Distribution) (float64, error) {
-			deadMass := d.MassWhere(func(l uint64, f interval.Flags) bool {
-				return f&interval.DeadEnd != 0
-			})
-			return float64(deadMass) / float64(d.Mass()), nil
+		func(agg *interval.Aggregates) (float64, error) {
+			var deadMass uint64
+			for i := range agg.Classes() {
+				if cls := &agg.Classes()[i]; cls.Flags&interval.DeadEnd != 0 {
+					deadMass += cls.TotalMass()
+				}
+			}
+			return float64(deadMass) / float64(agg.Mass()), nil
 		},
 		savingsOf(tech, leakage.OPTHybrid{}),
 		savingsOf(tech, leakage.DeadAwareHybrid{}),
 	}
 	vals := make([]float64, len(all)*len(cols))
 	err = s.forEach(ctx, len(vals), func(k int) error {
-		v, err := cols[k%len(cols)](all[k/len(cols)].DCache)
+		v, err := cols[k%len(cols)](all[k/len(cols)].DAgg)
 		vals[k] = v
 		return err
 	})

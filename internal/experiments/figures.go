@@ -37,11 +37,11 @@ func Figure7Context(ctx context.Context, s *Suite, iCache bool) (sleep, hybrid *
 	cells := make([]Cell, 0, 2*len(thetas)*len(all))
 	for _, theta := range thetas {
 		for _, bd := range all {
-			dist, agg := bd.Side(iCache)
+			_, agg := bd.Side(iCache)
 			cells = append(cells,
-				Cell{Tech: tech, Policy: leakage.OPTSleep{Theta: theta}, Dist: dist, Agg: agg,
+				Cell{Tech: tech, Policy: leakage.OPTSleep{Theta: theta}, Agg: agg,
 					Label: fmt.Sprintf("fig7/%s/sleep@%d", bd.Name, theta)},
-				Cell{Tech: tech, Policy: leakage.OPTHybrid{SleepTheta: theta}, Dist: dist, Agg: agg,
+				Cell{Tech: tech, Policy: leakage.OPTHybrid{SleepTheta: theta}, Agg: agg,
 					Label: fmt.Sprintf("fig7/%s/hybrid@%d", bd.Name, theta)})
 		}
 	}
@@ -98,9 +98,9 @@ func Figure8Context(ctx context.Context, s *Suite, iCache bool) ([]Figure8Row, e
 	policies := Figure8Policies()
 	cells := make([]Cell, 0, len(all)*len(policies))
 	for _, bd := range all {
-		dist, agg := bd.Side(iCache)
+		_, agg := bd.Side(iCache)
 		for _, p := range policies {
-			cells = append(cells, Cell{Tech: tech, Policy: p, Dist: dist, Agg: agg,
+			cells = append(cells, Cell{Tech: tech, Policy: p, Agg: agg,
 				Label: fmt.Sprintf("fig8/%s/%s", bd.Name, p.Name())})
 		}
 	}
@@ -158,18 +158,18 @@ func Figure9Context(ctx context.Context, s *Suite, iCache bool) (prefetch.Prefet
 	if err != nil {
 		return prefetch.Prefetchability{}, err
 	}
-	dist := interval.NewDistribution(0, 0)
-	for _, d := range all {
-		side, _ := d.Side(iCache)
-		if err := dist.Merge(side); err != nil {
-			return prefetch.Prefetchability{}, err
-		}
-	}
 	a, b, err := power.Default().InflectionPoints()
 	if err != nil {
 		return prefetch.Prefetchability{}, err
 	}
-	return prefetch.Analyze(dist, a, b), nil
+	// The counts are integers, so summing each benchmark's breakdown is
+	// exactly the breakdown of the merged distribution.
+	out := prefetch.Prefetchability{A: a, B: b}
+	for _, bd := range all {
+		_, agg := bd.Side(iCache)
+		out.Add(prefetch.Analyze(agg, a, b))
+	}
+	return out, nil
 }
 
 // Figure9TableContext renders the Figure 9 breakdown.

@@ -29,12 +29,10 @@ import (
 type Cell struct {
 	Tech   power.Technology
 	Policy leakage.Policy
-	Dist   *interval.Distribution
-	// Agg, when set, is the distribution's prefix-aggregate summary: the
-	// cell evaluates through the closed-form fast path
-	// (leakage.EvaluateAggregate), falling back to the reference walk for
-	// policies without a declared closed form. When nil the cell always
-	// takes the reference walk over Dist.
+	// Agg is the distribution's prefix-aggregate summary: the cell
+	// evaluates through the closed-form fast path
+	// (leakage.EvaluateAggregate), which falls back to the reference walk
+	// over Agg.Source() for policies without a declared closed form.
 	Agg *interval.Aggregates
 	// Label names the cell in errors and telemetry; optional (the index is
 	// used when empty).
@@ -58,13 +56,7 @@ func (s *Suite) EvaluateGrid(ctx context.Context, cells []Cell) ([]leakage.Evalu
 		started.Add(1)
 		//lint:ignore detflow wall clock feeds the cell_ns telemetry histogram only, never the evaluated energies
 		start := time.Now()
-		var ev leakage.Evaluation
-		var err error
-		if cells[i].Agg != nil {
-			ev, err = leakage.EvaluateAggregate(cells[i].Tech, cells[i].Agg, cells[i].Policy)
-		} else {
-			ev, err = leakage.Evaluate(cells[i].Tech, cells[i].Dist, cells[i].Policy)
-		}
+		ev, err := leakage.EvaluateAggregate(cells[i].Tech, cells[i].Agg, cells[i].Policy)
 		if err != nil {
 			failed.Add(1)
 			label := cells[i].Label

@@ -200,7 +200,7 @@ func (s *Suite) TechniqueFamiliesTableContext(ctx context.Context, iCache bool, 
 	perBench := make([][]leakage.Policy, len(all))
 	cells := make([]Cell, 0, len(all)*(len(fixed)+1))
 	for bi, bd := range all {
-		dist, agg := bd.Side(iCache)
+		_, agg := bd.Side(iCache)
 		acc := bd.IEngine.Accuracy()
 		if !iCache {
 			acc = bd.DEngine.Accuracy()
@@ -208,7 +208,7 @@ func (s *Suite) TechniqueFamiliesTableContext(ctx context.Context, iCache bool, 
 		pols := append(append([]leakage.Policy{}, fixed...), leakage.WayMemo{Accuracy: acc})
 		perBench[bi] = pols
 		for _, p := range pols {
-			cells = append(cells, Cell{Tech: tech, Policy: p, Dist: dist, Agg: agg,
+			cells = append(cells, Cell{Tech: tech, Policy: p, Agg: agg,
 				Label: fmt.Sprintf("families/%s/%s", bd.Name, p.Name())})
 		}
 	}

@@ -454,7 +454,7 @@ func TestOptionsValidation(t *testing.T) {
 // sentinel and the cell label.
 func TestEvaluateGridErrors(t *testing.T) {
 	s := MustNew(WithMetrics(telemetry.NewRegistry()))
-	cells := []Cell{{Tech: power.Default(), Policy: leakage.OPTDrowsy{}, Dist: nil, Label: "bad/cell"}}
+	cells := []Cell{{Tech: power.Default(), Policy: leakage.OPTDrowsy{}, Agg: nil, Label: "bad/cell"}}
 	_, err := s.EvaluateGrid(context.Background(), cells)
 	if !errors.Is(err, leakage.ErrNilDistribution) {
 		t.Fatalf("got %v, want leakage.ErrNilDistribution", err)

@@ -155,12 +155,12 @@ func (s *Suite) EvaluateCellContext(ctx context.Context, benchmark string, iCach
 // reporting the cell under benchmark; scope is the grid label's element
 // naming where the data came from (the benchmark, or "adhoc").
 func (s *Suite) evaluateCell(ctx context.Context, bd *BenchmarkData, benchmark, scope string, iCache bool, tech power.Technology, pol leakage.Policy) (CellEvaluation, error) {
-	dist, agg := bd.Side(iCache)
+	_, agg := bd.Side(iCache)
 	side := "i"
 	if !iCache {
 		side = "d"
 	}
-	evs, err := s.EvaluateGrid(ctx, []Cell{{Tech: tech, Policy: pol, Dist: dist, Agg: agg,
+	evs, err := s.EvaluateGrid(ctx, []Cell{{Tech: tech, Policy: pol, Agg: agg,
 		Label: fmt.Sprintf("query/%s/%s/%s/%s", scope, side, tech.Name, pol.Name())}})
 	if err != nil {
 		return CellEvaluation{}, err

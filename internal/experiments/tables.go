@@ -99,8 +99,8 @@ func Table2Context(ctx context.Context, s *Suite) (*report.Table, error) {
 					return nil, err
 				}
 				for _, bd := range all {
-					dist, agg := bd.Side(cacheSide != "D-Cache")
-					cells = append(cells, Cell{Tech: tech, Policy: pol, Dist: dist, Agg: agg,
+					_, agg := bd.Side(cacheSide != "D-Cache")
+					cells = append(cells, Cell{Tech: tech, Policy: pol, Agg: agg,
 						Label: fmt.Sprintf("table2/%s/%s/%s/%s", cacheSide, scheme, tech.Name, bd.Name)})
 				}
 			}
@@ -143,8 +143,8 @@ func Table2ValueContext(ctx context.Context, s *Suite, scheme string, iCache boo
 	}
 	cells := make([]Cell, 0, len(all))
 	for _, bd := range all {
-		dist, agg := bd.Side(iCache)
-		cells = append(cells, Cell{Tech: tech, Policy: pol, Dist: dist, Agg: agg,
+		_, agg := bd.Side(iCache)
+		cells = append(cells, Cell{Tech: tech, Policy: pol, Agg: agg,
 			Label: fmt.Sprintf("table2/%s/%s/%s", scheme, tech.Name, bd.Name)})
 	}
 	evs, err := s.EvaluateGrid(ctx, cells)

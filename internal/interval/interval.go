@@ -17,10 +17,9 @@
 package interval
 
 import (
-	"cmp"
 	"errors"
 	"fmt"
-	"slices"
+	"math/bits"
 	"sort"
 	"strconv"
 
@@ -135,10 +134,10 @@ type Distribution struct {
 
 	// tail holds the long buckets (length >= denseLimit) as an append log
 	// of packed (length<<6|flags, count) pairs, sorted and merged lazily by
-	// compact. Long interval lengths are nearly all distinct, so a hash
-	// table buys no dedup during collection and costs a cache-missing probe
-	// per Add plus rehash churn; appending is a sequential store, and the
-	// one sort at read time replaces the sort Each needed anyway.
+	// compact. A hash table would cost a cache-missing probe per Add plus
+	// rehash churn; appending is a sequential store. At read time compact
+	// orders the log with an in-place radix sort on the packed keys (no
+	// comparisons, no scratch buffer) and merges equal keys.
 	tail      []tailBucket
 	tailClean int // len(tail) when last compacted; == len(tail) means sorted+merged
 
@@ -162,7 +161,17 @@ func (d *Distribution) compact() {
 	if d.tailClean == len(d.tail) {
 		return
 	}
-	slices.SortFunc(d.tail, func(a, b tailBucket) int { return cmp.Compare(a.key, b.key) })
+	// The first digit is the byte holding the largest key's top bit, so a
+	// suite whose keys stay below 2^32 sorts in at most four passes.
+	var union uint64
+	for _, b := range d.tail {
+		union |= b.key
+	}
+	shift := uint(0)
+	if union > 0 {
+		shift = uint(bits.Len64(union)-1) / 8 * 8
+	}
+	radixSort(d.tail, shift)
 	out := d.tail[:0]
 	for _, b := range d.tail {
 		if n := len(out); n > 0 && out[n-1].key == b.key {
@@ -173,6 +182,93 @@ func (d *Distribution) compact() {
 	}
 	d.tail = out
 	d.tailClean = len(out)
+}
+
+// insertionCutoff is the bucket size below which radixSort finishes with
+// an insertion sort: a 256-way digit pass costs more than a few dozen
+// compares.
+const insertionCutoff = 32
+
+// radixSort sorts b by key in place: an MSD ("American flag") radix sort
+// on 8-bit digits, the first at bit shift. Each pass counts the digits,
+// permutes every element into its digit's range, and recurses into each
+// range on the next digit down; a pass whose keys all share the digit
+// skips the permutation. Sorting in place keeps compact from needing a
+// tail-sized scratch buffer. Equal keys may land in any order; compact
+// merges them by summing counts, so the result does not depend on it.
+func radixSort(b []tailBucket, shift uint) {
+	if len(b) < insertionCutoff {
+		for i := 1; i < len(b); i++ {
+			for j := i; j > 0 && b[j].key < b[j-1].key; j-- {
+				b[j], b[j-1] = b[j-1], b[j]
+			}
+		}
+		return
+	}
+	var count [256]int
+	for _, x := range b {
+		count[x.key>>shift&0xff]++
+	}
+	if count[b[0].key>>shift&0xff] < len(b) {
+		permute(b, shift, &count)
+	}
+	if shift == 0 {
+		return
+	}
+	lo := 0
+	for _, n := range count {
+		if n > 1 {
+			radixSort(b[lo:lo+n], shift-8)
+		}
+		lo += n
+	}
+}
+
+// permute moves every element of b into the range of its digit at shift,
+// given the digit counts. Digit by digit, it sweeps the unfilled part of
+// the digit's range, swapping every element there into the next free slot
+// of its own digit's range, until the range is full. Each element a sweep
+// examines is placed for good, so the sweeps examine len(b) elements in
+// all. A sweep handles four elements per step, so four independent cache
+// misses are in flight where a swap chain would wait on one at a time.
+// The four destinations cannot overlap the four sources: a foreign
+// digit's slot lies outside the swept range, and the swept digit's next
+// free slot never passes the element being placed.
+func permute(b []tailBucket, shift uint, count *[256]int) {
+	var next, end [256]int
+	pos := 0
+	for dg, n := range count {
+		next[dg] = pos
+		pos += n
+		end[dg] = pos
+	}
+	for dg := range next {
+		for next[dg] < end[dg] {
+			i, e := next[dg], end[dg]
+			for ; i+4 <= e; i += 4 {
+				d0, d1 := b[i].key>>shift&0xff, b[i+1].key>>shift&0xff
+				d2, d3 := b[i+2].key>>shift&0xff, b[i+3].key>>shift&0xff
+				t0 := next[d0]
+				next[d0]++
+				t1 := next[d1]
+				next[d1]++
+				t2 := next[d2]
+				next[d2]++
+				t3 := next[d3]
+				next[d3]++
+				b[i], b[t0] = b[t0], b[i]
+				b[i+1], b[t1] = b[t1], b[i+1]
+				b[i+2], b[t2] = b[t2], b[i+2]
+				b[i+3], b[t3] = b[t3], b[i+3]
+			}
+			for ; i < e; i++ {
+				d := b[i].key >> shift & 0xff
+				t := next[d]
+				next[d]++
+				b[i], b[t] = b[t], b[i]
+			}
+		}
+	}
 }
 
 // NewDistribution creates an empty distribution for a cache with the given
@@ -283,8 +379,8 @@ func (d *Distribution) Each(fn func(length uint64, flags Flags, count uint64) bo
 }
 
 // Merge folds other into d. Frame counts add — the operands are treated as
-// disjoint frame populations, as when aggregating benchmarks for
-// suite-wide views (experiments.Figure9Context). Bucket counts,
+// disjoint frame populations, as when pooling several benchmarks' caches
+// into one distribution. Bucket counts,
 // interval counts and mass are all additive, so merging the collections
 // of a frame partition of one run is bit-identical to collecting the run
 // whole (TestMergePropertySharding). Time horizons are maxed so the

@@ -12,13 +12,20 @@ import (
 
 // testPolicies returns one representative per builtin policy type,
 // covering every threshold shape: defaults, overrides below/above the
-// inflection points, degenerate windows.
+// inflection points, degenerate windows. It also carries the exact
+// parameters the extension tables evaluate through the aggregate kernel:
+// PeriodicDrowsy{4000}, and SleepDecay and AMCSleep{TagFraction: 0.06}
+// at every DecayThetaLadder theta.
 func testPolicies(t power.Technology) []Policy {
 	_, b, err := t.InflectionPoints()
 	if err != nil {
 		b = 5000
 	}
-	return []Policy{
+	ladder := []Policy{PeriodicDrowsy{Window: 4000}}
+	for _, theta := range DecayThetaLadder() {
+		ladder = append(ladder, SleepDecay{Theta: theta}, AMCSleep{Theta: theta, TagFraction: 0.06})
+	}
+	return append([]Policy{
 		AlwaysActive{},
 		OPTDrowsy{},
 		OPTSleep{Theta: 0},
@@ -45,7 +52,21 @@ func testPolicies(t power.Technology) []Policy {
 		WayMemo{Accuracy: 0.9},
 		WayMemo{Accuracy: 1},
 		WayMemo{Accuracy: 0},
+	}, ladder...)
+}
+
+// closedFormTechnologies returns every builtin technology node plus the
+// default node at the write-back ablation's WBEnergy/CD ratios, so the
+// curves' write-back terms are compared with the reference too (every
+// builtin node has WBEnergy = 0).
+func closedFormTechnologies() []power.Technology {
+	techs := power.Technologies()
+	for _, ratio := range []float64{0.25, 0.5, 1.0} {
+		tech := power.Default()
+		tech.WBEnergy = ratio * tech.CD
+		techs = append(techs, tech)
 	}
+	return techs
 }
 
 // curveTestLengths returns the probe lengths for one curve: every piece
@@ -88,12 +109,15 @@ func relClose(a, b, relTol, absTol float64) bool {
 
 // TestClosedFormsMatchReference checks every builtin policy's
 // EnergyCurve pointwise against its IntervalEnergy and IntervalMisses, for
-// every flags value, at every builtin technology node, on lengths
-// bracketing every piece end. Energies may differ only by float
-// regrouping (tight relative tolerance); the misses the same pieces carry
-// must match exactly — they sit on the very same threshold comparisons.
+// every flags value, at every builtin technology node and at the
+// write-back ablation's nodes, on lengths bracketing every piece end. No
+// builtin policy may lack a valid curve for any flags class: that is what
+// keeps EvaluateAggregate off its reference fallback. Energies may differ
+// only by float regrouping (tight relative tolerance); the misses the same
+// pieces carry must match exactly — they sit on the very same threshold
+// comparisons.
 func TestClosedFormsMatchReference(t *testing.T) {
-	for _, tech := range power.Technologies() {
+	for _, tech := range closedFormTechnologies() {
 		for _, pol := range testPolicies(tech) {
 			cf, ok := pol.(ClosedForm)
 			if !ok {

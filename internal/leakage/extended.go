@@ -75,22 +75,23 @@ func DecayThetaLadder() []uint64 {
 // minimizes energy for the observed workload, so the scheme's energy is
 // the minimum of SleepDecay over the ladder. The returned evaluation is
 // labelled "Adaptive-Decay" and records which theta won via the Policy
-// field ("Adaptive-Decay(theta=N)").
-func EvaluateAdaptiveDecay(t power.Technology, d *interval.Distribution) (Evaluation, error) {
-	if d == nil {
+// field ("Adaptive-Decay(theta=N)"). Every ladder point evaluates
+// through the aggregate kernel (EvaluateAggregate).
+func EvaluateAdaptiveDecay(t power.Technology, agg *interval.Aggregates) (Evaluation, error) {
+	if agg == nil {
 		return Evaluation{}, ErrNilDistribution
 	}
-	return bestOnLadder(t, d, "Adaptive-Decay", func(theta uint64) Policy { return SleepDecay{Theta: theta} })
+	return bestOnLadder(t, agg, "Adaptive-Decay", func(theta uint64) Policy { return SleepDecay{Theta: theta} })
 }
 
 // bestOnLadder evaluates policy(theta) for every theta on DecayThetaLadder
 // and returns the lowest-energy evaluation (the earliest theta on ties),
 // its Policy relabelled "label(theta=N)".
-func bestOnLadder(t power.Technology, d *interval.Distribution, label string, policy func(theta uint64) Policy) (Evaluation, error) {
+func bestOnLadder(t power.Technology, agg *interval.Aggregates, label string, policy func(theta uint64) Policy) (Evaluation, error) {
 	var best Evaluation
 	var bestTheta uint64
 	for i, theta := range DecayThetaLadder() {
-		ev, err := Evaluate(t, d, policy(theta))
+		ev, err := EvaluateAggregate(t, agg, policy(theta))
 		if err != nil {
 			return Evaluation{}, err
 		}
@@ -134,14 +135,14 @@ func (p AMCSleep) IntervalEnergy(t power.Technology, length uint64, flags interv
 // EvaluateAMC models AMC's adaptive turn-off interval the same way as
 // EvaluateAdaptiveDecay: steady state = best theta on the ladder, with the
 // tag array always powered.
-func EvaluateAMC(t power.Technology, d *interval.Distribution, tagFraction float64) (Evaluation, error) {
-	if d == nil {
+func EvaluateAMC(t power.Technology, agg *interval.Aggregates, tagFraction float64) (Evaluation, error) {
+	if agg == nil {
 		return Evaluation{}, ErrNilDistribution
 	}
 	if tagFraction < 0 || tagFraction >= 1 {
 		return Evaluation{}, fmt.Errorf("leakage: tag fraction %g outside [0,1)", tagFraction)
 	}
-	return bestOnLadder(t, d, "AMC", func(theta uint64) Policy { return AMCSleep{Theta: theta, TagFraction: tagFraction} })
+	return bestOnLadder(t, agg, "AMC", func(theta uint64) Policy { return AMCSleep{Theta: theta, TagFraction: tagFraction} })
 }
 
 // DirtyAwareHybrid extends OPT-Hybrid with write-back awareness: when

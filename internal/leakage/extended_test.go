@@ -89,8 +89,8 @@ func uint64HackUntouched() interval.Flags { return interval.Untouched }
 
 func TestEvaluateAdaptiveDecay(t *testing.T) {
 	tech := power.Default()
-	d := extTestDist()
-	adaptive, err := EvaluateAdaptiveDecay(tech, d)
+	agg := interval.NewAggregates(extTestDist())
+	adaptive, err := EvaluateAdaptiveDecay(tech, agg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +99,7 @@ func TestEvaluateAdaptiveDecay(t *testing.T) {
 	}
 	// Adaptive decay must match or beat every fixed theta on the ladder...
 	for _, theta := range DecayThetaLadder() {
-		fixed, err := Evaluate(tech, d, SleepDecay{Theta: theta})
+		fixed, err := EvaluateAggregate(tech, agg, SleepDecay{Theta: theta})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -108,7 +108,7 @@ func TestEvaluateAdaptiveDecay(t *testing.T) {
 		}
 	}
 	// ...but never the oracle.
-	oracle, err := Evaluate(tech, d, OPTHybrid{})
+	oracle, err := EvaluateAggregate(tech, agg, OPTHybrid{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,12 +148,12 @@ func TestAMCTagOverhead(t *testing.T) {
 
 func TestEvaluateAMC(t *testing.T) {
 	tech := power.Default()
-	d := extTestDist()
-	amc, err := EvaluateAMC(tech, d, 0.06)
+	agg := interval.NewAggregates(extTestDist())
+	amc, err := EvaluateAMC(tech, agg, 0.06)
 	if err != nil {
 		t.Fatal(err)
 	}
-	adaptive, err := EvaluateAdaptiveDecay(tech, d)
+	adaptive, err := EvaluateAdaptiveDecay(tech, agg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,10 +164,10 @@ func TestEvaluateAMC(t *testing.T) {
 	if !strings.HasPrefix(amc.Policy, "AMC(theta=") {
 		t.Errorf("policy label %q", amc.Policy)
 	}
-	if _, err := EvaluateAMC(tech, d, -0.1); err == nil {
+	if _, err := EvaluateAMC(tech, agg, -0.1); err == nil {
 		t.Error("negative tag fraction accepted")
 	}
-	if _, err := EvaluateAMC(tech, d, 1.0); err == nil {
+	if _, err := EvaluateAMC(tech, agg, 1.0); err == nil {
 		t.Error("tag fraction 1.0 accepted")
 	}
 	if _, err := EvaluateAMC(tech, nil, 0.06); err == nil {
@@ -180,9 +180,10 @@ func TestExtendedSchemesOrdering(t *testing.T) {
 	// OPT-Hybrid >= adaptive decay >= AMC, and OPT-Drowsy >= periodic drowsy.
 	tech := power.Default()
 	d := extTestDist()
+	agg := interval.NewAggregates(d)
 	hybrid, _ := Evaluate(tech, d, OPTHybrid{})
-	adaptive, _ := EvaluateAdaptiveDecay(tech, d)
-	amc, _ := EvaluateAMC(tech, d, 0.06)
+	adaptive, _ := EvaluateAdaptiveDecay(tech, agg)
+	amc, _ := EvaluateAMC(tech, agg, 0.06)
 	optDrowsy, _ := Evaluate(tech, d, OPTDrowsy{})
 	periodic, _ := Evaluate(tech, d, PeriodicDrowsy{Window: 2000})
 	if !(hybrid.Savings >= adaptive.Savings && adaptive.Savings >= amc.Savings) {

@@ -87,7 +87,7 @@ func EvaluateAggregate(t power.Technology, agg *interval.Aggregates, p Policy) (
 		energy, _, ok = foldAggregate(t, agg, cf)
 	}
 	if !ok {
-		//lint:ignore hotalloc policies without a closed form, or with a flags class their curve cannot express, take the audited reference walk; no builtin policy hits this
+		//lint:ignore hotalloc policies without a closed form, or with a flags class their curve cannot express, take the audited reference walk; TestClosedFormsMatchReference fails if any builtin policy lacks a valid curve for any flags class
 		return Evaluate(t, agg.Source(), p)
 	}
 	baseline := t.PActive * float64(agg.Mass())

@@ -268,34 +268,46 @@ func (p Prefetchability) PrefetchableShare() float64 {
 	return p.NLShare() + p.StrideShare()
 }
 
-// Analyze computes Figure 9's breakdown from a flagged distribution and the
-// two inflection points.
-func Analyze(d *interval.Distribution, a, b float64) Prefetchability {
+// Add folds q's counts into p, as when summing per-benchmark breakdowns
+// into a suite-wide one. The boundaries stay p's.
+func (p *Prefetchability) Add(q Prefetchability) {
+	p.ShortCount += q.ShortCount
+	p.MidCount += q.MidCount
+	p.LongCount += q.LongCount
+	p.MidNL += q.MidNL
+	p.MidStride += q.MidStride
+	p.LongNL += q.LongNL
+	p.LongStride += q.LongStride
+}
+
+// Analyze computes Figure 9's breakdown from a flagged distribution's
+// prefix aggregates and the two inflection points. Each interior flags
+// class splits by two prefix lookups: Short = Prefix(a), Mid = Prefix(b)
+// - Prefix(a) and Long = the rest, on the same float64(length) <= cut
+// comparisons a bucket walk would make. An interval flagged by both
+// predictors counts as next-line.
+func Analyze(agg *interval.Aggregates, a, b float64) Prefetchability {
 	out := Prefetchability{A: a, B: b}
-	d.Each(func(length uint64, flags interval.Flags, count uint64) bool {
-		if !flags.Interior() {
-			return true
+	for i := range agg.Classes() {
+		cls := &agg.Classes()[i]
+		if !cls.Flags.Interior() {
+			continue
 		}
-		L := float64(length)
+		short, _ := cls.Prefix(a)
+		upToB, _ := cls.Prefix(b)
+		upToB = max(upToB, short) // b <= a: nothing is mid
+		mid, long := upToB-short, cls.TotalCount()-upToB
+		out.ShortCount += short
+		out.MidCount += mid
+		out.LongCount += long
 		switch {
-		case L <= a:
-			out.ShortCount += count
-		case L <= b:
-			out.MidCount += count
-			if flags&interval.NLPrefetchable != 0 {
-				out.MidNL += count
-			} else if flags&interval.StridePrefetchable != 0 {
-				out.MidStride += count
-			}
-		default:
-			out.LongCount += count
-			if flags&interval.NLPrefetchable != 0 {
-				out.LongNL += count
-			} else if flags&interval.StridePrefetchable != 0 {
-				out.LongStride += count
-			}
+		case cls.Flags&interval.NLPrefetchable != 0:
+			out.MidNL += mid
+			out.LongNL += long
+		case cls.Flags&interval.StridePrefetchable != 0:
+			out.MidStride += mid
+			out.LongStride += long
 		}
-		return true
-	})
+	}
 	return out
 }

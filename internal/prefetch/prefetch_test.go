@@ -1,6 +1,7 @@
 package prefetch
 
 import (
+	"math/rand"
 	"testing"
 
 	"leakbound/internal/interval"
@@ -191,7 +192,7 @@ func TestAnalyze(t *testing.T) {
 	d.Add(5000, interval.StridePrefetchable, 2) // long, stride
 	d.Add(9000, 0, 3)                           // long, NP
 	d.Add(1000, interval.Leading, 7)            // edge: excluded
-	p := Analyze(d, 6, 1057)
+	p := Analyze(interval.NewAggregates(d), 6, 1057)
 	if p.Total() != 25 {
 		t.Errorf("total = %d, want 25 (edges excluded)", p.Total())
 	}
@@ -214,9 +215,72 @@ func TestAnalyze(t *testing.T) {
 
 func TestAnalyzeEmpty(t *testing.T) {
 	d := interval.NewDistribution(1, 1)
-	p := Analyze(d, 6, 1057)
+	p := Analyze(interval.NewAggregates(d), 6, 1057)
 	if p.NLShare() != 0 || p.StrideShare() != 0 {
 		t.Error("empty distribution has non-zero shares")
+	}
+}
+
+// analyzeWalk is the bucket-walk form of Analyze: every interior bucket
+// lands in the first regime whose upper boundary its length does not
+// exceed.
+func analyzeWalk(d *interval.Distribution, a, b float64) Prefetchability {
+	out := Prefetchability{A: a, B: b}
+	d.Each(func(length uint64, flags interval.Flags, count uint64) bool {
+		if !flags.Interior() {
+			return true
+		}
+		var q Prefetchability
+		switch L := float64(length); {
+		case L <= a:
+			q.ShortCount = count
+		case L <= b:
+			q.MidCount = count
+			if flags&interval.NLPrefetchable != 0 {
+				q.MidNL = count
+			} else if flags&interval.StridePrefetchable != 0 {
+				q.MidStride = count
+			}
+		default:
+			q.LongCount = count
+			if flags&interval.NLPrefetchable != 0 {
+				q.LongNL = count
+			} else if flags&interval.StridePrefetchable != 0 {
+				q.LongStride = count
+			}
+		}
+		out.Add(q)
+		return true
+	})
+	return out
+}
+
+// TestAnalyzeMatchesWalk pins Analyze's prefix differences to the bucket
+// walk on random distributions, with boundaries on, between and beyond
+// bucket lengths and in reversed order, and pins Add to Analyze of the
+// merged distribution.
+func TestAnalyzeMatchesWalk(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	random := func() *interval.Distribution {
+		d := interval.NewDistribution(8, 1<<30)
+		for i := 0; i < 2000; i++ {
+			d.Add(uint64(rng.ExpFloat64()*2000)+1, interval.Flags(rng.Intn(64)), uint64(rng.Intn(3)+1))
+		}
+		return d
+	}
+	for _, cuts := range [][2]float64{{6, 1057}, {6.5, 1057.5}, {0, 1e18}, {100, 100}, {1057, 6}, {8192, 20000}} {
+		x, y := random(), random()
+		got := Analyze(interval.NewAggregates(x), cuts[0], cuts[1])
+		if want := analyzeWalk(x, cuts[0], cuts[1]); got != want {
+			t.Fatalf("cuts %v: Analyze %+v, walk %+v", cuts, got, want)
+		}
+		got.Add(Analyze(interval.NewAggregates(y), cuts[0], cuts[1]))
+		if err := x.Merge(y); err != nil {
+			t.Fatal(err)
+		}
+		if want := analyzeWalk(x, cuts[0], cuts[1]); got != want {
+			t.Fatalf("cuts %v: summed %+v, merged walk %+v", cuts, got, want)
+		}
 	}
 }
 
