@@ -49,13 +49,11 @@ vulncheck:
 	fi
 
 # The parallel-pipeline determinism suite under the race detector: the
-# Distribution.Merge tests, and the worker-count (suite and studies),
-# concurrent-walk, grid, singleflight and cancellation (AllContext and
-# forEach) tests of the experiments package. Every alternative in each
-# -run pattern must match a test (go test -list), since -run passes
-# silently when nothing matches.
+# worker-count (suite and studies), concurrent-walk, grid, singleflight
+# and cancellation (AllContext and forEach) tests of the experiments
+# package. Every alternative in the -run pattern must match a test
+# (go test -list), since -run passes silently when nothing matches.
 test-parallel:
-	$(GO) test -race -count=1 -run 'TestMergePropertySharding|TestDistributionMerge' ./internal/interval/
 	$(GO) test -race -count=1 -run 'TestWorkersDoNotChangeResults|TestStudiesDoNotDependOnWorkers|TestL2WalksRaceFree|TestGridMatches|TestAllContextCancel|TestForEachCancel|TestDataSingleflight|TestWaiterCancellation' ./internal/experiments/
 
 # One iteration of every benchmark, no unit tests: a smoke test that keeps
@@ -90,10 +88,10 @@ smoke:
 
 # Replay the seed corpus of every fuzz target as plain tests (no fuzzing
 # time budget needed) — the regression net for the trace and distribution
-# codecs, the tail compaction, the query parser, and the workload-spec
-# parser.
+# codecs, the tail compaction, the prefetch classifier, the query parser,
+# and the workload-spec parser.
 fuzz-regress:
-	$(GO) test -run=Fuzz ./internal/sim/trace/ ./internal/interval/ ./internal/experiments/ ./internal/leakage/ ./internal/workload/spec/
+	$(GO) test -run=Fuzz ./internal/sim/trace/ ./internal/interval/ ./internal/prefetch/ ./internal/experiments/ ./internal/leakage/ ./internal/workload/spec/
 
 # Validate every committed example workload spec (parse + strict
 # validation + digest) via the tracegen -check path CI and users share.

@@ -126,15 +126,14 @@ func addLineInterval(innerRange int) (float64, error) {
 	seen := false
 	res, err := cpu.RunStreamContext(context.Background(), w, hier, cpu.DefaultConfig(), func(b *stream.Batch) error {
 		for i := 0; i < b.Len(); i++ {
-			e := b.Event(i)
-			if e.Cache != trace.L1I {
+			if b.Caches[i] != trace.L1I {
 				continue
 			}
-			if e.LineAddr == addLine {
-				addFrame = e.Frame
+			if b.LineAddrs[i] == addLine {
+				addFrame = b.Frames[i]
 				seen = true
 			}
-			if err := col.Add(e); err != nil {
+			if err := col.AddCols(b.Cycles[i], b.LineAddrs[i], b.PCs[i], b.Frames[i], trace.L1I, b.Kinds[i], b.Misses[i]); err != nil {
 				return err
 			}
 		}

@@ -48,7 +48,8 @@ func main() {
 
 	res, err := cpu.RunStreamContext(context.Background(), w, hier, cpu.DefaultConfig(), func(b *stream.Batch) error {
 		for i := 0; i < b.Len(); i++ {
-			if err := collector.Add(b.Event(i)); err != nil { // Add keeps only L1D events
+			// AddCols keeps only L1D events.
+			if err := collector.AddCols(b.Cycles[i], b.LineAddrs[i], b.PCs[i], b.Frames[i], b.Caches[i], b.Kinds[i], b.Misses[i]); err != nil {
 				return err
 			}
 		}

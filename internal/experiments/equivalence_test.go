@@ -1,12 +1,14 @@
 package experiments
 
 // Property test for the streaming pipeline: the per-event golden path
-// (every batch row boxed into a trace.Event and fed to standalone
-// Classify/Observe calls) and the fused single-pass streaming path the
-// suite uses (column reads, ClassifyObserve and shared stride tables) must
-// produce byte-identical interval distributions, engine statistics and
-// leakage evaluations — for randomized workloads, not just the six
-// built-in benchmarks. Runs under -race in CI (make race covers ./...).
+// (every batch row boxed into a trace.Event, engines on their own stride
+// classifiers) and the fused single-pass streaming path the suite uses
+// (column reads, engines sharing the collectors' classifiers) must produce
+// byte-identical interval distributions, engine statistics and leakage
+// evaluations — for randomized workloads, not just the six built-in
+// benchmarks. Runs under -race in CI (make race covers ./...). The
+// predictor decisions themselves are pinned to an independent reference
+// in internal/prefetch (TestClassifyObserveMatchesReference).
 
 import (
 	"context"
@@ -64,10 +66,9 @@ func seededWorkload(t *testing.T, seed uint64) workload.Workload {
 }
 
 // simulateGolden is the reference pipeline: one boxed trace.Event per
-// batch row, collectors on the classic Classify/Observe interface, engines probing
-// their own private stride tables. Everything the fused streaming path
-// optimized away is still present here, which is exactly why it anchors
-// the equivalence.
+// batch row, fed field by field to the collectors and to engines that
+// feed their own stride classifiers (no ShareStrides), so it pins shared
+// against owned stride prediction.
 func simulateGolden(name string, w workload.Workload) (*BenchmarkData, error) {
 	hier, err := cache.NewHierarchy(cache.AlphaLike())
 	if err != nil {
@@ -98,19 +99,16 @@ func simulateGolden(name string, w workload.Workload) (*BenchmarkData, error) {
 	res, err := cpu.RunStreamContext(context.Background(), w, hier, cpu.DefaultConfig(), func(b *stream.Batch) error {
 		for i := 0; i < b.Len(); i++ {
 			e := b.Event(i)
-			var err error
+			for _, col := range [...]*interval.Collector{iCol, dCol, l2Col} {
+				if err := col.AddCols(e.Cycle, e.LineAddr, e.PC, e.Frame, e.Cache, e.Kind, e.Miss); err != nil {
+					return err
+				}
+			}
 			switch e.Cache {
 			case trace.L1I:
-				err = iCol.Add(e)
-				iEng.Access(e)
+				iEng.AccessCols(e.Cycle, e.LineAddr, e.PC, e.Kind, e.Miss)
 			case trace.L1D:
-				err = dCol.Add(e)
-				dEng.Access(e)
-			case trace.L2:
-				err = l2Col.Add(e)
-			}
-			if err != nil {
-				return err
+				dEng.AccessCols(e.Cycle, e.LineAddr, e.PC, e.Kind, e.Miss)
 			}
 		}
 		return nil

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"context"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -399,21 +400,6 @@ func TestIntervalStats(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, h, err := IntervalStats(d.ICache)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.N() == 0 || h.Total() == 0 {
-		t.Fatal("empty stats")
-	}
-	if int64(h.Total()) != s.N() {
-		t.Errorf("histogram total %d != summary N %d", h.Total(), s.N())
-	}
-	// The summary's total mass must equal the distribution's interior mass.
-	interior := d.ICache.MassWhere(func(l uint64, f interval.Flags) bool { return f.Interior() })
-	if uint64(s.Sum()) != interior {
-		t.Errorf("summary mass %.0f != interior mass %d", s.Sum(), interior)
-	}
 	tab, err := IntervalStatsTable("t", d.ICache)
 	if err != nil {
 		t.Fatal(err)
@@ -421,17 +407,31 @@ func TestIntervalStats(t *testing.T) {
 	if len(tab.Rows) < 3 {
 		t.Errorf("stats table too small:\n%s", tab.String())
 	}
-	// Count shares (all but the summary row) must sum to ~100%.
-	var sum float64
-	for _, row := range tab.Rows[:len(tab.Rows)-1] {
-		v, err := strconv.ParseFloat(strings.TrimSuffix(row[1], "%"), 64)
-		if err != nil {
-			t.Fatalf("bad cell %q", row[1])
+	// Count and mass shares (all but the summary row) must each sum to
+	// ~100%.
+	for col, name := range map[int]string{1: "count", 2: "mass"} {
+		var sum float64
+		for _, row := range tab.Rows[:len(tab.Rows)-1] {
+			v, err := strconv.ParseFloat(strings.TrimSuffix(row[col], "%"), 64)
+			if err != nil {
+				t.Fatalf("bad cell %q", row[col])
+			}
+			sum += v
 		}
-		sum += v
+		if sum < 99 || sum > 101 {
+			t.Errorf("%s shares sum to %.2f%%", name, sum)
+		}
 	}
-	if sum < 99 || sum > 101 {
-		t.Errorf("count shares sum to %.2f%%", sum)
+	// The summary counts every interior interval, and its mean is their
+	// mass over that count.
+	interior := func(l uint64, f interval.Flags) bool { return f.Interior() }
+	n := d.ICache.Count(interior)
+	summary := tab.Rows[len(tab.Rows)-1]
+	if want := fmt.Sprintf("n=%d", n); summary[1] != want {
+		t.Errorf("summary %q, want %q", summary[1], want)
+	}
+	if mean := fmt.Sprintf("mean %.0f,", float64(d.ICache.MassWhere(interior))/float64(n)); !strings.HasPrefix(summary[2], mean) {
+		t.Errorf("summary %q, want prefix %q", summary[2], mean)
 	}
 	empty := interval.NewDistribution(1, 1)
 	if _, err := IntervalStatsTable("t", empty); err == nil {

@@ -4,13 +4,13 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"math/bits"
 
 	"leakbound/internal/interval"
 	"leakbound/internal/leakage"
 	"leakbound/internal/power"
 	"leakbound/internal/prefetch"
 	"leakbound/internal/report"
-	"leakbound/internal/stats"
 )
 
 // Figure7Thetas is the sweep of minimum sleep interval lengths the paper
@@ -293,68 +293,48 @@ func MassProfile(d *interval.Distribution) map[string]float64 {
 	}
 }
 
-// IntervalStats summarizes a distribution's interior interval lengths: a
-// moment summary plus a log2-bucketed histogram, the diagnostic view
-// cmd/leakagesim prints alongside policy savings.
-func IntervalStats(d *interval.Distribution) (*stats.Summary, *stats.Histogram, error) {
-	h, err := stats.NewLogHistogram(1, 1<<24, 2)
-	if err != nil {
-		return nil, nil, err
-	}
-	var s stats.Summary
-	d.Each(func(length uint64, flags interval.Flags, count uint64) bool {
-		if !flags.Interior() {
-			return true
-		}
-		s.AddN(float64(length), int64(count))
-		h.AddN(float64(length), int64(count))
-		return true
-	})
-	return &s, h, nil
-}
-
-// IntervalStatsTable renders the histogram as regime rows with count and
-// mass shares.
+// IntervalStatsTable renders a distribution's interior interval lengths,
+// the diagnostic view cmd/leakagesim prints alongside policy savings: one
+// row per non-empty log2 bucket with its count and mass shares, then the
+// count, mean and maximum length.
 func IntervalStatsTable(title string, d *interval.Distribution) (*report.Table, error) {
-	s, h, err := IntervalStats(d)
-	if err != nil {
-		return nil, err
-	}
-	t := report.NewTable(title, "interval length", "count share", "mass share")
-	if h.Total() == 0 {
-		return nil, fmt.Errorf("experiments: no interior intervals")
-	}
-	bounds, counts := h.Buckets()
-	lower := 0.0
-	totalMass := h.WeightedTotal()
-	// Mass per bucket needs a second pass keyed by the same bounds.
-	massH, err := stats.NewLogHistogram(1, 1<<24, 2)
-	if err != nil {
-		return nil, err
-	}
+	// Bucket i holds lengths in (2^(i-1), 2^i]; the last holds every
+	// length above 2^topLog2.
+	const topLog2 = 24
+	var counts, masses [topLog2 + 2]uint64
+	var n, longest uint64
+	var mass float64
 	d.Each(func(length uint64, flags interval.Flags, count uint64) bool {
 		if flags.Interior() {
-			massH.AddN(float64(length), int64(length*count))
+			i := min(bits.Len64(length-1), topLog2+1)
+			counts[i] += count
+			masses[i] += length * count
+			n += count
+			mass += float64(length) * float64(count)
+			longest = max(longest, length)
 		}
 		return true
 	})
-	_, masses := massH.Buckets()
-	for i, b := range bounds {
-		if counts[i] == 0 {
-			lower = b
-			continue
+	if n == 0 {
+		return nil, fmt.Errorf("experiments: no interior intervals")
+	}
+	t := report.NewTable(title, "interval length", "count share", "mass share")
+	lower := 0.0
+	for i, c := range counts {
+		upper := math.Ldexp(1, i)
+		if c > 0 {
+			label := fmt.Sprintf("(%.0f, %.0f]", lower, upper)
+			if i == topLog2+1 {
+				label = fmt.Sprintf("(%.0f, +inf)", lower)
+			}
+			t.MustAddRow(label,
+				report.Pct(float64(c)/float64(n)),
+				report.Pct(float64(masses[i])/mass))
 		}
-		label := fmt.Sprintf("(%.0f, %.0f]", lower, b)
-		if math.IsInf(b, 1) {
-			label = fmt.Sprintf("(%.0f, +inf)", lower)
-		}
-		t.MustAddRow(label,
-			report.Pct(float64(counts[i])/float64(h.Total())),
-			report.Pct(float64(masses[i])/totalMass))
-		lower = b
+		lower = upper
 	}
 	t.MustAddRow("summary",
-		fmt.Sprintf("n=%d", s.N()),
-		fmt.Sprintf("mean %.0f, max %.0f", s.Mean(), s.Max()))
+		fmt.Sprintf("n=%d", n),
+		fmt.Sprintf("mean %.0f, max %.0f", mass/float64(n), float64(longest)))
 	return t, nil
 }

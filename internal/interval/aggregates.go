@@ -74,7 +74,7 @@ func (c *FlagsClass) Prefix(cut float64) (count, mass uint64) {
 
 // Aggregates is an immutable prefix-sum summary of a Distribution,
 // organized per flags class. Build it with NewAggregates once the
-// distribution is final (no Add/Merge afterwards); it is then safe for
+// distribution is final (no Add afterwards); it is then safe for
 // concurrent use.
 type Aggregates struct {
 	src     *Distribution

@@ -26,7 +26,7 @@ func buildTestDist(t *testing.T) *Distribution {
 // TestEachOrderDeterministic is the regression net for the documented
 // Each order: lexicographic ascending (length, flags), with strictly
 // ascending lengths inside every flags class, stable across repeated
-// walks, compaction, and Merge.
+// walks, compaction, and adds after a walk.
 func TestEachOrderDeterministic(t *testing.T) {
 	type bucket struct {
 		length uint64
@@ -65,16 +65,12 @@ func TestEachOrderDeterministic(t *testing.T) {
 		}
 	}
 
-	// Merge must not perturb the order: fold in a shard with overlapping
-	// dense rows and fresh tail appends, then re-check.
-	other := NewDistribution(64, 1<<20)
-	other.Add(2, 0, 1)
-	other.Add(denseLimit+100, 0, 1)
-	other.Add(denseLimit+1, Trailing, 9)
-	if err := d.Merge(other); err != nil {
-		t.Fatalf("Merge: %v", err)
-	}
-	check("after Merge", walk(d))
+	// Adds after a walk must not perturb the order: add to existing dense
+	// rows and append to the compacted tail, then re-check.
+	d.Add(2, 0, 1)
+	d.Add(denseLimit+100, 0, 1)
+	d.Add(denseLimit+1, Trailing, 9)
+	check("after Add", walk(d))
 
 	// Randomized: any insertion order yields a sorted walk.
 	rng := rand.New(rand.NewSource(7))

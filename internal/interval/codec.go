@@ -92,6 +92,11 @@ func ReadDistribution(r io.Reader) (*Distribution, error) {
 		if err != nil {
 			return nil, fmt.Errorf("interval: bucket %d length: %w", i, err)
 		}
+		// A longer length would not fit the tail key; a wrap would
+		// break the ascending order the deltas encode.
+		if delta > maxLength-length {
+			return nil, fmt.Errorf("interval: bucket %d length overflows (previous %d, delta %d)", i, length, delta)
+		}
 		length += delta
 		fb, err := br.ReadByte()
 		if err != nil {

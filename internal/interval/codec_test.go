@@ -2,6 +2,7 @@ package interval
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math/rand"
 	"strings"
 	"testing"
@@ -108,6 +109,45 @@ func TestReadDistributionRejectsBadFlags(t *testing.T) {
 	}
 }
 
+// distFile hand-encodes a distribution file: the header, then one
+// (length delta, flags, count) record per bucket.
+func distFile(frames uint32, cycles uint64, records ...[3]uint64) []byte {
+	b := append([]byte(nil), distMagic[:]...)
+	b = binary.LittleEndian.AppendUint64(b, uint64(len(records)))
+	b = binary.LittleEndian.AppendUint64(b, cycles)
+	b = binary.LittleEndian.AppendUint32(b, frames)
+	for _, r := range records {
+		b = binary.AppendUvarint(b, r[0])
+		b = append(b, byte(r[1]))
+		b = binary.AppendUvarint(b, r[2])
+	}
+	return b
+}
+
+// TestReadDistributionRejectsOverlongLength: a bucket length past the
+// tail key's 58 bits, reached directly or by a wrapping delta, is
+// rejected instead of loading as a different length.
+func TestReadDistributionRejectsOverlongLength(t *testing.T) {
+	for name, data := range map[string][]byte{
+		"2^58":     distFile(1, 100, [3]uint64{1 << 58, 0, 1}),
+		"wrapping": distFile(1, 100, [3]uint64{5, 0, 1}, [3]uint64{^uint64(0) - 2, 0, 1}),
+	} {
+		if d, err := ReadDistribution(bytes.NewReader(data)); err == nil {
+			t.Errorf("%s: accepted, mass %d", name, d.Mass())
+		}
+	}
+	d, err := ReadDistribution(bytes.NewReader(distFile(1, 100, [3]uint64{maxLength, uint64(Trailing), 1})))
+	if err != nil {
+		t.Fatalf("longest length rejected: %v", err)
+	}
+	d.Each(func(length uint64, flags Flags, count uint64) bool {
+		if length != maxLength || flags != Trailing || count != 1 {
+			t.Errorf("bucket (%d, %v, %d), want (%d, trailing, 1)", length, flags, count, uint64(maxLength))
+		}
+		return true
+	})
+}
+
 func TestDistributionEqual(t *testing.T) {
 	a := NewDistribution(4, 100)
 	a.Add(5, 0, 2)
@@ -158,6 +198,7 @@ func FuzzReadDistribution(f *testing.F) {
 	f.Add(buf.Bytes())
 	f.Add([]byte{})
 	f.Add([]byte("LKBDIST1"))
+	f.Add(distFile(1, 100, [3]uint64{1 << 58, 0, 1}))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		got, err := ReadDistribution(bytes.NewReader(data))
 		if err != nil {

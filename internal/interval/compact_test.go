@@ -68,7 +68,7 @@ func randomLog(rng *rand.Rand, n int, lo, span uint64, maxCount int) []tailBucke
 
 // TestCompactMatchesSortMerge pins the radix compaction to the
 // comparison-sort-and-merge it replaced, on every tail shape collection
-// and Merge produce plus the edge cases of the digit passes.
+// produces plus the edge cases of the digit passes.
 func TestCompactMatchesSortMerge(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	for _, n := range []int{0, 1, 2, 3, insertionCutoff - 1, insertionCutoff, insertionCutoff + 1, 1000, 50000} {
@@ -93,23 +93,19 @@ func TestCompactMatchesSortMerge(t *testing.T) {
 	}
 	checkCompact(t, "extreme-keys", []tailBucket{{^uint64(0), 1}, {0, 2}, {1 << 63, 3}, {^uint64(0), 4}, {1, 5}})
 
-	// Tails as collection and Merge leave them: an untouched-style bucket
-	// of count > 1, and the concatenation of two compacted tails.
-	a, b := NewDistribution(4, 1<<40), NewDistribution(4, 1<<40)
+	// Tails as collection leaves them: an untouched-style bucket of
+	// count > 1, and a compacted tail followed by a second, sorted one.
+	a := NewDistribution(4, 1<<40)
 	for _, l := range randomLog(rng, 5000, denseLimit, 1<<16, 1) {
 		a.Add(l.key>>6, Flags(l.key&(flagSpace-1)), l.count)
 	}
-	for _, l := range randomLog(rng, 5000, denseLimit, 1<<16, 1) {
-		b.Add(l.key>>6, Flags(l.key&(flagSpace-1)), l.count)
-	}
 	a.Add(1<<40, Untouched, 3)
-	b.Add(1<<40, Untouched, 2)
 	a.compact()
-	b.compact()
-	if err := a.Merge(b); err != nil {
-		t.Fatal(err)
+	second := append(randomLog(rng, 5000, denseLimit, 1<<16, 1), tailBucket{1<<40<<6 | uint64(Untouched), 2})
+	for _, l := range sortMerge(second) {
+		a.Add(l.key>>6, Flags(l.key&(flagSpace-1)), l.count)
 	}
-	checkCompact(t, "merged", a.tail)
+	checkCompact(t, "two compacted tails", a.tail)
 }
 
 // FuzzCompact feeds arbitrary (key, count) logs to compact and checks them

@@ -17,9 +17,6 @@ var (
 	// the collected cache.
 	ErrFrameRange = errors.New("interval: frame out of range")
 
-	// ErrNilDistribution reports a Merge with a nil operand.
-	ErrNilDistribution = errors.New("interval: nil distribution")
-
 	// ErrHorizon reports a Finish horizon earlier than the last event.
 	ErrHorizon = errors.New("interval: horizon before last event")
 )

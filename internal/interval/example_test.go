@@ -16,7 +16,8 @@ func ExampleCollector() {
 		panic(err)
 	}
 	for _, cycle := range []uint64{100, 250, 900} {
-		if err := col.Add(trace.Event{Cycle: cycle, Frame: 0, Cache: trace.L1D, Kind: trace.Load}); err != nil {
+		// A load hit on frame 0: cycle, line, PC, frame, cache, kind, miss.
+		if err := col.AddCols(cycle, 0, 0, 0, trace.L1D, trace.Load, false); err != nil {
 			panic(err)
 		}
 	}

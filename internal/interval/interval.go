@@ -14,6 +14,10 @@
 //
 // so the summed lengths over a frame always equal the simulated cycle
 // count, which is the package's central conservation invariant.
+//
+// A Collector takes the access stream one event at a time as columns
+// (AddCols, its one entry point) and asks an optional Classifier to flag
+// each interior interval it closes.
 package interval
 
 import (
@@ -148,6 +152,8 @@ type Distribution struct {
 const (
 	denseLimit = 8192
 	flagSpace  = 64 // nl|stride|leading|trailing|dirty|deadend fit in 6 bits
+	// maxLength is the longest interval a tail key (length<<6|flags) holds.
+	maxLength = 1<<58 - 1
 )
 
 // tailBucket is one long bucket: key = length<<6 | flags, so numeric key
@@ -306,7 +312,8 @@ func (d *Distribution) row(flags Flags, need uint64) []uint64 {
 	return grown
 }
 
-// Add records count intervals of the given length and flags.
+// Add records count intervals of the given length and flags. length must
+// not exceed 2^58-1, the longest a tail key holds.
 func (d *Distribution) Add(length uint64, flags Flags, count uint64) {
 	if count == 0 || length == 0 {
 		return
@@ -339,10 +346,9 @@ func (d *Distribution) Mass() uint64 { return d.mass }
 // lexicographic (length, flags). Within one flags class the lengths are
 // therefore strictly ascending, which is the invariant the prefix-sum
 // aggregate builder (NewAggregates) and the bit-identical reduction
-// discipline both depend on. The order is independent of insertion order,
-// of Merge (rows add positionally; tail logs concatenate and re-sort on
-// the next walk), and of compact (sorting by the packed length<<6|flags
-// key IS the (length, flags) order; dense lengths are all below the tail's
+// discipline both depend on. The order is independent of insertion order
+// and of compact (sorting by the packed length<<6|flags key IS the
+// (length, flags) order; dense lengths are all below the tail's
 // denseLimit floor, so the dense walk strictly precedes the tail walk).
 // TestEachOrderDeterministic pins this. Iteration stops if fn returns
 // false.
@@ -350,7 +356,7 @@ func (d *Distribution) Mass() uint64 { return d.mass }
 // The first Each after new tail appends compacts the tail in place, so it
 // must not race with other walks. Collector.Finish and ReadDistribution
 // return compacted distributions, which concurrent walks may share until
-// the next Add or Merge.
+// the next Add.
 func (d *Distribution) Each(fn func(length uint64, flags Flags, count uint64) bool) {
 	var max uint64
 	for _, f := range d.present {
@@ -378,46 +384,6 @@ func (d *Distribution) Each(fn func(length uint64, flags Flags, count uint64) bo
 	}
 }
 
-// Merge folds other into d. Frame counts add — the operands are treated as
-// disjoint frame populations, as when pooling several benchmarks' caches
-// into one distribution. Bucket counts,
-// interval counts and mass are all additive, so merging the collections
-// of a frame partition of one run is bit-identical to collecting the run
-// whole (TestMergePropertySharding). Time horizons are maxed so the
-// conservation invariant (Mass == NumFrames x TotalCycles) survives
-// merging same-horizon parts.
-//
-// Merge adds rows directly rather than iterating buckets through Each, so
-// folding a distribution in costs a few row sweeps, not a full ordered
-// walk. It leaves d's tail uncompacted until the next walk.
-func (d *Distribution) Merge(other *Distribution) error {
-	if other == nil {
-		return fmt.Errorf("%w: merge operand", ErrNilDistribution)
-	}
-	d.NumFrames += other.NumFrames
-	if d.TotalCycles < other.TotalCycles {
-		d.TotalCycles = other.TotalCycles
-	}
-	for _, f := range other.present {
-		src := other.rows[f]
-		n := uint64(other.maxLen[f])
-		dst := d.rows[f]
-		if uint64(len(dst)) <= n {
-			dst = d.row(Flags(f), n)
-		}
-		for l := uint64(1); l <= n; l++ {
-			dst[l] += src[l]
-		}
-		if other.maxLen[f] > d.maxLen[f] {
-			d.maxLen[f] = other.maxLen[f]
-		}
-	}
-	d.tail = append(d.tail, other.tail...)
-	d.numIntervals += other.numIntervals
-	d.mass += other.mass
-	return nil
-}
-
 // Count returns the number of intervals matching the predicate.
 func (d *Distribution) Count(pred func(length uint64, flags Flags) bool) uint64 {
 	var n uint64
@@ -442,25 +408,15 @@ func (d *Distribution) MassWhere(pred func(length uint64, flags Flags) bool) uin
 	return m
 }
 
-// Classifier flags interval closings for prefetchability. Implementations
-// live in internal/prefetch; the zero classifier (nil) flags nothing.
+// Classifier flags interval closings for prefetchability. The
+// implementation lives in internal/prefetch; the zero classifier (nil)
+// flags nothing.
 type Classifier interface {
-	// Classify is called when an access at event e closes an interval that
-	// opened at cycle start, before Observe sees e. It returns the
-	// prefetch flags for that interval.
-	Classify(e trace.Event, start uint64) Flags
-	// Observe is called for every access in stream order so the
-	// classifier can maintain its prediction tables.
-	Observe(e trace.Event)
-}
-
-// StreamClassifier is the fused fast path for classifiers that can flag and
-// observe one access in a single call against stream columns, avoiding a
-// trace.Event round-trip per access. When closing is true the returned
-// flags must be computed against the table state as of *before* this
-// access's observation — exactly what Classify-then-Observe would yield.
-type StreamClassifier interface {
-	Classifier
+	// ClassifyObserve is called for every access in stream order. When
+	// closing is true the access closes a non-empty interval that opened
+	// at cycle start, and the returned flags must be computed against the
+	// predictor state as of before this access; either way the call then
+	// updates that state with the access.
 	ClassifyObserve(cycle, lineAddr, pc uint64, kind trace.Kind, start uint64, closing bool) Flags
 }
 
@@ -469,7 +425,6 @@ type Collector struct {
 	cache      trace.CacheID
 	numFrames  uint32
 	classifier Classifier
-	streamCl   StreamClassifier // non-nil when classifier supports the fused path
 
 	lastAccess []uint64 // per frame; access cycle + 1 (0 = never accessed)
 	dirty      []bool   // per frame; true if the resident block is modified
@@ -488,82 +443,19 @@ func NewCollector(cacheID trace.CacheID, numFrames uint32, classifier Classifier
 	if numFrames == 0 {
 		return nil, errors.New("interval: zero frames")
 	}
-	streamCl, _ := classifier.(StreamClassifier)
 	return &Collector{
 		cache:      cacheID,
 		numFrames:  numFrames,
 		classifier: classifier,
-		streamCl:   streamCl,
 		lastAccess: make([]uint64, numFrames),
 		dirty:      make([]bool, numFrames),
 		dist:       NewDistribution(numFrames, 0),
 	}, nil
 }
 
-// Add consumes one event. Events for other caches are ignored, so a single
-// simulator sink can fan out to several collectors. Events must arrive in
-// non-decreasing cycle order.
-func (c *Collector) Add(e trace.Event) error {
-	if c.finished {
-		return fmt.Errorf("%w: Add after Finish", ErrFinished)
-	}
-	if e.Cache != c.cache {
-		return nil
-	}
-	if e.Frame >= c.numFrames {
-		return fmt.Errorf("%w: frame %d (have %d)", ErrFrameRange, e.Frame, c.numFrames)
-	}
-	if e.Cycle < c.lastCycle {
-		return fmt.Errorf("%w: cycle %d before %d", ErrOutOfOrder, e.Cycle, c.lastCycle)
-	}
-	c.lastCycle = e.Cycle
-	c.events++
-
-	prev := c.lastAccess[e.Frame]
-	switch {
-	case prev == 0:
-		// First access: the leading gap runs from cycle 0.
-		if e.Cycle > 0 {
-			c.dist.Add(e.Cycle, Leading, 1)
-		}
-	default:
-		start := prev - 1
-		length := e.Cycle - start
-		if length > 0 {
-			var flags Flags
-			if c.classifier != nil {
-				flags = c.classifier.Classify(e, start) & (NLPrefetchable | StridePrefetchable)
-			}
-			if c.dirty[e.Frame] {
-				flags |= Dirty
-			}
-			if e.Miss {
-				// The closing access replaced the resident block: the gap
-				// was the old block's dead period.
-				flags |= DeadEnd
-			}
-			c.dist.Add(length, flags, 1)
-		}
-	}
-	if c.classifier != nil {
-		c.classifier.Observe(e)
-	}
-	c.lastAccess[e.Frame] = e.Cycle + 1
-	// Track modified state: a store dirties the resident block; a miss
-	// fill replaces it (the eviction write-back, if any, is charged to
-	// the closing interval's Dirty flag above), so dirtiness restarts
-	// from this access's own kind.
-	switch {
-	case e.Miss:
-		c.dirty[e.Frame] = e.Kind == trace.Store
-	case e.Kind == trace.Store:
-		c.dirty[e.Frame] = true
-	}
-	return nil
-}
-
-// AddCols is Add by columns — one event, no trace.Event box. Events for
-// other caches are ignored, as in Add.
+// AddCols consumes one event, given as its stream.Batch columns. Events
+// for other caches are ignored, so a single simulator sink can fan out to
+// several collectors. Events must arrive in non-decreasing cycle order.
 //
 //lint:hotpath entry
 func (c *Collector) AddCols(cycle, lineAddr, pc uint64, frame uint32, cacheID trace.CacheID, kind trace.Kind, miss bool) error {
@@ -571,20 +463,8 @@ func (c *Collector) AddCols(cycle, lineAddr, pc uint64, frame uint32, cacheID tr
 		return nil
 	}
 	if c.finished {
-		return fmt.Errorf("%w: Add after Finish", ErrFinished)
+		return fmt.Errorf("%w: AddCols after Finish", ErrFinished)
 	}
-	if c.classifier != nil && c.streamCl == nil {
-		return c.Add(trace.Event{
-			Cycle: cycle, LineAddr: lineAddr, Frame: frame, PC: pc,
-			Cache: cacheID, Kind: kind, Miss: miss,
-		})
-	}
-	return c.addCols(cycle, lineAddr, pc, frame, kind, miss)
-}
-
-// addCols is the column-form collection core; the caller has already
-// routed the event to this collector's cache and checked finished.
-func (c *Collector) addCols(cycle, lineAddr, pc uint64, frame uint32, kind trace.Kind, miss bool) error {
 	if frame >= c.numFrames {
 		return fmt.Errorf("%w: frame %d (have %d)", ErrFrameRange, frame, c.numFrames)
 	}
@@ -600,15 +480,15 @@ func (c *Collector) addCols(cycle, lineAddr, pc uint64, frame uint32, kind trace
 		if cycle > 0 {
 			c.dist.Add(cycle, Leading, 1)
 		}
-		if c.streamCl != nil {
-			c.streamCl.ClassifyObserve(cycle, lineAddr, pc, kind, 0, false)
+		if c.classifier != nil {
+			c.classifier.ClassifyObserve(cycle, lineAddr, pc, kind, 0, false)
 		}
 	} else {
 		start := prev - 1
 		length := cycle - start
 		var flags Flags
-		if c.streamCl != nil {
-			flags = c.streamCl.ClassifyObserve(cycle, lineAddr, pc, kind, start, length > 0) &
+		if c.classifier != nil {
+			flags = c.classifier.ClassifyObserve(cycle, lineAddr, pc, kind, start, length > 0) &
 				(NLPrefetchable | StridePrefetchable)
 		}
 		if length > 0 {
@@ -616,12 +496,18 @@ func (c *Collector) addCols(cycle, lineAddr, pc uint64, frame uint32, kind trace
 				flags |= Dirty
 			}
 			if miss {
+				// The closing access replaced the resident block: the gap
+				// was the old block's dead period.
 				flags |= DeadEnd
 			}
 			c.dist.Add(length, flags, 1)
 		}
 	}
 	c.lastAccess[frame] = cycle + 1
+	// Track modified state: a store dirties the resident block; a miss
+	// fill replaces it (the eviction write-back, if any, is charged to
+	// the closing interval's Dirty flag above), so dirtiness restarts
+	// from this access's own kind.
 	switch {
 	case miss:
 		c.dirty[frame] = kind == trace.Store
@@ -661,7 +547,7 @@ func (c *Collector) Finish(totalCycles uint64) (*Distribution, error) {
 		c.dist.Add(totalCycles, Untouched, untouched)
 	}
 	// One flush per collector lifetime keeps telemetry off the per-event
-	// path (millions of Add calls per benchmark).
+	// path (millions of AddCols calls per benchmark).
 	sc := telemetry.Default().Scope("interval")
 	sc.Counter("collectors_finished").Add(1)
 	sc.Counter("events").Add(c.events)

@@ -13,6 +13,11 @@ func mkEvent(cycle uint64, frame uint32) trace.Event {
 	return trace.Event{Cycle: cycle, Frame: frame, Cache: trace.L1D, Kind: trace.Load}
 }
 
+// addEvent feeds one boxed event to c's column entry point.
+func addEvent(c *Collector, e trace.Event) error {
+	return c.AddCols(e.Cycle, e.LineAddr, e.PC, e.Frame, e.Cache, e.Kind, e.Miss)
+}
+
 func TestFlags(t *testing.T) {
 	if !NLPrefetchable.Prefetchable() || !StridePrefetchable.Prefetchable() {
 		t.Error("prefetch flags not prefetchable")
@@ -118,26 +123,6 @@ func TestDistributionCountAndMass(t *testing.T) {
 	}
 }
 
-func TestDistributionMerge(t *testing.T) {
-	a := NewDistribution(2, 50)
-	a.Add(5, 0, 1)
-	b := NewDistribution(3, 80)
-	b.Add(5, 0, 2)
-	b.Add(9999, Leading, 1)
-	if err := a.Merge(b); err != nil {
-		t.Fatal(err)
-	}
-	if a.NumFrames != 5 || a.TotalCycles != 80 {
-		t.Errorf("merged metadata: frames=%d cycles=%d", a.NumFrames, a.TotalCycles)
-	}
-	if a.NumIntervals() != 4 || a.Mass() != 5*3+9999 {
-		t.Errorf("merged contents: n=%d mass=%d", a.NumIntervals(), a.Mass())
-	}
-	if err := a.Merge(nil); err == nil {
-		t.Error("nil merge accepted")
-	}
-}
-
 func TestCollectorValidation(t *testing.T) {
 	if _, err := NewCollector(trace.CacheID(9), 4, nil); err == nil {
 		t.Error("bad cache id accepted")
@@ -154,7 +139,7 @@ func TestCollectorBasicTimeline(t *testing.T) {
 	}
 	// Frame 0 accessed at cycles 10, 30, 31; frame 1 never accessed.
 	for _, cy := range []uint64{10, 30, 31} {
-		if err := c.Add(mkEvent(cy, 0)); err != nil {
+		if err := addEvent(c, mkEvent(cy, 0)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -195,7 +180,7 @@ func TestCollectorBasicTimeline(t *testing.T) {
 
 func TestCollectorFirstAccessAtZero(t *testing.T) {
 	c, _ := NewCollector(trace.L1D, 1, nil)
-	if err := c.Add(mkEvent(0, 0)); err != nil {
+	if err := addEvent(c, mkEvent(0, 0)); err != nil {
 		t.Fatal(err)
 	}
 	d, err := c.Finish(50)
@@ -210,9 +195,9 @@ func TestCollectorFirstAccessAtZero(t *testing.T) {
 
 func TestCollectorSimultaneousAccesses(t *testing.T) {
 	c, _ := NewCollector(trace.L1D, 1, nil)
-	c.Add(mkEvent(5, 0))
-	c.Add(mkEvent(5, 0)) // zero-length interval: skipped
-	c.Add(mkEvent(9, 0))
+	addEvent(c, mkEvent(5, 0))
+	addEvent(c, mkEvent(5, 0)) // zero-length interval: skipped
+	addEvent(c, mkEvent(9, 0))
 	d, err := c.Finish(10)
 	if err != nil {
 		t.Fatal(err)
@@ -224,11 +209,11 @@ func TestCollectorSimultaneousAccesses(t *testing.T) {
 
 func TestCollectorErrors(t *testing.T) {
 	c, _ := NewCollector(trace.L1D, 2, nil)
-	if err := c.Add(mkEvent(1, 5)); err == nil {
+	if err := addEvent(c, mkEvent(1, 5)); err == nil {
 		t.Error("out-of-range frame accepted")
 	}
-	c.Add(mkEvent(10, 0))
-	if err := c.Add(mkEvent(5, 0)); err == nil {
+	addEvent(c, mkEvent(10, 0))
+	if err := addEvent(c, mkEvent(5, 0)); err == nil {
 		t.Error("time travel accepted")
 	}
 	if _, err := c.Finish(5); err == nil {
@@ -237,7 +222,7 @@ func TestCollectorErrors(t *testing.T) {
 	if _, err := c.Finish(20); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Add(mkEvent(30, 0)); err == nil {
+	if err := addEvent(c, mkEvent(30, 0)); err == nil {
 		t.Error("Add after Finish accepted")
 	}
 	if _, err := c.Finish(30); err == nil {
@@ -249,7 +234,7 @@ func TestCollectorIgnoresOtherCaches(t *testing.T) {
 	c, _ := NewCollector(trace.L1D, 1, nil)
 	e := mkEvent(5, 0)
 	e.Cache = trace.L1I
-	if err := c.Add(e); err != nil {
+	if err := addEvent(c, e); err != nil {
 		t.Fatal(err)
 	}
 	d, _ := c.Finish(10)
@@ -259,41 +244,38 @@ func TestCollectorIgnoresOtherCaches(t *testing.T) {
 	}
 }
 
-// recordingClassifier checks the Classify-before-Observe contract.
+// recordingClassifier records the collector's ClassifyObserve calls.
 type recordingClassifier struct {
-	classified []uint64 // start cycles passed to Classify
-	observed   int
-	lastWasObs bool
-	violation  bool
+	calls []classifyCall
 }
 
-func (r *recordingClassifier) Classify(e trace.Event, start uint64) Flags {
-	r.classified = append(r.classified, start)
-	r.lastWasObs = false
+type classifyCall struct {
+	start   uint64
+	closing bool
+}
+
+func (r *recordingClassifier) ClassifyObserve(cycle, lineAddr, pc uint64, kind trace.Kind, start uint64, closing bool) Flags {
+	r.calls = append(r.calls, classifyCall{start, closing})
 	return NLPrefetchable
-}
-
-func (r *recordingClassifier) Observe(e trace.Event) {
-	r.observed++
-	r.lastWasObs = true
 }
 
 func TestCollectorClassifierContract(t *testing.T) {
 	rc := &recordingClassifier{}
 	c, _ := NewCollector(trace.L1D, 1, rc)
-	c.Add(mkEvent(10, 0))
-	c.Add(mkEvent(50, 0))
+	addEvent(c, mkEvent(10, 0))
+	addEvent(c, mkEvent(50, 0))
 	d, err := c.Finish(60)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rc.observed != 2 {
-		t.Errorf("Observe called %d times, want 2", rc.observed)
+	// Every access is observed; only the second closes an interval, the
+	// one opened by the first access at cycle 10.
+	want := []classifyCall{{0, false}, {10, true}}
+	if len(rc.calls) != len(want) || rc.calls[0] != want[0] || rc.calls[1] != want[1] {
+		t.Errorf("ClassifyObserve calls = %+v, want %+v", rc.calls, want)
 	}
-	if len(rc.classified) != 1 || rc.classified[0] != 10 {
-		t.Errorf("Classify calls = %v, want [10]", rc.classified)
-	}
-	// The interior interval must carry the classifier's flag.
+	// The interior interval must carry the classifier's flag; the leading
+	// gap ignores the flags of the access that ends it.
 	n := d.Count(func(l uint64, f Flags) bool { return f == NLPrefetchable })
 	if n != 1 {
 		t.Errorf("flagged intervals = %d, want 1", n)
@@ -314,7 +296,7 @@ func TestConservationProperty(t *testing.T) {
 		cycle := uint64(0)
 		for i := 0; i < n; i++ {
 			cycle += uint64(rng.Intn(50))
-			if err := c.Add(mkEvent(cycle, uint32(rng.Intn(int(frames))))); err != nil {
+			if err := addEvent(c, mkEvent(cycle, uint32(rng.Intn(int(frames))))); err != nil {
 				return false
 			}
 		}
@@ -340,7 +322,7 @@ func TestDeterministicCollection(t *testing.T) {
 		cycle := uint64(0)
 		for i := 0; i < 500; i++ {
 			cycle += uint64(rng.Intn(20))
-			c.Add(mkEvent(cycle, uint32(rng.Intn(8))))
+			addEvent(c, mkEvent(cycle, uint32(rng.Intn(8))))
 		}
 		d, _ := c.Finish(cycle + 10)
 		return d
@@ -359,115 +341,6 @@ func TestDeterministicCollection(t *testing.T) {
 		if bufA[i] != bufB[i] {
 			t.Fatal("bucket order differs")
 		}
-	}
-}
-
-// randomStream builds a valid (non-decreasing cycle) event stream for one
-// cache from a seeded RNG, plus the horizon that closes it.
-func randomStream(rng *rand.Rand, numFrames uint32, n int) ([]trace.Event, uint64) {
-	events := make([]trace.Event, 0, n)
-	var cycle uint64
-	for i := 0; i < n; i++ {
-		cycle += uint64(rng.Intn(50)) // may stay equal: superscalar same-cycle accesses
-		events = append(events, trace.Event{
-			Cycle:    cycle,
-			LineAddr: uint64(rng.Intn(64)),
-			Frame:    uint32(rng.Intn(int(numFrames))),
-			PC:       uint64(rng.Intn(32)) * 4,
-			Cache:    trace.L1D,
-			Kind:     trace.Kind(rng.Intn(3)),
-			Miss:     rng.Intn(4) == 0,
-		})
-	}
-	return events, cycle + uint64(rng.Intn(100)) + 1
-}
-
-// collectSequential runs the plain Collector over the stream.
-func collectSequential(t *testing.T, events []trace.Event, numFrames uint32, horizon uint64) *Distribution {
-	t.Helper()
-	col, err := NewCollector(trace.L1D, numFrames, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, e := range events {
-		if err := col.Add(e); err != nil {
-			t.Fatal(err)
-		}
-	}
-	d, err := col.Finish(horizon)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return d
-}
-
-// TestMergePropertySharding is the Merge property test: merging an
-// arbitrary per-frame sharding of a random event stream equals the
-// unsharded distribution, and the conservation invariant (summed lengths
-// == frames x cycles) holds on both sides of the merge.
-func TestMergePropertySharding(t *testing.T) {
-	prop := func(seed int64, framesRaw uint8, eventsRaw uint16, shardsRaw uint8) bool {
-		rng := rand.New(rand.NewSource(seed))
-		numFrames := uint32(framesRaw%16) + 1
-		n := int(eventsRaw % 2000)
-		shards := int(shardsRaw%7) + 1
-		events, horizon := randomStream(rng, numFrames, n)
-
-		whole := collectSequential(t, events, numFrames, horizon)
-
-		// Arbitrary per-frame sharding: assign each frame to a random part,
-		// collect each part with its own sequential Collector (frames
-		// remapped to dense local indices), then Merge.
-		owner := make([]int, numFrames)
-		local := make([]uint32, numFrames)
-		counts := make([]uint32, shards)
-		for f := range owner {
-			p := rng.Intn(shards)
-			owner[f] = p
-			local[f] = counts[p]
-			counts[p]++
-		}
-		merged := NewDistribution(0, horizon)
-		for p := 0; p < shards; p++ {
-			if counts[p] == 0 {
-				continue
-			}
-			col, err := NewCollector(trace.L1D, counts[p], nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, e := range events {
-				if owner[e.Frame] != p {
-					continue
-				}
-				le := e
-				le.Frame = local[e.Frame]
-				if err := col.Add(le); err != nil {
-					t.Fatal(err)
-				}
-			}
-			d, err := col.Finish(horizon)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := merged.Merge(d); err != nil {
-				t.Fatal(err)
-			}
-		}
-
-		if !merged.Equal(whole) {
-			t.Logf("seed %d: merged != whole (frames %d, events %d, shards %d)", seed, numFrames, n, shards)
-			return false
-		}
-		want := uint64(numFrames) * horizon
-		if whole.Mass() != want || merged.Mass() != want {
-			t.Logf("seed %d: conservation broken: whole %d, merged %d, want %d", seed, whole.Mass(), merged.Mass(), want)
-			return false
-		}
-		return true
-	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 60}); err != nil {
-		t.Fatal(err)
 	}
 }
 

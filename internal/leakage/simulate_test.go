@@ -116,7 +116,7 @@ func TestSimulatorMatchesIntervalModelOnTrace(t *testing.T) {
 			if err := sim.Access(e); err != nil {
 				t.Fatal(err)
 			}
-			if err := col.Add(e); err != nil {
+			if err := col.AddCols(e.Cycle, e.LineAddr, e.PC, e.Frame, e.Cache, e.Kind, e.Miss); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -17,7 +17,6 @@ package prefetch
 import (
 	"fmt"
 
-	"leakbound/internal/sim/stream"
 	"leakbound/internal/sim/trace"
 	"leakbound/internal/telemetry"
 	"leakbound/internal/u64map"
@@ -81,9 +80,10 @@ func (s EngineStats) Coverage() float64 {
 }
 
 // Engine is the prefetcher; feed it the demand access stream of one cache
-// in cycle order via Access (or AccessBatch on the streaming path), then
-// read Stats. The in-flight and stride tables are flat u64map tables; an
-// in-flight entry stores issuedAt+1 so a fresh Upsert slot (zero) is
+// in cycle order via AccessCols, then read Finish's statistics. Its stride
+// predictions come from a Classifier: its own stride-only one, or the
+// collector's after ShareStrides. The in-flight table is a paged u64map
+// table; an entry stores issuedAt+1 so a fresh slot (zero) is
 // distinguishable from a live record in a single probe.
 type Engine struct {
 	cfg EngineConfig
@@ -96,12 +96,13 @@ type Engine struct {
 	// every probe.
 	inflight  u64map.Pages
 	inflightN int // live (non-zero) in-flight entries
-	strides   u64map.Map[strideEntry]
-	// shared, when set, replaces the engine's own stride table with the
-	// classifier's (see ShareStrides): the engine reads the classifier's
-	// published post-observation prediction instead of probing and
-	// updating a duplicate table.
-	shared   *Classifier
+	// strides is the classifier whose post-observation prediction
+	// (predLine) the engine issues: &own, which the engine feeds each
+	// access itself, or after ShareStrides the collector's, which its
+	// collector feeds. nil when cfg.Stride is off and nothing was shared.
+	// own lives inside the Engine so it costs no allocation of its own.
+	strides  *Classifier
+	own      Classifier
 	stats    EngineStats
 	lastSeen uint64
 }
@@ -111,7 +112,11 @@ func NewEngine(cfg EngineConfig) (*Engine, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	return &Engine{cfg: cfg}, nil
+	e := &Engine{cfg: cfg, own: Classifier{cfg: Config{Stride: true}}}
+	if cfg.Stride {
+		e.strides = &e.own
+	}
+	return e, nil
 }
 
 // MustNewEngine panics on bad configuration.
@@ -123,13 +128,13 @@ func MustNewEngine(cfg EngineConfig) *Engine {
 	return e
 }
 
-// ShareStrides makes the engine read stride predictions from c's table
-// instead of maintaining its own copy. Fed the same event stream, an engine
-// and a classifier with the same predictor Config evolve bit-identical
-// stride tables — the duplicate probe and update per data access is pure
-// waste. The caller must deliver every access to c (via the collector's
-// Classify/Observe path) before the corresponding Access on the engine,
-// which is exactly the order the streaming sink dispatches in.
+// ShareStrides makes the engine issue the stride predictions of c, the
+// collector's classifier, in place of its own stride-only one. Fed the
+// same event stream, the two evolve bit-identical stride tables, so the
+// second probe and update per data access is pure waste. The caller must
+// deliver every access to c (through the collector's AddCols) before the
+// engine's AccessCols for it, which is the order the streaming sink
+// dispatches in.
 func (e *Engine) ShareStrides(c *Classifier) error {
 	if c == nil {
 		return fmt.Errorf("prefetch: nil classifier")
@@ -137,31 +142,16 @@ func (e *Engine) ShareStrides(c *Classifier) error {
 	if e.cfg.Config != c.cfg {
 		return fmt.Errorf("prefetch: predictor config mismatch: engine %+v, classifier %+v", e.cfg.Config, c.cfg)
 	}
-	if e.strides.Len() > 0 {
+	if e.own.strides.Len() > 0 {
 		return fmt.Errorf("prefetch: engine already has stride state")
 	}
-	e.shared = c
+	e.strides = c
 	return nil
 }
 
-// Access feeds one demand access. Returns the number of prefetches issued
-// in response (useful mainly for tests).
-func (e *Engine) Access(ev trace.Event) int {
-	return e.AccessCols(ev.Cycle, ev.LineAddr, ev.PC, ev.Kind, ev.Miss)
-}
-
-// AccessBatch feeds every event for the given cache from a column batch,
-// equivalent to calling Access per event but without materializing them.
-func (e *Engine) AccessBatch(b *stream.Batch, cache trace.CacheID) {
-	for i, n := 0, b.Len(); i < n; i++ {
-		if b.Caches[i] == cache {
-			e.AccessCols(b.Cycles[i], b.LineAddrs[i], b.PCs[i], b.Kinds[i], b.Misses[i])
-		}
-	}
-}
-
-// AccessCols is Access by columns — one demand access, no trace.Event box.
-// The caller routes events: unlike AccessBatch there is no cache filter.
+// AccessCols feeds one demand access, given as its stream.Batch columns;
+// the caller routes only this engine's cache to it. It returns the number
+// of prefetches issued in response (useful mainly for tests).
 func (e *Engine) AccessCols(cycle, lineAddr, pc uint64, kind trace.Kind, miss bool) int {
 	e.stats.DemandAccesses++
 	e.expire(cycle)
@@ -191,32 +181,14 @@ func (e *Engine) AccessCols(cycle, lineAddr, pc uint64, kind trace.Kind, miss bo
 	if e.cfg.NextLine {
 		issued += e.issue(lineAddr+1, cycle)
 	}
-	// Stride prediction (data accesses only).
-	if e.shared != nil {
-		// The classifier already ran this event through an identical
-		// stride table (the sink feeds it first); issue its prediction.
-		if p := e.shared.predLine; p != 0 {
+	// Stride prediction (data accesses only): an owned classifier sees the
+	// access here, a shared one already saw it in the collector.
+	if e.strides == &e.own {
+		e.own.ClassifyObserve(cycle, lineAddr, pc, kind, 0, false)
+	}
+	if e.strides != nil {
+		if p := e.strides.predLine; p != 0 {
 			issued += e.issue(p-1, cycle)
-		}
-	} else if e.cfg.Stride && kind != trace.Fetch {
-		addr := lineAddr << 6
-		s := e.strides.Ptr(pc)
-		if s == nil {
-			e.strides.Set(pc, strideEntry{lastAddr: addr, lastCycle: cycle})
-		} else {
-			stride := int64(addr) - int64(s.lastAddr)
-			if stride == s.stride && stride != 0 {
-				s.confirmed = true
-			} else {
-				s.stride = stride
-				s.confirmed = false
-			}
-			s.lastAddr = addr
-			s.lastCycle = cycle
-			if s.confirmed {
-				next := uint64(int64(addr)+s.stride) >> 6
-				issued += e.issue(next, cycle)
-			}
 		}
 	}
 	e.lastSeen = cycle
@@ -259,7 +231,7 @@ func (e *Engine) expire(now uint64) {
 
 // Finish retires all remaining in-flight prefetches as useless and returns
 // the final statistics. Totals are flushed to telemetry here — once per
-// engine lifetime — so Access stays free of shared-memory traffic.
+// engine lifetime — so AccessCols stays free of shared-memory traffic.
 func (e *Engine) Finish() EngineStats {
 	e.stats.Useless += uint64(e.inflightN)
 	e.inflightN = 0

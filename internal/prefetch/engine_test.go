@@ -1,10 +1,18 @@
 package prefetch
 
 import (
+	"math/rand"
 	"testing"
+
+	"leakbound/internal/sim/trace"
 )
 
 func engCfg() EngineConfig { return DefaultEngineConfig(ForDCache()) }
+
+// access feeds one boxed event to e's column entry point.
+func access(e *Engine, ev trace.Event) int {
+	return e.AccessCols(ev.Cycle, ev.LineAddr, ev.PC, ev.Kind, ev.Miss)
+}
 
 func TestEngineConfigValidate(t *testing.T) {
 	good := engCfg()
@@ -36,10 +44,10 @@ func TestEngineNextLineUseful(t *testing.T) {
 	e := MustNewEngine(engCfg())
 	// Access line 10 at cycle 0 -> prefetch line 11; demand line 11 at
 	// cycle 100 (miss): useful, covered.
-	e.Access(dEvent(0, 10, 0x1))
+	access(e, dEvent(0, 10, 0x1))
 	ev := dEvent(100, 11, 0x1)
 	ev.Miss = true
-	e.Access(ev)
+	access(e, ev)
 	st := e.Finish()
 	if st.Useful != 1 {
 		t.Errorf("useful = %d, want 1", st.Useful)
@@ -54,9 +62,9 @@ func TestEngineNextLineUseful(t *testing.T) {
 
 func TestEngineLatePrefetch(t *testing.T) {
 	e := MustNewEngine(engCfg())
-	e.Access(dEvent(0, 10, 0x1))
+	access(e, dEvent(0, 10, 0x1))
 	// Demand arrives 3 cycles later: under MinLatency 7 -> late.
-	e.Access(dEvent(3, 11, 0x1))
+	access(e, dEvent(3, 11, 0x1))
 	st := e.Finish()
 	if st.Late != 1 || st.Useful != 0 {
 		t.Errorf("late prefetch accounting: %+v", st)
@@ -67,9 +75,9 @@ func TestEngineUselessAgesOut(t *testing.T) {
 	cfg := engCfg()
 	cfg.Lookahead = 100
 	e := MustNewEngine(cfg)
-	e.Access(dEvent(0, 10, 0x1))
+	access(e, dEvent(0, 10, 0x1))
 	// Far-future access to an unrelated line triggers the sweep.
-	e.Access(dEvent(1000, 500, 0x2))
+	access(e, dEvent(1000, 500, 0x2))
 	st := e.Finish()
 	if st.Useless < 1 {
 		t.Errorf("aged-out prefetch not counted useless: %+v", st)
@@ -85,15 +93,15 @@ func TestEngineStridePrediction(t *testing.T) {
 	const pc = 0x400100
 	// Lines 10, 14, 18 (stride 4): after confirmation the engine must
 	// prefetch line 22.
-	e.Access(dEvent(0, 10, pc))
-	e.Access(dEvent(50, 14, pc))
-	n := e.Access(dEvent(100, 18, pc)) // stride confirmed here
+	access(e, dEvent(0, 10, pc))
+	access(e, dEvent(50, 14, pc))
+	n := access(e, dEvent(100, 18, pc)) // stride confirmed here
 	if n != 1 {
 		t.Fatalf("issued %d prefetches on confirmation, want 1", n)
 	}
 	ev := dEvent(200, 22, pc)
 	ev.Miss = true
-	e.Access(ev)
+	access(e, ev)
 	st := e.Finish()
 	if st.Useful != 1 || st.CoveredMisses != 1 {
 		t.Errorf("stride prefetch accounting: %+v", st)
@@ -102,7 +110,7 @@ func TestEngineStridePrediction(t *testing.T) {
 
 func TestEngineNextLineIssuesOnce(t *testing.T) {
 	e := MustNewEngine(DefaultEngineConfig(Config{NextLine: true}))
-	n := e.Access(dEvent(0, 10, 0x1))
+	n := access(e, dEvent(0, 10, 0x1))
 	if n != 1 {
 		t.Errorf("next-line issued %d, want 1", n)
 	}
@@ -110,7 +118,7 @@ func TestEngineNextLineIssuesOnce(t *testing.T) {
 		t.Error("next line 11 not in flight")
 	}
 	// Duplicate issues are suppressed.
-	n = e.Access(dEvent(1, 10, 0x1))
+	n = access(e, dEvent(1, 10, 0x1))
 	if n != 0 {
 		t.Errorf("duplicate issue not suppressed: %d", n)
 	}
@@ -121,7 +129,7 @@ func TestEngineStatsConservation(t *testing.T) {
 	for i := uint64(0); i < 1000; i++ {
 		ev := dEvent(i*10, i%64, 0x1)
 		ev.Miss = i%7 == 0
-		e.Access(ev)
+		access(e, ev)
 	}
 	st := e.Finish()
 	if st.Issued != st.Useful+st.Late+st.Useless {
@@ -148,9 +156,43 @@ func TestEngineEmptyStats(t *testing.T) {
 	}
 }
 
+// TestEngineShareStrides checks ShareStrides' refusals, and that an engine
+// issuing a collector classifier's stride predictions counts exactly what
+// one running its own stride classifier counts.
+func TestEngineShareStrides(t *testing.T) {
+	if err := MustNewEngine(engCfg()).ShareStrides(nil); err == nil {
+		t.Error("nil classifier accepted")
+	}
+	if err := MustNewEngine(engCfg()).ShareStrides(MustNewClassifier(ForICache())); err == nil {
+		t.Error("mismatched config accepted")
+	}
+	used := MustNewEngine(engCfg())
+	access(used, dEvent(0, 10, 0x1))
+	if err := used.ShareStrides(MustNewClassifier(ForDCache())); err == nil {
+		t.Error("engine with stride state accepted a shared classifier")
+	}
+
+	owned, shared := MustNewEngine(engCfg()), MustNewEngine(engCfg())
+	cl := MustNewClassifier(ForDCache())
+	if err := shared.ShareStrides(cl); err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(3))
+	for _, a := range randomAccesses(rng, 20000) {
+		miss := rng.Intn(3) == 0
+		cl.ClassifyObserve(a.cycle, a.line, a.pc, a.kind, a.start, a.closing)
+		if n, m := owned.AccessCols(a.cycle, a.line, a.pc, a.kind, miss), shared.AccessCols(a.cycle, a.line, a.pc, a.kind, miss); n != m {
+			t.Fatalf("access %+v: owned issued %d, shared %d", a, n, m)
+		}
+	}
+	if o, s := owned.Finish(), shared.Finish(); o != s {
+		t.Errorf("owned %+v, shared %+v", o, s)
+	}
+}
+
 func BenchmarkEngineAccess(b *testing.B) {
 	e := MustNewEngine(engCfg())
 	for i := 0; i < b.N; i++ {
-		e.Access(dEvent(uint64(i), uint64(i%100000), uint64(i%256)))
+		e.AccessCols(uint64(i), uint64(i%100000), uint64(i%256), trace.Load, false)
 	}
 }

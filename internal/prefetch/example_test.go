@@ -16,13 +16,11 @@ func ExampleEngine() {
 		panic(err)
 	}
 	const pc = 0x400100
-	ld := func(cycle, line uint64, miss bool) trace.Event {
-		return trace.Event{Cycle: cycle, LineAddr: line, PC: pc, Cache: trace.L1D, Kind: trace.Load, Miss: miss}
-	}
-	eng.Access(ld(0, 100, true))
-	eng.Access(ld(50, 104, true))  // stride 4 observed
-	eng.Access(ld(100, 108, true)) // stride confirmed -> prefetch 112
-	eng.Access(ld(200, 112, true)) // the prefetch covers this miss (and issues 116)
+	// Four load misses: cycle, line, PC, kind, miss.
+	eng.AccessCols(0, 100, pc, trace.Load, true)
+	eng.AccessCols(50, 104, pc, trace.Load, true)  // stride 4 observed
+	eng.AccessCols(100, 108, pc, trace.Load, true) // stride confirmed -> prefetch 112
+	eng.AccessCols(200, 112, pc, trace.Load, true) // the prefetch covers this miss (and issues 116)
 	st := eng.Finish()
 	fmt.Printf("issued %d, useful %d, coverage %.0f%%\n",
 		st.Issued, st.Useful, 100*st.Coverage())

@@ -4,6 +4,9 @@
 // stride prefetching. Its classifiers plug into internal/interval's
 // Collector to flag each access interval as prefetchable or not, which the
 // Prefetch-A and Prefetch-B policies in internal/leakage then consume.
+// Classifier.ClassifyObserve is the one implementation of both predictors:
+// the hardware Engine issues the stride predictions a Classifier leaves
+// behind rather than keeping a stride table of its own.
 //
 // An interval of cache line X is next-line prefetchable when line X−1 was
 // accessed within the interval — the access to X−1 would have triggered a
@@ -52,10 +55,10 @@ type strideEntry struct {
 	confirmed bool // the same stride has been seen at least twice
 }
 
-// Classifier implements interval.Classifier (and the fused
-// interval.StreamClassifier fast path) for one cache's event stream. Its
-// predictor tables are flat open-addressed u64map tables: the per-event
-// lookup cost is what dominated Suite profiles when these were Go maps.
+// Classifier implements interval.Classifier for one cache's event stream.
+// Its predictor tables are flat open-addressed u64map tables: the
+// per-event lookup cost is what dominated Suite profiles when these were
+// Go maps.
 type Classifier struct {
 	cfg Config
 
@@ -70,8 +73,7 @@ type Classifier struct {
 
 	// predLine is the line the stride predictor would prefetch after the
 	// most recent observation, encoded +1 (0 = no confirmed prediction).
-	// An Engine sharing this classifier's table (Engine.ShareStrides)
-	// reads it instead of probing a duplicate table of its own.
+	// An Engine issues it as its stride prefetch.
 	predLine uint64
 
 	// Counters for Figure 9's prefetchability accounting.
@@ -79,10 +81,7 @@ type Classifier struct {
 	strideHits uint64
 }
 
-var (
-	_ interval.Classifier       = (*Classifier)(nil)
-	_ interval.StreamClassifier = (*Classifier)(nil)
-)
+var _ interval.Classifier = (*Classifier)(nil)
 
 // NewClassifier builds a classifier with the given predictor configuration.
 func NewClassifier(cfg Config) (*Classifier, error) {
@@ -101,77 +100,14 @@ func MustNewClassifier(cfg Config) *Classifier {
 	return c
 }
 
-// Classify implements interval.Classifier: called at the access that closes
-// an interval opened at cycle start, before Observe sees the event.
-func (c *Classifier) Classify(e trace.Event, start uint64) interval.Flags {
-	return c.classify(e.Cycle, e.LineAddr, e.PC, e.Kind, start)
-}
-
-func (c *Classifier) classify(cycle, lineAddr, pc uint64, kind trace.Kind, start uint64) interval.Flags {
-	var flags interval.Flags
-	if c.cfg.NextLine && lineAddr > 0 {
-		if lp := c.lastLineAccess.Lookup(lineAddr - 1); lp != nil && *lp > 0 {
-			// *lp is cycle+1; the predecessor access must fall strictly
-			// inside the open interval (after start, before cycle).
-			if lastCycle := *lp - 1; lastCycle > start && lastCycle < cycle {
-				flags |= interval.NLPrefetchable
-				c.nlHits++
-			}
-		}
-	}
-	// Stride prefetch: only data accesses carry a meaningful static load.
-	if c.cfg.Stride && flags&interval.NLPrefetchable == 0 && kind != trace.Fetch {
-		if s := c.strides.Ptr(pc); s != nil && s.confirmed {
-			predicted := s.lastAddr + uint64(s.stride)
-			if s.stride != 0 && predicted>>6 == lineAddr &&
-				s.lastCycle > start && s.lastCycle < cycle {
-				flags |= interval.StridePrefetchable
-				c.strideHits++
-			}
-		}
-	}
-	return flags
-}
-
-// Observe implements interval.Classifier: updates predictor state for every
-// access in stream order.
-func (c *Classifier) Observe(e trace.Event) {
-	c.observe(e.Cycle, e.LineAddr, e.PC, e.Kind)
-}
-
-func (c *Classifier) observe(cycle, lineAddr, pc uint64, kind trace.Kind) {
-	if c.cfg.NextLine {
-		*c.lastLineAccess.Slot(lineAddr) = cycle + 1
-	}
-	c.predLine = 0
-	if c.cfg.Stride && kind != trace.Fetch {
-		addr := lineAddr << 6 // classify at line granularity
-		s := c.strides.Ptr(pc)
-		if s == nil {
-			c.strides.Set(pc, strideEntry{lastAddr: addr, lastCycle: cycle})
-			return
-		}
-		stride := int64(addr) - int64(s.lastAddr)
-		if stride == s.stride && stride != 0 {
-			s.confirmed = true
-		} else {
-			s.stride = stride
-			s.confirmed = false
-		}
-		s.lastAddr = addr
-		s.lastCycle = cycle
-		if s.confirmed {
-			c.predLine = uint64(int64(addr)+s.stride)>>6 + 1
-		}
-	}
-}
-
-// ClassifyObserve implements interval.StreamClassifier: one fused call per
-// access on the streaming path, equivalent to Classify (when closing)
-// followed by Observe but with a single stride-table probe — both halves
-// touch the same PC entry, and classification reads its state before the
-// observation updates it, so sharing the pointer preserves the
-// Classify-then-Observe contract exactly.
+// ClassifyObserve implements interval.Classifier: one call per access that
+// first classifies the interval it closes (when closing) against the
+// predictor state so far, then observes the access. Both halves touch the
+// same PC stride entry, so one probe serves them: classification reads the
+// entry before the observation updates it.
+//
+// This is the one implementation of both predictors' decisions: an Engine
+// issues the stride prediction the observation leaves in predLine.
 //
 //lint:hotpath
 func (c *Classifier) ClassifyObserve(cycle, lineAddr, pc uint64, kind trace.Kind, start uint64, closing bool) interval.Flags {

@@ -16,6 +16,17 @@ func iEvent(cycle, lineAddr uint64) trace.Event {
 	return trace.Event{Cycle: cycle, LineAddr: lineAddr, PC: lineAddr << 6, Cache: trace.L1I, Kind: trace.Fetch}
 }
 
+// observe feeds e to c as an access that closes no interval.
+func observe(c *Classifier, e trace.Event) {
+	c.ClassifyObserve(e.Cycle, e.LineAddr, e.PC, e.Kind, 0, false)
+}
+
+// classify feeds e to c as the access closing an interval opened at start
+// and returns the interval's flags.
+func classify(c *Classifier, e trace.Event, start uint64) interval.Flags {
+	return c.ClassifyObserve(e.Cycle, e.LineAddr, e.PC, e.Kind, start, true)
+}
+
 func TestConfig(t *testing.T) {
 	if !ForICache().NextLine || ForICache().Stride {
 		t.Error("I-cache config wrong (paper: next-line only)")
@@ -41,9 +52,9 @@ func TestNextLineDetection(t *testing.T) {
 	c := MustNewClassifier(ForICache())
 	// Line 100 accessed at cycle 10 (opens its interval), line 99 accessed
 	// at cycle 50, line 100 re-accessed at cycle 80: prefetchable.
-	c.Observe(iEvent(10, 100))
-	c.Observe(iEvent(50, 99))
-	flags := c.Classify(iEvent(80, 100), 10)
+	observe(c, iEvent(10, 100))
+	observe(c, iEvent(50, 99))
+	flags := classify(c, iEvent(80, 100), 10)
 	if flags&interval.NLPrefetchable == 0 {
 		t.Error("next-line access inside interval not detected")
 	}
@@ -56,26 +67,26 @@ func TestNextLineDetection(t *testing.T) {
 func TestNextLineOutsideInterval(t *testing.T) {
 	c := MustNewClassifier(ForICache())
 	// Predecessor accessed BEFORE the interval opened: not prefetchable.
-	c.Observe(iEvent(5, 99))
-	c.Observe(iEvent(10, 100))
-	flags := c.Classify(iEvent(80, 100), 10)
+	observe(c, iEvent(5, 99))
+	observe(c, iEvent(10, 100))
+	flags := classify(c, iEvent(80, 100), 10)
 	if flags != 0 {
 		t.Errorf("stale predecessor flagged: %v", flags)
 	}
 	// Predecessor at exactly the closing cycle: too late to prefetch.
 	c2 := MustNewClassifier(ForICache())
-	c2.Observe(iEvent(10, 200))
-	c2.Observe(iEvent(80, 199))
-	if c2.Classify(iEvent(80, 200), 10) != 0 {
+	observe(c2, iEvent(10, 200))
+	observe(c2, iEvent(80, 199))
+	if classify(c2, iEvent(80, 200), 10) != 0 {
 		t.Error("same-cycle predecessor flagged")
 	}
 }
 
 func TestNextLineAtLineZero(t *testing.T) {
 	c := MustNewClassifier(ForICache())
-	c.Observe(iEvent(10, 0))
+	observe(c, iEvent(10, 0))
 	// Line 0 has no predecessor; must not underflow.
-	if got := c.Classify(iEvent(80, 0), 10); got != 0 {
+	if got := classify(c, iEvent(80, 0), 10); got != 0 {
 		t.Errorf("line 0 flagged: %v", got)
 	}
 }
@@ -85,12 +96,12 @@ func TestStrideDetection(t *testing.T) {
 	const pc = 0x400100
 	// A load marching by 128 bytes (2 lines): lines 10, 12, 14, 16...
 	// After two equal strides the predictor must flag the next.
-	c.Observe(dEvent(10, 10, pc))
-	c.Observe(dEvent(20, 12, pc)) // stride = 2 lines (first observation)
-	c.Observe(dEvent(30, 14, pc)) // stride repeated: confirmed
+	observe(c, dEvent(10, 10, pc))
+	observe(c, dEvent(20, 12, pc)) // stride = 2 lines (first observation)
+	observe(c, dEvent(30, 14, pc)) // stride repeated: confirmed
 	// Interval of line 16 opened at cycle 5; closing access at cycle 40 by
 	// the same load, predicted by the cycle-30 access (inside interval).
-	flags := c.Classify(dEvent(40, 16, pc), 5)
+	flags := classify(c, dEvent(40, 16, pc), 5)
 	if flags&interval.StridePrefetchable == 0 {
 		t.Error("confirmed stride not detected")
 	}
@@ -103,9 +114,9 @@ func TestStrideDetection(t *testing.T) {
 func TestStrideNotConfirmedBySingleRepeat(t *testing.T) {
 	c := MustNewClassifier(ForDCache())
 	const pc = 0x400100
-	c.Observe(dEvent(10, 10, pc))
-	c.Observe(dEvent(20, 12, pc)) // one stride observation only
-	flags := c.Classify(dEvent(30, 14, pc), 5)
+	observe(c, dEvent(10, 10, pc))
+	observe(c, dEvent(20, 12, pc)) // one stride observation only
+	flags := classify(c, dEvent(30, 14, pc), 5)
 	if flags&interval.StridePrefetchable != 0 {
 		t.Error("unconfirmed stride flagged (paper: same stride at least twice)")
 	}
@@ -114,11 +125,11 @@ func TestStrideNotConfirmedBySingleRepeat(t *testing.T) {
 func TestStrideBrokenPattern(t *testing.T) {
 	c := MustNewClassifier(ForDCache())
 	const pc = 0x400100
-	c.Observe(dEvent(10, 10, pc))
-	c.Observe(dEvent(20, 12, pc))
-	c.Observe(dEvent(30, 14, pc)) // confirmed, stride 2
-	c.Observe(dEvent(40, 99, pc)) // pattern broken
-	flags := c.Classify(dEvent(50, 101, pc), 5)
+	observe(c, dEvent(10, 10, pc))
+	observe(c, dEvent(20, 12, pc))
+	observe(c, dEvent(30, 14, pc)) // confirmed, stride 2
+	observe(c, dEvent(40, 99, pc)) // pattern broken
+	flags := classify(c, dEvent(50, 101, pc), 5)
 	if flags&interval.StridePrefetchable != 0 {
 		t.Error("broken stride still flagged")
 	}
@@ -127,10 +138,10 @@ func TestStrideBrokenPattern(t *testing.T) {
 func TestStrideIgnoresFetches(t *testing.T) {
 	c := MustNewClassifier(Config{Stride: true})
 	e := iEvent(10, 10)
-	c.Observe(e)
-	c.Observe(iEvent(20, 12))
-	c.Observe(iEvent(30, 14))
-	if got := c.Classify(iEvent(40, 16), 5); got != 0 {
+	observe(c, e)
+	observe(c, iEvent(20, 12))
+	observe(c, iEvent(30, 14))
+	if got := classify(c, iEvent(40, 16), 5); got != 0 {
 		t.Errorf("fetch events drove stride predictor: %v", got)
 	}
 }
@@ -139,9 +150,9 @@ func TestStrideZeroStrideNeverFlags(t *testing.T) {
 	c := MustNewClassifier(ForDCache())
 	const pc = 0x400200
 	for cy := uint64(10); cy <= 50; cy += 10 {
-		c.Observe(dEvent(cy, 7, pc))
+		observe(c, dEvent(cy, 7, pc))
 	}
-	if got := c.Classify(dEvent(60, 7, pc), 5); got&interval.StridePrefetchable != 0 {
+	if got := classify(c, dEvent(60, 7, pc), 5); got&interval.StridePrefetchable != 0 {
 		t.Error("zero stride flagged (same line repeat is not a stride prefetch)")
 	}
 }
@@ -151,10 +162,10 @@ func TestNLPriorityOverStride(t *testing.T) {
 	// paper's P-NL and P-stride are disjoint shares).
 	c := MustNewClassifier(ForDCache())
 	const pc = 0x400300
-	c.Observe(dEvent(10, 20, pc))
-	c.Observe(dEvent(20, 21, pc)) // stride 1 = next line too
-	c.Observe(dEvent(30, 22, pc))
-	flags := c.Classify(dEvent(40, 23, pc), 25)
+	observe(c, dEvent(10, 20, pc))
+	observe(c, dEvent(20, 21, pc)) // stride 1 = next line too
+	observe(c, dEvent(30, 22, pc))
+	flags := classify(c, dEvent(40, 23, pc), 25)
 	if flags&interval.NLPrefetchable == 0 || flags&interval.StridePrefetchable != 0 {
 		t.Errorf("flags = %v, want NL only", flags)
 	}
@@ -171,9 +182,12 @@ func TestEndToEndWithCollector(t *testing.T) {
 		return trace.Event{Cycle: cycle, LineAddr: line, Frame: frame, PC: 0x400000, Cache: trace.L1D, Kind: trace.Load}
 	}
 	// Frame 0 holds line 100; frame 1 holds line 99.
-	col.Add(mk(10, 100, 0))
-	col.Add(mk(50, 99, 1))
-	col.Add(mk(90, 100, 0)) // closes an 80-cycle interval; NL-prefetchable
+	for _, e := range []trace.Event{mk(10, 100, 0), mk(50, 99, 1), mk(90, 100, 0)} {
+		// The third access closes an 80-cycle interval; NL-prefetchable.
+		if err := col.AddCols(e.Cycle, e.LineAddr, e.PC, e.Frame, e.Cache, e.Kind, e.Miss); err != nil {
+			t.Fatal(err)
+		}
+	}
 	d, err := col.Finish(120)
 	if err != nil {
 		t.Fatal(err)
@@ -258,7 +272,7 @@ func analyzeWalk(d *interval.Distribution, a, b float64) Prefetchability {
 // TestAnalyzeMatchesWalk pins Analyze's prefix differences to the bucket
 // walk on random distributions, with boundaries on, between and beyond
 // bucket lengths and in reversed order, and pins Add to Analyze of the
-// merged distribution.
+// combined distribution.
 func TestAnalyzeMatchesWalk(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	random := func() *interval.Distribution {
@@ -275,11 +289,12 @@ func TestAnalyzeMatchesWalk(t *testing.T) {
 			t.Fatalf("cuts %v: Analyze %+v, walk %+v", cuts, got, want)
 		}
 		got.Add(Analyze(interval.NewAggregates(y), cuts[0], cuts[1]))
-		if err := x.Merge(y); err != nil {
-			t.Fatal(err)
-		}
+		y.Each(func(length uint64, flags interval.Flags, count uint64) bool {
+			x.Add(length, flags, count)
+			return true
+		})
 		if want := analyzeWalk(x, cuts[0], cuts[1]); got != want {
-			t.Fatalf("cuts %v: summed %+v, merged walk %+v", cuts, got, want)
+			t.Fatalf("cuts %v: summed %+v, combined walk %+v", cuts, got, want)
 		}
 	}
 }
@@ -311,4 +326,190 @@ func TestClassifyObserveAllocationFree(t *testing.T) {
 	if allocs := testing.AllocsPerRun(20, pass); allocs != 0 {
 		t.Errorf("ClassifyObserve: %v allocs/run, want 0", allocs)
 	}
+}
+
+// refClassifier is the reference for ClassifyObserve: the predictors in
+// split form, on plain Go maps. classify reads the tables without
+// changing them and observe updates them; ClassifyObserve must equal
+// classify (when closing) followed by observe.
+type refClassifier struct {
+	cfg        Config
+	lastAccess map[uint64]uint64 // line -> cycle of its latest access
+	strides    map[uint64]*refStride
+	predLine   uint64 // +1 encoded, as Classifier.predLine
+	nl, stride uint64
+}
+
+type refStride struct {
+	addr, cycle uint64 // the load's latest line-aligned address and its cycle
+	delta       int64  // latest address difference
+	repeated    bool   // delta equals the difference before it
+}
+
+func newRefClassifier(cfg Config) *refClassifier {
+	return &refClassifier{cfg: cfg, lastAccess: map[uint64]uint64{}, strides: map[uint64]*refStride{}}
+}
+
+// inside reports whether cycle c falls strictly inside the interval
+// (start, end).
+func inside(c, start, end uint64) bool { return start < c && c < end }
+
+func (r *refClassifier) classify(cycle, lineAddr, pc uint64, kind trace.Kind, start uint64) interval.Flags {
+	if r.cfg.NextLine && lineAddr > 0 {
+		if c, ok := r.lastAccess[lineAddr-1]; ok && inside(c, start, cycle) {
+			r.nl++
+			return interval.NLPrefetchable
+		}
+	}
+	if !r.cfg.Stride || kind == trace.Fetch {
+		return 0
+	}
+	s, ok := r.strides[pc]
+	if ok && s.repeated && s.delta != 0 && uint64(int64(s.addr)+s.delta)/64 == lineAddr && inside(s.cycle, start, cycle) {
+		r.stride++
+		return interval.StridePrefetchable
+	}
+	return 0
+}
+
+func (r *refClassifier) observe(cycle, lineAddr, pc uint64, kind trace.Kind) {
+	if r.cfg.NextLine {
+		r.lastAccess[lineAddr] = cycle
+	}
+	r.predLine = 0
+	if !r.cfg.Stride || kind == trace.Fetch {
+		return
+	}
+	addr := lineAddr * 64
+	s, ok := r.strides[pc]
+	if !ok {
+		r.strides[pc] = &refStride{addr: addr, cycle: cycle}
+		return
+	}
+	delta := int64(addr) - int64(s.addr)
+	s.repeated = delta == s.delta && delta != 0
+	s.addr, s.cycle, s.delta = addr, cycle, delta
+	if s.repeated {
+		r.predLine = uint64(int64(addr)+delta)/64 + 1
+	}
+}
+
+// refAccess is one ClassifyObserve call.
+type refAccess struct {
+	cycle, line, pc uint64
+	kind            trace.Kind
+	start           uint64
+	closing         bool
+}
+
+// checkAgainstReference feeds the calls to a Classifier and to the
+// reference, and fails at the first call after which the flags,
+// predLine or Stats differ.
+func checkAgainstReference(t *testing.T, cfg Config, calls []refAccess) {
+	t.Helper()
+	c, ref := MustNewClassifier(cfg), newRefClassifier(cfg)
+	for i, a := range calls {
+		got := c.ClassifyObserve(a.cycle, a.line, a.pc, a.kind, a.start, a.closing)
+		var want interval.Flags
+		if a.closing {
+			want = ref.classify(a.cycle, a.line, a.pc, a.kind, a.start)
+		}
+		ref.observe(a.cycle, a.line, a.pc, a.kind)
+		nl, st := c.Stats()
+		if got != want || c.predLine != ref.predLine || nl != ref.nl || st != ref.stride {
+			t.Fatalf("%+v call %d %+v: flags %v predLine %d stats %d/%d, reference %v %d %d/%d",
+				cfg, i, a, got, c.predLine, nl, st, want, ref.predLine, ref.nl, ref.stride)
+		}
+	}
+}
+
+// randomAccesses draws a stream over a few nearby lines: loads and stores
+// from PCs that walk a stride, repeat a line or jump at random, mixed with
+// fetches, several accesses per cycle, and starts that are the line's
+// previous access, the current cycle or any earlier cycle.
+func randomAccesses(rng *rand.Rand, n int) []refAccess {
+	type walker struct {
+		line   uint64
+		stride int64
+	}
+	walkers := make([]walker, 8)
+	for i := range walkers {
+		walkers[i] = walker{line: uint64(rng.Intn(64)), stride: int64(rng.Intn(5) - 2)}
+	}
+	last := map[uint64]uint64{} // line -> previous access cycle
+	calls := make([]refAccess, 0, n)
+	var cycle uint64
+	for len(calls) < n {
+		cycle += uint64(rng.Intn(3))
+		pc := uint64(rng.Intn(len(walkers)))
+		w := &walkers[pc]
+		kind := trace.Kind(rng.Intn(3))
+		switch rng.Intn(10) {
+		case 0: // broken stride: jump
+			w.line = uint64(rng.Intn(64))
+		case 1: // new stride
+			w.stride = int64(rng.Intn(5) - 2)
+		}
+		w.line = uint64(int64(w.line)+w.stride) % 64
+		line := w.line
+		if kind == trace.Fetch {
+			line = uint64(rng.Intn(64))
+		}
+		prev, seen := last[line]
+		a := refAccess{cycle: cycle, line: line, pc: pc * 4, kind: kind, closing: seen && prev < cycle && rng.Intn(5) > 0}
+		switch rng.Intn(4) {
+		case 0:
+			a.start = cycle
+		case 1:
+			a.start = uint64(rng.Int63n(int64(cycle) + 1))
+		default:
+			a.start = prev
+		}
+		last[line] = cycle
+		calls = append(calls, a)
+	}
+	return calls
+}
+
+// TestClassifyObserveMatchesReference pins ClassifyObserve to the
+// split-form map reference on random streams, for every predictor
+// configuration.
+func TestClassifyObserveMatchesReference(t *testing.T) {
+	for _, cfg := range []Config{ForICache(), ForDCache(), {Stride: true}} {
+		for seed := int64(1); seed <= 20; seed++ {
+			checkAgainstReference(t, cfg, randomAccesses(rand.New(rand.NewSource(seed)), 3000))
+		}
+	}
+}
+
+// FuzzClassifyObserve checks ClassifyObserve against the reference on
+// arbitrary streams. Each 4-byte record is a cycle step (byte 0, low 2
+// bits), a kind (bits 2-3) and a closing bit (bit 4); a signed line step
+// (byte 1); a PC (byte 2, low 3 bits); and how far start lies back from
+// the cycle (byte 3).
+func FuzzClassifyObserve(f *testing.F) {
+	f.Add([]byte{})
+	// One PC striding by 2 lines, then the stride broken; a next-line
+	// walk of fetches; accesses sharing a cycle.
+	f.Add([]byte{
+		0x11, 2, 1, 3, 0x11, 2, 1, 3, 0x11, 2, 1, 3, 0x11, 2, 1, 3, 0x11, 0x90, 1, 3, 0x11, 2, 1, 3,
+		0x19, 1, 0, 1, 0x19, 1, 0, 1, 0x19, 0xff, 0, 1, 0x18, 1, 0, 0, 0x30, 1, 2, 0,
+	})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var calls []refAccess
+		var cycle, line uint64 = 0, 32
+		for ; len(data) >= 4; data = data[4:] {
+			cycle += uint64(data[0] & 3)
+			line = uint64(int64(line)+int64(int8(data[1]))) % 128
+			calls = append(calls, refAccess{
+				cycle: cycle, line: line, pc: uint64(data[2] & 7),
+				kind:    trace.Kind(data[0] >> 2 & 3 % 3),
+				start:   cycle - min(uint64(data[3]), cycle),
+				closing: data[0]&0x10 != 0,
+			})
+		}
+		for _, cfg := range []Config{ForICache(), ForDCache(), {Stride: true}} {
+			checkAgainstReference(t, cfg, calls)
+		}
+	})
 }

@@ -152,14 +152,9 @@ func simulateBoth(t *testing.T, w workload.Workload) (iRaw, dRaw []byte, iDist, 
 	}
 	res, err := cpu.RunStreamContext(context.Background(), w, hier, cpu.DefaultConfig(), func(b *stream.Batch) error {
 		for i, n := 0, b.Len(); i < n; i++ {
-			e := b.Event(i)
-			switch e.Cache {
-			case trace.L1I:
-				if err := iCol.Add(e); err != nil {
-					return err
-				}
-			case trace.L1D:
-				if err := dCol.Add(e); err != nil {
+			// Each collector ignores the other cache's events.
+			for _, col := range [...]*interval.Collector{iCol, dCol} {
+				if err := col.AddCols(b.Cycles[i], b.LineAddrs[i], b.PCs[i], b.Frames[i], b.Caches[i], b.Kinds[i], b.Misses[i]); err != nil {
 					return err
 				}
 			}
