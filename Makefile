@@ -88,10 +88,10 @@ smoke:
 
 # Replay the seed corpus of every fuzz target as plain tests (no fuzzing
 # time budget needed) — the regression net for the trace and distribution
-# codecs, the tail compaction, the prefetch classifier, the query parser,
-# and the workload-spec parser.
+# codecs, the tail compaction, the CPU core's fetch grouping, the prefetch
+# classifier, the query parser, and the workload-spec parser.
 fuzz-regress:
-	$(GO) test -run=Fuzz ./internal/sim/trace/ ./internal/interval/ ./internal/prefetch/ ./internal/experiments/ ./internal/leakage/ ./internal/workload/spec/
+	$(GO) test -run=Fuzz ./internal/sim/trace/ ./internal/sim/cpu/ ./internal/interval/ ./internal/prefetch/ ./internal/experiments/ ./internal/leakage/ ./internal/workload/spec/
 
 # Validate every committed example workload spec (parse + strict
 # validation + digest) via the tracegen -check path CI and users share.

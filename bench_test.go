@@ -220,10 +220,11 @@ func benchGrid(b *testing.B, workers int) {
 func BenchmarkGridFigure8Workers1(b *testing.B) { benchGrid(b, 1) }
 func BenchmarkGridFigure8Workers4(b *testing.B) { benchGrid(b, 4) }
 
-// benchGeometrySweep measures the geometry sweep's 30 (geometry, benchmark)
-// simulations fanned out over a pool of the given size. The sweep takes
-// its own scale and simulates outside the suite's cache, so every
-// iteration re-simulates; 0.05 keeps one iteration well under a second.
+// benchGeometrySweep measures the geometry sweep: six tasks, one per
+// benchmark, each driving the five geometries' machines from one emit,
+// fanned out over a pool of the given size. The sweep takes its own scale
+// and simulates outside the suite's cache, so every iteration
+// re-simulates; 0.05 keeps one iteration well under a second.
 func benchGeometrySweep(b *testing.B, workers int) {
 	gs := experiments.MustNew(experiments.WithWorkers(workers))
 	ctx := context.Background()

@@ -86,6 +86,7 @@ type rosterEntry struct {
 // kernels (BENCH r3), and the zero-alloc replay pass (BENCH r4).
 var roster = []rosterEntry{
 	{pkg: "internal/sim/cpu", name: "RunStreamContext", tier: entryTier},
+	{pkg: "internal/sim/cpu", name: "RunManyContext", tier: entryTier},
 	{pkg: "internal/interval", recv: "Collector", name: "AddCols", tier: entryTier},
 	{pkg: "internal/prefetch", recv: "Classifier", name: "ClassifyObserve", tier: fullTier},
 	{pkg: "internal/leakage", name: "EvaluateAggregate", tier: entryTier},

@@ -13,7 +13,6 @@ import (
 	"leakbound/internal/leakage"
 	"leakbound/internal/power"
 	"leakbound/internal/sim/cache"
-	"leakbound/internal/sim/trace"
 	"leakbound/internal/telemetry"
 )
 
@@ -211,21 +210,38 @@ func TestPrefetcherQualityTable(t *testing.T) {
 	}
 }
 
-func TestSimulateCustom(t *testing.T) {
-	hc := cache.AlphaLike()
-	dist, res, err := SimulateCustomContext(context.Background(), "gzip", 0.05, hc, trace.L1D)
+// TestSimulateGeometries covers the geometry sweep's per-benchmark task:
+// one emit drives a machine per hierarchy, each hands back a D-cache
+// distribution with its hierarchy's frame count that conserves mass, in
+// hierarchy order; an unknown benchmark and a bad hierarchy are rejected.
+func TestSimulateGeometries(t *testing.T) {
+	small := cache.AlphaLike()
+	small.L1D.SizeBytes = 16 << 10
+	hcs := []cache.HierarchyConfig{cache.AlphaLike(), small}
+	var got []int
+	err := simulateGeometries(context.Background(), "gzip", 0.05, hcs, func(i int, dist *interval.Distribution) error {
+		got = append(got, i)
+		if want := uint32(hcs[i].L1D.NumLines()); dist.NumFrames != want {
+			t.Errorf("hierarchy %d: %d frames, want %d", i, dist.NumFrames, want)
+		}
+		if dist.TotalCycles == 0 || dist.Mass() != uint64(dist.NumFrames)*dist.TotalCycles {
+			t.Errorf("hierarchy %d: distribution violates mass conservation", i)
+		}
+		return nil
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if dist.Mass() != uint64(dist.NumFrames)*res.Cycles {
-		t.Error("custom simulation violates mass conservation")
+	if len(got) != 2 || got[0] != 0 || got[1] != 1 {
+		t.Errorf("distributions handed back in order %v, want [0 1]", got)
 	}
-	if _, _, err := SimulateCustomContext(context.Background(), "nope", 0.05, hc, trace.L1D); err == nil {
+	none := func(int, *interval.Distribution) error { t.Error("callback ran for a rejected run"); return nil }
+	if err := simulateGeometries(context.Background(), "nope", 0.05, hcs, none); err == nil {
 		t.Error("unknown benchmark accepted")
 	}
-	bad := hc
+	bad := cache.AlphaLike()
 	bad.L1D.SizeBytes = 1000
-	if _, _, err := SimulateCustomContext(context.Background(), "gzip", 0.05, bad, trace.L1D); err == nil {
+	if err := simulateGeometries(context.Background(), "gzip", 0.05, []cache.HierarchyConfig{cache.AlphaLike(), bad}, none); err == nil {
 		t.Error("bad hierarchy accepted")
 	}
 }

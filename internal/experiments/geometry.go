@@ -22,47 +22,6 @@ import (
 	"leakbound/internal/workload"
 )
 
-// SimulateCustomContext runs one benchmark on an arbitrary hierarchy and
-// returns the flagged interval distribution of the selected cache. It
-// exists for geometry sweeps and one-off studies outside the fixed-config
-// Suite.
-func SimulateCustomContext(ctx context.Context, name string, scale float64, hc cache.HierarchyConfig, side trace.CacheID) (*interval.Distribution, cpu.Result, error) {
-	w, err := workload.New(name, scale)
-	if err != nil {
-		return nil, cpu.Result{}, err
-	}
-	hier, err := cache.NewHierarchy(hc)
-	if err != nil {
-		return nil, cpu.Result{}, err
-	}
-	target := hier.CacheByID(side)
-	if target == nil {
-		return nil, cpu.Result{}, fmt.Errorf("experiments: invalid cache side %v", side)
-	}
-	col, err := interval.NewCollector(side, uint32(target.Config().NumLines()), nil)
-	if err != nil {
-		return nil, cpu.Result{}, err
-	}
-	res, err := cpu.RunStreamContext(ctx, w, hier, cpu.DefaultConfig(), func(b *stream.Batch) error {
-		for i, c := range b.Caches {
-			if c == side {
-				if err := col.AddCols(b.Cycles[i], b.LineAddrs[i], b.PCs[i], b.Frames[i], side, b.Kinds[i], b.Misses[i]); err != nil {
-					return err
-				}
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, cpu.Result{}, err
-	}
-	dist, err := col.Finish(res.Cycles)
-	if err != nil {
-		return nil, cpu.Result{}, err
-	}
-	return dist, res, nil
-}
-
 // GeometryPoint describes one swept configuration.
 type GeometryPoint struct {
 	SizeKB int
@@ -87,10 +46,12 @@ func GeometrySweepContext(ctx context.Context, scale float64) (*report.Table, er
 
 // GeometrySweepContext evaluates OPT-Hybrid and Sleep(10K) on the D-cache
 // across L1 geometries, averaged over the built-in benchmarks at the given
-// scale. Each (geometry, benchmark) point is a SimulateCustomContext run —
-// D-cache only, no prefetch classifiers, a fraction of a suite
-// simulation's memory — fanned out through forEach, and answers both
-// policies in one leakage.EvaluateMany pass.
+// scale. It runs one forEach task per benchmark: the task emits the
+// benchmark's instruction stream once and drives one machine per
+// geometry from it (cpu.RunManyContext), each collecting only its D-cache
+// with no prefetch classifiers — a fraction of a suite simulation's
+// memory — and answers both policies for each geometry in one
+// leakage.EvaluateMany pass.
 func (s *Suite) GeometrySweepContext(ctx context.Context, scale float64) (*report.Table, error) {
 	if scale <= 0 {
 		return nil, fmt.Errorf("%w: %g", ErrNonPositiveScale, scale)
@@ -98,28 +59,29 @@ func (s *Suite) GeometrySweepContext(ctx context.Context, scale float64) (*repor
 	tech := power.Default()
 	pols := []leakage.Policy{leakage.OPTHybrid{}, leakage.SleepDecay{Theta: 10000}}
 	pts, names := GeometrySweepPoints(), workload.Names()
-	type point struct {
-		frames        uint32
-		hybrid, sleep float64
-	}
-	res := make([]point, len(pts)*len(names))
-	err := s.forEach(ctx, len(res), func(k int) error {
-		pt, name := pts[k/len(names)], names[k%len(names)]
+	hcs := make([]cache.HierarchyConfig, len(pts))
+	for pi, pt := range pts {
 		hc := cache.AlphaLike()
 		hc.L1D.SizeBytes = pt.SizeKB << 10
 		hc.L1D.Assoc = pt.Assoc
 		hc.L1I.SizeBytes = pt.SizeKB << 10
 		hc.L1I.Assoc = pt.Assoc
-		dist, _, err := SimulateCustomContext(ctx, name, scale, hc, trace.L1D)
-		if err != nil {
-			return fmt.Errorf("experiments: %s at %dKB/%d-way: %w", name, pt.SizeKB, pt.Assoc, err)
-		}
-		evs, err := leakage.EvaluateMany(tech, interval.NewAggregates(dist), pols)
-		if err != nil {
-			return err
-		}
-		res[k] = point{dist.NumFrames, evs[0].Savings, evs[1].Savings}
-		return nil
+		hcs[pi] = hc
+	}
+	type point struct {
+		frames        uint32
+		hybrid, sleep float64
+	}
+	res := make([]point, len(pts)*len(names))
+	err := s.forEach(ctx, len(names), func(bi int) error {
+		return simulateGeometries(ctx, names[bi], scale, hcs, func(pi int, dist *interval.Distribution) error {
+			evs, err := leakage.EvaluateMany(tech, interval.NewAggregates(dist), pols)
+			if err != nil {
+				return err
+			}
+			res[pi*len(names)+bi] = point{dist.NumFrames, evs[0].Savings, evs[1].Savings}
+			return nil
+		})
 	})
 	if err != nil {
 		return nil, err
@@ -143,4 +105,58 @@ func (s *Suite) GeometrySweepContext(ctx context.Context, scale float64) (*repor
 		)
 	}
 	return t, nil
+}
+
+// simulateGeometries runs benchmark name once on one machine per
+// hierarchy in hcs, all driven by a single emit of its instruction
+// stream, and hands each hierarchy's D-cache interval distribution to
+// each, in hcs order. Each distribution and the collector behind it are
+// released once each returns, so only one is resident at a time after
+// the simulation.
+func simulateGeometries(ctx context.Context, name string, scale float64, hcs []cache.HierarchyConfig, each func(i int, dist *interval.Distribution) error) error {
+	w, err := workload.New(name, scale)
+	if err != nil {
+		return err
+	}
+	targets := make([]cpu.Target, len(hcs))
+	cols := make([]*interval.Collector, len(hcs))
+	for i, hc := range hcs {
+		hier, err := cache.NewHierarchy(hc)
+		if err != nil {
+			return fmt.Errorf("experiments: %s on hierarchy %d: %w", name, i, err)
+		}
+		col, err := interval.NewCollector(trace.L1D, uint32(hier.L1D().Config().NumLines()), nil)
+		if err != nil {
+			return err
+		}
+		cols[i] = col
+		targets[i] = cpu.Target{Hier: hier, Sink: func(b *stream.Batch) error {
+			for j, c := range b.Caches {
+				if c == trace.L1D {
+					if err := col.AddCols(b.Cycles[j], b.LineAddrs[j], b.PCs[j], b.Frames[j], trace.L1D, b.Kinds[j], b.Misses[j]); err != nil {
+						return err
+					}
+				}
+			}
+			return nil
+		}}
+	}
+	results, err := cpu.RunManyContext(ctx, w, cpu.DefaultConfig(), targets)
+	if err != nil {
+		return fmt.Errorf("experiments: %s geometry simulation: %w", name, err)
+	}
+	// Drop the hierarchies and the sinks (which hold the collectors), so
+	// each collector is released as soon as its distribution is finished.
+	clear(targets)
+	for i, col := range cols {
+		dist, err := col.Finish(results[i].Cycles)
+		if err != nil {
+			return err
+		}
+		cols[i] = nil
+		if err := each(i, dist); err != nil {
+			return err
+		}
+	}
+	return nil
 }

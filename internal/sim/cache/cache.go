@@ -81,12 +81,17 @@ type AccessResult struct {
 	Latency int // cycles to satisfy at this level (hit latency; miss handled by caller)
 }
 
-// line is one cache frame's metadata.
+// line is one cache frame's metadata, 16 bytes (the paper's L2 takes
+// 512 KB). There is no valid flag: tick is incremented before every use,
+// so a frame that has ever been filled has lastUsed >= 1, and
+// lastUsed == 0 means the frame is empty.
 type line struct {
 	tag      uint64 // full block-aligned address (we store the line address, not just the tag bits)
-	valid    bool
-	lastUsed uint64 // LRU timestamp
+	lastUsed uint64 // LRU timestamp; 0 = invalid
 }
+
+// valid reports whether the frame holds a block.
+func (ln *line) valid() bool { return ln.lastUsed != 0 }
 
 // Cache is a set-associative LRU cache. It is a functional model: it
 // tracks presence and recency, not data contents.
@@ -166,23 +171,23 @@ func (c *Cache) AccessLine(addr uint64) (frame uint32, hit bool) {
 	c.tick++
 	c.stats.Accesses++
 
-	for w := base; w < base+c.assoc; w++ {
-		ln := &c.lines[w]
-		if ln.valid && ln.tag == lineAddr {
+	set := c.lines[base : base+c.assoc]
+	for w := range set {
+		if ln := &set[w]; ln.tag == lineAddr && ln.valid() {
 			ln.lastUsed = c.tick
 			c.stats.Hits++
-			return uint32(w), true
+			return uint32(base + w), true
 		}
 	}
 
 	c.stats.Misses++
 	victim := c.pickVictim(base)
-	if c.lines[victim].valid {
+	if c.lines[victim].valid() {
 		c.stats.Evictions++
 	} else {
 		c.stats.Fills++
 	}
-	c.lines[victim] = line{tag: lineAddr, valid: true, lastUsed: c.tick}
+	c.lines[victim] = line{tag: lineAddr, lastUsed: c.tick}
 	return uint32(victim), false
 }
 
@@ -191,7 +196,7 @@ func (c *Cache) Probe(addr uint64) (frame int, resident bool) {
 	lineAddr := c.LineAddr(addr)
 	setIdx := int(lineAddr & c.indexMask)
 	for w, ln := range c.set(setIdx) {
-		if ln.valid && ln.tag == lineAddr {
+		if ln.valid() && ln.tag == lineAddr {
 			return setIdx*c.assoc + w, true
 		}
 	}
@@ -206,14 +211,13 @@ func (c *Cache) Flush() {
 }
 
 // pickVictim returns the frame to fill in the set starting at frame base:
-// the first invalid way, else the least recently used one.
+// the first invalid way, else the least recently used one. Both are the
+// first way with the smallest lastUsed, since invalid frames hold 0 and
+// valid ones hold distinct ticks >= 1.
 func (c *Cache) pickVictim(base int) int {
 	set := c.lines[base : base+c.assoc]
 	best := 0
-	for w := range set {
-		if !set[w].valid {
-			return base + w
-		}
+	for w := 1; w < len(set); w++ {
 		if set[w].lastUsed < set[best].lastUsed {
 			best = w
 		}
@@ -226,7 +230,7 @@ func (c *Cache) pickVictim(base int) int {
 func (c *Cache) ResidentLines() int {
 	n := 0
 	for _, ln := range c.lines {
-		if ln.valid {
+		if ln.valid() {
 			n++
 		}
 	}

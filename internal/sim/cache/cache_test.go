@@ -77,6 +77,28 @@ func TestColdMissThenHit(t *testing.T) {
 	}
 }
 
+// TestColdLineZeroMisses pins the empty-frame encoding: a frame's zero
+// value has tag 0, so line address 0 on a cold cache would hit if a frame
+// with lastUsed == 0 counted as valid.
+func TestColdLineZeroMisses(t *testing.T) {
+	c := MustNew(smallConfig())
+	if _, res := c.Probe(0); res {
+		t.Error("cold probe of line 0 reported resident")
+	}
+	if frame, hit := c.AccessLine(0); hit || frame != 0 {
+		t.Errorf("cold access to line 0: frame %d hit %v, want a miss filling frame 0", frame, hit)
+	}
+	if st := c.Stats(); st.Misses != 1 || st.Fills != 1 || st.Evictions != 0 {
+		t.Errorf("stats = %+v, want one fill", st)
+	}
+	if n := c.ResidentLines(); n != 1 {
+		t.Errorf("resident = %d, want 1", n)
+	}
+	if _, hit := c.AccessLine(0); !hit {
+		t.Error("second access to line 0 missed")
+	}
+}
+
 func TestSetMapping(t *testing.T) {
 	c := MustNew(smallConfig()) // 8 sets, 64B blocks
 	if c.SetIndex(0) != 0 {

@@ -9,6 +9,7 @@ import (
 	"leakbound/internal/sim/cache"
 	"leakbound/internal/sim/stream"
 	"leakbound/internal/sim/trace"
+	"leakbound/internal/telemetry"
 	"leakbound/internal/workload"
 )
 
@@ -115,4 +116,83 @@ func mustHierarchy(t *testing.T) *cache.Hierarchy {
 		t.Fatal(err)
 	}
 	return h
+}
+
+// fanOut returns n targets on fresh paper hierarchies, each with a sink
+// that counts its calls in calls[k] and returns errs[k] on call stopAt
+// (never, if stopAt is 0).
+func fanOut(t *testing.T, n int, calls []int, stopAt int, errs []error) []Target {
+	t.Helper()
+	targets := make([]Target, n)
+	for k := range targets {
+		targets[k] = Target{Hier: mustHierarchy(t), Sink: func(*stream.Batch) error {
+			calls[k]++
+			if calls[k] == stopAt {
+				return errs[k]
+			}
+			return nil
+		}}
+	}
+	return targets
+}
+
+// TestRunManyContextCancelled verifies a cancelled fan-out returns
+// ctx.Err() and counts every machine in cpu/runs_cancelled.
+func TestRunManyContextCancelled(t *testing.T) {
+	cancelled := telemetry.Default().Scope("cpu").Counter("runs_cancelled")
+	before := cancelled.Value()
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	const n = 3
+	calls := make([]int, n)
+	res, err := RunManyContext(ctx, workload.MustNew("gzip", 0.2), DefaultConfig(), fanOut(t, n, calls, 0, nil))
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("got %v, want context.Canceled", err)
+	}
+	if got := cancelled.Value() - before; got != n {
+		t.Errorf("runs_cancelled rose by %d, want %d (one per machine)", got, n)
+	}
+	if len(res) != n {
+		t.Fatalf("got %d results, want %d", len(res), n)
+	}
+	for k, r := range res {
+		if r.Instructions > ctxCheckMask+1 {
+			t.Errorf("machine %d ran %d instructions after cancellation", k, r.Instructions)
+		}
+		if calls[k] != 0 {
+			t.Errorf("machine %d: sink called %d times after cancellation", k, calls[k])
+		}
+	}
+}
+
+// TestRunManySinkErrorStopsAll verifies one machine's sink error stops
+// every machine: the error is returned, no sink is called again, and
+// every machine reports a partial run.
+func TestRunManySinkErrorStopsAll(t *testing.T) {
+	boom := errors.New("sink full")
+	const n = 3
+	calls := make([]int, n)
+	errs := []error{nil, boom, nil}
+	res, err := RunManyContext(context.Background(), workload.MustNew("gcc", 1.0), DefaultConfig(), fanOut(t, n, calls, 2, errs))
+	if !errors.Is(err, boom) {
+		t.Fatalf("got %v, want the sink's error", err)
+	}
+	if calls[1] != 2 {
+		t.Errorf("failing sink called %d times, want 2 (never again after its error)", calls[1])
+	}
+	// The machines are identical, so machine 0 filled its second batch
+	// first, and machine 2 never got there.
+	if calls[0] != 2 || calls[2] != 1 {
+		t.Errorf("sink calls %v, want [2 2 1]", calls)
+	}
+	full, err := runEvents(context.Background(), workload.MustNew("gcc", 1.0), mustHierarchy(t), DefaultConfig(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k, r := range res {
+		if r.Instructions == 0 || r.Instructions >= full.Instructions {
+			t.Errorf("machine %d executed %d instructions, full run %d — want a partial result",
+				k, r.Instructions, full.Instructions)
+		}
+	}
 }

@@ -121,9 +121,13 @@ func (r routine) execRefs(e *emitter, every int, gen func(k int) access) {
 		every = 3
 	}
 	k := 0
+	// untilRef counts down to the next reference slot (i%every ==
+	// every-1) without a division per instruction.
+	untilRef := every
 	for i := 0; i < r.n && !e.stopped; i++ {
 		pc := r.base + uint64(i)*4
-		if i%every == every-1 {
+		if untilRef--; untilRef == 0 {
+			untilRef = every
 			ref := gen(k)
 			k++
 			if ref.kind == Store {
