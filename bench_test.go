@@ -15,6 +15,7 @@ import (
 	"testing"
 
 	"leakbound/internal/experiments"
+	"leakbound/internal/interval"
 	"leakbound/internal/leakage"
 	"leakbound/internal/power"
 	"leakbound/internal/workload"
@@ -444,9 +445,10 @@ func BenchmarkSweepDense256Reference(b *testing.B) {
 }
 
 // BenchmarkSweepDense256Aggregates answers the identical sweep through the
-// aggregate kernel (leakage.EvaluateMany over the suite's cached prefix
-// summaries) — the fast path behind SweepParamContext and the serving
-// layer's 256-point default.
+// aggregate kernel the way SweepParamContext and the serving layer's
+// 256-point default do: the ladder compiled once per sweep
+// (leakage.Compile over every benchmark's cached prefix summaries), then
+// one Compiled.Evaluate per benchmark.
 func BenchmarkSweepDense256Aggregates(b *testing.B) {
 	s := sharedSuite(b)
 	all, err := s.AllContext(context.Background())
@@ -459,11 +461,19 @@ func BenchmarkSweepDense256Aggregates(b *testing.B) {
 	for i, theta := range thetas {
 		pols[i] = leakage.OPTSleep{Theta: theta}
 	}
+	aggs := make([]*interval.Aggregates, len(all))
+	for i, bd := range all {
+		aggs[i] = bd.IAgg
+	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		var sink float64
-		for _, bd := range all {
-			evs, err := leakage.EvaluateMany(tech, bd.IAgg, pols)
+		cp, err := leakage.Compile(tech, pols, aggs...)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, agg := range aggs {
+			evs, err := cp.Evaluate(agg)
 			if err != nil {
 				b.Fatal(err)
 			}

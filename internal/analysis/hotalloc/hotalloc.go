@@ -91,6 +91,7 @@ var roster = []rosterEntry{
 	{pkg: "internal/prefetch", recv: "Classifier", name: "ClassifyObserve", tier: fullTier},
 	{pkg: "internal/leakage", name: "EvaluateAggregate", tier: entryTier},
 	{pkg: "internal/leakage", name: "EvaluateMany", tier: entryTier},
+	{pkg: "internal/leakage", recv: "Compiled", name: "Evaluate", tier: entryTier},
 	{pkg: "internal/u64map", recv: "Pages", name: "Lookup", tier: fullTier},
 	{pkg: "internal/u64map", recv: "Pages", name: "Get", tier: fullTier},
 	{pkg: "internal/workload/spec", recv: "Replay", name: "Emit", tier: fullTier},

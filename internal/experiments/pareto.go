@@ -61,14 +61,14 @@ func DefaultParetoSpecs() []leakage.PolicySpec {
 // non-dominated set marked. A nil/empty specs slice evaluates
 // DefaultParetoSpecs.
 //
-// The population runs on the aggregate kernel: one parallel task per
-// benchmark answers the whole spec list — both axes — with
-// leakage.EvaluateMany and the aggregate miss folds over the suite's
-// cached prefix summaries, so the population costs O(specs x log buckets)
-// per benchmark instead of a full distribution walk per (spec, benchmark)
-// cell. The reductions and the dominance pass are sequential and
-// deterministic (spec-major, benchmark-inner, matching the pre-aggregate
-// loop order).
+// The population runs on the aggregate kernel: the spec list is compiled
+// once (leakage.Compile), then one parallel task per benchmark answers it
+// — both axes from one fold, leakage.Compiled.EvaluateMisses — over the
+// suite's cached prefix summaries, so the population costs
+// O(specs x classes) prefix searches per benchmark instead of a full
+// distribution walk per (spec, benchmark) cell. The reductions and the
+// dominance pass are sequential and deterministic (spec-major,
+// benchmark-inner, matching the pre-aggregate loop order).
 func (s *Suite) ParetoFrontierContext(ctx context.Context, iCache bool, tech power.Technology, specs []leakage.PolicySpec) ([]ParetoPoint, error) {
 	if len(specs) == 0 {
 		specs = DefaultParetoSpecs()
@@ -85,24 +85,22 @@ func (s *Suite) ParetoFrontierContext(ctx context.Context, iCache bool, tech pow
 	if err != nil {
 		return nil, err
 	}
+	aggs := sideAggregates(all, iCache)
+	cp, err := leakage.Compile(tech, policies, aggs...)
+	if err != nil {
+		return nil, fmt.Errorf("experiments: pareto: %w", err)
+	}
 	evsAll := make([][]leakage.Evaluation, len(all))
-	rates := make([][]float64, len(all))
-	missErrs := make([][]error, len(all))
+	rates := make([][]leakage.MissRate, len(all))
 	err = s.forEach(ctx, len(all), func(bi int) error {
-		_, agg := all[bi].Side(iCache)
-		evs, err := leakage.EvaluateMany(tech, agg, policies)
+		// Miss errors are per (spec, benchmark): EvaluateMisses returns
+		// them in rates, and the reduction below surfaces the first one
+		// in deterministic order, not in completion order.
+		evs, ms, err := cp.EvaluateMisses(aggs[bi])
 		if err != nil {
 			return fmt.Errorf("experiments: pareto %s: %w", all[bi].Name, err)
 		}
-		evsAll[bi] = evs
-		rates[bi] = make([]float64, len(policies))
-		missErrs[bi] = make([]error, len(policies))
-		for si, pol := range policies {
-			// Miss-fold errors are per (spec, benchmark): stash them and
-			// surface the first one in deterministic reduction order
-			// below, not in completion order.
-			rates[bi][si], missErrs[bi][si] = leakage.InducedMissRateAggregate(tech, agg, pol)
-		}
+		evsAll[bi], rates[bi] = evs, ms
 		return nil
 	})
 	if err != nil {
@@ -113,10 +111,10 @@ func (s *Suite) ParetoFrontierContext(ctx context.Context, iCache bool, tech pow
 		var leak, miss float64
 		for bi := range all {
 			leak += evsAll[bi][i].Energy / evsAll[bi][i].Baseline
-			if err := missErrs[bi][i]; err != nil {
+			if err := rates[bi][i].Err; err != nil {
 				return nil, fmt.Errorf("experiments: pareto %q: %w", specs[i], err)
 			}
-			miss += rates[bi][i]
+			miss += rates[bi][i].Rate
 		}
 		n := float64(len(all))
 		points[i] = ParetoPoint{

@@ -15,6 +15,7 @@ import (
 	"strconv"
 	"strings"
 
+	"leakbound/internal/interval"
 	"leakbound/internal/leakage"
 	"leakbound/internal/power"
 )
@@ -197,12 +198,15 @@ type ParamSweepPoint struct {
 // cache at tech, and averages. An empty param selects the scheme's
 // positional parameter.
 //
-// Dense sweeps are the aggregate kernel's home turf: each benchmark task
-// answers the whole value list in one leakage.EvaluateMany pass over the
-// suite's cached prefix aggregates — O(values x log buckets) per
-// benchmark instead of the pre-aggregate O(values x buckets) walk — and
-// the reduction runs in deterministic value-major, benchmark-inner order,
-// matching the sequential loop the grid path used.
+// Dense sweeps are the aggregate kernel's home turf. The value list is
+// compiled once (leakage.Compile: one curve per value and flags class
+// present in any benchmark, one name per value), then each benchmark task
+// answers it in one pass over the suite's cached prefix aggregates:
+// O(values x classes) prefix searches per benchmark, each starting from
+// the previous value's answer, instead of the pre-aggregate
+// O(values x buckets) walk. The reduction runs in deterministic
+// value-major, benchmark-inner order, matching the sequential loop the
+// grid path used.
 func (s *Suite) SweepParamContext(ctx context.Context, scheme, param string, iCache bool, tech power.Technology, values []leakage.ParamValue) ([]ParamSweepPoint, error) {
 	pols, name, err := resolveSweepPolicies(scheme, param, tech, values)
 	if err != nil {
@@ -212,11 +216,15 @@ func (s *Suite) SweepParamContext(ctx context.Context, scheme, param string, iCa
 	if err != nil {
 		return nil, err
 	}
+	aggs := sideAggregates(all, iCache)
+	cp, err := leakage.Compile(tech, pols, aggs...)
+	if err != nil {
+		return nil, fmt.Errorf("experiments: sweep %s: %w", name, err)
+	}
 	sc := s.metrics.Scope("sweep")
 	res := make([][]leakage.Evaluation, len(all))
 	err = s.forEach(ctx, len(all), func(bi int) error {
-		_, agg := all[bi].Side(iCache)
-		evs, err := leakage.EvaluateMany(tech, agg, pols)
+		evs, err := cp.Evaluate(aggs[bi])
 		if err != nil {
 			return fmt.Errorf("experiments: sweep %s/%s: %w", name, all[bi].Name, err)
 		}
@@ -237,6 +245,16 @@ func (s *Suite) SweepParamContext(ctx context.Context, scheme, param string, iCa
 		out = append(out, ParamSweepPoint{Value: v, Savings: sum / float64(len(all))})
 	}
 	return out, nil
+}
+
+// sideAggregates returns each benchmark's aggregates for the chosen cache
+// side, in suite order.
+func sideAggregates(all []*BenchmarkData, iCache bool) []*interval.Aggregates {
+	aggs := make([]*interval.Aggregates, len(all))
+	for bi, bd := range all {
+		_, aggs[bi] = bd.Side(iCache)
+	}
+	return aggs
 }
 
 // resolveSweepPolicies validates a (scheme, param, values) sweep request

@@ -51,13 +51,56 @@ func (c *FlagsClass) TotalMass() uint64 {
 // policy evaluates each piece as a difference of two Prefix queries.
 // Comparison happens in float64 exactly as the reference path compares
 // float64(length) against its thresholds, keeping the two paths'
-// branch decisions aligned bucket for bucket.
+// branch decisions aligned bucket for bucket. A NaN cut compares like no
+// length exceeds it, so it returns the whole class.
+//
+// Prefix is PrefixFrom without a hint: one binary search over the class.
 func (c *FlagsClass) Prefix(cut float64) (count, mass uint64) {
-	// Inline binary search (sort.Search semantics: smallest i with
-	// float64(Lengths[i]) > cut) — Prefix runs twice per policy piece per
-	// flags class on the closed-form fast path, and the sort.Search
-	// closure capturing c and cut was the path's one allocation site.
-	lo, hi := 0, len(c.Lengths)
+	count, mass, _ = c.PrefixFrom(cut, -1)
+	return count, mass
+}
+
+// PrefixFrom is Prefix with a search hint. It also returns next, the
+// number of leading lengths at or below cut, which is the hint for the
+// following call. When hint is such an answer for a nearby cut, as it is
+// for a policy ladder folded class by class, the search gallops out from
+// hint and costs O(log distance) instead of O(log len). A hint outside
+// [0, len(Lengths)] searches the whole class. The answer never depends on
+// the hint.
+func (c *FlagsClass) PrefixFrom(cut float64, hint int) (count, mass uint64, next int) {
+	// Every probe asks one question, float64(Lengths[i]) > cut, which is
+	// false on a prefix of the class and true after it (false everywhere
+	// for a NaN cut); the answer is the first index where it is true.
+	// Galloping brackets that index in [lo, hi], then the binary search
+	// (sort.Search semantics, inline: a closure capturing c and cut was
+	// once this path's one allocation site) closes the bracket.
+	n := len(c.Lengths)
+	lo, hi := 0, n
+	switch {
+	case hint < 0 || hint > n:
+	case hint < n && !(float64(c.Lengths[hint]) > cut):
+		lo = hint + 1
+		for step := 1; hint+step < n; step *= 2 {
+			i := hint + step
+			if float64(c.Lengths[i]) > cut {
+				hi = i
+				break
+			}
+			lo = i + 1
+		}
+	case hint > 0 && float64(c.Lengths[hint-1]) > cut:
+		hi = hint - 1
+		for step := 2; hint-step >= 0; step *= 2 {
+			i := hint - step
+			if !(float64(c.Lengths[i]) > cut) {
+				lo = i + 1
+				break
+			}
+			hi = i
+		}
+	default:
+		lo, hi = hint, hint
+	}
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
 		if float64(c.Lengths[mid]) > cut {
@@ -67,9 +110,9 @@ func (c *FlagsClass) Prefix(cut float64) (count, mass uint64) {
 		}
 	}
 	if lo == 0 {
-		return 0, 0
+		return 0, 0, 0
 	}
-	return c.CumCount[lo-1], c.CumMass[lo-1]
+	return c.CumCount[lo-1], c.CumMass[lo-1], lo
 }
 
 // Aggregates is an immutable prefix-sum summary of a Distribution,
@@ -100,7 +143,7 @@ func NewAggregates(d *Distribution) *Aggregates {
 		numIntervals: d.NumIntervals(),
 		mass:         d.Mass(),
 	}
-	var idx [flagSpace]int
+	var idx [NumFlags]int
 	for i := range idx {
 		idx[i] = -1
 	}

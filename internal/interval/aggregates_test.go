@@ -1,6 +1,7 @@
 package interval
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 )
@@ -77,7 +78,7 @@ func TestEachOrderDeterministic(t *testing.T) {
 	rd := NewDistribution(16, 1<<30)
 	for i := 0; i < 2000; i++ {
 		length := uint64(rng.Intn(3*denseLimit)) + 1
-		rd.Add(length, Flags(rng.Intn(flagSpace)), uint64(rng.Intn(4))+1)
+		rd.Add(length, Flags(rng.Intn(NumFlags)), uint64(rng.Intn(4))+1)
 	}
 	check("randomized", walk(rd))
 }
@@ -160,4 +161,99 @@ func TestAggregatesNil(t *testing.T) {
 	if empty == nil || empty.NumIntervals() != 0 || empty.Mass() != 0 || len(empty.Classes()) != 0 {
 		t.Fatal("empty distribution must yield empty aggregates")
 	}
+}
+
+// fuzzClass decodes a FlagsClass: each byte b adds a length b+1 past the
+// previous one, shifted left by b-200 bits for b >= 200 so the class
+// reaches past 2^53, where distinct lengths share a float64. Counts
+// cycle through 1..3.
+func fuzzClass(data []byte) FlagsClass {
+	var c FlagsClass
+	var length, count, mass uint64
+	for i, b := range data {
+		delta := uint64(b) + 1
+		if b >= 200 {
+			delta <<= b - 200
+		}
+		if length+delta < length || length+delta > 1<<58 {
+			break
+		}
+		length += delta
+		n := uint64(i%3 + 1)
+		count += n
+		mass += length * n
+		c.Lengths = append(c.Lengths, length)
+		c.CumCount = append(c.CumCount, count)
+		c.CumMass = append(c.CumMass, mass)
+	}
+	return c
+}
+
+// fuzzCut decodes one two-byte cut: a NaN, an infinity, a recorded length
+// or its half-integer neighbours, or a plain value.
+func fuzzCut(c *FlagsClass, kind, v byte) float64 {
+	at := float64(v)
+	if n := len(c.Lengths); n > 0 {
+		at = float64(c.Lengths[int(v)%n])
+	}
+	switch kind % 8 {
+	case 0:
+		return math.NaN()
+	case 1:
+		return math.Inf(1)
+	case 2:
+		return math.Inf(-1)
+	case 3:
+		return at
+	case 4:
+		return at - 0.5
+	case 5:
+		return at + 0.5
+	case 6:
+		return -float64(v)
+	default:
+		return float64(v) * 1e15
+	}
+}
+
+// FuzzPrefixFrom checks the hinted prefix search against a linear scan for
+// any class (empty included) and any cut sequence (ascending, descending,
+// repeated, NaN, ±Inf): chained through each answer as the next hint, from
+// a fixed arbitrary hint, and hint-less through Prefix.
+func FuzzPrefixFrom(f *testing.F) {
+	f.Add([]byte{}, []byte{0, 0, 1, 0, 3, 7}, 0)
+	f.Add([]byte{0, 1, 2, 3, 4, 5, 6, 7}, []byte{3, 0, 3, 1, 3, 2, 3, 5, 3, 7}, -1)
+	f.Add([]byte{9, 9, 9, 9, 9, 9, 9, 9}, []byte{3, 7, 4, 5, 5, 3, 3, 1, 3, 0}, 8)
+	f.Add([]byte{1, 1, 1, 1, 255, 1, 1, 1}, []byte{3, 4, 3, 4, 4, 4, 0, 0, 3, 2, 1, 0, 2, 0}, 3)
+	f.Add([]byte{250, 250, 0, 0, 250, 240}, []byte{5, 0, 5, 1, 5, 2, 4, 3, 4, 4, 5, 5}, 100)
+	f.Add([]byte{7, 3}, []byte{6, 9, 7, 1, 0, 0, 7, 3}, -7)
+	f.Fuzz(func(t *testing.T, lengths, cuts []byte, hint int) {
+		c := fuzzClass(lengths)
+		chained := -1
+		for ; len(cuts) >= 2; cuts = cuts[2:] {
+			cut := fuzzCut(&c, cuts[0], cuts[1])
+			want := len(c.Lengths)
+			for i, l := range c.Lengths {
+				if float64(l) > cut {
+					want = i
+					break
+				}
+			}
+			var wantCount, wantMass uint64
+			if want > 0 {
+				wantCount, wantMass = c.CumCount[want-1], c.CumMass[want-1]
+			}
+			count, mass, next := c.PrefixFrom(cut, chained)
+			if count != wantCount || mass != wantMass || next != want {
+				t.Fatalf("PrefixFrom(%g, hint %d) = (%d, %d, %d), want (%d, %d, %d)", cut, chained, count, mass, next, wantCount, wantMass, want)
+			}
+			chained = next
+			if count, mass, next := c.PrefixFrom(cut, hint); count != wantCount || mass != wantMass || next != want {
+				t.Fatalf("PrefixFrom(%g, hint %d) = (%d, %d, %d), want (%d, %d, %d)", cut, hint, count, mass, next, wantCount, wantMass, want)
+			}
+			if count, mass := c.Prefix(cut); count != wantCount || mass != wantMass {
+				t.Fatalf("Prefix(%g) = (%d, %d), want (%d, %d)", cut, count, mass, wantCount, wantMass)
+			}
+		}
+	})
 }

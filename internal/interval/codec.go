@@ -102,7 +102,7 @@ func ReadDistribution(r io.Reader) (*Distribution, error) {
 		if err != nil {
 			return nil, fmt.Errorf("interval: bucket %d flags: %w", i, err)
 		}
-		if uint64(fb) >= flagSpace {
+		if uint64(fb) >= NumFlags {
 			return nil, fmt.Errorf("interval: bucket %d has invalid flags %#x", i, fb)
 		}
 		count, err := binary.ReadUvarint(br)

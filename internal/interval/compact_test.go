@@ -61,7 +61,7 @@ func randomLog(rng *rand.Rand, n int, lo, span uint64, maxCount int) []tailBucke
 	log := make([]tailBucket, n)
 	for i := range log {
 		length := lo + uint64(rng.Int63n(int64(span)))
-		log[i] = tailBucket{length<<6 | uint64(rng.Intn(flagSpace)), uint64(rng.Intn(maxCount) + 1)}
+		log[i] = tailBucket{length<<6 | uint64(rng.Intn(NumFlags)), uint64(rng.Intn(maxCount) + 1)}
 	}
 	return log
 }
@@ -97,13 +97,13 @@ func TestCompactMatchesSortMerge(t *testing.T) {
 	// count > 1, and a compacted tail followed by a second, sorted one.
 	a := NewDistribution(4, 1<<40)
 	for _, l := range randomLog(rng, 5000, denseLimit, 1<<16, 1) {
-		a.Add(l.key>>6, Flags(l.key&(flagSpace-1)), l.count)
+		a.Add(l.key>>6, Flags(l.key&(NumFlags-1)), l.count)
 	}
 	a.Add(1<<40, Untouched, 3)
 	a.compact()
 	second := append(randomLog(rng, 5000, denseLimit, 1<<16, 1), tailBucket{1<<40<<6 | uint64(Untouched), 2})
 	for _, l := range sortMerge(second) {
-		a.Add(l.key>>6, Flags(l.key&(flagSpace-1)), l.count)
+		a.Add(l.key>>6, Flags(l.key&(NumFlags-1)), l.count)
 	}
 	checkCompact(t, "two compacted tails", a.tail)
 }
@@ -141,7 +141,7 @@ func BenchmarkDistributionCompact(b *testing.B) {
 	src := make([]tailBucket, 380000)
 	for i := range src {
 		length := uint64(denseLimit) + uint64(rng.ExpFloat64()*40000)
-		src[i] = tailBucket{length<<6 | uint64(rng.Intn(flagSpace)), 1}
+		src[i] = tailBucket{length<<6 | uint64(rng.Intn(NumFlags)), 1}
 	}
 	d := NewDistribution(1, 0)
 	b.ResetTimer()

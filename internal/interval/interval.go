@@ -132,9 +132,9 @@ type Distribution struct {
 	NumFrames   uint32
 	TotalCycles uint64
 
-	rows    [flagSpace][]uint64 // rows[flags][length] for length < denseLimit; nil until used
-	maxLen  [flagSpace]uint32   // highest populated length per row, bounds iteration
-	present []uint8             // flags with non-nil rows, ascending
+	rows    [NumFlags][]uint64 // rows[flags][length] for length < denseLimit; nil until used
+	maxLen  [NumFlags]uint32   // highest populated length per row, bounds iteration
+	present []uint8            // flags with non-nil rows, ascending
 
 	// tail holds the long buckets (length >= denseLimit) as an append log
 	// of packed (length<<6|flags, count) pairs, sorted and merged lazily by
@@ -151,7 +151,9 @@ type Distribution struct {
 
 const (
 	denseLimit = 8192
-	flagSpace  = 64 // nl|stride|leading|trailing|dirty|deadend fit in 6 bits
+	// NumFlags is the number of distinct Flags values:
+	// nl|stride|leading|trailing|dirty|deadend fit in 6 bits.
+	NumFlags = 64
 	// maxLength is the longest interval a tail key (length<<6|flags) holds.
 	maxLength = 1<<58 - 1
 )
@@ -378,7 +380,7 @@ func (d *Distribution) Each(fn func(length uint64, flags Flags, count uint64) bo
 	}
 	d.compact()
 	for _, b := range d.tail {
-		if !fn(b.key>>6, Flags(b.key&(flagSpace-1)), b.count) {
+		if !fn(b.key>>6, Flags(b.key&(NumFlags-1)), b.count) {
 			return
 		}
 	}

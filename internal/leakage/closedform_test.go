@@ -2,8 +2,11 @@ package leakage
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
+	"slices"
+	"strings"
 	"testing"
 
 	"leakbound/internal/interval"
@@ -369,6 +372,139 @@ func TestAggregateKernelsDoNotAllocate(t *testing.T) {
 		if n := testing.AllocsPerRun(10, func() { _, _ = EvaluateMany(tech, agg, constNamed) }); n != 1 {
 			t.Errorf("EvaluateMany @%s: %v allocs, want 1 (the result slice)", tech.Name, n)
 		}
+		// Compiled names every policy up front, so Evaluate allocates only
+		// its result slice for parameterized names too, whether a class's
+		// curves come from the table or are built inline.
+		for _, aggs := range [][]*interval.Aggregates{{agg}, nil} {
+			cp, err := Compile(tech, testPolicies(tech), aggs...)
+			if err != nil {
+				t.Fatalf("Compile @%s: %v", tech.Name, err)
+			}
+			if n := testing.AllocsPerRun(10, func() { _, _ = cp.Evaluate(agg) }); n != 1 {
+				t.Errorf("Compiled.Evaluate @%s (%d aggregates compiled): %v allocs, want 1 (the result slice)", tech.Name, len(aggs), n)
+			}
+		}
+	}
+}
+
+// TestCompiledMatchesEvaluateAggregate pins every batched kernel to the
+// one-policy kernel, == on every field: Compiled.Evaluate,
+// Compiled.EvaluateMisses (against InducedMissRateAggregate too) and
+// EvaluateMany, for every builtin at every technology plus a policy
+// without a closed form and the overflowing stairs policy, over random
+// distributions. The compiled sets cover curves all from the table,
+// classes absent at compile time (built inline), and no table at all;
+// the aggregates include zero-mass and nil ones, whose errors must read
+// exactly like EvaluateAggregate's.
+func TestCompiledMatchesEvaluateAggregate(t *testing.T) {
+	rng := rand.New(rand.NewSource(28))
+	narrow := interval.NewDistribution(8, 1<<20)
+	for i := 0; i < 200; i++ {
+		narrow.Add(uint64(rng.Intn(300000))+1, interval.Flags(rng.Intn(2))*interval.Dirty, uint64(rng.Intn(9))+1)
+	}
+	narrowAgg := interval.NewAggregates(narrow)
+	for _, tech := range power.Technologies() {
+		pols := append(testPolicies(tech), noClosedForm{}, stairs{})
+		wide := []*interval.Aggregates{
+			interval.NewAggregates(randomDistribution(rng)),
+			interval.NewAggregates(randomDistribution(rng)),
+		}
+		evalAggs := append([]*interval.Aggregates{narrowAgg, interval.NewAggregates(interval.NewDistribution(4, 0)), nil}, wide...)
+		for _, compiled := range [][]*interval.Aggregates{wide, {narrowAgg, nil}, nil} {
+			cp, err := Compile(tech, pols, compiled...)
+			if err != nil {
+				t.Fatalf("Compile @%s: %v", tech.Name, err)
+			}
+			for ai, agg := range evalAggs {
+				evs, err := cp.Evaluate(agg)
+				mevs, rates, merr := cp.EvaluateMisses(agg)
+				many, manyErr := EvaluateMany(tech, agg, pols)
+				for i, pol := range pols {
+					want, wantErr := EvaluateAggregate(tech, agg, pol)
+					if wantErr != nil {
+						for name, got := range map[string]error{"Evaluate": err, "EvaluateMisses": merr, "EvaluateMany": manyErr} {
+							if got == nil || got.Error() != wantErr.Error() {
+								t.Fatalf("@%s agg %d %s: %s error %v, want %v", tech.Name, ai, pol.Name(), name, got, wantErr)
+							}
+						}
+						continue
+					}
+					if err != nil || merr != nil || manyErr != nil {
+						t.Fatalf("@%s agg %d %s: unexpected errors %v / %v / %v", tech.Name, ai, pol.Name(), err, merr, manyErr)
+					}
+					if evs[i] != want || mevs[i] != want || many[i] != want {
+						t.Fatalf("@%s agg %d %s: Evaluate %+v, EvaluateMisses %+v, EvaluateMany %+v; EvaluateAggregate %+v",
+							tech.Name, ai, pol.Name(), evs[i], mevs[i], many[i], want)
+					}
+					wantRate, wantRateErr := InducedMissRateAggregate(tech, agg, pol)
+					if got := rates[i]; got.Rate != wantRate || (got.Err == nil) != (wantRateErr == nil) ||
+						(got.Err != nil && got.Err.Error() != wantRateErr.Error()) {
+						t.Fatalf("@%s agg %d %s: miss rate %v (%v), want %v (%v)", tech.Name, ai, pol.Name(), got.Rate, got.Err, wantRate, wantRateErr)
+					}
+				}
+			}
+		}
+	}
+	bad := power.Default()
+	bad.PActive = 0
+	_, want := EvaluateAggregate(bad, narrowAgg, OPTHybrid{})
+	if _, err := Compile(bad, []Policy{OPTHybrid{}}, narrowAgg); err == nil || err.Error() != want.Error() {
+		t.Fatalf("Compile at an invalid technology: %v, want %v", err, want)
+	}
+	if _, err := EvaluateMany(bad, narrowAgg, []Policy{OPTHybrid{}}); err == nil || err.Error() != want.Error() {
+		t.Fatalf("EvaluateMany at an invalid technology: %v, want %v", err, want)
+	}
+}
+
+// TestCompiledSharedAcrossGoroutines evaluates through one Compiled from
+// several goroutines at once, as a sweep's parallel benchmark tasks do:
+// every result equals the sequential one (run under -race, it also pins
+// Compiled's read-only sharing).
+func TestCompiledSharedAcrossGoroutines(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	tech := power.Default()
+	aggs := make([]*interval.Aggregates, 4)
+	for i := range aggs {
+		aggs[i] = interval.NewAggregates(randomDistribution(rng))
+	}
+	cp, err := Compile(tech, testPolicies(tech), aggs[:3]...)
+	if err != nil {
+		t.Fatalf("Compile: %v", err)
+	}
+	want := make([][]Evaluation, len(aggs))
+	for i, agg := range aggs {
+		if want[i], err = cp.Evaluate(agg); err != nil {
+			t.Fatalf("Evaluate: %v", err)
+		}
+	}
+	errs := make(chan error, 2*len(aggs))
+	for g := 0; g < 2*len(aggs); g++ {
+		go func(i int) {
+			got, err := cp.Evaluate(aggs[i])
+			if err == nil && !slices.Equal(got, want[i]) {
+				err = fmt.Errorf("aggregate %d: concurrent results differ", i)
+			}
+			errs <- err
+		}(g % len(aggs))
+	}
+	for g := 0; g < 2*len(aggs); g++ {
+		if err := <-errs; err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestNilPolicyIsNamedByIndex pins the batch kernels' nil-policy error:
+// ErrNilPolicy, naming the index, not a nil-interface panic.
+func TestNilPolicyIsNamedByIndex(t *testing.T) {
+	agg := interval.NewAggregates(randomDistribution(rand.New(rand.NewSource(1))))
+	ps := []Policy{OPTHybrid{}, nil}
+	_, err := EvaluateMany(power.Default(), agg, ps)
+	if !errors.Is(err, ErrNilPolicy) || !strings.Contains(err.Error(), "policy 1") {
+		t.Fatalf("EvaluateMany: %v, want ErrNilPolicy naming policy 1", err)
+	}
+	if _, err := Compile(power.Default(), ps, agg); !errors.Is(err, ErrNilPolicy) || !strings.Contains(err.Error(), "policy 1") {
+		t.Fatalf("Compile: %v, want ErrNilPolicy naming policy 1", err)
 	}
 }
 
