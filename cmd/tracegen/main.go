@@ -1,5 +1,5 @@
 // Command tracegen generates a synthetic benchmark's timed cache access
-// trace and writes it in leakbound's binary trace format, records a
+// trace and streams it into an LKBTRC02 trace file, records a
 // workload's instruction stream for later replay, summarizes an existing
 // trace file, or validates workload spec files.
 //
@@ -37,6 +37,7 @@ import (
 
 	"leakbound/internal/sim/cache"
 	"leakbound/internal/sim/cpu"
+	"leakbound/internal/sim/stream"
 	"leakbound/internal/sim/trace"
 	"leakbound/internal/telemetry"
 	"leakbound/internal/workload"
@@ -82,7 +83,7 @@ func main() {
 	case *check != "":
 		err = runCheck(os.Stdout, *check)
 	case *summarize != "":
-		err = runSummarize(*summarize)
+		err = runSummarize(os.Stdout, *summarize)
 	case *record != "":
 		err = runRecord(*bench, *specPath, *record, *scale)
 	default:
@@ -137,7 +138,7 @@ func resolveWorkload(bench, specPath string, scale float64) (workload.Workload, 
 	return w, bench, nil
 }
 
-func runGenerate(ctx context.Context, bench, specPath, side, out string, scale float64) error {
+func runGenerate(ctx context.Context, bench, specPath, side, out string, scale float64) (err error) {
 	if out == "" {
 		return fmt.Errorf("%w (-o)", ErrMissingOutput)
 	}
@@ -153,23 +154,46 @@ func runGenerate(ctx context.Context, bench, specPath, side, out string, scale f
 	if err != nil {
 		return err
 	}
-	stream, res, err := cpu.RunToStreamContext(ctx, w, hier, cpu.DefaultConfig(), id)
-	if err != nil {
-		return err
-	}
 	f, err := os.Create(out)
 	if err != nil {
 		return err
 	}
-	defer f.Close()
-	if err := trace.Write(f, stream); err != nil {
+	defer func() {
+		f.Close()
+		if err != nil {
+			os.Remove(out) // the trace streams out as the run goes: drop a partial one
+		}
+	}()
+	tw, err := trace.NewWriter(f, trace.CacheEvents, uint32(hier.CacheByID(id).Config().NumLines()))
+	if err != nil {
+		return err
+	}
+	var events int
+	res, err := cpu.RunStreamContext(ctx, w, hier, cpu.DefaultConfig(), func(b *stream.Batch) error {
+		for i, c := range b.Caches {
+			if c == id {
+				if err := tw.Append(b.Event(i)); err != nil {
+					return err
+				}
+				events++
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		return err
+	}
+	// Close extends the horizon to the last event's cycle + 1 when that
+	// lies past the run's final cycle.
+	tw.SetTotalCycles(res.Cycles)
+	if err := tw.Close(); err != nil {
 		return err
 	}
 	if err := f.Close(); err != nil {
 		return err
 	}
 	fmt.Printf("%s: %d %s events over %d cycles -> %s\n",
-		name, stream.Len(), id, res.Cycles, out)
+		name, events, id, res.Cycles, out)
 	return nil
 }
 
@@ -248,16 +272,21 @@ func runList(w io.Writer) error {
 	return nil
 }
 
-func runSummarize(path string) error {
+// runSummarize prints a trace file's content kind and counts. A cache-event
+// trace reports its events by access kind, horizon, frames and misses; an
+// instruction recording has no timing or cache, so it reports only its
+// instructions by kind.
+func runSummarize(w io.Writer, path string) error {
 	f, err := os.Open(path)
 	if err != nil {
 		return err
 	}
 	defer f.Close()
-	s, err := trace.Read(f)
+	tg, err := trace.ReadTagged(f)
 	if err != nil {
 		return err
 	}
+	s := tg.Stream
 	var misses, loads, stores, fetches uint64
 	frames := map[uint32]struct{}{}
 	for _, e := range s.Events {
@@ -270,16 +299,21 @@ func runSummarize(path string) error {
 		case trace.Store:
 			stores++
 		case trace.Fetch:
-			fetches++
+			fetches++ // an op, in an instruction recording
 		}
 		frames[e.Frame] = struct{}{}
 	}
-	fmt.Printf("%s:\n", path)
-	fmt.Printf("  events:  %d (%d fetches, %d loads, %d stores)\n", s.Len(), fetches, loads, stores)
-	fmt.Printf("  cycles:  %d\n", s.TotalCycles)
-	fmt.Printf("  frames:  %d touched of %d\n", len(frames), s.NumFrames)
+	fmt.Fprintf(w, "%s:\n", path)
+	fmt.Fprintf(w, "  content: %s\n", tg.Content)
+	if tg.Content == trace.InstrRecording {
+		fmt.Fprintf(w, "  instrs:  %d (%d ops, %d loads, %d stores)\n", s.Len(), fetches, loads, stores)
+		return nil
+	}
+	fmt.Fprintf(w, "  events:  %d (%d fetches, %d loads, %d stores)\n", s.Len(), fetches, loads, stores)
+	fmt.Fprintf(w, "  cycles:  %d\n", s.TotalCycles)
+	fmt.Fprintf(w, "  frames:  %d touched of %d\n", len(frames), s.NumFrames)
 	if s.Len() > 0 {
-		fmt.Printf("  misses:  %d (%.2f%%)\n", misses, 100*float64(misses)/float64(s.Len()))
+		fmt.Fprintf(w, "  misses:  %d (%.2f%%)\n", misses, 100*float64(misses)/float64(s.Len()))
 	}
 	return nil
 }

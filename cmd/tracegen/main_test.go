@@ -3,11 +3,16 @@ package main
 import (
 	"context"
 	"errors"
+	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
+	"leakbound/internal/sim/cache"
+	"leakbound/internal/sim/cpu"
+	"leakbound/internal/sim/stream"
 	"leakbound/internal/sim/trace"
 	"leakbound/internal/workload"
 )
@@ -30,8 +35,126 @@ func TestGenerateAndSummarize(t *testing.T) {
 	if err := runGenerate(context.Background(), "gzip", "", "D", out, 0.02); err != nil {
 		t.Fatal(err)
 	}
-	if err := runSummarize(out); err != nil {
+	if err := runSummarize(io.Discard, out); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestGenerateMatchesSimulation checks that what -o writes is the
+// simulation's own event stream for the traced cache: every row of that
+// cache that cpu.RunStreamContext delivers, in order, under the cache's
+// frame count and the horizon max(run cycles, last event + 1). The D side
+// ends on an access past the run's final cycle, while the L2 side's last
+// access lies long before it, so both arms of the horizon rule are
+// exercised.
+func TestGenerateMatchesSimulation(t *testing.T) {
+	sides := []struct {
+		side   string
+		id     trace.CacheID
+		frames uint32
+	}{{"D", trace.L1D, 1024}, {"I", trace.L1I, 1024}, {"L2", trace.L2, 32768}}
+	for _, tc := range sides {
+		side, id := tc.side, tc.id
+		out := filepath.Join(t.TempDir(), side+".trc")
+		if err := runGenerate(context.Background(), "gzip", "", side, out, 0.01); err != nil {
+			t.Fatal(err)
+		}
+		f, err := os.Open(out)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tg, err := trace.ReadTagged(f)
+		f.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+
+		hier, err := cache.NewHierarchy(cache.AlphaLike())
+		if err != nil {
+			t.Fatal(err)
+		}
+		var want []trace.Event
+		res, err := cpu.RunStreamContext(context.Background(), workload.MustNew("gzip", 0.01), hier, cpu.DefaultConfig(),
+			func(b *stream.Batch) error {
+				for i, c := range b.Caches {
+					if c == id {
+						want = append(want, b.Event(i))
+					}
+				}
+				return nil
+			})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(want) == 0 {
+			t.Fatalf("%s: simulation delivered no events", side)
+		}
+
+		s := tg.Stream
+		if tg.Content != trace.CacheEvents {
+			t.Errorf("%s: content = %v, want %v", side, tg.Content, trace.CacheEvents)
+		}
+		if s.NumFrames != tc.frames {
+			t.Errorf("%s: NumFrames = %d, want %d", side, s.NumFrames, tc.frames)
+		}
+		if wantTotal := max(res.Cycles, want[len(want)-1].Cycle+1); s.TotalCycles != wantTotal {
+			t.Errorf("%s: TotalCycles = %d, want %d (run %d cycles)", side, s.TotalCycles, wantTotal, res.Cycles)
+		}
+		if len(s.Events) != len(want) {
+			t.Fatalf("%s: file holds %d events, simulation delivered %d", side, len(s.Events), len(want))
+		}
+		for i := range want {
+			if s.Events[i] != want[i] {
+				t.Fatalf("%s: event %d: file %+v, simulation %+v", side, i, s.Events[i], want[i])
+			}
+		}
+	}
+}
+
+// TestSummarizeContent checks that -summarize reports each content kind in
+// its own terms: a cache-event trace by events, cycles, frames and misses;
+// an instruction recording by instructions per kind, with no timing lines.
+func TestSummarizeContent(t *testing.T) {
+	dir := t.TempDir()
+	events := filepath.Join(dir, "d.trc")
+	if err := runGenerate(context.Background(), "gzip", "", "D", events, 0.02); err != nil {
+		t.Fatal(err)
+	}
+	var sb strings.Builder
+	if err := runSummarize(&sb, events); err != nil {
+		t.Fatal(err)
+	}
+	for _, line := range []string{"  content: cache-events\n", "  events:  ", "  cycles:  ", "  frames:  ", "  misses:  "} {
+		if !strings.Contains(sb.String(), line) {
+			t.Errorf("cache-event summary lacks %q:\n%s", line, sb.String())
+		}
+	}
+
+	rec := filepath.Join(dir, "rec.trc")
+	if err := runRecord("gzip", "", rec, 0.02); err != nil {
+		t.Fatal(err)
+	}
+	var n, ops, loads, stores int
+	workload.MustNew("gzip", 0.02).Emit(func(in workload.Instr) bool {
+		n++
+		switch in.Kind {
+		case workload.Op:
+			ops++
+		case workload.Load:
+			loads++
+		case workload.Store:
+			stores++
+		}
+		return true
+	})
+	sb.Reset()
+	if err := runSummarize(&sb, rec); err != nil {
+		t.Fatal(err)
+	}
+	want := fmt.Sprintf("%s:\n  content: instr-recording\n  instrs:  %d (%d ops, %d loads, %d stores)\n",
+		rec, n, ops, loads, stores)
+	if sb.String() != want {
+		t.Errorf("recording summary:\n%s\nwant:\n%s", sb.String(), want)
 	}
 }
 
@@ -52,7 +175,7 @@ func TestGenerateFromSpec(t *testing.T) {
 	if err := runGenerate(context.Background(), "", specPath, "D", out, 1); err != nil {
 		t.Fatal(err)
 	}
-	if err := runSummarize(out); err != nil {
+	if err := runSummarize(io.Discard, out); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -138,10 +261,20 @@ func TestGenerateErrors(t *testing.T) {
 	if err := runGenerate(ctx, "gzip", "also.json", "D", "x.trc", 0.02); !errors.Is(err, ErrConflictingSource) {
 		t.Errorf("bench+spec: %v", err)
 	}
+	// A cancelled run fails and leaves no partial trace behind.
+	cancelled, cancel := context.WithCancel(ctx)
+	cancel()
+	out := filepath.Join(t.TempDir(), "cancelled.trc")
+	if err := runGenerate(cancelled, "gzip", "", "D", out, 0.02); !errors.Is(err, context.Canceled) {
+		t.Errorf("cancelled run: %v", err)
+	}
+	if _, err := os.Stat(out); !os.IsNotExist(err) {
+		t.Errorf("cancelled run left %s behind (stat: %v)", out, err)
+	}
 	if err := runRecord("gzip", "", "", 0.02); !errors.Is(err, ErrMissingOutput) {
 		t.Errorf("record missing output: %v", err)
 	}
-	if err := runSummarize(filepath.Join(t.TempDir(), "missing.trc")); err == nil {
+	if err := runSummarize(io.Discard, filepath.Join(t.TempDir(), "missing.trc")); err == nil {
 		t.Error("missing file accepted")
 	}
 }

@@ -15,7 +15,6 @@
 //     4-wide Alpha-21264-like core over 64KB L1s and a 2MB L2;
 //   - workload — deterministic synthetic stand-ins for the six SPEC2000
 //     benchmarks the paper uses;
-//   - simpoint — BBV + k-means phase analysis (the paper's SimPoint step);
 //   - power — per-technology leakage/energy parameters, Equations 1–3, and
 //     the Table 1 calibration;
 //   - interval — per-frame access interval extraction (Section 3.1);

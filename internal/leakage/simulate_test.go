@@ -9,6 +9,7 @@ import (
 	"leakbound/internal/power"
 	"leakbound/internal/sim/cache"
 	"leakbound/internal/sim/cpu"
+	"leakbound/internal/sim/stream"
 	"leakbound/internal/sim/trace"
 	"leakbound/internal/workload"
 )
@@ -180,11 +181,19 @@ func testTraceEvents(t *testing.T) ([]trace.Event, uint64) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, res, err := cpu.RunToStreamContext(context.Background(), w, hier, cpu.DefaultConfig(), trace.L1D)
+	var events []trace.Event
+	res, err := cpu.RunStreamContext(context.Background(), w, hier, cpu.DefaultConfig(), func(b *stream.Batch) error {
+		for i, c := range b.Caches {
+			if c == trace.L1D {
+				events = append(events, b.Event(i))
+			}
+		}
+		return nil
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	sharedEvents, sharedTotal = s.Events, res.Cycles
+	sharedEvents, sharedTotal = events, res.Cycles
 	return sharedEvents, sharedTotal
 }
 

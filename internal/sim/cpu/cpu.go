@@ -371,31 +371,3 @@ func (m *machine) flushBatch() {
 		m.core.stopping = true
 	}
 }
-
-// RunToStreamContext collects all events for one cache into an in-memory
-// trace.Stream; intended for tests and small tools, not full-length runs.
-// Cancellation behaves as in RunStreamContext.
-func RunToStreamContext(ctx context.Context, w workload.Workload, hier *cache.Hierarchy, cfg Config, id trace.CacheID) (*trace.Stream, Result, error) {
-	s := &trace.Stream{}
-	res, err := RunStreamContext(ctx, w, hier, cfg, func(b *stream.Batch) error {
-		for i, c := range b.Caches {
-			if c == id {
-				if err := s.Append(b.Event(i)); err != nil {
-					return err
-				}
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, Result{}, err
-	}
-	if res.Cycles > s.TotalCycles {
-		s.TotalCycles = res.Cycles
-	}
-	c := hier.CacheByID(id)
-	if c != nil {
-		s.NumFrames = uint32(c.Config().NumLines())
-	}
-	return s, res, nil
-}

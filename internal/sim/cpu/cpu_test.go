@@ -214,31 +214,6 @@ func TestIPCSane(t *testing.T) {
 	}
 }
 
-func TestRunToStream(t *testing.T) {
-	w := workload.MustNew("gzip", 0.01)
-	s, res, err := RunToStreamContext(context.Background(), w, newHier(t), DefaultConfig(), trace.L1D)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.Len() == 0 {
-		t.Fatal("empty stream")
-	}
-	if s.NumFrames != 1024 {
-		t.Errorf("NumFrames = %d, want 1024", s.NumFrames)
-	}
-	if s.TotalCycles < res.Cycles {
-		t.Errorf("TotalCycles %d < run cycles %d", s.TotalCycles, res.Cycles)
-	}
-	if err := s.Validate(); err != nil {
-		t.Errorf("stream invalid: %v", err)
-	}
-	for _, e := range s.Events {
-		if e.Cache != trace.L1D {
-			t.Fatalf("foreign event: %+v", e)
-		}
-	}
-}
-
 func TestDeterministicTiming(t *testing.T) {
 	run := func() Result {
 		w := workload.MustNew("vortex", 0.01)

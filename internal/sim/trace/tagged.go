@@ -1,11 +1,10 @@
 package trace
 
-// Version-2 container: the same varint event encoding as v1, wrapped in a
-// tagged streaming frame so a producer can append events without knowing the
-// final count up front, and so a file can declare what KIND of stream it
-// carries. v1 files hold exactly one thing — timed cache events from the
-// simulator; v2 adds instruction recordings (a workload's raw Emit stream
-// captured for bit-identical replay, see internal/workload/spec).
+// The trace container: varint-encoded event records in a tagged streaming
+// frame, so a producer can append events without knowing the final count up
+// front, and so a file declares what KIND of stream it carries — timed cache
+// events from the simulator, or an instruction recording (a workload's raw
+// Emit stream captured for bit-identical replay, see internal/workload/spec).
 //
 // Layout:
 //
@@ -15,7 +14,8 @@ package trace
 //	tag 0x00 | count uvarint | totalCycles uvarint
 //
 // The footer count must match the number of tagged records, so truncation is
-// always detected even though the header carries no length.
+// always detected even though the header carries no length. A file with any
+// other magic is rejected.
 
 import (
 	"bufio"
@@ -25,14 +25,13 @@ import (
 	"io"
 )
 
-var magicV2 = [8]byte{'L', 'K', 'B', 'T', 'R', 'C', '0', '2'}
+var magic = [8]byte{'L', 'K', 'B', 'T', 'R', 'C', '0', '2'}
 
-// Content declares what a v2 trace file carries.
+// Content declares what a trace file carries.
 type Content uint8
 
 const (
-	// CacheEvents is a timed cache-access stream from the simulator —
-	// the only thing v1 files can hold.
+	// CacheEvents is a timed cache-access stream from the simulator.
 	CacheEvents Content = iota
 	// InstrRecording is a workload's instruction stream recorded for
 	// replay: Cycle is the instruction index, LineAddr the byte address,
@@ -56,21 +55,20 @@ func (c Content) String() string {
 // Valid reports whether c names a defined content kind.
 func (c Content) Valid() bool { return c < numContents }
 
-// Record tags in the v2 body.
+// Record tags in the body.
 const (
 	tagEnd   = 0x00
 	tagEvent = 0x01
 )
 
-// Tagged is a decoded v2 file (or a v1 file lifted into the v2 model with
-// Content == CacheEvents).
+// Tagged is a decoded trace file: its declared content kind and its stream.
 type Tagged struct {
 	Content Content
 	Stream  *Stream
 }
 
-// Writer appends events to a v2 trace incrementally. Unlike Write it needs
-// no up-front event count: Append streams each record out through a buffered
+// Writer appends events to a trace file incrementally. It needs no
+// up-front event count: Append streams each record out through a buffered
 // writer and Close seals the file with the footer.
 type Writer struct {
 	bw        *bufio.Writer
@@ -81,7 +79,7 @@ type Writer struct {
 	err       error
 }
 
-// NewWriter starts a v2 trace of the given content kind on w. numFrames is
+// NewWriter starts a trace of the given content kind on w. numFrames is
 // the traced cache's frame count (0 for instruction recordings, which have
 // no cache geometry).
 func NewWriter(w io.Writer, content Content, numFrames uint32) (*Writer, error) {
@@ -89,7 +87,7 @@ func NewWriter(w io.Writer, content Content, numFrames uint32) (*Writer, error) 
 		return nil, fmt.Errorf("trace: invalid content kind %d", content)
 	}
 	bw := bufio.NewWriter(w)
-	if _, err := bw.Write(magicV2[:]); err != nil {
+	if _, err := bw.Write(magic[:]); err != nil {
 		return nil, err
 	}
 	if err := bw.WriteByte(byte(content)); err != nil {
@@ -109,7 +107,8 @@ func NewWriter(w io.Writer, content Content, numFrames uint32) (*Writer, error) 
 func (w *Writer) SetTotalCycles(n uint64) { w.total = n }
 
 // Append writes one event record. Events must arrive in non-decreasing
-// cycle order, exactly as Stream.Append enforces.
+// cycle order; several may share a cycle (a superscalar core accesses
+// several lines per cycle).
 func (w *Writer) Append(e Event) error {
 	if w.err != nil {
 		return w.err
@@ -192,45 +191,17 @@ func (w *Writer) Close() error {
 	return w.bw.Flush()
 }
 
-// WriteTagged serializes a complete stream in the v2 container.
-func WriteTagged(w io.Writer, content Content, s *Stream) error {
-	tw, err := NewWriter(w, content, s.NumFrames)
-	if err != nil {
-		return err
-	}
-	for i := range s.Events {
-		if err := tw.Append(s.Events[i]); err != nil {
-			return err
-		}
-	}
-	tw.SetTotalCycles(s.TotalCycles)
-	return tw.Close()
-}
-
-// ReadTagged deserializes either container version. v1 files decode with
-// Content == CacheEvents; v2 files carry their declared content kind.
+// ReadTagged deserializes a trace file written by a Writer, returning its
+// declared content kind with the stream.
 func ReadTagged(r io.Reader) (*Tagged, error) {
 	br := bufio.NewReader(r)
 	var m [8]byte
 	if _, err := io.ReadFull(br, m[:]); err != nil {
 		return nil, fmt.Errorf("trace: reading magic: %w", err)
 	}
-	switch m {
-	case magic:
-		s, err := readV1Body(br)
-		if err != nil {
-			return nil, err
-		}
-		return &Tagged{Content: CacheEvents, Stream: s}, nil
-	case magicV2:
-		return readV2Body(br)
-	default:
+	if m != magic {
 		return nil, errors.New("trace: bad magic, not a leakbound trace")
 	}
-}
-
-// readV2Body decodes everything after the v2 magic.
-func readV2Body(br *bufio.Reader) (*Tagged, error) {
 	cb, err := br.ReadByte()
 	if err != nil {
 		return nil, fmt.Errorf("trace: reading content kind: %w", err)

@@ -6,11 +6,10 @@ import (
 	"testing"
 )
 
-func sampleStream(t *testing.T) *Stream {
-	t.Helper()
-	var s Stream
+func sampleStream() *Stream {
+	s := &Stream{TotalCycles: 1000, NumFrames: 512}
 	for i := uint64(0); i < 50; i++ {
-		e := Event{
+		s.Events = append(s.Events, Event{
 			Cycle:    i * 7,
 			LineAddr: 0x1000 + i*3,
 			Frame:    uint32(i % 16),
@@ -18,21 +17,16 @@ func sampleStream(t *testing.T) *Stream {
 			Cache:    CacheID(i % 3),
 			Kind:     Kind(i % 3),
 			Miss:     i%5 == 0,
-		}
-		if err := s.Append(e); err != nil {
-			t.Fatal(err)
-		}
+		})
 	}
-	s.TotalCycles = 1000
-	s.NumFrames = 512
-	return &s
+	return s
 }
 
 func TestTaggedRoundTrip(t *testing.T) {
-	s := sampleStream(t)
+	s := sampleStream()
 	for _, content := range []Content{CacheEvents, InstrRecording} {
 		var buf bytes.Buffer
-		if err := WriteTagged(&buf, content, s); err != nil {
+		if err := writeStream(&buf, content, s); err != nil {
 			t.Fatalf("%v: write: %v", content, err)
 		}
 		tg, err := ReadTagged(bytes.NewReader(buf.Bytes()))
@@ -56,36 +50,8 @@ func TestTaggedRoundTrip(t *testing.T) {
 	}
 }
 
-func TestReadAcceptsBothVersions(t *testing.T) {
-	s := sampleStream(t)
-	var v1, v2 bytes.Buffer
-	if err := Write(&v1, s); err != nil {
-		t.Fatal(err)
-	}
-	if err := WriteTagged(&v2, CacheEvents, s); err != nil {
-		t.Fatal(err)
-	}
-	for name, buf := range map[string]*bytes.Buffer{"v1": &v1, "v2": &v2} {
-		got, err := Read(bytes.NewReader(buf.Bytes()))
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if len(got.Events) != len(s.Events) || got.TotalCycles != s.TotalCycles {
-			t.Errorf("%s: stream mismatch", name)
-		}
-	}
-	// And a v1 file read through ReadTagged reports CacheEvents.
-	tg, err := ReadTagged(bytes.NewReader(v1.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tg.Content != CacheEvents {
-		t.Errorf("v1 content = %v, want CacheEvents", tg.Content)
-	}
-}
-
 func TestWriterStreaming(t *testing.T) {
-	s := sampleStream(t)
+	s := sampleStream()
 	var buf bytes.Buffer
 	w, err := NewWriter(&buf, InstrRecording, s.NumFrames)
 	if err != nil {
@@ -152,18 +118,18 @@ func TestWriterRejectsNonMonotonic(t *testing.T) {
 }
 
 func TestReadTaggedErrors(t *testing.T) {
-	s := sampleStream(t)
+	s := sampleStream()
 	var good bytes.Buffer
-	if err := WriteTagged(&good, CacheEvents, s); err != nil {
+	if err := writeStream(&good, CacheEvents, s); err != nil {
 		t.Fatal(err)
 	}
 	cases := map[string][]byte{
 		"empty":        {},
 		"bad magic":    []byte("LKBTRC99xxxxxxxxxxxx"),
-		"bad content":  append(append([]byte{}, magicV2[:]...), 0xFF, 0, 0, 0, 0),
+		"bad content":  append(append([]byte{}, magic[:]...), 0xFF, 0, 0, 0, 0),
 		"truncated":    good.Bytes()[:good.Len()/2],
 		"no footer":    good.Bytes()[:good.Len()-2],
-		"unknown tag":  append(append([]byte{}, magicV2[:]...), byte(CacheEvents), 0, 0, 0, 0, 0x7F),
+		"unknown tag":  append(append([]byte{}, magic[:]...), byte(CacheEvents), 0, 0, 0, 0, 0x7F),
 		"count zeroed": func() []byte { b := append([]byte{}, good.Bytes()...); b[good.Len()-3] = 0x09; return b }(),
 	}
 	for name, data := range cases {

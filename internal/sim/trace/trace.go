@@ -7,14 +7,14 @@
 // Events are emitted at cache-line granularity for a specific cache (L1I,
 // L1D, or L2) and carry the frame the line landed in, so downstream analysis
 // can reconstruct per-frame access intervals exactly.
+//
+// On disk a stream lives in one container, "LKBTRC02" (see tagged.go): a
+// header that names the stream's content kind, varint event records
+// appended one at a time by a Writer, and a footer that seals the count and
+// horizon. ReadTagged is its only reader.
 package trace
 
-import (
-	"bufio"
-	"encoding/binary"
-	"fmt"
-	"io"
-)
+import "fmt"
 
 // CacheID identifies which cache in the simulated hierarchy an event
 // belongs to.
@@ -110,36 +110,8 @@ type Stream struct {
 	NumFrames   uint32 // frames in the traced cache (lines), for baselines
 }
 
-// Append adds an event, enforcing cycle monotonicity (events may share a
-// cycle; a superscalar core accesses several lines per cycle).
-func (s *Stream) Append(e Event) error {
-	if err := e.Validate(); err != nil {
-		return err
-	}
-	if n := len(s.Events); n > 0 && e.Cycle < s.Events[n-1].Cycle {
-		return fmt.Errorf("trace: non-monotonic cycle %d after %d", e.Cycle, s.Events[n-1].Cycle)
-	}
-	s.Events = append(s.Events, e)
-	if e.Cycle >= s.TotalCycles {
-		s.TotalCycles = e.Cycle + 1
-	}
-	return nil
-}
-
 // Len returns the number of events.
 func (s *Stream) Len() int { return len(s.Events) }
-
-// FilterCache returns a new stream containing only events for the given
-// cache, sharing the cycle horizon of the original.
-func (s *Stream) FilterCache(c CacheID) *Stream {
-	out := &Stream{TotalCycles: s.TotalCycles, NumFrames: s.NumFrames}
-	for _, e := range s.Events {
-		if e.Cache == c {
-			out.Events = append(out.Events, e)
-		}
-	}
-	return out
-}
 
 // Validate checks ordering and per-event consistency of the whole stream.
 func (s *Stream) Validate() error {
@@ -157,108 +129,4 @@ func (s *Stream) Validate() error {
 		prev = e.Cycle
 	}
 	return nil
-}
-
-// Binary codec
-//
-// The on-disk format is a little-endian fixed header followed by
-// delta-encoded event records. Cycles are stored as varint deltas from the
-// previous event, line addresses and PCs as varints, so loop-heavy traces
-// compress well without any external dependency.
-
-var magic = [8]byte{'L', 'K', 'B', 'T', 'R', 'C', '0', '1'}
-
-// Write serializes the stream to w.
-func Write(w io.Writer, s *Stream) error {
-	bw := bufio.NewWriter(w)
-	if _, err := bw.Write(magic[:]); err != nil {
-		return err
-	}
-	var hdr [8 + 8 + 4]byte
-	binary.LittleEndian.PutUint64(hdr[0:], uint64(len(s.Events)))
-	binary.LittleEndian.PutUint64(hdr[8:], s.TotalCycles)
-	binary.LittleEndian.PutUint32(hdr[16:], s.NumFrames)
-	if _, err := bw.Write(hdr[:]); err != nil {
-		return err
-	}
-	var buf [binary.MaxVarintLen64]byte
-	var prevCycle uint64
-	for i := range s.Events {
-		e := &s.Events[i]
-		n := binary.PutUvarint(buf[:], e.Cycle-prevCycle)
-		if _, err := bw.Write(buf[:n]); err != nil {
-			return err
-		}
-		prevCycle = e.Cycle
-		n = binary.PutUvarint(buf[:], e.LineAddr)
-		if _, err := bw.Write(buf[:n]); err != nil {
-			return err
-		}
-		n = binary.PutUvarint(buf[:], uint64(e.Frame))
-		if _, err := bw.Write(buf[:n]); err != nil {
-			return err
-		}
-		n = binary.PutUvarint(buf[:], e.PC)
-		if _, err := bw.Write(buf[:n]); err != nil {
-			return err
-		}
-		flags := byte(e.Cache) | byte(e.Kind)<<2
-		if e.Miss {
-			flags |= 1 << 4
-		}
-		if err := bw.WriteByte(flags); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
-}
-
-// Read deserializes a stream written with Write or WriteTagged — either
-// container version is accepted; the content kind of v2 files is dropped
-// (use ReadTagged to see it).
-func Read(r io.Reader) (*Stream, error) {
-	tg, err := ReadTagged(r)
-	if err != nil {
-		return nil, err
-	}
-	return tg.Stream, nil
-}
-
-// readV1Body decodes everything after the v1 magic.
-func readV1Body(br *bufio.Reader) (*Stream, error) {
-	var hdr [20]byte
-	if _, err := io.ReadFull(br, hdr[:]); err != nil {
-		return nil, fmt.Errorf("trace: reading header: %w", err)
-	}
-	count := binary.LittleEndian.Uint64(hdr[0:])
-	const maxEvents = 1 << 32
-	if count > maxEvents {
-		return nil, fmt.Errorf("trace: implausible event count %d", count)
-	}
-	// The count is attacker-controlled until the payload actually decodes:
-	// cap the allocation hint and let append grow the slice as real
-	// records arrive (a truncated file then fails fast on ReadUvarint
-	// instead of pre-allocating gigabytes).
-	capHint := count
-	if capHint > 1<<16 {
-		capHint = 1 << 16
-	}
-	s := &Stream{
-		Events:      make([]Event, 0, capHint),
-		TotalCycles: binary.LittleEndian.Uint64(hdr[8:]),
-		NumFrames:   binary.LittleEndian.Uint32(hdr[16:]),
-	}
-	var cycle uint64
-	for i := uint64(0); i < count; i++ {
-		e, next, err := readEvent(br, cycle, int(i))
-		if err != nil {
-			return nil, err
-		}
-		cycle = next
-		s.Events = append(s.Events, e)
-	}
-	if err := s.Validate(); err != nil {
-		return nil, err
-	}
-	return s, nil
 }

@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"io"
 	"math/rand"
 	"reflect"
 	"strings"
@@ -45,51 +46,6 @@ func TestEventValidate(t *testing.T) {
 	}
 }
 
-func TestStreamAppendOrdering(t *testing.T) {
-	var s Stream
-	if err := s.Append(Event{Cycle: 10, Cache: L1I, Kind: Fetch}); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Append(Event{Cycle: 10, Cache: L1D, Kind: Load}); err != nil {
-		t.Errorf("same-cycle append rejected: %v", err)
-	}
-	if err := s.Append(Event{Cycle: 9, Cache: L1D, Kind: Load}); err == nil {
-		t.Error("backwards cycle accepted")
-	}
-	if s.TotalCycles != 11 {
-		t.Errorf("TotalCycles = %d, want 11", s.TotalCycles)
-	}
-	if err := s.Append(Event{Cycle: 5, Cache: CacheID(9)}); err == nil {
-		t.Error("invalid event accepted")
-	}
-}
-
-func TestStreamFilterCache(t *testing.T) {
-	var s Stream
-	for i := uint64(0); i < 10; i++ {
-		c := L1I
-		if i%2 == 1 {
-			c = L1D
-		}
-		if err := s.Append(Event{Cycle: i, Cache: c, Kind: Fetch}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	s.NumFrames = 77
-	d := s.FilterCache(L1D)
-	if d.Len() != 5 {
-		t.Errorf("filtered len = %d, want 5", d.Len())
-	}
-	if d.TotalCycles != s.TotalCycles || d.NumFrames != 77 {
-		t.Error("filter dropped horizon metadata")
-	}
-	for _, e := range d.Events {
-		if e.Cache != L1D {
-			t.Errorf("foreign event in filtered stream: %v", e)
-		}
-	}
-}
-
 func TestStreamValidate(t *testing.T) {
 	s := &Stream{
 		Events:      []Event{{Cycle: 5, Cache: L1I}, {Cycle: 3, Cache: L1I}},
@@ -108,12 +64,29 @@ func TestStreamValidate(t *testing.T) {
 	}
 }
 
+// writeStream encodes a complete stream through a Writer.
+func writeStream(w io.Writer, content Content, s *Stream) error {
+	tw, err := NewWriter(w, content, s.NumFrames)
+	if err != nil {
+		return err
+	}
+	for i := range s.Events {
+		if err := tw.Append(s.Events[i]); err != nil {
+			return err
+		}
+	}
+	tw.SetTotalCycles(s.TotalCycles)
+	return tw.Close()
+}
+
+// randomStream returns n random events in cycle order; the horizon is the
+// last event's cycle + 1.
 func randomStream(rng *rand.Rand, n int) *Stream {
 	s := &Stream{NumFrames: uint32(rng.Intn(4096) + 1)}
 	cycle := uint64(0)
 	for i := 0; i < n; i++ {
 		cycle += uint64(rng.Intn(100))
-		e := Event{
+		s.Events = append(s.Events, Event{
 			Cycle:    cycle,
 			LineAddr: rng.Uint64() >> 6,
 			Frame:    uint32(rng.Intn(2048)),
@@ -121,10 +94,8 @@ func randomStream(rng *rand.Rand, n int) *Stream {
 			Cache:    CacheID(rng.Intn(3)),
 			Kind:     Kind(rng.Intn(3)),
 			Miss:     rng.Intn(4) == 0,
-		}
-		if err := s.Append(e); err != nil {
-			panic(err)
-		}
+		})
+		s.TotalCycles = cycle + 1
 	}
 	return s
 }
@@ -134,14 +105,15 @@ func TestCodecRoundTrip(t *testing.T) {
 	for _, n := range []int{0, 1, 17, 1000} {
 		s := randomStream(rng, n)
 		var buf bytes.Buffer
-		if err := Write(&buf, s); err != nil {
+		if err := writeStream(&buf, CacheEvents, s); err != nil {
 			t.Fatalf("write n=%d: %v", n, err)
 		}
-		got, err := Read(&buf)
+		tg, err := ReadTagged(&buf)
 		if err != nil {
 			t.Fatalf("read n=%d: %v", n, err)
 		}
-		if got.TotalCycles != s.TotalCycles || got.NumFrames != s.NumFrames {
+		got := tg.Stream
+		if tg.Content != CacheEvents || got.TotalCycles != s.TotalCycles || got.NumFrames != s.NumFrames {
 			t.Errorf("n=%d metadata mismatch", n)
 		}
 		if len(got.Events) != len(s.Events) {
@@ -160,13 +132,14 @@ func TestCodecRoundTripProperty(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		s := randomStream(rng, int(nRaw))
 		var buf bytes.Buffer
-		if err := Write(&buf, s); err != nil {
+		if err := writeStream(&buf, CacheEvents, s); err != nil {
 			return false
 		}
-		got, err := Read(&buf)
+		tg, err := ReadTagged(&buf)
 		if err != nil {
 			return false
 		}
+		got := tg.Stream
 		return reflect.DeepEqual(got.Events, s.Events) || (len(got.Events) == 0 && len(s.Events) == 0)
 	}
 	cfg := &quick.Config{MaxCount: 25}
@@ -176,40 +149,27 @@ func TestCodecRoundTripProperty(t *testing.T) {
 }
 
 func TestReadRejectsGarbage(t *testing.T) {
-	if _, err := Read(strings.NewReader("not a trace at all...")); err == nil {
+	if _, err := ReadTagged(strings.NewReader("not a trace at all...")); err == nil {
 		t.Error("garbage accepted")
 	}
-	if _, err := Read(strings.NewReader("LKBTRC01")); err == nil {
+	if _, err := ReadTagged(strings.NewReader("LKBTRC02")); err == nil {
 		t.Error("truncated header accepted")
 	}
-	// valid magic + header claiming events, but no payload
-	var buf bytes.Buffer
-	buf.Write(magic[:])
-	hdr := make([]byte, 20)
-	hdr[0] = 5 // 5 events
-	buf.Write(hdr)
-	if _, err := Read(&buf); err == nil {
+	// valid header and an event tag, but no payload
+	truncated := append(append([]byte{}, magic[:]...), byte(CacheEvents), 0, 0, 0, 0, tagEvent)
+	if _, err := ReadTagged(bytes.NewReader(truncated)); err == nil {
 		t.Error("truncated payload accepted")
 	}
 }
 
-func TestReadRejectsImplausibleCount(t *testing.T) {
-	var buf bytes.Buffer
-	buf.Write(magic[:])
-	hdr := make([]byte, 20)
-	for i := 0; i < 8; i++ {
-		hdr[i] = 0xFF
-	}
-	buf.Write(hdr)
-	if _, err := Read(&buf); err == nil {
-		t.Error("absurd event count accepted")
-	}
-}
-
-func BenchmarkStreamAppend(b *testing.B) {
-	var s Stream
-	for i := 0; i < b.N; i++ {
-		_ = s.Append(Event{Cycle: uint64(i), Cache: L1D, Kind: Load, LineAddr: uint64(i)})
+// TestReadRejectsV1 pins that the retired "LKBTRC01" container is refused:
+// a complete, empty v1 file (magic plus a zeroed 20-byte header) fails
+// with the bad-magic error.
+func TestReadRejectsV1(t *testing.T) {
+	v1 := append([]byte("LKBTRC01"), make([]byte, 20)...)
+	_, err := ReadTagged(bytes.NewReader(v1))
+	if err == nil || !strings.Contains(err.Error(), "bad magic") {
+		t.Errorf("v1 input: got %v, want the bad-magic error", err)
 	}
 }
 
@@ -219,7 +179,7 @@ func BenchmarkCodecWrite(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		var buf bytes.Buffer
-		if err := Write(&buf, s); err != nil {
+		if err := writeStream(&buf, CacheEvents, s); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -229,13 +189,13 @@ func BenchmarkCodecRead(b *testing.B) {
 	rng := rand.New(rand.NewSource(7))
 	s := randomStream(rng, 10000)
 	var buf bytes.Buffer
-	if err := Write(&buf, s); err != nil {
+	if err := writeStream(&buf, CacheEvents, s); err != nil {
 		b.Fatal(err)
 	}
 	raw := buf.Bytes()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Read(bytes.NewReader(raw)); err != nil {
+		if _, err := ReadTagged(bytes.NewReader(raw)); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -15,7 +15,7 @@ import (
 	"time"
 )
 
-// Pool runs tasks on a fixed set of workers. Create with NewPool, submit
+// Pool runs tasks on a fixed set of workers. Create with NewPoolIn, submit
 // with Go, then call Wait exactly once; the pool is not reusable after
 // Wait.
 type Pool struct {
@@ -38,13 +38,8 @@ type poolTask struct {
 	enqueued time.Time
 }
 
-// NewPool starts a pool with the given number of workers, reporting into
-// the default registry; workers <= 0 means runtime.GOMAXPROCS(0).
-func NewPool(workers int) *Pool {
-	return NewPoolIn(Default(), workers)
-}
-
-// NewPoolIn is NewPool reporting into an explicit registry.
+// NewPoolIn starts a pool with the given number of workers, reporting into
+// registry r; workers <= 0 means runtime.GOMAXPROCS(0).
 func NewPoolIn(r *Registry, workers int) *Pool {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)

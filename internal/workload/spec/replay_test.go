@@ -67,24 +67,19 @@ func TestRecordReplayRoundTrip(t *testing.T) {
 }
 
 func TestReadReplayRejectsCacheEvents(t *testing.T) {
-	var st trace.Stream
-	if err := st.Append(trace.Event{Cycle: 0, Cache: trace.L1D, Kind: trace.Load}); err != nil {
+	var buf bytes.Buffer
+	tw, err := trace.NewWriter(&buf, trace.CacheEvents, 0)
+	if err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if err := trace.WriteTagged(&buf, trace.CacheEvents, &st); err != nil {
+	if err := tw.Append(trace.Event{Cycle: 0, Cache: trace.L1D, Kind: trace.Load}); err != nil {
+		t.Fatal(err)
+	}
+	if err := tw.Close(); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := ReadReplay(bytes.NewReader(buf.Bytes()), "x"); err == nil {
 		t.Fatal("cache-event trace accepted as replay")
-	}
-	// v1 files are cache events by definition.
-	buf.Reset()
-	if err := trace.Write(&buf, &st); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ReadReplay(bytes.NewReader(buf.Bytes()), "x"); err == nil {
-		t.Fatal("v1 trace accepted as replay")
 	}
 	if _, err := ReadReplay(bytes.NewReader(nil), "Bad Name!"); err == nil {
 		t.Fatal("invalid replay name accepted")
