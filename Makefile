@@ -49,9 +49,9 @@ vulncheck:
 	fi
 
 # The parallel-pipeline determinism suite under the race detector: the
-# worker-count (suite and studies), concurrent-walk, grid, singleflight
-# and cancellation (AllContext and forEach) tests of the experiments
-# package. Every alternative in the -run pattern must match a test
+# worker-count (suite and studies), concurrent-walk, parallel-evaluation
+# (TestGridMatchesSequential), singleflight and cancellation (AllContext
+# and forEach) tests of the experiments package. Every alternative in the -run pattern must match a test
 # (go test -list), since -run passes silently when nothing matches.
 test-parallel:
 	$(GO) test -race -count=1 -run 'TestWorkersDoNotChangeResults|TestStudiesDoNotDependOnWorkers|TestL2WalksRaceFree|TestGridMatches|TestAllContextCancel|TestForEachCancel|TestDataSingleflight|TestWaiterCancellation' ./internal/experiments/
@@ -74,7 +74,7 @@ bench-json:
 # report without failing; GATE_FLAGS+='-summary $$GITHUB_STEP_SUMMARY'
 # in CI to publish the comparison table.
 bench-gate:
-	$(GO) test -run '^$$' -bench '^(BenchmarkSuiteAll|BenchmarkPipelineSimulateGzip|BenchmarkGridFigure8Workers1|BenchmarkGridFigure8Workers4|BenchmarkGeometrySweepWorkers1|BenchmarkGeometrySweepWorkers4|BenchmarkSweepDense256Reference|BenchmarkSweepDense256Aggregates|BenchmarkParetoPopulation|BenchmarkSpecCompile|BenchmarkReplayPass)$$' \
+	$(GO) test -run '^$$' -bench '^(BenchmarkSuiteAll|BenchmarkPipelineSimulateGzip|BenchmarkFigure8Workers1|BenchmarkFigure8Workers4|BenchmarkGeometrySweepWorkers1|BenchmarkGeometrySweepWorkers4|BenchmarkSweepDense256Reference|BenchmarkSweepDense256Aggregates|BenchmarkParetoPopulation|BenchmarkSpecCompile|BenchmarkReplayPass)$$' \
 		-benchmem -benchtime 100ms -count 3 . | $(GO) run ./cmd/benchsnap -compare . $(GATE_FLAGS)
 
 cover:
@@ -89,9 +89,10 @@ smoke:
 # Replay the seed corpus of every fuzz target as plain tests (no fuzzing
 # time budget needed) — the regression net for the trace and distribution
 # codecs, the tail compaction, the CPU core's fetch grouping, the prefetch
-# classifier, the query parser, and the workload-spec parser.
+# classifier, the query parser, the workload-spec parser, and leakaged's
+# POST bodies.
 fuzz-regress:
-	$(GO) test -run=Fuzz ./internal/sim/trace/ ./internal/sim/cpu/ ./internal/interval/ ./internal/prefetch/ ./internal/experiments/ ./internal/leakage/ ./internal/workload/spec/
+	$(GO) test -run=Fuzz ./internal/sim/trace/ ./internal/sim/cpu/ ./internal/interval/ ./internal/prefetch/ ./internal/experiments/ ./internal/leakage/ ./internal/workload/spec/ ./internal/server/
 
 # Validate every committed example workload spec (parse + strict
 # validation + digest) via the tracegen -check path CI and users share.

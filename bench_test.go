@@ -187,39 +187,29 @@ func BenchmarkPipelineSimulateGzip(b *testing.B) {
 	}
 }
 
-// Grid benches: the Figure 8 evaluation cell set (6 benchmarks x 6
-// schemes x both caches) through EvaluateGrid at different worker counts.
-// Cells carry their own aggregates, so the grid suites need no simulation
-// of their own.
+// Figure 8 benches: Figure8Context on both caches (6 benchmarks x 6
+// schemes each) at different worker counts, over a suite simulated before
+// the timer starts, so only the evaluation is timed.
 
-func benchGrid(b *testing.B, workers int) {
+func benchFigure8(b *testing.B, workers int) {
 	b.Helper()
-	s := sharedSuite(b)
-	all, err := s.AllContext(context.Background())
-	if err != nil {
+	s := experiments.MustNew(experiments.WithScale(benchScale), experiments.WithWorkers(workers))
+	ctx := context.Background()
+	if _, err := s.AllContext(ctx); err != nil {
 		b.Fatal(err)
 	}
-	tech := power.Default()
-	var cells []experiments.Cell
-	for _, bd := range all {
-		for _, p := range experiments.Figure8Policies() {
-			cells = append(cells,
-				experiments.Cell{Tech: tech, Policy: p, Agg: bd.IAgg},
-				experiments.Cell{Tech: tech, Policy: p, Agg: bd.DAgg})
-		}
-	}
-	gs := experiments.MustNew(experiments.WithWorkers(workers))
-	ctx := context.Background()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := gs.EvaluateGrid(ctx, cells); err != nil {
-			b.Fatal(err)
+		for _, iCache := range []bool{true, false} {
+			if _, err := experiments.Figure8Context(ctx, s, iCache); err != nil {
+				b.Fatal(err)
+			}
 		}
 	}
 }
 
-func BenchmarkGridFigure8Workers1(b *testing.B) { benchGrid(b, 1) }
-func BenchmarkGridFigure8Workers4(b *testing.B) { benchGrid(b, 4) }
+func BenchmarkFigure8Workers1(b *testing.B) { benchFigure8(b, 1) }
+func BenchmarkFigure8Workers4(b *testing.B) { benchFigure8(b, 4) }
 
 // benchGeometrySweep measures the geometry sweep: six tasks, one per
 // benchmark, each driving the five geometries' machines from one emit,

@@ -20,7 +20,6 @@ import (
 	"syscall"
 
 	"leakbound/internal/experiments"
-	"leakbound/internal/interval"
 	"leakbound/internal/leakage"
 	"leakbound/internal/power"
 	"leakbound/internal/report"
@@ -89,29 +88,25 @@ func run(ctx context.Context, bench string, scale float64, techName, cacheSide s
 	}
 	fmt.Printf("  inflection points: active-drowsy %.0f, drowsy-sleep %.0f\n\n", a, b)
 
-	sides := []struct {
-		label string
-		dist  *interval.Distribution
-	}{}
+	type sideSpec struct {
+		label  string
+		iCache bool
+	}
+	var sides []sideSpec
 	if cacheSide == "I" || cacheSide == "both" {
-		sides = append(sides, struct {
-			label string
-			dist  *interval.Distribution
-		}{"Instruction cache", data.ICache})
+		sides = append(sides, sideSpec{"Instruction cache", true})
 	}
 	if cacheSide == "D" || cacheSide == "both" {
-		sides = append(sides, struct {
-			label string
-			dist  *interval.Distribution
-		}{"Data cache", data.DCache})
+		sides = append(sides, sideSpec{"Data cache", false})
 	}
 	if len(sides) == 0 {
 		return fmt.Errorf("unknown -cache %q (want I, D, or both)", cacheSide)
 	}
 
 	for _, side := range sides {
+		dist, agg := data.Side(side.iCache)
 		t := report.NewTable(side.label, "policy", "savings")
-		evals, err := leakage.EvaluateAll(tech, side.dist, experiments.Figure8Policies())
+		evals, err := leakage.EvaluateMany(tech, agg, experiments.Figure8Policies())
 		if err != nil {
 			return err
 		}
@@ -123,7 +118,7 @@ func run(ctx context.Context, bench string, scale float64, techName, cacheSide s
 		}
 		fmt.Println()
 		if showStats {
-			st, err := experiments.IntervalStatsTable(side.label+" interval lengths", side.dist)
+			st, err := experiments.IntervalStatsTable(side.label+" interval lengths", dist)
 			if err != nil {
 				return err
 			}

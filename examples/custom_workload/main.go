@@ -82,7 +82,8 @@ func main() {
 	tech := power.Default()
 	t := report.NewTable("Leakage savings potential for the kvstore D-cache (70nm)",
 		"policy", "savings")
-	evs, err := leakage.EvaluateAll(tech, dist, []leakage.Policy{
+	agg := interval.NewAggregates(dist)
+	evs, err := leakage.EvaluateMany(tech, agg, []leakage.Policy{
 		leakage.SleepDecay{Theta: 10000},
 		leakage.PeriodicDrowsy{Window: 2000},
 		leakage.OPTDrowsy{},
@@ -94,7 +95,7 @@ func main() {
 	for _, ev := range evs {
 		t.MustAddRow(ev.Policy, report.Pct(ev.Savings))
 	}
-	adaptive, err := leakage.EvaluateAdaptiveDecay(tech, interval.NewAggregates(dist))
+	adaptive, err := leakage.EvaluateAdaptiveDecay(tech, agg)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -89,7 +89,6 @@ var roster = []rosterEntry{
 	{pkg: "internal/sim/cpu", name: "RunManyContext", tier: entryTier},
 	{pkg: "internal/interval", recv: "Collector", name: "AddCols", tier: entryTier},
 	{pkg: "internal/prefetch", recv: "Classifier", name: "ClassifyObserve", tier: fullTier},
-	{pkg: "internal/leakage", name: "EvaluateAggregate", tier: entryTier},
 	{pkg: "internal/leakage", name: "EvaluateMany", tier: entryTier},
 	{pkg: "internal/leakage", recv: "Compiled", name: "Evaluate", tier: entryTier},
 	{pkg: "internal/u64map", recv: "Pages", name: "Lookup", tier: fullTier},

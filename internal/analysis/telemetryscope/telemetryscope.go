@@ -3,7 +3,7 @@
 // lowercase segment convention (so snapshot keys are a closed, stable,
 // deterministic set — no unbounded cardinality from interpolated names),
 // and metric lookups are hoisted out of loops onto constructor/init
-// paths, the way every existing scope (grid, cpu, server) does it.
+// paths, the way every existing scope (sweep, cpu, server) does it.
 package telemetryscope
 
 import (

@@ -5,10 +5,11 @@ package experiments
 // at): the L2 cache, extra baseline schemes from the related work, the
 // dirty-line write-back cost, and temperature sensitivity.
 //
-// Every L1 table evaluates through the aggregate kernel over the Suite's
-// cached IAgg/DAgg summaries (leakage.EvaluateAggregate), never a bucket
-// walk. The L2 study alone walks its distribution, on purpose: the Suite
-// builds no L2 aggregate, and that one table would be its only reader.
+// Every L1 table evaluates through the aggregate kernels over the Suite's
+// cached IAgg/DAgg summaries (evaluateSide, or leakage.EvaluateMany in one
+// task per aggregate), never a bucket walk. The L2 study alone walks its
+// distribution, on purpose: the Suite builds no L2 aggregate, and that
+// one table would be its only reader.
 
 import (
 	"context"
@@ -30,34 +31,35 @@ func ExtendedSchemesTableContext(ctx context.Context, s *Suite) (*report.Table, 
 		return nil, err
 	}
 	tech := power.Default()
-	rows := []struct {
-		label string
-		fn    column
-	}{
-		{"Drowsy(2000) periodic", savingsOf(tech, leakage.PeriodicDrowsy{Window: 2000})},
-		{"Drowsy(4000) periodic", savingsOf(tech, leakage.PeriodicDrowsy{Window: 4000})},
-		{"Adaptive decay (feedback)", func(agg *interval.Aggregates) (float64, error) {
-			ev, err := leakage.EvaluateAdaptiveDecay(tech, agg)
-			return ev.Savings, err
-		}},
-		{"AMC (tags alive)", func(agg *interval.Aggregates) (float64, error) {
-			ev, err := leakage.EvaluateAMC(tech, agg, 0.06)
-			return ev.Savings, err
-		}},
-		{"OPT-Drowsy (bound)", savingsOf(tech, leakage.OPTDrowsy{})},
-		{"OPT-Hybrid (bound)", savingsOf(tech, leakage.OPTHybrid{})},
+	labels := []string{
+		"Drowsy(2000) periodic", "Drowsy(4000) periodic",
+		"Adaptive decay (feedback)", "AMC (tags alive)",
+		"OPT-Drowsy (bound)", "OPT-Hybrid (bound)",
 	}
-	// One cell per (row, benchmark, side), the side innermost: even cells
-	// are the I-cache, odd the D-cache.
-	vals := make([]float64, len(rows)*len(all)*2)
+	fixed := []leakage.Policy{
+		leakage.PeriodicDrowsy{Window: 2000}, leakage.PeriodicDrowsy{Window: 4000},
+		leakage.OPTDrowsy{}, leakage.OPTHybrid{},
+	}
+	// One task per (benchmark, side) aggregate, the side innermost: even
+	// tasks are the I-cache, odd the D-cache. vals[k] holds the savings of
+	// every row, in labels order.
+	vals := make([][6]float64, 2*len(all))
 	err = s.forEach(ctx, len(vals), func(k int) error {
-		r, bd := rows[k/(2*len(all))], all[k/2%len(all)]
+		bd := all[k/2]
 		_, agg := bd.Side(k%2 == 0)
-		v, err := r.fn(agg)
+		evs, err := leakage.EvaluateMany(tech, agg, fixed)
 		if err != nil {
-			return fmt.Errorf("experiments: %s on %s: %w", r.label, bd.Name, err)
+			return fmt.Errorf("experiments: extended schemes on %s: %w", bd.Name, err)
 		}
-		vals[k] = v
+		adaptive, err := leakage.EvaluateAdaptiveDecay(tech, agg)
+		if err != nil {
+			return fmt.Errorf("experiments: adaptive decay on %s: %w", bd.Name, err)
+		}
+		amc, err := leakage.EvaluateAMC(tech, agg, 0.06)
+		if err != nil {
+			return fmt.Errorf("experiments: AMC on %s: %w", bd.Name, err)
+		}
+		vals[k] = [6]float64{evs[0].Savings, evs[1].Savings, adaptive.Savings, amc.Savings, evs[2].Savings, evs[3].Savings}
 		return nil
 	})
 	if err != nil {
@@ -65,29 +67,16 @@ func ExtendedSchemesTableContext(ctx context.Context, s *Suite) (*report.Table, 
 	}
 	t := report.NewTable("Extension: related-work schemes vs the oracle bounds (70nm, benchmark average)",
 		"scheme", "I-cache", "D-cache")
-	for ri, r := range rows {
+	for ri, label := range labels {
 		var iSum, dSum float64
 		for bi := range all {
-			iSum += vals[(ri*len(all)+bi)*2]
-			dSum += vals[(ri*len(all)+bi)*2+1]
+			iSum += vals[2*bi][ri]
+			dSum += vals[2*bi+1][ri]
 		}
 		n := float64(len(all))
-		t.MustAddRow(r.label, report.Pct(iSum/n), report.Pct(dSum/n))
+		t.MustAddRow(label, report.Pct(iSum/n), report.Pct(dSum/n))
 	}
 	return t, nil
-}
-
-// column computes one table value over one L1 side's aggregates; the
-// extension studies fan their (benchmark, column) cells out through
-// forEach.
-type column func(*interval.Aggregates) (float64, error)
-
-// savingsOf is the column of p's savings at tech.
-func savingsOf(tech power.Technology, p leakage.Policy) column {
-	return func(agg *interval.Aggregates) (float64, error) {
-		ev, err := leakage.EvaluateAggregate(tech, agg, p)
-		return ev.Savings, err
-	}
 }
 
 // L2StudyContext evaluates the oracle policies on the unified 2MB L2 — a
@@ -161,17 +150,25 @@ func WritebackAblationContext(ctx context.Context, s *Suite) (*report.Table, err
 		return nil, err
 	}
 	ratios := []float64{0, 0.25, 0.5, 1.0}
-	cols := make([]column, len(ratios))
+	techs := make([]power.Technology, len(ratios))
 	for i, ratio := range ratios {
-		tech := power.Default()
-		tech.WBEnergy = ratio * tech.CD
-		cols[i] = savingsOf(tech, leakage.OPTHybrid{})
+		techs[i] = power.Default()
+		techs[i].WBEnergy = ratio * techs[i].CD
 	}
-	vals := make([]float64, len(all)*len(cols))
-	err = s.forEach(ctx, len(vals), func(k int) error {
-		v, err := cols[k%len(cols)](all[k/len(cols)].DAgg)
-		vals[k] = v
-		return err
+	// One task per benchmark's D-cache aggregate, evaluating OPT-Hybrid at
+	// every write-back cost.
+	hybrid := []leakage.Policy{leakage.OPTHybrid{}}
+	vals := make([][]float64, len(all))
+	err = s.forEach(ctx, len(all), func(bi int) error {
+		vals[bi] = make([]float64, len(techs))
+		for i, tech := range techs {
+			evs, err := leakage.EvaluateMany(tech, all[bi].DAgg, hybrid)
+			if err != nil {
+				return fmt.Errorf("experiments: write-back ablation on %s: %w", all[bi].Name, err)
+			}
+			vals[bi][i] = evs[0].Savings
+		}
+		return nil
 	})
 	if err != nil {
 		return nil, err
@@ -182,7 +179,7 @@ func WritebackAblationContext(ctx context.Context, s *Suite) (*report.Table, err
 	for i, ratio := range ratios {
 		var sum float64
 		for bi := range all {
-			sum += vals[bi*len(cols)+i]
+			sum += vals[bi][i]
 		}
 		avg := sum / float64(len(all))
 		if ratio == 0 {
@@ -199,9 +196,10 @@ func WritebackAblationContext(ctx context.Context, s *Suite) (*report.Table, err
 // exponentially with T while the induced-miss energy does not, so hot
 // silicon should sleep more aggressively. The paper's generalized model
 // exists exactly to answer questions like this. Each temperature point
-// evaluates through the aggregate fast path over the benchmark's cached
-// summary — the sweep never re-walks the distribution, like every other
-// L1 table here (only the L2 study walks, see L2StudyContext).
+// is its own technology, evaluated inline through leakage.EvaluateMany
+// over the benchmark's cached summary — the sweep never re-walks the
+// distribution, like every other L1 table here (only the L2 study walks,
+// see L2StudyContext).
 func TemperatureSweepContext(ctx context.Context, s *Suite, benchmark string) (*report.Table, error) {
 	bd, err := s.DataContext(ctx, benchmark)
 	if err != nil {
@@ -223,7 +221,7 @@ func TemperatureSweepContext(ctx context.Context, s *Suite, benchmark string) (*
 		if err != nil {
 			return nil, err
 		}
-		ev, err := leakage.EvaluateAggregate(tech, bd.IAgg, leakage.OPTHybrid{})
+		evs, err := leakage.EvaluateMany(tech, bd.IAgg, []leakage.Policy{leakage.OPTHybrid{}})
 		if err != nil {
 			return nil, err
 		}
@@ -231,7 +229,7 @@ func TemperatureSweepContext(ctx context.Context, s *Suite, benchmark string) (*
 			fmt.Sprintf("%.0f", temp),
 			fmt.Sprintf("%.2fx", tech.PActive/base.PActive),
 			fmt.Sprintf("%.0f", b),
-			report.Pct(ev.Savings),
+			report.Pct(evs[0].Savings),
 		)
 	}
 	return t, nil
@@ -282,33 +280,22 @@ func LiveDeadStudyContext(ctx context.Context, s *Suite) (*report.Table, error) 
 	if err != nil {
 		return nil, err
 	}
-	tech := power.Default()
-	cols := []column{
-		func(agg *interval.Aggregates) (float64, error) {
-			var deadMass uint64
-			for i := range agg.Classes() {
-				if cls := &agg.Classes()[i]; cls.Flags&interval.DeadEnd != 0 {
-					deadMass += cls.TotalMass()
-				}
-			}
-			return float64(deadMass) / float64(agg.Mass()), nil
-		},
-		savingsOf(tech, leakage.OPTHybrid{}),
-		savingsOf(tech, leakage.DeadAwareHybrid{}),
-	}
-	vals := make([]float64, len(all)*len(cols))
-	err = s.forEach(ctx, len(vals), func(k int) error {
-		v, err := cols[k%len(cols)](all[k/len(cols)].DAgg)
-		vals[k] = v
-		return err
-	})
+	res, err := s.evaluateSide(ctx, "live-dead", all, false, power.Default(),
+		[]leakage.Policy{leakage.OPTHybrid{}, leakage.DeadAwareHybrid{}})
 	if err != nil {
 		return nil, err
 	}
 	t := report.NewTable("Extension: live vs dead intervals (D-cache, 70nm) — Section 3.1's claim",
 		"benchmark", "dead mass share", "OPT-Hybrid (length only)", "dead-aware hybrid", "delta")
 	for bi, bd := range all {
-		share, lengthOnly, deadAware := vals[bi*3], vals[bi*3+1], vals[bi*3+2]
+		var deadMass uint64
+		for i := range bd.DAgg.Classes() {
+			if cls := &bd.DAgg.Classes()[i]; cls.Flags&interval.DeadEnd != 0 {
+				deadMass += cls.TotalMass()
+			}
+		}
+		share := float64(deadMass) / float64(bd.DAgg.Mass())
+		lengthOnly, deadAware := res[bi][0].Savings, res[bi][1].Savings
 		t.MustAddRow(bd.Name,
 			report.Pct(share),
 			report.Pct(lengthOnly),

@@ -23,41 +23,30 @@ func Figure7Thetas() []uint64 {
 // (sleep+drowsy) method while sweeping the minimum interval length that
 // may be put to sleep. Results are averaged across all benchmarks, as in
 // the paper. iCache selects Figure 7(a) (instruction cache) vs 7(b) (data
-// cache). The (theta x benchmark x {sleep, hybrid}) cells evaluate
-// concurrently on the suite's grid; the per-theta averages are then
-// reduced in the sequential loop order, so the series are bit-identical to
-// a sequential evaluation.
+// cache). The (theta x {sleep, hybrid}) policy list evaluates on every
+// benchmark through evaluateSide; the per-theta averages are then reduced
+// in benchmark order.
 func Figure7Context(ctx context.Context, s *Suite, iCache bool) (sleep, hybrid *report.Series, err error) {
 	all, err := s.AllContext(ctx)
 	if err != nil {
 		return nil, nil, err
 	}
-	tech := power.Default()
 	thetas := Figure7Thetas()
-	cells := make([]Cell, 0, 2*len(thetas)*len(all))
+	pols := make([]leakage.Policy, 0, 2*len(thetas))
 	for _, theta := range thetas {
-		for _, bd := range all {
-			_, agg := bd.Side(iCache)
-			cells = append(cells,
-				Cell{Tech: tech, Policy: leakage.OPTSleep{Theta: theta}, Agg: agg,
-					Label: fmt.Sprintf("fig7/%s/sleep@%d", bd.Name, theta)},
-				Cell{Tech: tech, Policy: leakage.OPTHybrid{SleepTheta: theta}, Agg: agg,
-					Label: fmt.Sprintf("fig7/%s/hybrid@%d", bd.Name, theta)})
-		}
+		pols = append(pols, leakage.OPTSleep{Theta: theta}, leakage.OPTHybrid{SleepTheta: theta})
 	}
-	evs, err := s.EvaluateGrid(ctx, cells)
+	res, err := s.evaluateSide(ctx, "fig7", all, iCache, power.Default(), pols)
 	if err != nil {
 		return nil, nil, err
 	}
 	sleep = &report.Series{Name: "Sleep"}
 	hybrid = &report.Series{Name: "Sleep+Drowsy"}
-	i := 0
-	for _, theta := range thetas {
+	for ti, theta := range thetas {
 		var sSum, hSum float64
-		for range all {
-			sSum += evs[i].Savings
-			hSum += evs[i+1].Savings
-			i += 2
+		for bi := range all {
+			sSum += res[bi][2*ti].Savings
+			hSum += res[bi][2*ti+1].Savings
 		}
 		n := float64(len(all))
 		sleep.Add(float64(theta), sSum/n)
@@ -86,37 +75,25 @@ type Figure8Row struct {
 }
 
 // Figure8Context evaluates the six schemes on every benchmark plus the
-// average, for one cache side, at 70nm. The (benchmark x scheme) cells
-// evaluate concurrently on the suite's grid; rows and averages are reduced
-// in the sequential loop order, bit-identical to a sequential evaluation.
+// average, for one cache side, at 70nm, through evaluateSide; the average
+// row is reduced in benchmark order.
 func Figure8Context(ctx context.Context, s *Suite, iCache bool) ([]Figure8Row, error) {
 	all, err := s.AllContext(ctx)
 	if err != nil {
 		return nil, err
 	}
-	tech := power.Default()
 	policies := Figure8Policies()
-	cells := make([]Cell, 0, len(all)*len(policies))
-	for _, bd := range all {
-		_, agg := bd.Side(iCache)
-		for _, p := range policies {
-			cells = append(cells, Cell{Tech: tech, Policy: p, Agg: agg,
-				Label: fmt.Sprintf("fig8/%s/%s", bd.Name, p.Name())})
-		}
-	}
-	evs, err := s.EvaluateGrid(ctx, cells)
+	res, err := s.evaluateSide(ctx, "fig8", all, iCache, power.Default(), policies)
 	if err != nil {
 		return nil, err
 	}
 	rows := make([]Figure8Row, 0, len(all)+1)
 	avg := make([]float64, len(policies))
-	k := 0
-	for _, bd := range all {
+	for bi, bd := range all {
 		row := Figure8Row{Benchmark: bd.Name, Savings: make([]float64, len(policies))}
-		for i := range policies {
-			row.Savings[i] = evs[k].Savings
-			avg[i] += evs[k].Savings / float64(len(all))
-			k++
+		for i, ev := range res[bi] {
+			row.Savings[i] = ev.Savings
+			avg[i] += ev.Savings / float64(len(all))
 		}
 		rows = append(rows, row)
 	}

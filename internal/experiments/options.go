@@ -2,7 +2,9 @@ package experiments
 
 // The context-aware options API. experiments.New(opts...) is the only
 // constructor; the deprecated NewSuite/MustNewSuite scale-only wrappers
-// are gone now that every call site uses options.
+// are gone now that every call site uses options. The one parallelism
+// knob, WithWorkers, sizes the pool every simulation and every
+// per-benchmark evaluation task runs on.
 
 import (
 	"errors"
@@ -49,8 +51,8 @@ func WithCacheDir(dir string) Option {
 	}
 }
 
-// WithMetrics directs the suite's telemetry (simulation timings, grid cell
-// metrics, disk-cache hits, pool utilization) into reg instead of the
+// WithMetrics directs the suite's telemetry (simulation timings, sweep
+// counters, disk-cache hits, pool utilization) into reg instead of the
 // process-wide default registry. Useful for tests and for isolating
 // concurrent sweeps.
 func WithMetrics(reg *telemetry.Registry) Option {
@@ -64,9 +66,10 @@ func WithMetrics(reg *telemetry.Registry) Option {
 }
 
 // WithWorkers bounds the suite's parallelism: each fan-out (forEach) — the
-// benchmarks, the geometry sweep, every evaluation's cells — runs on a pool
-// of n workers, one simulation per goroutine, and no result depends on n.
-// n <= 0 (the default) means GOMAXPROCS, resolved at each use.
+// benchmarks, the geometry sweep, every evaluation's per-benchmark tasks —
+// runs on a pool of n workers, one simulation per goroutine, and no result
+// depends on n. n <= 0 (the default) means GOMAXPROCS, resolved at each
+// use.
 func WithWorkers(n int) Option {
 	return func(s *Suite) error {
 		s.workers = n

@@ -11,6 +11,7 @@ package experiments
 import (
 	"context"
 	"fmt"
+	"slices"
 	"strings"
 
 	"leakbound/internal/leakage"
@@ -193,24 +194,17 @@ func (s *Suite) TechniqueFamiliesTableContext(ctx context.Context, iCache bool, 
 		leakage.Coloring{Colors: 64, Frames: leakage.DefaultColoringFrames},
 		leakage.PrefetchB(),
 	}
-	// One policy slot per benchmark row: the fixed set plus a WayMemo at
-	// that benchmark's measured engine accuracy.
-	perBench := make([][]leakage.Policy, len(all))
-	cells := make([]Cell, 0, len(all)*(len(fixed)+1))
-	for bi, bd := range all {
-		_, agg := bd.Side(iCache)
-		acc := bd.IEngine.Accuracy()
+	// One list for every row: the fixed set, then a WayMemo at each
+	// benchmark's measured engine accuracy, of which row bi reads its own.
+	pols := slices.Clone(fixed)
+	for _, bd := range all {
+		eng := bd.IEngine
 		if !iCache {
-			acc = bd.DEngine.Accuracy()
+			eng = bd.DEngine
 		}
-		pols := append(append([]leakage.Policy{}, fixed...), leakage.WayMemo{Accuracy: acc})
-		perBench[bi] = pols
-		for _, p := range pols {
-			cells = append(cells, Cell{Tech: tech, Policy: p, Agg: agg,
-				Label: fmt.Sprintf("families/%s/%s", bd.Name, p.Name())})
-		}
+		pols = append(pols, leakage.WayMemo{Accuracy: eng.Accuracy()})
 	}
-	evs, err := s.EvaluateGrid(ctx, cells)
+	res, err := s.evaluateSide(ctx, "families", all, iCache, tech, pols)
 	if err != nil {
 		return nil, err
 	}
@@ -224,15 +218,16 @@ func (s *Suite) TechniqueFamiliesTableContext(ctx context.Context, iCache bool, 
 	}
 	headers = append(headers, "WayMemo(engine)")
 	t := report.NewTable("Technique families "+side+": savings vs the OPT-Hybrid bound", headers...)
-	nPols := len(fixed) + 1
-	avg := make([]float64, nPols)
-	k := 0
-	for _, bd := range all {
+	avg := make([]float64, len(fixed)+1)
+	for bi, bd := range all {
 		row := []string{bd.Name}
-		for i := 0; i < nPols; i++ {
-			row = append(row, report.Pct(evs[k].Savings))
-			avg[i] += evs[k].Savings / float64(len(all))
-			k++
+		for i := range avg {
+			ev := res[bi][i]
+			if i == len(fixed) {
+				ev = res[bi][len(fixed)+bi]
+			}
+			row = append(row, report.Pct(ev.Savings))
+			avg[i] += ev.Savings / float64(len(all))
 		}
 		t.MustAddRow(row...)
 	}

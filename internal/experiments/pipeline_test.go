@@ -2,7 +2,7 @@ package experiments
 
 // Tests for the parallel pipeline: the worker count must not change any
 // simulation product, shared distributions must be safe to walk
-// concurrently, the evaluation grid must be bit-identical to the
+// concurrently, the parallel evaluation must be bit-identical to the
 // sequential evaluation loops it replaced, cancellation must be prompt
 // and leak-free, and the singleflight gate must collapse concurrent
 // simulations of one benchmark into one run.
@@ -119,15 +119,15 @@ func walkConcurrently(t *testing.T, label string, d *interval.Distribution) {
 	}
 }
 
-// TestGridMatchesSequential is the golden check for the evaluation grid:
-// Figure 7, Figure 8 and Table 2 values computed through EvaluateGrid must
+// TestGridMatchesSequential is the golden check for the parallel
+// evaluation path: Figure 7, Figure 8 and Table 2 values computed through
+// evaluateSide (one compiled policy list, one task per benchmark) must
 // equal — bit for bit, not approximately — a sequential re-evaluation in
-// the original loop order. The grid now evaluates through the aggregate
-// fast path (Cell.Agg), so the sequential oracle here is
-// leakage.EvaluateAggregate over the same cached summaries: scheduling
-// order must still never leak into the output. Fast-path agreement with
-// the reference bucket walk is pinned separately in
-// leakage.TestEvaluateAggregateMatchesReference.
+// the original loop order. The sequential oracle here is single-policy
+// leakage.EvaluateMany over the same cached summaries: neither scheduling
+// order nor a policy's position in the compiled list may leak into the
+// output. Fast-path agreement with the reference bucket walk is pinned
+// separately in leakage.TestEvaluateAggregateMatchesReference.
 func TestGridMatchesSequential(t *testing.T) {
 	s := testSuiteShared
 	all, err := s.AllContext(context.Background())
@@ -135,6 +135,14 @@ func TestGridMatchesSequential(t *testing.T) {
 		t.Fatal(err)
 	}
 	tech := power.Default()
+	sequential := func(agg *interval.Aggregates, p leakage.Policy) leakage.Evaluation {
+		t.Helper()
+		evs, err := leakage.EvaluateMany(tech, agg, []leakage.Policy{p})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return evs[0]
+	}
 
 	// Figure 8, I-cache side.
 	rows, err := Figure8Context(context.Background(), s, true)
@@ -145,10 +153,7 @@ func TestGridMatchesSequential(t *testing.T) {
 	wantAvg := make([]float64, len(policies))
 	for r, bd := range all {
 		for i, p := range policies {
-			ev, err := leakage.EvaluateAggregate(tech, bd.IAgg, p)
-			if err != nil {
-				t.Fatal(err)
-			}
+			ev := sequential(bd.IAgg, p)
 			if rows[r].Savings[i] != ev.Savings {
 				t.Fatalf("fig8 %s/%s: grid %v != sequential %v",
 					bd.Name, p.Name(), rows[r].Savings[i], ev.Savings)
@@ -172,14 +177,8 @@ func TestGridMatchesSequential(t *testing.T) {
 	for ti, theta := range Figure7Thetas() {
 		var sSum, hSum float64
 		for _, bd := range all {
-			sEv, err := leakage.EvaluateAggregate(tech, bd.DAgg, leakage.OPTSleep{Theta: theta})
-			if err != nil {
-				t.Fatal(err)
-			}
-			hEv, err := leakage.EvaluateAggregate(tech, bd.DAgg, leakage.OPTHybrid{SleepTheta: theta})
-			if err != nil {
-				t.Fatal(err)
-			}
+			sEv := sequential(bd.DAgg, leakage.OPTSleep{Theta: theta})
+			hEv := sequential(bd.DAgg, leakage.OPTHybrid{SleepTheta: theta})
 			sSum += sEv.Savings
 			hSum += hEv.Savings
 		}
@@ -202,11 +201,7 @@ func TestGridMatchesSequential(t *testing.T) {
 		}
 		var sum float64
 		for _, bd := range all {
-			ev, err := leakage.EvaluateAggregate(tech, bd.DAgg, pol)
-			if err != nil {
-				t.Fatal(err)
-			}
-			sum += ev.Savings
+			sum += sequential(bd.DAgg, pol).Savings
 		}
 		if want := sum / float64(len(all)); got != want {
 			t.Fatalf("table2 %s: grid %v != sequential %v", scheme, got, want)
@@ -450,16 +445,16 @@ func TestOptionsValidation(t *testing.T) {
 	}
 }
 
-// TestEvaluateGridErrors verifies grid failures carry the underlying
-// sentinel and the cell label.
-func TestEvaluateGridErrors(t *testing.T) {
+// TestEvaluateSideErrors verifies an evaluation failure carries the
+// underlying sentinel and names the query and the benchmark.
+func TestEvaluateSideErrors(t *testing.T) {
 	s := MustNew(WithMetrics(telemetry.NewRegistry()))
-	cells := []Cell{{Tech: power.Default(), Policy: leakage.OPTDrowsy{}, Agg: nil, Label: "bad/cell"}}
-	_, err := s.EvaluateGrid(context.Background(), cells)
+	all := []*BenchmarkData{{Name: "bad-bench"}}
+	_, err := s.evaluateSide(context.Background(), "bad-query", all, true, power.Default(), []leakage.Policy{leakage.OPTDrowsy{}})
 	if !errors.Is(err, leakage.ErrNilDistribution) {
 		t.Fatalf("got %v, want leakage.ErrNilDistribution", err)
 	}
-	if !strings.Contains(err.Error(), "bad/cell") {
-		t.Fatalf("error %q does not name the failing cell", err)
+	if !strings.Contains(err.Error(), "bad-query/bad-bench") {
+		t.Fatalf("error %q does not name the query and the benchmark", err)
 	}
 }

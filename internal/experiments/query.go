@@ -4,9 +4,11 @@ package experiments
 // figure and table of the suite is a closed-form function of
 // (technology x policy x benchmark x cache side), and these helpers
 // expose that space as parseable, parameterized queries instead of the
-// fixed figure set the batch CLIs print. All evaluations route through
-// the suite's EvaluateGrid, so served cells share the same telemetry
-// ("grid" scope) and worker bound as the batch sweeps.
+// fixed figure set the batch CLIs print. A served cell evaluates inline
+// on the request goroutine through leakage.EvaluateMany; every query over
+// the suite's benchmarks goes through evaluateSide, one compiled policy
+// list per query and one worker-pool task per benchmark, the same path as
+// the batch figures and tables.
 
 import (
 	"context"
@@ -143,37 +145,40 @@ type CellEvaluation struct {
 
 // EvaluateCellContext evaluates one policy on one benchmark's cache at one
 // technology node, simulating the benchmark on first use (shared through
-// the suite's singleflight) and evaluating on the suite's grid.
+// the suite's singleflight).
 func (s *Suite) EvaluateCellContext(ctx context.Context, benchmark string, iCache bool, tech power.Technology, pol leakage.Policy) (CellEvaluation, error) {
 	bd, err := s.DataContext(ctx, benchmark)
 	if err != nil {
 		return CellEvaluation{}, err
 	}
-	return s.evaluateCell(ctx, bd, benchmark, benchmark, iCache, tech, pol)
+	return evaluateCell(ctx, bd, benchmark, benchmark, iCache, tech, pol)
 }
 
-// evaluateCell evaluates pol on one cache side of bd as a one-cell grid,
-// reporting the cell under benchmark; scope is the grid label's element
-// naming where the data came from (the benchmark, or "adhoc").
-func (s *Suite) evaluateCell(ctx context.Context, bd *BenchmarkData, benchmark, scope string, iCache bool, tech power.Technology, pol leakage.Policy) (CellEvaluation, error) {
+// evaluateCell evaluates pol on one cache side of bd inline (one cell
+// needs no pool), reporting the cell under benchmark; scope names where
+// the data came from (the benchmark, or "adhoc") in errors.
+func evaluateCell(ctx context.Context, bd *BenchmarkData, benchmark, scope string, iCache bool, tech power.Technology, pol leakage.Policy) (CellEvaluation, error) {
+	if err := ctx.Err(); err != nil {
+		return CellEvaluation{}, err
+	}
 	_, agg := bd.Side(iCache)
 	side := "i"
 	if !iCache {
 		side = "d"
 	}
-	evs, err := s.EvaluateGrid(ctx, []Cell{{Tech: tech, Policy: pol, Agg: agg,
-		Label: fmt.Sprintf("query/%s/%s/%s/%s", scope, side, tech.Name, pol.Name())}})
+	evs, err := leakage.EvaluateMany(tech, agg, []leakage.Policy{pol})
 	if err != nil {
-		return CellEvaluation{}, err
+		return CellEvaluation{}, fmt.Errorf("experiments: query %s/%s/%s: %w", scope, side, tech.Name, err)
 	}
+	ev := evs[0]
 	return CellEvaluation{
 		Benchmark:  benchmark,
 		Cache:      side,
 		Technology: tech.Name,
-		Policy:     evs[0].Policy,
-		Energy:     evs[0].Energy,
-		Baseline:   evs[0].Baseline,
-		Savings:    evs[0].Savings,
+		Policy:     ev.Policy,
+		Energy:     ev.Energy,
+		Baseline:   ev.Baseline,
+		Savings:    ev.Savings,
 	}, nil
 }
 
@@ -198,15 +203,11 @@ type ParamSweepPoint struct {
 // cache at tech, and averages. An empty param selects the scheme's
 // positional parameter.
 //
-// Dense sweeps are the aggregate kernel's home turf. The value list is
-// compiled once (leakage.Compile: one curve per value and flags class
-// present in any benchmark, one name per value), then each benchmark task
-// answers it in one pass over the suite's cached prefix aggregates:
-// O(values x classes) prefix searches per benchmark, each starting from
-// the previous value's answer, instead of the pre-aggregate
-// O(values x buckets) walk. The reduction runs in deterministic
-// value-major, benchmark-inner order, matching the sequential loop the
-// grid path used.
+// Dense sweeps are the aggregate kernel's home turf: evaluateSide
+// compiles the value list once, then each benchmark task answers it in
+// one pass over the suite's cached prefix aggregates, O(values x classes)
+// prefix searches per benchmark, each starting from the previous value's
+// answer. The reduction runs in value-major, benchmark-inner order.
 func (s *Suite) SweepParamContext(ctx context.Context, scheme, param string, iCache bool, tech power.Technology, values []leakage.ParamValue) ([]ParamSweepPoint, error) {
 	pols, name, err := resolveSweepPolicies(scheme, param, tech, values)
 	if err != nil {
@@ -216,17 +217,47 @@ func (s *Suite) SweepParamContext(ctx context.Context, scheme, param string, iCa
 	if err != nil {
 		return nil, err
 	}
+	res, err := s.evaluateSide(ctx, "sweep "+name, all, iCache, tech, pols)
+	if err != nil {
+		return nil, err
+	}
+	return s.sweepPoints(values, res), nil
+}
+
+// sweepPoints averages each value's savings over the benchmarks of res
+// (res[benchmark][value]) in benchmark order and counts the sweep in the
+// "sweep" telemetry scope.
+func (s *Suite) sweepPoints(values []leakage.ParamValue, res [][]leakage.Evaluation) []ParamSweepPoint {
+	sc := s.metrics.Scope("sweep")
+	sc.Counter("points").Add(uint64(len(values)))
+	sc.Counter("evaluations").Add(uint64(len(values) * len(res)))
+	out := make([]ParamSweepPoint, 0, len(values))
+	for vi, v := range values {
+		var sum float64
+		for bi := range res {
+			sum += res[bi][vi].Savings
+		}
+		out = append(out, ParamSweepPoint{Value: v, Savings: sum / float64(len(res))})
+	}
+	return out
+}
+
+// evaluateSide is the suite's one evaluation over its benchmarks: it
+// compiles pols once at tech over the chosen cache side of all, then
+// answers the whole list on each benchmark in one forEach task.
+// res[bi][pi] is policy pi on benchmark bi, whatever the worker count;
+// errors name the query and the benchmark.
+func (s *Suite) evaluateSide(ctx context.Context, query string, all []*BenchmarkData, iCache bool, tech power.Technology, pols []leakage.Policy) ([][]leakage.Evaluation, error) {
 	aggs := sideAggregates(all, iCache)
 	cp, err := leakage.Compile(tech, pols, aggs...)
 	if err != nil {
-		return nil, fmt.Errorf("experiments: sweep %s: %w", name, err)
+		return nil, fmt.Errorf("experiments: %s: %w", query, err)
 	}
-	sc := s.metrics.Scope("sweep")
 	res := make([][]leakage.Evaluation, len(all))
 	err = s.forEach(ctx, len(all), func(bi int) error {
 		evs, err := cp.Evaluate(aggs[bi])
 		if err != nil {
-			return fmt.Errorf("experiments: sweep %s/%s: %w", name, all[bi].Name, err)
+			return fmt.Errorf("experiments: %s/%s: %w", query, all[bi].Name, err)
 		}
 		res[bi] = evs
 		return nil
@@ -234,17 +265,7 @@ func (s *Suite) SweepParamContext(ctx context.Context, scheme, param string, iCa
 	if err != nil {
 		return nil, err
 	}
-	sc.Counter("points").Add(uint64(len(values)))
-	sc.Counter("evaluations").Add(uint64(len(values) * len(all)))
-	out := make([]ParamSweepPoint, 0, len(values))
-	for vi, v := range values {
-		var sum float64
-		for bi := range all {
-			sum += res[bi][vi].Savings
-		}
-		out = append(out, ParamSweepPoint{Value: v, Savings: sum / float64(len(all))})
-	}
-	return out, nil
+	return res, nil
 }
 
 // sideAggregates returns each benchmark's aggregates for the chosen cache

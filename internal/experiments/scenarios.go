@@ -142,14 +142,15 @@ func (s *Suite) EvaluateScenarioCellContext(ctx context.Context, sc Scenario, iC
 	if err != nil {
 		return CellEvaluation{}, err
 	}
-	return s.evaluateCell(ctx, bd, bd.Name, "adhoc", iCache, tech, pol)
+	return evaluateCell(ctx, bd, bd.Name, "adhoc", iCache, tech, pol)
 }
 
 // SweepParamScenarioContext sweeps a scheme parameter over a single
 // ad-hoc scenario's chosen cache: the scenario-scoped counterpart of
-// SweepParamContext, answering the whole value list in one
-// leakage.EvaluateMany pass over the scenario's prefix aggregates.
-// Points carry the scenario's own savings, not a suite average.
+// SweepParamContext, answering the whole value list in one inline
+// leakage.EvaluateMany pass over the scenario's prefix aggregates (one
+// aggregate needs no pool). Points carry the scenario's own savings, not
+// a suite average.
 func (s *Suite) SweepParamScenarioContext(ctx context.Context, sc Scenario, scheme, param string, iCache bool, tech power.Technology, values []leakage.ParamValue) ([]ParamSweepPoint, error) {
 	pols, name, err := resolveSweepPolicies(scheme, param, tech, values)
 	if err != nil {
@@ -167,12 +168,5 @@ func (s *Suite) SweepParamScenarioContext(ctx context.Context, sc Scenario, sche
 	if err != nil {
 		return nil, fmt.Errorf("experiments: sweep %s/%s: %w", name, bd.Name, err)
 	}
-	msc := s.metrics.Scope("sweep")
-	msc.Counter("points").Add(uint64(len(values)))
-	msc.Counter("evaluations").Add(uint64(len(values)))
-	out := make([]ParamSweepPoint, 0, len(values))
-	for vi, v := range values {
-		out = append(out, ParamSweepPoint{Value: v, Savings: evs[vi].Savings})
-	}
-	return out, nil
+	return s.sweepPoints(values, [][]leakage.Evaluation{evs}), nil
 }

@@ -17,9 +17,11 @@
 // (internal/sim/stream) — no intermediate trace is ever materialized.
 // Parallelism lives above that pass, in one indexed fan-out (Suite.forEach)
 // on a pool sized by WithWorkers: the benchmarks of AllContext, the
-// geometry sweep's simulations, and the cells of every evaluation — the
-// grid, sweeps, Pareto populations and extension studies — all run
-// through it. Each task fills its own slot and callers reduce in index
+// geometry sweep's simulations, and every evaluation, one task per
+// benchmark aggregate answering a policy list compiled once per query
+// (evaluateSide: the figures, tables, sweeps and extension studies; and
+// Pareto populations) — all run through it. A single cell evaluates
+// inline. Each task fills its own slot and callers reduce in index
 // order, so every result is the same whatever the worker count: it is a
 // pure performance knob. Every operation has one entry point, and it takes
 // a ctx: long sweeps return ctx.Err() promptly, flushing partial telemetry

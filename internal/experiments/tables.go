@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 
+	"leakbound/internal/leakage"
 	"leakbound/internal/power"
 	"leakbound/internal/report"
 )
@@ -64,10 +65,9 @@ func Table1() (*report.Table, error) {
 // Table2Context reproduces the technology-scaling study: the average (over
 // all benchmarks) optimal savings of OPT-Drowsy, OPT-Sleep (theta = the
 // inflection point b) and OPT-Hybrid, for both caches, at each process
-// node. The rows also carry Vdd and Vth as the paper's table does. The
-// full (cache x scheme x technology x benchmark) nest evaluates
-// concurrently on the suite's grid; cell averages are reduced in the
-// sequential loop order, bit-identical to a sequential evaluation.
+// node. The rows also carry Vdd and Vth as the paper's table does. Each
+// (cache, technology) pair is one evaluateSide query over the three
+// schemes; cell averages are reduced in benchmark order.
 func Table2Context(ctx context.Context, s *Suite) (*report.Table, error) {
 	all, err := s.AllContext(ctx)
 	if err != nil {
@@ -88,50 +88,65 @@ func Table2Context(ctx context.Context, s *Suite) (*report.Table, error) {
 	t.MustAddRow(vddRow...)
 	t.MustAddRow(vthRow...)
 
-	sides := []string{"I-Cache", "D-Cache"}
-	schemes := []string{"OPT-Drowsy", "OPT-Sleep", "OPT-Hybrid"}
-	cells := make([]Cell, 0, len(sides)*len(schemes)*len(techs)*len(all))
-	for _, cacheSide := range sides {
-		for _, scheme := range schemes {
-			for _, tech := range techs {
-				pol, err := table2Policy(scheme, tech)
-				if err != nil {
+	for _, side := range []string{"I-Cache", "D-Cache"} {
+		// rows[i] is scheme i's row; each technology appends one column.
+		rows := make([][]string, len(table2Schemes))
+		for i, scheme := range table2Schemes {
+			rows[i] = []string{side, scheme + " (%)"}
+		}
+		for _, tech := range techs {
+			pols := make([]leakage.Policy, len(table2Schemes))
+			for i, scheme := range table2Schemes {
+				if pols[i], err = table2Policy(scheme, tech); err != nil {
 					return nil, err
 				}
-				for _, bd := range all {
-					_, agg := bd.Side(cacheSide != "D-Cache")
-					cells = append(cells, Cell{Tech: tech, Policy: pol, Agg: agg,
-						Label: fmt.Sprintf("table2/%s/%s/%s/%s", cacheSide, scheme, tech.Name, bd.Name)})
+			}
+			res, err := s.evaluateSide(ctx, "table2/"+side+"/"+tech.Name, all, side != "D-Cache", tech, pols)
+			if err != nil {
+				return nil, err
+			}
+			for i := range pols {
+				var sum float64
+				for bi := range all {
+					sum += res[bi][i].Savings
 				}
+				rows[i] = append(rows[i], fmt.Sprintf("%.1f", 100*sum/float64(len(all))))
 			}
 		}
-	}
-	evs, err := s.EvaluateGrid(ctx, cells)
-	if err != nil {
-		return nil, err
-	}
-	k := 0
-	for _, cacheSide := range sides {
-		for _, scheme := range schemes {
-			row := []string{cacheSide, scheme + " (%)"}
-			for range techs {
-				var sum float64
-				for range all {
-					sum += evs[k].Savings
-					k++
-				}
-				row = append(row, fmt.Sprintf("%.1f", 100*sum/float64(len(all))))
-			}
+		for _, row := range rows {
 			t.MustAddRow(row...)
 		}
 	}
 	return t, nil
 }
 
+// table2Schemes lists Table 2's schemes in row order.
+var table2Schemes = []string{"OPT-Drowsy", "OPT-Sleep", "OPT-Hybrid"}
+
+// table2Policy builds the policy for one Table 2 scheme at one technology
+// node (OPT-Sleep's theta is that node's drowsy-sleep inflection point).
+func table2Policy(scheme string, tech power.Technology) (leakage.Policy, error) {
+	_, b, err := tech.InflectionPoints()
+	if err != nil {
+		return nil, err
+	}
+	switch scheme {
+	case "OPT-Drowsy":
+		return leakage.OPTDrowsy{}, nil
+	case "OPT-Sleep":
+		return leakage.OPTSleep{Theta: uint64(math.Round(b))}, nil
+	case "OPT-Hybrid":
+		return leakage.OPTHybrid{}, nil
+	default:
+		return nil, fmt.Errorf("%w: %q", ErrUnknownScheme, scheme)
+	}
+}
+
 // Table2ValueContext computes one cell of Table 2 programmatically: the
 // average savings for a scheme/cache/technology triple. Scheme is one of
 // "OPT-Drowsy", "OPT-Sleep", "OPT-Hybrid"; iCache selects the cache side.
-// Unknown schemes report ErrUnknownScheme.
+// Unknown schemes report ErrUnknownScheme. One policy per benchmark is a
+// few microseconds of work, so it evaluates inline, in benchmark order.
 func Table2ValueContext(ctx context.Context, s *Suite, scheme string, iCache bool, tech power.Technology) (float64, error) {
 	all, err := s.AllContext(ctx)
 	if err != nil {
@@ -141,18 +156,12 @@ func Table2ValueContext(ctx context.Context, s *Suite, scheme string, iCache boo
 	if err != nil {
 		return 0, err
 	}
-	cells := make([]Cell, 0, len(all))
-	for _, bd := range all {
-		_, agg := bd.Side(iCache)
-		cells = append(cells, Cell{Tech: tech, Policy: pol, Agg: agg,
-			Label: fmt.Sprintf("table2/%s/%s/%s", scheme, tech.Name, bd.Name)})
-	}
-	evs, err := s.EvaluateGrid(ctx, cells)
-	if err != nil {
-		return 0, err
-	}
 	var sum float64
-	for _, ev := range evs {
+	for _, bd := range all {
+		ev, err := evaluateCell(ctx, bd, bd.Name, "table2/"+scheme+"/"+bd.Name, iCache, tech, pol)
+		if err != nil {
+			return 0, err
+		}
 		sum += ev.Savings
 	}
 	return sum / float64(len(all)), nil

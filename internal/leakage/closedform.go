@@ -12,8 +12,8 @@ package leakage
 // the aggregate property tests pin it distribution-wide.
 //
 // Custom registry schemes that do not implement ClosedForm (no declared
-// threshold structure) simply bypass the fast path: EvaluateAggregate
-// falls back to the reference walk over Aggregates.Source().
+// threshold structure) simply bypass the fast path: EvaluateMany and
+// Compiled fall back to the reference walk over Aggregates.Source().
 
 import (
 	"leakbound/internal/interval"

@@ -115,7 +115,7 @@ func relClose(a, b, relTol, absTol float64) bool {
 // every flags value, at every builtin technology node and at the
 // write-back ablation's nodes, on lengths bracketing every piece end. No
 // builtin policy may lack a valid curve for any flags class: that is what
-// keeps EvaluateAggregate off its reference fallback. Energies may differ
+// keeps the aggregate kernels off their reference fallback. Energies may differ
 // only by float regrouping (tight relative tolerance); the misses the same
 // pieces carry must match exactly — they sit on the very same threshold
 // comparisons.
@@ -186,11 +186,28 @@ func randomDistribution(rng *rand.Rand) *interval.Distribution {
 	return d
 }
 
+// missRates answers ps's induced-miss rates over agg through a Compiled
+// with no aggregates, so every curve is built inline.
+func missRates(t *testing.T, tech power.Technology, agg *interval.Aggregates, ps ...Policy) []MissRate {
+	t.Helper()
+	cp, err := Compile(tech, ps)
+	if err != nil {
+		t.Fatalf("Compile: %v", err)
+	}
+	_, rates, err := cp.EvaluateMisses(agg)
+	if err != nil {
+		t.Fatalf("EvaluateMisses: %v", err)
+	}
+	return rates
+}
+
 // TestEvaluateAggregateMatchesReference is the randomized property test
-// of the tentpole: fast-path and reference evaluations agree to
-// ulp-scale relative error on every builtin policy over randomized
-// distributions, and the induced-miss folds agree exactly. Run it under
-// -race (make race) to also pin the aggregates' concurrent-read safety.
+// of the aggregate kernel: single-policy EvaluateMany and the reference
+// Evaluate agree to ulp-scale relative error on every builtin policy over
+// randomized distributions, and so do the induced-miss folds. The whole
+// policy list in one EvaluateMany call must equal the single-policy
+// calls bit for bit. Run it under -race (make race) to also pin the
+// aggregates' concurrent-read safety.
 func TestEvaluateAggregateMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	techs := power.Technologies()
@@ -198,14 +215,20 @@ func TestEvaluateAggregateMatchesReference(t *testing.T) {
 		d := randomDistribution(rng)
 		agg := interval.NewAggregates(d)
 		tech := techs[rng.Intn(len(techs))]
-		for _, pol := range testPolicies(tech) {
+		pols := testPolicies(tech)
+		many, manyErr := EvaluateMany(tech, agg, pols)
+		for i, pol := range pols {
 			ref, refErr := Evaluate(tech, d, pol)
-			fast, fastErr := EvaluateAggregate(tech, agg, pol)
-			if (refErr == nil) != (fastErr == nil) {
-				t.Fatalf("iter %d %s: error mismatch: ref %v, fast %v", iter, pol.Name(), refErr, fastErr)
+			fastAll, fastErr := EvaluateMany(tech, agg, []Policy{pol})
+			if (refErr == nil) != (fastErr == nil) || (fastErr == nil) != (manyErr == nil) {
+				t.Fatalf("iter %d %s: error mismatch: ref %v, fast %v, many %v", iter, pol.Name(), refErr, fastErr, manyErr)
 			}
 			if refErr != nil {
 				continue
+			}
+			fast := fastAll[0]
+			if many[i] != fast {
+				t.Fatalf("iter %d %s: the batched call %+v != the single-policy call %+v", iter, pol.Name(), many[i], fast)
 			}
 			if fast.Policy != ref.Policy || fast.Baseline != ref.Baseline {
 				t.Fatalf("iter %d %s: metadata mismatch: %+v vs %+v", iter, pol.Name(), fast, ref)
@@ -219,39 +242,40 @@ func TestEvaluateAggregateMatchesReference(t *testing.T) {
 				t.Fatalf("iter %d %s: savings fast %.17g, ref %.17g", iter, pol.Name(), fast.Savings, ref.Savings)
 			}
 			refMiss, refMissErr := InducedMissRate(tech, d, pol)
-			fastMiss, fastMissErr := InducedMissRateAggregate(tech, agg, pol)
-			if (refMissErr == nil) != (fastMissErr == nil) {
-				t.Fatalf("iter %d %s: miss error mismatch: ref %v, fast %v", iter, pol.Name(), refMissErr, fastMissErr)
+			fastMiss := missRates(t, tech, agg, pol)[0]
+			if (refMissErr == nil) != (fastMiss.Err == nil) {
+				t.Fatalf("iter %d %s: miss error mismatch: ref %v, fast %v", iter, pol.Name(), refMissErr, fastMiss.Err)
 			}
-			if refMissErr == nil && !relClose(fastMiss, refMiss, 1e-12, 1e-12) {
-				t.Fatalf("iter %d %s: miss rate fast %.17g, ref %.17g", iter, pol.Name(), fastMiss, refMiss)
+			if refMissErr == nil && !relClose(fastMiss.Rate, refMiss, 1e-12, 1e-12) {
+				t.Fatalf("iter %d %s: miss rate fast %.17g, ref %.17g", iter, pol.Name(), fastMiss.Rate, refMiss)
 			}
 		}
 	}
 }
 
-// TestEvaluateManyMatchesEvaluateAll pins the batched kernel against the
-// reference batch API on a shared distribution.
+// TestEvaluateManyMatchesEvaluateAll pins the whole-list EvaluateMany
+// call on a shared distribution against the reference Evaluate run on
+// every policy of the list in turn.
 func TestEvaluateManyMatchesEvaluateAll(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	d := randomDistribution(rng)
 	agg := interval.NewAggregates(d)
 	tech := power.Default()
 	pols := testPolicies(tech)
-	ref, err := EvaluateAll(tech, d, pols)
-	if err != nil {
-		t.Fatalf("EvaluateAll: %v", err)
-	}
 	fast, err := EvaluateMany(tech, agg, pols)
 	if err != nil {
 		t.Fatalf("EvaluateMany: %v", err)
 	}
-	if len(fast) != len(ref) {
-		t.Fatalf("length mismatch: %d vs %d", len(fast), len(ref))
+	if len(fast) != len(pols) {
+		t.Fatalf("length mismatch: %d results for %d policies", len(fast), len(pols))
 	}
-	for i := range ref {
-		if fast[i].Policy != ref[i].Policy || !relClose(fast[i].Energy, ref[i].Energy, 1e-9, 1e-12) {
-			t.Fatalf("policy %d (%s): %+v vs %+v", i, ref[i].Policy, fast[i], ref[i])
+	for i, pol := range pols {
+		ref, err := Evaluate(tech, d, pol)
+		if err != nil {
+			t.Fatalf("Evaluate %s: %v", pol.Name(), err)
+		}
+		if fast[i].Policy != ref.Policy || !relClose(fast[i].Energy, ref.Energy, 1e-9, 1e-12) {
+			t.Fatalf("policy %d (%s): %+v vs %+v", i, ref.Policy, fast[i], ref)
 		}
 	}
 }
@@ -266,7 +290,7 @@ func (noClosedForm) IntervalEnergy(t power.Technology, length uint64, flags inte
 	return t.PActive * math.Sqrt(float64(length))
 }
 
-func TestEvaluateAggregateFallsBack(t *testing.T) {
+func TestEvaluateManyFallsBack(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	d := randomDistribution(rng)
 	agg := interval.NewAggregates(d)
@@ -275,15 +299,15 @@ func TestEvaluateAggregateFallsBack(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Evaluate: %v", err)
 	}
-	fast, err := EvaluateAggregate(tech, agg, noClosedForm{})
+	fast, err := EvaluateMany(tech, agg, []Policy{noClosedForm{}})
 	if err != nil {
-		t.Fatalf("EvaluateAggregate: %v", err)
+		t.Fatalf("EvaluateMany: %v", err)
 	}
-	if fast != ref {
-		t.Fatalf("fallback must be bit-identical to the reference: %+v vs %+v", fast, ref)
+	if fast[0] != ref {
+		t.Fatalf("fallback must be bit-identical to the reference: %+v vs %+v", fast[0], ref)
 	}
-	if _, err := InducedMissesAggregate(tech, agg, noClosedForm{}); !errors.Is(err, ErrNoMissModel) {
-		t.Fatalf("want ErrNoMissModel for a policy without a miss model, got %v", err)
+	if rate := missRates(t, tech, agg, noClosedForm{})[0]; !errors.Is(rate.Err, ErrNoMissModel) {
+		t.Fatalf("want ErrNoMissModel for a policy without a miss model, got %v", rate.Err)
 	}
 }
 
@@ -319,8 +343,8 @@ func (stairs) EnergyCurve(t power.Technology, _ interval.Flags) (Curve, bool) {
 }
 
 // TestOverflowingCurveFallsBack pins the maxPieces bound: a composition
-// past it yields an invalid curve, and both aggregate kernels then take
-// the reference walk for the whole distribution.
+// past it yields an invalid curve, and the aggregate kernels then take
+// the reference walk for the whole distribution, on both axes.
 func TestOverflowingCurveFallsBack(t *testing.T) {
 	tech := power.Default()
 	if c, _ := (stairs{}).EnergyCurve(tech, 0); c.valid() {
@@ -333,40 +357,35 @@ func TestOverflowingCurveFallsBack(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Evaluate: %v", err)
 	}
-	fast, err := EvaluateAggregate(tech, agg, stairs{})
+	fast, err := EvaluateMany(tech, agg, []Policy{stairs{}})
 	if err != nil {
-		t.Fatalf("EvaluateAggregate: %v", err)
+		t.Fatalf("EvaluateMany: %v", err)
 	}
-	if fast != ref {
-		t.Fatalf("overflow must fall back bit-identically: %+v vs %+v", fast, ref)
+	if fast[0] != ref {
+		t.Fatalf("overflow must fall back bit-identically: %+v vs %+v", fast[0], ref)
 	}
-	refMiss, err := InducedMisses(tech, d, stairs{})
+	refMiss, err := InducedMissRate(tech, d, stairs{})
 	if err != nil {
-		t.Fatalf("InducedMisses: %v", err)
+		t.Fatalf("InducedMissRate: %v", err)
 	}
-	fastMiss, err := InducedMissesAggregate(tech, agg, stairs{})
-	if err != nil || fastMiss != refMiss {
-		t.Fatalf("InducedMissesAggregate = %v, %v; want %v", fastMiss, err, refMiss)
+	if fastMiss := missRates(t, tech, agg, stairs{})[0]; fastMiss.Err != nil || fastMiss.Rate != refMiss {
+		t.Fatalf("EvaluateMisses rate = %v, %v; want %v", fastMiss.Rate, fastMiss.Err, refMiss)
 	}
 }
 
 // TestAggregateKernelsDoNotAllocate is the dynamic twin of the hotalloc
-// contract on EvaluateAggregate/EvaluateMany: curves are built inline, so
-// evaluating a builtin whose Name is constant allocates nothing, the miss
-// fold (which never names the policy) allocates nothing for any builtin,
-// and EvaluateMany allocates only its result slice.
+// contract on EvaluateMany/Compiled.Evaluate: curves are built inline, so
+// EvaluateMany over builtins whose Name is constant allocates only its
+// result slice, one policy or many, and Compiled allocates only its
+// result slices (EvaluateMisses adds the rates) for any builtin.
 func TestAggregateKernelsDoNotAllocate(t *testing.T) {
 	agg := interval.NewAggregates(randomDistribution(rand.New(rand.NewSource(11))))
 	constNamed := []Policy{AlwaysActive{}, OPTDrowsy{}, OPTHybrid{}, PrefetchA(), PrefetchB(), DirtyAwareHybrid{}, DeadAwareHybrid{}}
 	for _, tech := range power.Technologies() {
 		for _, pol := range constNamed {
-			if n := testing.AllocsPerRun(10, func() { _, _ = EvaluateAggregate(tech, agg, pol) }); n != 0 {
-				t.Errorf("EvaluateAggregate(%s @%s): %v allocs, want 0", pol.Name(), tech.Name, n)
-			}
-		}
-		for _, pol := range testPolicies(tech) {
-			if n := testing.AllocsPerRun(10, func() { _, _ = InducedMissesAggregate(tech, agg, pol) }); n != 0 {
-				t.Errorf("InducedMissesAggregate(%s @%s): %v allocs, want 0", pol.Name(), tech.Name, n)
+			one := []Policy{pol}
+			if n := testing.AllocsPerRun(10, func() { _, _ = EvaluateMany(tech, agg, one) }); n != 1 {
+				t.Errorf("EvaluateMany(%s @%s): %v allocs, want 1 (the result slice)", pol.Name(), tech.Name, n)
 			}
 		}
 		if n := testing.AllocsPerRun(10, func() { _, _ = EvaluateMany(tech, agg, constNamed) }); n != 1 {
@@ -383,20 +402,25 @@ func TestAggregateKernelsDoNotAllocate(t *testing.T) {
 			if n := testing.AllocsPerRun(10, func() { _, _ = cp.Evaluate(agg) }); n != 1 {
 				t.Errorf("Compiled.Evaluate @%s (%d aggregates compiled): %v allocs, want 1 (the result slice)", tech.Name, len(aggs), n)
 			}
+			if n := testing.AllocsPerRun(10, func() { _, _, _ = cp.EvaluateMisses(agg) }); n != 2 {
+				t.Errorf("Compiled.EvaluateMisses @%s (%d aggregates compiled): %v allocs, want 2 (the result slices)", tech.Name, len(aggs), n)
+			}
 		}
 	}
 }
 
-// TestCompiledMatchesEvaluateAggregate pins every batched kernel to the
-// one-policy kernel, == on every field: Compiled.Evaluate,
-// Compiled.EvaluateMisses (against InducedMissRateAggregate too) and
-// EvaluateMany, for every builtin at every technology plus a policy
-// without a closed form and the overflowing stairs policy, over random
-// distributions. The compiled sets cover curves all from the table,
-// classes absent at compile time (built inline), and no table at all;
-// the aggregates include zero-mass and nil ones, whose errors must read
-// exactly like EvaluateAggregate's.
-func TestCompiledMatchesEvaluateAggregate(t *testing.T) {
+// TestCompiledMatchesEvaluateMany pins the many-aggregate kernel to the
+// one-aggregate kernel, == on every field: Compiled.Evaluate and
+// Compiled.EvaluateMisses against EvaluateMany over the whole list and
+// over each policy alone, for every builtin at every technology plus a
+// policy without a closed form and the overflowing stairs policy, over
+// random distributions. The compiled sets cover curves all from the
+// table, classes absent at compile time (built inline), and no table at
+// all; the aggregates include zero-mass and nil ones, whose errors must
+// read exactly like EvaluateMany's. On the miss axis every table-backed
+// rate must equal the inline Compile(tech, pols) rate (==) and agree with
+// the reference InducedMissRate to ulp scale.
+func TestCompiledMatchesEvaluateMany(t *testing.T) {
 	rng := rand.New(rand.NewSource(28))
 	narrow := interval.NewDistribution(8, 1<<20)
 	for i := 0; i < 200; i++ {
@@ -410,6 +434,10 @@ func TestCompiledMatchesEvaluateAggregate(t *testing.T) {
 			interval.NewAggregates(randomDistribution(rng)),
 		}
 		evalAggs := append([]*interval.Aggregates{narrowAgg, interval.NewAggregates(interval.NewDistribution(4, 0)), nil}, wide...)
+		inline, err := Compile(tech, pols)
+		if err != nil {
+			t.Fatalf("Compile @%s: %v", tech.Name, err)
+		}
 		for _, compiled := range [][]*interval.Aggregates{wide, {narrowAgg, nil}, nil} {
 			cp, err := Compile(tech, pols, compiled...)
 			if err != nil {
@@ -418,28 +446,35 @@ func TestCompiledMatchesEvaluateAggregate(t *testing.T) {
 			for ai, agg := range evalAggs {
 				evs, err := cp.Evaluate(agg)
 				mevs, rates, merr := cp.EvaluateMisses(agg)
+				_, inlineRates, inlineErr := inline.EvaluateMisses(agg)
 				many, manyErr := EvaluateMany(tech, agg, pols)
 				for i, pol := range pols {
-					want, wantErr := EvaluateAggregate(tech, agg, pol)
+					one, wantErr := EvaluateMany(tech, agg, []Policy{pol})
 					if wantErr != nil {
-						for name, got := range map[string]error{"Evaluate": err, "EvaluateMisses": merr, "EvaluateMany": manyErr} {
+						for name, got := range map[string]error{"Evaluate": err, "EvaluateMisses": merr, "inline EvaluateMisses": inlineErr, "EvaluateMany": manyErr} {
 							if got == nil || got.Error() != wantErr.Error() {
 								t.Fatalf("@%s agg %d %s: %s error %v, want %v", tech.Name, ai, pol.Name(), name, got, wantErr)
 							}
 						}
 						continue
 					}
-					if err != nil || merr != nil || manyErr != nil {
-						t.Fatalf("@%s agg %d %s: unexpected errors %v / %v / %v", tech.Name, ai, pol.Name(), err, merr, manyErr)
+					if err != nil || merr != nil || inlineErr != nil || manyErr != nil {
+						t.Fatalf("@%s agg %d %s: unexpected errors %v / %v / %v / %v", tech.Name, ai, pol.Name(), err, merr, inlineErr, manyErr)
 					}
+					want := one[0]
 					if evs[i] != want || mevs[i] != want || many[i] != want {
-						t.Fatalf("@%s agg %d %s: Evaluate %+v, EvaluateMisses %+v, EvaluateMany %+v; EvaluateAggregate %+v",
+						t.Fatalf("@%s agg %d %s: Evaluate %+v, EvaluateMisses %+v, EvaluateMany %+v; single-policy EvaluateMany %+v",
 							tech.Name, ai, pol.Name(), evs[i], mevs[i], many[i], want)
 					}
-					wantRate, wantRateErr := InducedMissRateAggregate(tech, agg, pol)
-					if got := rates[i]; got.Rate != wantRate || (got.Err == nil) != (wantRateErr == nil) ||
-						(got.Err != nil && got.Err.Error() != wantRateErr.Error()) {
-						t.Fatalf("@%s agg %d %s: miss rate %v (%v), want %v (%v)", tech.Name, ai, pol.Name(), got.Rate, got.Err, wantRate, wantRateErr)
+					got, in := rates[i], inlineRates[i]
+					if got.Rate != in.Rate || (got.Err == nil) != (in.Err == nil) ||
+						(got.Err != nil && got.Err.Error() != in.Err.Error()) {
+						t.Fatalf("@%s agg %d %s: miss rate %v (%v), inline %v (%v)", tech.Name, ai, pol.Name(), got.Rate, got.Err, in.Rate, in.Err)
+					}
+					refRate, refErr := InducedMissRate(tech, agg.Source(), pol)
+					if (got.Err == nil) != (refErr == nil) || (got.Err != nil && got.Err.Error() != refErr.Error()) ||
+						(refErr == nil && !relClose(got.Rate, refRate, 1e-12, 1e-12)) {
+						t.Fatalf("@%s agg %d %s: miss rate %v (%v), reference %v (%v)", tech.Name, ai, pol.Name(), got.Rate, got.Err, refRate, refErr)
 					}
 				}
 			}
@@ -447,7 +482,7 @@ func TestCompiledMatchesEvaluateAggregate(t *testing.T) {
 	}
 	bad := power.Default()
 	bad.PActive = 0
-	_, want := EvaluateAggregate(bad, narrowAgg, OPTHybrid{})
+	_, want := Evaluate(bad, narrow, OPTHybrid{})
 	if _, err := Compile(bad, []Policy{OPTHybrid{}}, narrowAgg); err == nil || err.Error() != want.Error() {
 		t.Fatalf("Compile at an invalid technology: %v, want %v", err, want)
 	}
@@ -508,20 +543,29 @@ func TestNilPolicyIsNamedByIndex(t *testing.T) {
 	}
 }
 
-// TestEvaluateAggregateErrors pins the sentinel parity with Evaluate.
-func TestEvaluateAggregateErrors(t *testing.T) {
+// TestEvaluateManyErrors pins the sentinel parity with Evaluate, on
+// both axes.
+func TestEvaluateManyErrors(t *testing.T) {
 	tech := power.Default()
-	if _, err := EvaluateAggregate(tech, nil, AlwaysActive{}); !errors.Is(err, ErrNilDistribution) {
+	active := []Policy{AlwaysActive{}}
+	if _, err := EvaluateMany(tech, nil, active); !errors.Is(err, ErrNilDistribution) {
 		t.Fatalf("nil aggregates: want ErrNilDistribution, got %v", err)
 	}
 	empty := interval.NewAggregates(interval.NewDistribution(4, 0))
-	if _, err := EvaluateAggregate(tech, empty, AlwaysActive{}); !errors.Is(err, ErrEmptyDistribution) {
+	if _, err := EvaluateMany(tech, empty, active); !errors.Is(err, ErrEmptyDistribution) {
 		t.Fatalf("zero mass: want ErrEmptyDistribution, got %v", err)
 	}
-	if _, err := EvaluateAggregate(tech, empty, nil); !errors.Is(err, ErrNilPolicy) {
+	if _, err := EvaluateMany(tech, empty, []Policy{nil}); !errors.Is(err, ErrNilPolicy) {
 		t.Fatalf("nil policy: want ErrNilPolicy, got %v", err)
 	}
-	if _, err := InducedMissRateAggregate(tech, empty, AlwaysActive{}); !errors.Is(err, ErrEmptyDistribution) {
+	cp, err := Compile(tech, active)
+	if err != nil {
+		t.Fatalf("Compile: %v", err)
+	}
+	if _, _, err := cp.EvaluateMisses(empty); !errors.Is(err, ErrEmptyDistribution) {
 		t.Fatalf("no intervals: want ErrEmptyDistribution, got %v", err)
+	}
+	if _, err := InducedMissRate(tech, empty.Source(), AlwaysActive{}); !errors.Is(err, ErrEmptyDistribution) {
+		t.Fatalf("no intervals: want ErrEmptyDistribution from the reference, got %v", err)
 	}
 }

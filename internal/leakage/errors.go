@@ -17,9 +17,6 @@ var (
 	// against.
 	ErrEmptyDistribution = errors.New("leakage: empty distribution")
 
-	// ErrNoEvaluations reports an average over zero evaluations.
-	ErrNoEvaluations = errors.New("leakage: no evaluations to average")
-
 	// ErrUnknownScheme reports a policy-spec scheme name with no
 	// registration.
 	ErrUnknownScheme = errors.New("leakage: unknown scheme")

@@ -50,29 +50,3 @@ func Evaluate(t power.Technology, d *interval.Distribution, p Policy) (Evaluatio
 		Savings:  1 - energy/baseline,
 	}, nil
 }
-
-// EvaluateAll runs several policies over the same distribution.
-func EvaluateAll(t power.Technology, d *interval.Distribution, ps []Policy) ([]Evaluation, error) {
-	out := make([]Evaluation, 0, len(ps))
-	for _, p := range ps {
-		ev, err := Evaluate(t, d, p)
-		if err != nil {
-			return nil, fmt.Errorf("leakage: evaluating %s: %w", p.Name(), err)
-		}
-		out = append(out, ev)
-	}
-	return out, nil
-}
-
-// AverageSavings averages the savings of per-benchmark evaluations of the
-// same policy, the way Figure 8's rightmost bars are built.
-func AverageSavings(evals []Evaluation) (float64, error) {
-	if len(evals) == 0 {
-		return 0, ErrNoEvaluations
-	}
-	var s float64
-	for _, e := range evals {
-		s += e.Savings
-	}
-	return s / float64(len(evals)), nil
-}

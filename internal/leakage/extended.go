@@ -75,8 +75,8 @@ func DecayThetaLadder() []uint64 {
 // minimizes energy for the observed workload, so the scheme's energy is
 // the minimum of SleepDecay over the ladder. The returned evaluation is
 // labelled "Adaptive-Decay" and records which theta won via the Policy
-// field ("Adaptive-Decay(theta=N)"). Every ladder point evaluates
-// through the aggregate kernel (EvaluateAggregate).
+// field ("Adaptive-Decay(theta=N)"). The whole ladder evaluates in one
+// aggregate-kernel pass (EvaluateMany).
 func EvaluateAdaptiveDecay(t power.Technology, agg *interval.Aggregates) (Evaluation, error) {
 	if agg == nil {
 		return Evaluation{}, ErrNilDistribution
@@ -85,22 +85,27 @@ func EvaluateAdaptiveDecay(t power.Technology, agg *interval.Aggregates) (Evalua
 }
 
 // bestOnLadder evaluates policy(theta) for every theta on DecayThetaLadder
-// and returns the lowest-energy evaluation (the earliest theta on ties),
-// its Policy relabelled "label(theta=N)".
+// in one EvaluateMany pass and returns the lowest-energy evaluation (the
+// earliest theta on ties), its Policy relabelled "label(theta=N)".
 func bestOnLadder(t power.Technology, agg *interval.Aggregates, label string, policy func(theta uint64) Policy) (Evaluation, error) {
-	var best Evaluation
-	var bestTheta uint64
-	for i, theta := range DecayThetaLadder() {
-		ev, err := EvaluateAggregate(t, agg, policy(theta))
-		if err != nil {
-			return Evaluation{}, err
-		}
-		if i == 0 || ev.Energy < best.Energy {
-			best, bestTheta = ev, theta
+	ladder := DecayThetaLadder()
+	ps := make([]Policy, len(ladder))
+	for i, theta := range ladder {
+		ps[i] = policy(theta)
+	}
+	evs, err := EvaluateMany(t, agg, ps)
+	if err != nil {
+		return Evaluation{}, err
+	}
+	best := 0
+	for i := range evs {
+		if evs[i].Energy < evs[best].Energy {
+			best = i
 		}
 	}
-	best.Policy = fmt.Sprintf("%s(theta=%d)", label, bestTheta)
-	return best, nil
+	ev := evs[best]
+	ev.Policy = fmt.Sprintf("%s(theta=%d)", label, ladder[best])
+	return ev, nil
 }
 
 // AMCSleep models adaptive mode control (Zhou, Toburen, Rotenberg, Conte):

@@ -99,21 +99,21 @@ func TestEvaluateAdaptiveDecay(t *testing.T) {
 	}
 	// Adaptive decay must match or beat every fixed theta on the ladder...
 	for _, theta := range DecayThetaLadder() {
-		fixed, err := EvaluateAggregate(tech, agg, SleepDecay{Theta: theta})
+		fixed, err := EvaluateMany(tech, agg, []Policy{SleepDecay{Theta: theta}})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if adaptive.Energy > fixed.Energy+1e-9 {
-			t.Errorf("adaptive (%g) lost to fixed theta=%d (%g)", adaptive.Energy, theta, fixed.Energy)
+		if adaptive.Energy > fixed[0].Energy+1e-9 {
+			t.Errorf("adaptive (%g) lost to fixed theta=%d (%g)", adaptive.Energy, theta, fixed[0].Energy)
 		}
 	}
 	// ...but never the oracle.
-	oracle, err := EvaluateAggregate(tech, agg, OPTHybrid{})
+	oracle, err := EvaluateMany(tech, agg, []Policy{OPTHybrid{}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if adaptive.Savings > oracle.Savings {
-		t.Errorf("adaptive decay (%g) beat the oracle (%g)", adaptive.Savings, oracle.Savings)
+	if adaptive.Savings > oracle[0].Savings {
+		t.Errorf("adaptive decay (%g) beat the oracle (%g)", adaptive.Savings, oracle[0].Savings)
 	}
 	if _, err := EvaluateAdaptiveDecay(tech, nil); err == nil {
 		t.Error("nil distribution accepted")

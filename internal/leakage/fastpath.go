@@ -14,19 +14,18 @@ package leakage
 // policy's curve over one flags class before moving to the next, so a
 // policy ladder's searches in one class start from the previous policy's
 // answers (interval.FlagsClass.PrefixFrom) instead of from scratch.
-// EvaluateAggregate and InducedMissesAggregate are its one-policy case,
-// EvaluateMany its one-aggregate case, and Compiled its many-aggregate
-// case: Compile builds each policy's curve once per flags value present
-// in the aggregates it is given, and names each policy once, so a sweep's
-// benchmarks share one curve table.
+// Two kernels remain over it: EvaluateMany is its one-aggregate case, and
+// Compiled its many-aggregate case: Compile builds each policy's curve
+// once per flags value present in the aggregates it is given, and names
+// each policy once, so a sweep's benchmarks share one curve table.
 //
 // Determinism: per policy, classes fold in ascending flags order and
 // pieces in ascending length order whatever the batch, so a given
 // (technology, aggregates, policy) triple produces bit-identical output
-// through every kernel. Against the reference path the values agree to
-// ulp-scale relative error (the prefix sums are exact uint64; only the
-// float regrouping differs) — pinned by
-// TestEvaluateAggregateMatchesReference and FuzzEvaluateFastPath.
+// through both kernels and at any position in the policy list. Against
+// the reference path the values agree to ulp-scale relative error (the
+// prefix sums are exact uint64; only the float regrouping differs) —
+// pinned by TestEvaluateAggregateMatchesReference and FuzzEvaluateFastPath.
 
 import (
 	"fmt"
@@ -109,7 +108,7 @@ func fold(t *power.Technology, agg *interval.Aggregates, ps []Policy, tab *curve
 					pcs = row.pieces[sp.off : sp.off+sp.n]
 				}
 			} else if cf, ok := p.(ClosedForm); ok {
-				//lint:ignore hotalloc one virtual EnergyCurve dispatch per (policy, flags class) returning an inline Curve; TestAggregateKernelsDoNotAllocate pins it at 0 allocs
+				//lint:ignore hotalloc one virtual EnergyCurve dispatch per (policy, flags class) returning an inline Curve; TestAggregateKernelsDoNotAllocate pins EvaluateMany at its one result-slice alloc
 				if c, ok := cf.EnergyCurve(*t, cls.Flags); ok && c.valid() {
 					pcs = c.p[:c.n]
 				}
@@ -125,16 +124,6 @@ func fold(t *power.Technology, agg *interval.Aggregates, ps []Policy, tab *curve
 			}
 		}
 	}
-}
-
-// foldAggregate is fold's one-policy case: the policy's total energy and
-// induced misses over agg, or ok=false when it takes the reference walk.
-func foldAggregate(t *power.Technology, agg *interval.Aggregates, p Policy) (energy, misses float64, ok bool) {
-	ps := [1]Policy{p}
-	var out [1]Evaluation
-	var ms [1]MissRate
-	fold(t, agg, ps[:], nil, out[:], ms[:])
-	return out[0].Energy, ms[0].Rate, out[0].Baseline >= 0
 }
 
 // settle finishes a fold: each folded policy gets the baseline and its
@@ -171,7 +160,7 @@ func checkPolicies(t *power.Technology, ps []Policy) error {
 }
 
 // baselineOf returns agg's always-active baseline energy, with
-// EvaluateAggregate's errors for a nil or massless distribution.
+// Evaluate's errors for a nil or massless distribution.
 func baselineOf(t *power.Technology, agg *interval.Aggregates) (float64, error) {
 	if agg == nil {
 		return 0, ErrNilDistribution
@@ -183,44 +172,13 @@ func baselineOf(t *power.Technology, agg *interval.Aggregates) (float64, error) 
 	return baseline, nil
 }
 
-// EvaluateAggregate evaluates one policy over a prefix-aggregated
-// distribution, with the same validation, error identities, and result
-// semantics as Evaluate. It uses the closed-form fast path when the
-// policy declares one and falls back to the reference bucket walk over
-// agg.Source() otherwise.
-//
-//lint:hotpath entry
-func EvaluateAggregate(t power.Technology, agg *interval.Aggregates, p Policy) (Evaluation, error) {
-	if err := t.Validate(); err != nil {
-		return Evaluation{}, err
-	}
-	if agg == nil {
-		return Evaluation{}, ErrNilDistribution
-	}
-	if p == nil {
-		return Evaluation{}, ErrNilPolicy
-	}
-	energy, _, ok := foldAggregate(&t, agg, p)
-	if !ok {
-		return Evaluate(t, agg.Source(), p)
-	}
-	baseline, err := baselineOf(&t, agg)
-	if err != nil {
-		return Evaluation{}, err
-	}
-	return Evaluation{
-		Policy:   p.Name(),
-		Energy:   energy,
-		Baseline: baseline,
-		Savings:  1 - energy/baseline,
-	}, nil
-}
-
 // EvaluateMany answers a whole policy list against one aggregated
 // distribution: the fold's one-aggregate case, which needs no curve
 // table because each (policy, class) curve is used once. Results are
 // indexed like policies. A nil policy is reported by index; the
-// technology and distribution errors are EvaluateAggregate's.
+// technology and distribution errors are Evaluate's. A policy without a
+// closed form, or whose curve cannot express a class present, takes
+// Evaluate's reference walk over agg.Source().
 //
 //lint:hotpath entry
 func EvaluateMany(t power.Technology, agg *interval.Aggregates, ps []Policy) ([]Evaluation, error) {
@@ -320,8 +278,8 @@ func (c *Compiled) foldChecked(agg *interval.Aggregates, ms []MissRate) ([]Evalu
 }
 
 // Evaluate answers every compiled policy over agg, indexed like the
-// policies given to Compile; each result equals EvaluateAggregate's for
-// the same policy, bit for bit, and so do the errors.
+// policies given to Compile; each result equals EvaluateMany's for the
+// same policies, bit for bit, and so do the errors.
 //
 //lint:hotpath entry
 func (c *Compiled) Evaluate(agg *interval.Aggregates) ([]Evaluation, error) {
@@ -336,16 +294,17 @@ func (c *Compiled) Evaluate(agg *interval.Aggregates) ([]Evaluation, error) {
 }
 
 // MissRate is one policy's induced re-fetches per 1000 intervals, or the
-// error InducedMissRateAggregate reports for it.
+// error InducedMissRate reports for it over agg.Source().
 type MissRate struct {
 	Rate float64
 	Err  error
 }
 
 // EvaluateMisses is Evaluate plus, from the same fold, each policy's
-// induced-miss rate: rates[i] is what InducedMissRateAggregate returns
-// for the i-th policy, bit for bit. A policy's miss error does not fail
-// the call.
+// induced-miss rate: rates[i] agrees with InducedMissRate over
+// agg.Source() for the i-th policy to ulp scale (bit for bit, and with the
+// same errors, when the policy takes the reference walk). A policy's miss
+// error does not fail the call.
 func (c *Compiled) EvaluateMisses(agg *interval.Aggregates) ([]Evaluation, []MissRate, error) {
 	ms := make([]MissRate, len(c.ps))
 	out, baseline, err := c.foldChecked(agg, ms)
@@ -354,18 +313,14 @@ func (c *Compiled) EvaluateMisses(agg *interval.Aggregates) ([]Evaluation, []Mis
 	}
 	n := agg.NumIntervals()
 	for i, p := range c.ps {
-		if _, ok := p.(MissModel); !ok {
-			ms[i] = MissRate{Err: fmt.Errorf("%w: %s", ErrNoMissModel, c.names[i])}
-			continue
-		}
-		if out[i].Baseline < 0 {
-			ms[i].Rate, ms[i].Err = InducedMisses(c.t, agg.Source(), p)
-		}
+		_, ok := p.(MissModel)
 		switch {
-		case ms[i].Err != nil:
-		case n == 0:
-			ms[i] = MissRate{Err: fmt.Errorf("%w: no intervals", ErrEmptyDistribution)}
+		case !ok:
+			ms[i] = MissRate{Err: fmt.Errorf("%w: %s", ErrNoMissModel, c.names[i])}
+		case out[i].Baseline < 0:
+			ms[i].Rate, ms[i].Err = InducedMissRate(c.t, agg.Source(), p)
 		default:
+			// foldChecked rejected a zero-mass agg, so n > 0.
 			ms[i].Rate = ms[i].Rate * 1000 / float64(n)
 		}
 	}
@@ -373,42 +328,4 @@ func (c *Compiled) EvaluateMisses(agg *interval.Aggregates) ([]Evaluation, []Mis
 		return nil, nil, err
 	}
 	return out, ms, nil
-}
-
-// InducedMissesAggregate is InducedMisses over aggregates: the total
-// expected induced re-fetches folded from the misses the policy's
-// EnergyCurve pieces carry, with the same fallback and error identities
-// as the reference fold.
-func InducedMissesAggregate(t power.Technology, agg *interval.Aggregates, p Policy) (float64, error) {
-	if err := t.Validate(); err != nil {
-		return 0, err
-	}
-	if agg == nil {
-		return 0, ErrNilDistribution
-	}
-	if p == nil {
-		return 0, ErrNilPolicy
-	}
-	if _, ok := p.(MissModel); !ok {
-		return 0, fmt.Errorf("%w: %s", ErrNoMissModel, p.Name())
-	}
-	_, misses, ok := foldAggregate(&t, agg, p)
-	if !ok {
-		return InducedMisses(t, agg.Source(), p)
-	}
-	return misses, nil
-}
-
-// InducedMissRateAggregate is InducedMissRate over aggregates: induced
-// re-fetches per 1000 intervals.
-func InducedMissRateAggregate(t power.Technology, agg *interval.Aggregates, p Policy) (float64, error) {
-	misses, err := InducedMissesAggregate(t, agg, p)
-	if err != nil {
-		return 0, err
-	}
-	n := agg.NumIntervals()
-	if n == 0 {
-		return 0, fmt.Errorf("%w: no intervals", ErrEmptyDistribution)
-	}
-	return misses * 1000 / float64(n), nil
 }

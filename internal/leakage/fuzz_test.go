@@ -28,9 +28,10 @@ func fuzzDistribution(data []byte) *interval.Distribution {
 }
 
 // FuzzEvaluateFastPath throws randomized distributions and randomized
-// registered policy specs at the aggregate fast path and asserts
-// agreement with the reference walk: same error sentinels, ulp-scale
-// energy agreement, exact induced-miss agreement. Wired into
+// registered policy specs at the aggregate fast path — single-policy
+// EvaluateMany, and for induced misses an inline-compiled
+// Compiled.EvaluateMisses — and asserts agreement with the reference
+// walk: same error sentinels, ulp-scale energy and induced-miss agreement. Wired into
 // `make fuzz-regress` so the committed corpus replays in CI.
 func FuzzEvaluateFastPath(f *testing.F) {
 	f.Add(uint8(0), uint64(0), 0.0, []byte{})
@@ -71,7 +72,7 @@ func FuzzEvaluateFastPath(f *testing.F) {
 		agg := interval.NewAggregates(d)
 
 		ref, refErr := Evaluate(tech, d, pol)
-		fast, fastErr := EvaluateAggregate(tech, agg, pol)
+		fastAll, fastErr := EvaluateMany(tech, agg, []Policy{pol})
 		if (refErr == nil) != (fastErr == nil) {
 			t.Fatalf("%s: error mismatch: ref %v, fast %v", pol.Name(), refErr, fastErr)
 		}
@@ -81,6 +82,7 @@ func FuzzEvaluateFastPath(f *testing.F) {
 			}
 			return
 		}
+		fast := fastAll[0]
 		if fast.Policy != ref.Policy || fast.Baseline != ref.Baseline {
 			t.Fatalf("%s: metadata mismatch: %+v vs %+v", pol.Name(), fast, ref)
 		}
@@ -91,13 +93,21 @@ func FuzzEvaluateFastPath(f *testing.F) {
 
 		if _, ok := pol.(MissModel); ok {
 			refMiss, refMissErr := InducedMissRate(tech, d, pol)
-			fastMiss, fastMissErr := InducedMissRateAggregate(tech, agg, pol)
-			if (refMissErr == nil) != (fastMissErr == nil) {
-				t.Fatalf("%s: miss error mismatch: ref %v, fast %v", pol.Name(), refMissErr, fastMissErr)
+			cp, err := Compile(tech, []Policy{pol})
+			if err != nil {
+				t.Fatalf("%s: Compile: %v", pol.Name(), err)
+			}
+			_, rates, err := cp.EvaluateMisses(agg)
+			if err != nil {
+				t.Fatalf("%s: EvaluateMisses: %v", pol.Name(), err)
+			}
+			fastMiss := rates[0]
+			if (refMissErr == nil) != (fastMiss.Err == nil) {
+				t.Fatalf("%s: miss error mismatch: ref %v, fast %v", pol.Name(), refMissErr, fastMiss.Err)
 			}
 			if refMissErr == nil {
-				if d := math.Abs(fastMiss - refMiss); d > 1e-12 && d > 1e-9*math.Abs(refMiss) {
-					t.Fatalf("%s: miss rate fast %.17g, ref %.17g", pol.Name(), fastMiss, refMiss)
+				if d := math.Abs(fastMiss.Rate - refMiss); d > 1e-12 && d > 1e-9*math.Abs(refMiss) {
+					t.Fatalf("%s: miss rate fast %.17g, ref %.17g", pol.Name(), fastMiss.Rate, refMiss)
 				}
 			}
 		}

@@ -272,28 +272,6 @@ func TestPolicyNames(t *testing.T) {
 	}
 }
 
-func TestEvaluateAllAndAverage(t *testing.T) {
-	tech := tech70()
-	d := distOf(1, 1e5, [3]uint64{1e5, 0, 1})
-	evs, err := EvaluateAll(tech, d, []Policy{OPTDrowsy{}, OPTHybrid{}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(evs) != 2 {
-		t.Fatalf("got %d evaluations", len(evs))
-	}
-	avg, err := AverageSavings(evs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if avg < evs[0].Savings || avg > evs[1].Savings {
-		t.Errorf("average %g outside [%g, %g]", avg, evs[0].Savings, evs[1].Savings)
-	}
-	if _, err := AverageSavings(nil); err == nil {
-		t.Error("empty average accepted")
-	}
-}
-
 func TestSavingsWithinUnitInterval(t *testing.T) {
 	// Property: for random distributions, every oracle policy's savings lie
 	// in [0, 1); the decay policy may dip slightly negative (counters) but

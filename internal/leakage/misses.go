@@ -24,10 +24,11 @@ type MissModel interface {
 	IntervalMisses(t power.Technology, length uint64, flags interval.Flags) float64
 }
 
-// InducedMisses folds a policy's miss model over the distribution,
-// returning the total expected induced re-fetches. Policies without a
-// MissModel return ErrNoMissModel.
-func InducedMisses(t power.Technology, d *interval.Distribution, p Policy) (float64, error) {
+// InducedMissRate folds a policy's miss model over the distribution and
+// returns the induced re-fetches per 1000 intervals — the Pareto
+// frontier's performance axis. Policies without a MissModel return
+// ErrNoMissModel.
+func InducedMissRate(t power.Technology, d *interval.Distribution, p Policy) (float64, error) {
 	if err := t.Validate(); err != nil {
 		return 0, err
 	}
@@ -41,26 +42,16 @@ func InducedMisses(t power.Technology, d *interval.Distribution, p Policy) (floa
 	if !ok {
 		return 0, fmt.Errorf("%w: %s", ErrNoMissModel, p.Name())
 	}
+	n := d.NumIntervals()
+	if n == 0 {
+		return 0, fmt.Errorf("%w: no intervals", ErrEmptyDistribution)
+	}
 	var total float64
 	d.Each(func(length uint64, flags interval.Flags, count uint64) bool {
 		total += mm.IntervalMisses(t, length, flags) * float64(count)
 		return true
 	})
-	return total, nil
-}
-
-// InducedMissRate returns the induced re-fetches per 1000 intervals — the
-// Pareto frontier's performance axis.
-func InducedMissRate(t power.Technology, d *interval.Distribution, p Policy) (float64, error) {
-	misses, err := InducedMisses(t, d, p)
-	if err != nil {
-		return 0, err
-	}
-	n := d.NumIntervals()
-	if n == 0 {
-		return 0, fmt.Errorf("%w: no intervals", ErrEmptyDistribution)
-	}
-	return misses * 1000 / float64(n), nil
+	return total * 1000 / float64(n), nil
 }
 
 // IntervalMisses implements MissModel: the baseline never re-fetches.

@@ -356,7 +356,7 @@ func TestBuiltinsEvaluateAndModelMisses(t *testing.T) {
 		}
 	}
 	// No miss model: a custom policy outside the builtins.
-	if _, err := InducedMisses(tech, d, stubPolicy{}); !errors.Is(err, ErrNoMissModel) {
+	if _, err := InducedMissRate(tech, d, stubPolicy{}); !errors.Is(err, ErrNoMissModel) {
 		t.Errorf("no-miss-model error = %v, want ErrNoMissModel", err)
 	}
 }

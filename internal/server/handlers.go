@@ -60,7 +60,7 @@ const (
 )
 
 // maxSweepPoints bounds a parameterized sweep so one query cannot request
-// unbounded grid work.
+// unbounded evaluation work.
 const maxSweepPoints = 256
 
 // registerRoutes builds the route table.

@@ -20,7 +20,7 @@ import (
 )
 
 // newTestServer builds a server over a tiny suite with a private registry.
-func newTestServer(t *testing.T, scale float64, mutate func(*Config)) (*Server, *telemetry.Registry) {
+func newTestServer(t testing.TB, scale float64, mutate func(*Config)) (*Server, *telemetry.Registry) {
 	t.Helper()
 	reg := telemetry.NewRegistry()
 	suite := experiments.MustNew(

@@ -21,7 +21,7 @@
 #
 # The benchmark selection is intentionally the *end-to-end* set: the
 # full-suite simulation (BenchmarkSuiteAll) that the ≥5x streaming claim
-# is made against, plus the per-benchmark pipeline, grid and geometry
+# is made against, plus the per-benchmark pipeline, Figure 8 and geometry
 # sweep benches (the last two at 1 and 4 workers: the parallel speedup).
 # Micro-benches churn too much to gate on.
 #
@@ -39,7 +39,7 @@ if [ -n "$(git status --porcelain --untracked-files=no)" ]; then
 fi
 
 GO="${GO:-go}"
-BENCH="${BENCH:-^(BenchmarkSuiteAll|BenchmarkPipelineSimulateGzip|BenchmarkGridFigure8Workers1|BenchmarkGridFigure8Workers4|BenchmarkGeometrySweepWorkers1|BenchmarkGeometrySweepWorkers4|BenchmarkSweepDense256Reference|BenchmarkSweepDense256Aggregates|BenchmarkParetoPopulation|BenchmarkSpecCompile|BenchmarkReplayPass)\$}"
+BENCH="${BENCH:-^(BenchmarkSuiteAll|BenchmarkPipelineSimulateGzip|BenchmarkFigure8Workers1|BenchmarkFigure8Workers4|BenchmarkGeometrySweepWorkers1|BenchmarkGeometrySweepWorkers4|BenchmarkSweepDense256Reference|BenchmarkSweepDense256Aggregates|BenchmarkParetoPopulation|BenchmarkSpecCompile|BenchmarkReplayPass)\$}"
 BENCHTIME="${BENCHTIME:-100ms}"
 COUNT="${COUNT:-3}"
 OUT="${OUT:-.}"
