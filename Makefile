@@ -50,11 +50,12 @@ vulncheck:
 
 # The parallel-pipeline determinism suite under the race detector: the
 # worker-count (suite and studies), concurrent-walk, parallel-evaluation
-# (TestGridMatchesSequential), singleflight and cancellation (AllContext
-# and forEach) tests of the experiments package. Every alternative in the -run pattern must match a test
-# (go test -list), since -run passes silently when nothing matches.
+# (TestEvaluateSideMatchesSequential, evaluateSide against a sequential
+# oracle), singleflight and cancellation (AllContext and forEach) tests of
+# the experiments package. Every alternative in the -run pattern must match
+# a test (go test -list), since -run passes silently when nothing matches.
 test-parallel:
-	$(GO) test -race -count=1 -run 'TestWorkersDoNotChangeResults|TestStudiesDoNotDependOnWorkers|TestL2WalksRaceFree|TestGridMatches|TestAllContextCancel|TestForEachCancel|TestDataSingleflight|TestWaiterCancellation' ./internal/experiments/
+	$(GO) test -race -count=1 -run 'TestWorkersDoNotChangeResults|TestStudiesDoNotDependOnWorkers|TestL2WalksRaceFree|TestEvaluateSideMatches|TestAllContextCancel|TestForEachCancel|TestDataSingleflight|TestWaiterCancellation' ./internal/experiments/
 
 # One iteration of every benchmark, no unit tests: a smoke test that keeps
 # bench_test.go compiling and running (the nightly CI job runs this).

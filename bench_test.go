@@ -475,6 +475,53 @@ func BenchmarkSweepDense256Aggregates(b *testing.B) {
 	}
 }
 
+// BenchmarkCompileDense256 times leakage.Compile alone, the curve layer of
+// a dense sweep: each sweep scheme's 256-point theta ladder, built through
+// the registry as SweepParamContext builds it, compiled over every
+// benchmark's aggregates on each cache side. ns/curve divides by the
+// curves a compile builds, one per (policy, flags value present).
+func BenchmarkCompileDense256(b *testing.B) {
+	s := sharedSuite(b)
+	all, err := s.AllContext(context.Background())
+	if err != nil {
+		b.Fatal(err)
+	}
+	tech := power.Default()
+	thetas := denseSweepThetas()
+	for _, scheme := range []string{"opt-sleep", "opt-hybrid", "sleep-decay"} {
+		pols := make([]leakage.Policy, len(thetas))
+		for i, theta := range thetas {
+			spec := leakage.PolicySpec{Scheme: scheme, Params: leakage.Params{"theta": leakage.Uint(theta)}}
+			if pols[i], err = leakage.DefaultRegistry().Build(spec, tech); err != nil {
+				b.Fatal(err)
+			}
+		}
+		for _, side := range []string{"i", "d"} {
+			aggs := make([]*interval.Aggregates, len(all))
+			var present [interval.NumFlags]bool
+			flags := 0
+			for i, bd := range all {
+				_, aggs[i] = bd.Side(side == "i")
+				for _, cls := range aggs[i].Classes() {
+					if !present[cls.Flags] {
+						present[cls.Flags] = true
+						flags++
+					}
+				}
+			}
+			b.Run(scheme+"/"+side, func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					if _, err := leakage.Compile(tech, pols, aggs...); err != nil {
+						b.Fatal(err)
+					}
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(pols)*flags), "ns/curve")
+			})
+		}
+	}
+}
+
 // benchSpecJSON is a representative two-phase workload spec (kernel mix,
 // schedule shaping, cold code) for the spec-subsystem benches below.
 var benchSpecJSON = []byte(`{

@@ -119,7 +119,7 @@ func walkConcurrently(t *testing.T, label string, d *interval.Distribution) {
 	}
 }
 
-// TestGridMatchesSequential is the golden check for the parallel
+// TestEvaluateSideMatchesSequential is the golden check for the parallel
 // evaluation path: Figure 7, Figure 8 and Table 2 values computed through
 // evaluateSide (one compiled policy list, one task per benchmark) must
 // equal — bit for bit, not approximately — a sequential re-evaluation in
@@ -128,7 +128,7 @@ func walkConcurrently(t *testing.T, label string, d *interval.Distribution) {
 // order nor a policy's position in the compiled list may leak into the
 // output. Fast-path agreement with the reference bucket walk is pinned
 // separately in leakage.TestEvaluateAggregateMatchesReference.
-func TestGridMatchesSequential(t *testing.T) {
+func TestEvaluateSideMatchesSequential(t *testing.T) {
 	s := testSuiteShared
 	all, err := s.AllContext(context.Background())
 	if err != nil {

@@ -302,8 +302,11 @@ func resolveSweepPolicies(scheme, param string, tech power.Technology, values []
 		return nil, "", fmt.Errorf("%w: scheme %q has no parameter %q", ErrUnknownPolicy, scheme, param)
 	}
 	pols := make([]leakage.Policy, len(values))
+	// Build copies the spec's params, so one map serves every value.
+	spec := leakage.PolicySpec{Scheme: name, Params: leakage.Params{}}
 	for vi, v := range values {
-		pol, err := BuildPolicy(leakage.PolicySpec{Scheme: name, Params: leakage.Params{param: v}}, tech)
+		spec.Params[param] = v
+		pol, err := BuildPolicy(spec, tech)
 		if err != nil {
 			return nil, "", err
 		}

@@ -11,9 +11,12 @@ package leakage
 // across every flags value, technology node, and threshold neighborhood;
 // the aggregate property tests pin it distribution-wide.
 //
-// Custom registry schemes that do not implement ClosedForm (no declared
-// threshold structure) simply bypass the fast path: EvaluateMany and
-// Compiled fall back to the reference walk over Aggregates.Source().
+// Every builtin builds its curve in place (curveBuilder): its EnergyCurve
+// is one build into the named result, and Compile builds a whole policy
+// list's curves through one curveEnv. Custom registry schemes that do not
+// implement ClosedForm (no declared threshold structure) simply bypass the
+// fast path: EvaluateMany and Compiled fall back to the reference walk over
+// Aggregates.Source().
 
 import (
 	"leakbound/internal/interval"
@@ -31,235 +34,349 @@ type ClosedForm interface {
 	EnergyCurve(t power.Technology, flags interval.Flags) (Curve, bool)
 }
 
-// Shared building blocks, mirroring the helpers in policy.go.
-
-func activeCurve(t power.Technology) Curve { return affine(0, t.PActive) }
-
-// drowsyForCurve mirrors drowsyEnergyFor: active for L <= DrowsyOverhead,
-// DrowsyEnergy past it.
-func drowsyForCurve(t power.Technology) Curve {
-	oh := float64(t.Durations.DrowsyOverhead())
-	drowsy := affine(oh*t.PActive-oh*t.PDrowsy, t.PDrowsy)
-	return switchAt(oh, activeCurve(t), drowsy)
+// curveBuilder is ClosedForm in place, implemented by every builtin:
+// build writes the policy's curve for flags into an empty c, reading the
+// technology through e. A builtin's EnergyCurve is one build over a fresh
+// env; Compile builds every curve of a policy list through one env, so it
+// neither copies the technology per curve nor computes b more than once.
+// Since Compile prefers build, a type that embeds a builtin must not
+// override EnergyCurve: Compile would still build the builtin's curve.
+type curveBuilder interface {
+	build(c *Curve, e *curveEnv, flags interval.Flags)
 }
 
-// leadingSleepCurve mirrors leadingSleepEnergy: active when the wake
-// cannot fit (L < S3+S4, i.e. the cut sits at wake-0.5 for the integer
-// lengths distributions record), off-then-wake otherwise.
-func leadingSleepCurve(t power.Technology) Curve {
-	wake := float64(t.Durations.S3 + t.Durations.S4)
-	slept := affine(wake*t.PActive-wake*t.PSleep, t.PSleep)
-	return switchAt(wake-0.5, activeCurve(t), slept)
+// curveEnv is what a curve build reads: the technology, by pointer, and
+// its drowsy-sleep inflection point b, computed on first use and shared
+// by every curve built through the same env.
+type curveEnv struct {
+	*power.Technology
+	b     float64
+	bErr  error
+	bDone bool
 }
 
-// trailingSleepCurve mirrors trailingSleepEnergy: active for L < S1.
-func trailingSleepCurve(t power.Technology) Curve {
-	s1 := float64(t.Durations.S1)
-	slept := affine(s1*t.PActive-s1*t.PSleep, t.PSleep)
-	return switchAt(s1-0.5, activeCurve(t), slept)
-}
-
-func untouchedSleepCurve(t power.Technology) Curve { return affine(0, t.PSleep) }
-
-// sleepForCurve mirrors sleepEnergyFor's flag dispatch, including the
-// write-back charge riding on trailing and interior dirty intervals. Only
-// the interior piece charges CD, so only it re-fetches.
-func sleepForCurve(t power.Technology, flags interval.Flags) Curve {
-	var wb float64
-	if flags&interval.Dirty != 0 {
-		wb = t.WBEnergy
+// inflection returns InflectionPoints' b and error for e's technology.
+func (e *curveEnv) inflection() (float64, error) {
+	if !e.bDone {
+		_, e.b, e.bErr = e.InflectionPoints()
+		e.bDone = true
 	}
+	return e.b, e.bErr
+}
+
+// Shared building blocks, mirroring the helpers in policy.go. Each pushes
+// its pieces onto c (see Curve.push), so it composes after a switch point
+// as well as on an empty curve.
+
+// active pushes the always-active piece, up to end.
+func (c *Curve) active(e *curveEnv, end float64) {
+	c.push(piece{end: end, slope: e.PActive})
+}
+
+// drowsyFor mirrors drowsyEnergyFor: active for L <= DrowsyOverhead,
+// DrowsyEnergy past it.
+func (c *Curve) drowsyFor(e *curveEnv) {
+	oh := float64(e.Durations.DrowsyOverhead())
+	c.active(e, oh)
+	c.push(piece{end: inf, cnst: oh*e.PActive - oh*e.PDrowsy, slope: e.PDrowsy})
+}
+
+// leadingSleep mirrors leadingSleepEnergy: active when the wake cannot
+// fit (L < S3+S4, i.e. the cut sits at wake-0.5 for the integer lengths
+// distributions record), off-then-wake otherwise.
+func (c *Curve) leadingSleep(e *curveEnv) {
+	wake := float64(e.Durations.S3 + e.Durations.S4)
+	c.active(e, wake-0.5)
+	c.push(piece{end: inf, cnst: wake*e.PActive - wake*e.PSleep, slope: e.PSleep})
+}
+
+// untouchedSleep mirrors untouchedSleepEnergy: asleep throughout.
+func (c *Curve) untouchedSleep(e *curveEnv) {
+	c.push(piece{end: inf, slope: e.PSleep})
+}
+
+// writeBack is the write-back charge a dirty interval pays when gated.
+func writeBack(e *curveEnv, flags interval.Flags) float64 {
+	if flags&interval.Dirty != 0 {
+		return e.WBEnergy
+	}
+	return 0
+}
+
+// sleepFor mirrors sleepEnergyFor's flag dispatch, including the
+// write-back charge riding on trailing and interior dirty intervals;
+// trailing intervals stay active for L < S1. Only the interior piece
+// charges CD, so only it re-fetches.
+func (c *Curve) sleepFor(e *curveEnv, flags interval.Flags) {
+	wb := writeBack(e, flags)
 	switch {
 	case flags&interval.Untouched == interval.Untouched:
-		return untouchedSleepCurve(t)
+		c.untouchedSleep(e)
 	case flags&interval.Leading != 0:
-		return leadingSleepCurve(t)
+		c.leadingSleep(e)
 	case flags&interval.Trailing != 0:
-		return trailingSleepCurve(t).plus(wb, 0, 0)
+		s1 := float64(e.Durations.S1)
+		c.push(piece{end: s1 - 0.5, cnst: wb, slope: e.PActive})
+		c.push(piece{end: inf, cnst: s1*e.PActive - s1*e.PSleep + wb, slope: e.PSleep})
 	default:
-		ohS := float64(t.Durations.SleepOverhead())
-		return affine(ohS*t.PActive-ohS*t.PSleep+t.CD+wb, t.PSleep).plus(0, 0, 1)
+		ohS := float64(e.Durations.SleepOverhead())
+		c.push(piece{end: inf, cnst: ohS*e.PActive - ohS*e.PSleep + e.CD + wb, slope: e.PSleep, misses: 1})
 	}
 }
 
-// EnergyCurve implements ClosedForm.
-func (AlwaysActive) EnergyCurve(t power.Technology, flags interval.Flags) (Curve, bool) {
-	return activeCurve(t), true
+// hybrid is the three-mode oracle's shape: the drowsy schedule up to
+// theta, sleep past it.
+func (c *Curve) hybrid(e *curveEnv, theta float64, flags interval.Flags) {
+	c.drowsyFor(e)
+	c.switchAt(theta)
+	c.sleepFor(e, flags)
 }
 
+// The builtins: each EnergyCurve is one build into its named result.
+
 // EnergyCurve implements ClosedForm.
-func (OPTDrowsy) EnergyCurve(t power.Technology, flags interval.Flags) (Curve, bool) {
-	return drowsyForCurve(t), true
+func (p AlwaysActive) EnergyCurve(t power.Technology, flags interval.Flags) (c Curve, ok bool) {
+	p.build(&c, &curveEnv{Technology: &t}, flags)
+	return c, true
 }
 
-// optSleepTheta applies the reference's clamp: theta never drops below
-// the sleep overhead.
-func (p OPTSleep) theta(t power.Technology) float64 {
+func (AlwaysActive) build(c *Curve, e *curveEnv, _ interval.Flags) { c.active(e, inf) }
+
+// EnergyCurve implements ClosedForm.
+func (p OPTDrowsy) EnergyCurve(t power.Technology, flags interval.Flags) (c Curve, ok bool) {
+	p.build(&c, &curveEnv{Technology: &t}, flags)
+	return c, true
+}
+
+func (OPTDrowsy) build(c *Curve, e *curveEnv, _ interval.Flags) { c.drowsyFor(e) }
+
+// EnergyCurve implements ClosedForm.
+func (p OPTSleep) EnergyCurve(t power.Technology, flags interval.Flags) (c Curve, ok bool) {
+	p.build(&c, &curveEnv{Technology: &t}, flags)
+	return c, true
+}
+
+// build applies the reference's clamp: theta never drops below the sleep
+// overhead.
+func (p OPTSleep) build(c *Curve, e *curveEnv, flags interval.Flags) {
 	theta := float64(p.Theta)
-	if m := float64(t.Durations.SleepOverhead()); theta < m {
+	if m := float64(e.Durations.SleepOverhead()); theta < m {
 		theta = m
 	}
-	return theta
+	c.active(e, theta)
+	c.sleepFor(e, flags)
 }
 
 // EnergyCurve implements ClosedForm.
-func (p OPTSleep) EnergyCurve(t power.Technology, flags interval.Flags) (Curve, bool) {
-	return switchAt(p.theta(t), activeCurve(t), sleepForCurve(t, flags)), true
+func (p SleepDecay) EnergyCurve(t power.Technology, flags interval.Flags) (c Curve, ok bool) {
+	p.build(&c, &curveEnv{Technology: &t}, flags)
+	return c, true
 }
 
-// EnergyCurve implements ClosedForm.
-func (p SleepDecay) EnergyCurve(t power.Technology, flags interval.Flags) (Curve, bool) {
-	d := t.Durations
-	counter := t.CounterLeak
+// build: active until the line has been idle Theta cycles and (interior
+// intervals) the wake fits, gated past that, with the decay counter
+// leaking throughout.
+func (p SleepDecay) build(c *Curve, e *curveEnv, flags interval.Flags) {
+	d := e.Durations
 	switch {
 	case flags&interval.Untouched == interval.Untouched:
-		return untouchedSleepCurve(t).plus(0, counter, 0), true
+		c.untouchedSleep(e)
 	case flags&interval.Leading != 0:
-		return leadingSleepCurve(t).plus(0, counter, 0), true
+		c.leadingSleep(e)
+	default:
+		theta := float64(p.Theta)
+		need := theta + float64(d.S1)
+		if flags&interval.Trailing == 0 {
+			need += float64(d.S3 + d.S4)
+		}
+		wb := writeBack(e, flags)
+		c.active(e, need)
+		if flags&interval.Trailing != 0 {
+			c.push(piece{end: inf, cnst: theta*e.PActive + float64(d.S1)*e.PActive - (theta+float64(d.S1))*e.PSleep + wb, slope: e.PSleep})
+		} else {
+			wake := float64(d.S3+d.S4) * e.PActive
+			c.push(piece{end: inf, cnst: theta*e.PActive + float64(d.S1)*e.PActive + wake + e.CD + wb - need*e.PSleep, slope: e.PSleep, misses: 1})
+		}
 	}
-	theta := float64(p.Theta)
-	need := theta + float64(d.S1)
-	if flags&interval.Trailing == 0 {
-		need += float64(d.S3 + d.S4)
-	}
-	var wb float64
-	if flags&interval.Dirty != 0 {
-		wb = t.WBEnergy
-	}
-	var gated Curve
-	if flags&interval.Trailing != 0 {
-		gated = affine(theta*t.PActive+float64(d.S1)*t.PActive-(theta+float64(d.S1))*t.PSleep+wb, t.PSleep)
-	} else {
-		wake := float64(d.S3+d.S4) * t.PActive
-		gated = affine(theta*t.PActive+float64(d.S1)*t.PActive+wake+t.CD+wb-need*t.PSleep, t.PSleep).plus(0, 0, 1)
-	}
-	return switchAt(need, activeCurve(t), gated).plus(0, counter, 0), true
+	c.plus(0, 0, e.CounterLeak, 0)
 }
 
 // EnergyCurve implements ClosedForm.
-func (p OPTHybrid) EnergyCurve(t power.Technology, flags interval.Flags) (Curve, bool) {
-	_, b, err := t.InflectionPoints()
+func (p OPTHybrid) EnergyCurve(t power.Technology, flags interval.Flags) (c Curve, ok bool) {
+	p.build(&c, &curveEnv{Technology: &t}, flags)
+	return c, true
+}
+
+func (p OPTHybrid) build(c *Curve, e *curveEnv, flags interval.Flags) {
+	b, err := e.inflection()
 	if err != nil {
-		return activeCurve(t), true
+		c.active(e, inf)
+		return
 	}
 	theta := b
 	if p.SleepTheta > 0 {
 		theta = float64(p.SleepTheta)
 	}
-	return switchAt(theta, drowsyForCurve(t), sleepForCurve(t, flags)), true
+	c.hybrid(e, theta, flags)
 }
 
 // EnergyCurve implements ClosedForm.
-func (p PeriodicDrowsy) EnergyCurve(t power.Technology, flags interval.Flags) (Curve, bool) {
+func (p PeriodicDrowsy) EnergyCurve(t power.Technology, flags interval.Flags) (c Curve, ok bool) {
+	p.build(&c, &curveEnv{Technology: &t}, flags)
+	return c, true
+}
+
+func (p PeriodicDrowsy) build(c *Curve, e *curveEnv, flags interval.Flags) {
 	w := float64(p.Window)
 	if w <= 0 {
-		return activeCurve(t), true
+		c.active(e, inf)
+		return
 	}
 	wait := w / 2
 	if flags&interval.Leading != 0 || flags&interval.Trailing != 0 {
-		idle := affine(wait*t.PActive-wait*t.PDrowsy+float64(t.Durations.D1)*t.PActive, t.PDrowsy)
-		return switchAt(wait, activeCurve(t), idle), true
+		c.active(e, wait)
+		c.push(piece{end: inf, cnst: wait*e.PActive - wait*e.PDrowsy + float64(e.Durations.D1)*e.PActive, slope: e.PDrowsy})
+		return
 	}
-	oh := float64(t.Durations.DrowsyOverhead())
-	drowsed := affine(wait*t.PActive+oh*t.PActive-(wait+oh)*t.PDrowsy, t.PDrowsy)
-	return switchAt(wait+oh, activeCurve(t), drowsed), true
+	oh := float64(e.Durations.DrowsyOverhead())
+	c.active(e, wait+oh)
+	c.push(piece{end: inf, cnst: wait*e.PActive + oh*e.PActive - (wait+oh)*e.PDrowsy, slope: e.PDrowsy})
 }
 
 // EnergyCurve implements ClosedForm.
-func (p PrefetchGuided) EnergyCurve(t power.Technology, flags interval.Flags) (Curve, bool) {
+func (p PrefetchGuided) EnergyCurve(t power.Technology, flags interval.Flags) (c Curve, ok bool) {
+	p.build(&c, &curveEnv{Technology: &t}, flags)
+	return c, true
+}
+
+func (p PrefetchGuided) build(c *Curve, e *curveEnv, flags interval.Flags) {
 	switch {
 	case flags&interval.Untouched == interval.Untouched:
-		return untouchedSleepCurve(t), true
+		c.untouchedSleep(e)
+		return
 	case flags&interval.Leading != 0:
-		return leadingSleepCurve(t), true
+		c.leadingSleep(e)
+		return
 	}
-	_, b, err := t.InflectionPoints()
+	b, err := e.inflection()
+	switch {
+	case err != nil:
+		c.active(e, inf)
+	case flags.Prefetchable():
+		c.hybrid(e, b, flags)
+	case p.PowerBiased:
+		c.drowsyFor(e)
+	default:
+		c.active(e, inf)
+	}
+}
+
+// EnergyCurve implements ClosedForm.
+func (p AMCSleep) EnergyCurve(t power.Technology, flags interval.Flags) (c Curve, ok bool) {
+	p.build(&c, &curveEnv{Technology: &t}, flags)
+	return c, true
+}
+
+// build: the decay base curve with the tag array's share of any sleep
+// savings given back.
+func (p AMCSleep) build(c *Curve, e *curveEnv, flags interval.Flags) {
+	SleepDecay{Theta: p.Theta}.build(c, e, flags)
+	c.tagTransform(p.TagFraction, e.PActive)
+}
+
+// EnergyCurve implements ClosedForm.
+func (p DirtyAwareHybrid) EnergyCurve(t power.Technology, flags interval.Flags) (c Curve, ok bool) {
+	p.build(&c, &curveEnv{Technology: &t}, flags)
+	return c, true
+}
+
+// build mirrors DirtyAwareHybrid's per-flag crossover: dirty intervals
+// sleep past b + WB/(PDrowsy-PSleep).
+func (DirtyAwareHybrid) build(c *Curve, e *curveEnv, flags interval.Flags) {
+	b, err := e.inflection()
 	if err != nil {
-		return activeCurve(t), true
+		c.active(e, inf)
+		return
 	}
-	if flags.Prefetchable() {
-		return switchAt(b, drowsyForCurve(t), sleepForCurve(t, flags)), true
-	}
-	if p.PowerBiased {
-		return drowsyForCurve(t), true
-	}
-	return activeCurve(t), true
-}
-
-// EnergyCurve implements ClosedForm: the decay base curve with the tag
-// array's share of any sleep savings given back.
-func (p AMCSleep) EnergyCurve(t power.Technology, flags interval.Flags) (Curve, bool) {
-	base, ok := SleepDecay{Theta: p.Theta}.EnergyCurve(t, flags)
-	return tagTransform(base, p.TagFraction, t.PActive), ok
-}
-
-// dirtyTheta mirrors DirtyAwareHybrid's per-flag crossover.
-func dirtyTheta(t power.Technology, b float64, flags interval.Flags) float64 {
 	if flags&interval.Dirty != 0 {
-		return b + t.WBEnergy/(t.PDrowsy-t.PSleep)
+		b += e.WBEnergy / (e.PDrowsy - e.PSleep)
 	}
-	return b
+	c.hybrid(e, b, flags)
 }
 
 // EnergyCurve implements ClosedForm.
-func (DirtyAwareHybrid) EnergyCurve(t power.Technology, flags interval.Flags) (Curve, bool) {
-	_, b, err := t.InflectionPoints()
-	if err != nil {
-		return activeCurve(t), true
-	}
-	return switchAt(dirtyTheta(t, b, flags), drowsyForCurve(t), sleepForCurve(t, flags)), true
+func (p DeadAwareHybrid) EnergyCurve(t power.Technology, flags interval.Flags) (c Curve, ok bool) {
+	p.build(&c, &curveEnv{Technology: &t}, flags)
+	return c, true
 }
 
-// EnergyCurve implements ClosedForm: the dead-interior branch gates
-// wherever CD-free sleep beats the drowsy schedule (for L >= the sleep
-// overhead) and never re-fetches, everything else follows OPT-Hybrid.
-func (DeadAwareHybrid) EnergyCurve(t power.Technology, flags interval.Flags) (Curve, bool) {
-	if flags&interval.DeadEnd == 0 || !flags.Interior() {
-		return OPTHybrid{}.EnergyCurve(t, flags)
+// build: the dead-interior branch gates wherever CD-free sleep beats the
+// drowsy schedule (for L >= the sleep overhead) and never re-fetches,
+// everything else follows OPT-Hybrid.
+func (DeadAwareHybrid) build(c *Curve, e *curveEnv, flags interval.Flags) {
+	b, err := e.inflection()
+	switch {
+	case err != nil:
+		c.active(e, inf)
+	case flags&interval.DeadEnd == 0 || !flags.Interior():
+		c.hybrid(e, b, flags)
+	default:
+		ohS := float64(e.Durations.SleepOverhead())
+		c.drowsyFor(e)
+		base, n := c.p, c.n
+		c.switchAt(ohS - 0.5)
+		c.pickBelow(base[:n], piece{end: inf, cnst: ohS*e.PActive - ohS*e.PSleep + writeBack(e, flags), slope: e.PSleep})
 	}
-	if _, _, err := t.InflectionPoints(); err != nil {
-		return activeCurve(t), true
-	}
-	ohS := float64(t.Durations.SleepOverhead())
-	var wb float64
-	if flags&interval.Dirty != 0 {
-		wb = t.WBEnergy
-	}
-	sleepNR := affine(ohS*t.PActive-ohS*t.PSleep+wb, t.PSleep)
-	base := drowsyForCurve(t)
-	return switchAt(ohS-0.5, base, pickBelow(base, sleepNR)), true
 }
 
 // EnergyCurve implements ClosedForm.
-func (p Coloring) EnergyCurve(t power.Technology, flags interval.Flags) (Curve, bool) {
+func (p Coloring) EnergyCurve(t power.Technology, flags interval.Flags) (c Curve, ok bool) {
+	p.build(&c, &curveEnv{Technology: &t}, flags)
+	return c, true
+}
+
+func (p Coloring) build(c *Curve, e *curveEnv, flags interval.Flags) {
 	switch {
 	case flags&interval.Untouched == interval.Untouched:
-		return untouchedSleepCurve(t), true
+		c.untouchedSleep(e)
 	case flags&interval.Leading != 0:
-		return leadingSleepCurve(t), true
+		c.leadingSleep(e)
+	default:
+		c.active(e, p.regionTheta(e.inflection()))
+		c.sleepFor(e, flags)
 	}
-	return switchAt(p.regionTheta(t), activeCurve(t), sleepForCurve(t, flags)), true
 }
 
 // EnergyCurve implements ClosedForm.
-func (p WayMemo) EnergyCurve(t power.Technology, flags interval.Flags) (Curve, bool) {
+func (p WayMemo) EnergyCurve(t power.Technology, flags interval.Flags) (c Curve, ok bool) {
+	p.build(&c, &curveEnv{Technology: &t}, flags)
+	return c, true
+}
+
+func (p WayMemo) build(c *Curve, e *curveEnv, flags interval.Flags) {
 	switch {
 	case flags&interval.Untouched == interval.Untouched:
-		return untouchedSleepCurve(t), true
+		c.untouchedSleep(e)
+		return
 	case flags&interval.Leading != 0:
-		return leadingSleepCurve(t), true
+		c.leadingSleep(e)
+		return
 	}
 	if !flags.Prefetchable() {
-		return activeCurve(t), true
+		c.active(e, inf)
+		return
 	}
-	_, b, err := t.InflectionPoints()
+	b, err := e.inflection()
 	if err != nil {
-		return activeCurve(t), true
+		c.active(e, inf)
+		return
 	}
-	slept := sleepForCurve(t, flags)
+	c.drowsyFor(e)
+	c.switchAt(b)
+	from := c.n
+	c.sleepFor(e, flags)
 	if flags.Interior() {
 		// A mispredicted pre-wake adds one more CD-equivalent re-fetch.
-		slept = slept.plus((1-p.Accuracy)*t.CD, 0, 1-p.Accuracy)
+		c.plus(from, (1-p.Accuracy)*e.CD, 0, 1-p.Accuracy)
 	}
-	return switchAt(b, drowsyForCurve(t), slept), true
 }

@@ -334,11 +334,11 @@ func (s stairs) IntervalEnergy(t power.Technology, length uint64, flags interval
 	return t.PActive*float64(length) + s.IntervalMisses(t, length, flags)
 }
 
-func (stairs) EnergyCurve(t power.Technology, _ interval.Flags) (Curve, bool) {
-	c := affine(float64(len(stairCuts)), t.PActive).plus(0, 0, float64(len(stairCuts)))
-	for i := len(stairCuts) - 1; i >= 0; i-- {
-		c = switchAt(stairCuts[i], affine(float64(i), t.PActive).plus(0, 0, float64(i)), c)
+func (stairs) EnergyCurve(t power.Technology, _ interval.Flags) (c Curve, ok bool) {
+	for i, cut := range stairCuts {
+		c.push(piece{end: cut, cnst: float64(i), slope: t.PActive, misses: float64(i)})
 	}
+	c.push(piece{end: inf, cnst: float64(len(stairCuts)), slope: t.PActive, misses: float64(len(stairCuts))})
 	return c, true
 }
 
@@ -373,11 +373,39 @@ func TestOverflowingCurveFallsBack(t *testing.T) {
 	}
 }
 
+// sweepLadder is one sweep scheme's dense theta ladder.
+type sweepLadder struct {
+	scheme string
+	pols   []Policy
+}
+
+// sweepLadders builds a 256-point theta ladder of each sweep scheme at
+// tech through the default registry, as a dense parameter sweep does.
+func sweepLadders(t *testing.T, tech power.Technology) []sweepLadder {
+	t.Helper()
+	var out []sweepLadder
+	for _, scheme := range []string{"opt-sleep", "opt-hybrid", "sleep-decay"} {
+		l := sweepLadder{scheme: scheme}
+		for i := 0; i < 256; i++ {
+			spec := PolicySpec{Scheme: scheme, Params: Params{"theta": Uint(uint64(1000 + 400*i))}}
+			pol, err := DefaultRegistry().Build(spec, tech)
+			if err != nil {
+				t.Fatalf("Build %s: %v", scheme, err)
+			}
+			l.pols = append(l.pols, pol)
+		}
+		out = append(out, l)
+	}
+	return out
+}
+
 // TestAggregateKernelsDoNotAllocate is the dynamic twin of the hotalloc
 // contract on EvaluateMany/Compiled.Evaluate: curves are built inline, so
 // EvaluateMany over builtins whose Name is constant allocates only its
 // result slice, one policy or many, and Compiled allocates only its
-// result slices (EvaluateMisses adds the rates) for any builtin.
+// result slices (EvaluateMisses adds the rates) for any builtin. Compile
+// itself allocates per policy only its name, and per distinct curve row
+// only that row's two slices: no curve build allocates.
 func TestAggregateKernelsDoNotAllocate(t *testing.T) {
 	agg := interval.NewAggregates(randomDistribution(rand.New(rand.NewSource(11))))
 	constNamed := []Policy{AlwaysActive{}, OPTDrowsy{}, OPTHybrid{}, PrefetchA(), PrefetchB(), DirtyAwareHybrid{}, DeadAwareHybrid{}}
@@ -404,6 +432,72 @@ func TestAggregateKernelsDoNotAllocate(t *testing.T) {
 			}
 			if n := testing.AllocsPerRun(10, func() { _, _, _ = cp.EvaluateMisses(agg) }); n != 2 {
 				t.Errorf("Compiled.EvaluateMisses @%s (%d aggregates compiled): %v allocs, want 2 (the result slices)", tech.Name, len(aggs), n)
+			}
+		}
+		// Compile's fixed eight: the Compiled, its policy and name slices,
+		// the row list, the curve env, the staging curve, spans and pieces.
+		for _, l := range sweepLadders(t, tech) {
+			cp, err := Compile(tech, l.pols, agg)
+			if err != nil {
+				t.Fatalf("Compile %s @%s: %v", l.scheme, tech.Name, err)
+			}
+			want := 8 + len(l.pols) + 2*len(cp.tab.rows)
+			if n := testing.AllocsPerRun(10, func() { _, _ = Compile(tech, l.pols, agg) }); n != float64(want) {
+				t.Errorf("Compile(%d-point %s @%s): %v allocs, want %d (8 fixed, a name per policy, 2 per each of %d rows)",
+					len(l.pols), l.scheme, tech.Name, n, want, len(cp.tab.rows))
+			}
+		}
+	}
+}
+
+// TestCompileSharesRows pins the curve table's row sharing. Every flags
+// value present maps to a row whose curves equal, piece for piece, that
+// policy's EnergyCurve for the flags value, and evaluating through the
+// shared rows equals EvaluateMany (==) on every aggregate. An OPT-Sleep
+// curve depends only on a few flag bits, so its ladder keeps fewer rows
+// than flags values present.
+func TestCompileSharesRows(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	var aggs []*interval.Aggregates
+	for i := 0; i < 4; i++ {
+		aggs = append(aggs, interval.NewAggregates(randomDistribution(rng)))
+	}
+	for _, tech := range closedFormTechnologies() {
+		for _, l := range sweepLadders(t, tech) {
+			cp, err := Compile(tech, l.pols, aggs...)
+			if err != nil {
+				t.Fatalf("Compile %s @%s: %v", l.scheme, tech.Name, err)
+			}
+			present := 0
+			for f, r := range cp.tab.rowOf {
+				if r == 0 {
+					continue
+				}
+				present++
+				row := &cp.tab.rows[r-1]
+				for i, pol := range l.pols {
+					c, _ := pol.(ClosedForm).EnergyCurve(tech, interval.Flags(f))
+					sp := row.spans[i]
+					if got := row.pieces[sp.off : sp.off+sp.n]; !slices.Equal(got, c.p[:c.n]) {
+						t.Fatalf("%s @%s flags %v: row %d holds %+v, EnergyCurve %+v", pol.Name(), tech.Name, interval.Flags(f), r, got, c.p[:c.n])
+					}
+				}
+			}
+			if l.scheme == "opt-sleep" && len(cp.tab.rows) >= present {
+				t.Errorf("%s @%s: %d rows for %d flags values present, want fewer", l.scheme, tech.Name, len(cp.tab.rows), present)
+			}
+			for ai, agg := range aggs {
+				got, err := cp.Evaluate(agg)
+				if err != nil {
+					t.Fatalf("Compiled.Evaluate: %v", err)
+				}
+				want, err := EvaluateMany(tech, agg, l.pols)
+				if err != nil {
+					t.Fatalf("EvaluateMany: %v", err)
+				}
+				if !slices.Equal(got, want) {
+					t.Fatalf("%s @%s aggregate %d: shared rows evaluate differently from EvaluateMany", l.scheme, tech.Name, ai)
+				}
 			}
 		}
 	}

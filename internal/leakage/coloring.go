@@ -15,7 +15,6 @@ package leakage
 // lines start powered off regardless of the gating granularity.
 
 import (
-	"fmt"
 	"math"
 
 	"leakbound/internal/interval"
@@ -37,12 +36,12 @@ type Coloring struct {
 }
 
 // Name implements Policy.
-func (p Coloring) Name() string { return fmt.Sprintf("Coloring(%d)", p.Colors) }
+func (p Coloring) Name() string { return paramName("Coloring(", p.Colors) }
 
 // regionTheta is the minimum interval length the region-gating model can
 // harvest: the inflection point b scaled by the region size.
-func (p Coloring) regionTheta(t power.Technology) float64 {
-	_, b, err := t.InflectionPoints()
+// b and err are the technology's InflectionPoints.
+func (p Coloring) regionTheta(b float64, err error) float64 {
 	if err != nil || p.Colors == 0 || p.Frames < p.Colors {
 		return math.Inf(1) // degenerate: never gate
 	}
@@ -58,7 +57,7 @@ func (p Coloring) IntervalEnergy(t power.Technology, length uint64, flags interv
 	case flags&interval.Leading != 0:
 		return leadingSleepEnergy(t, L)
 	}
-	if L > p.regionTheta(t) {
+	if _, b, err := t.InflectionPoints(); L > p.regionTheta(b, err) {
 		return sleepEnergyFor(t, L, flags)
 	}
 	return t.ActiveEnergy(L)

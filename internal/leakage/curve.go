@@ -21,6 +21,12 @@ package leakage
 // reassociation: a piece's const+slope*L regroups the reference's
 // arithmetic, and prefix sums reorder the additions — both bounded by
 // ulp-scale relative error, pinned by TestClosedFormsMatchReference.
+//
+// In-place building: curves are built left to right into a caller's
+// *Curve, each builder pushing its pieces in ascending length order, so
+// a composition never copies a curve (see Curve.push and switchAt). The
+// pieces every builtin builds are pinned bit for bit by
+// TestCurvesMatchGolden.
 
 import "math"
 
@@ -29,6 +35,9 @@ import "math"
 // a composition that would exceed it yields an invalid curve, which sends
 // the whole evaluation down the reference walk.
 const maxPieces = 4
+
+// inf ends a Curve's last piece.
+var inf = math.Inf(1)
 
 // piece is one affine segment of a Curve: over the lengths in
 // (previous end, end] the curve's energy is cnst + slope*L and each
@@ -49,10 +58,15 @@ type Curve struct {
 // valid reports whether c holds a complete curve.
 func (c *Curve) valid() bool { return c.n > 0 }
 
-// push appends a piece; past maxPieces the curve turns invalid for good.
+// push appends pc if it ends past the curve built so far (past 0 for the
+// first piece): a piece ending at or below a switch point lies wholly on
+// its low side and drops, so a bounded piece followed by the pieces of
+// any curve composes "pc for L <= pc.end, that curve above" exactly as a
+// switch would. Past maxPieces the curve turns invalid for good.
 func (c *Curve) push(pc piece) {
 	switch {
 	case c.n < 0:
+	case c.n == 0 && !(pc.end > 0), c.n > 0 && !(pc.end > c.p[c.n-1].end):
 	case c.n == maxPieces:
 		c.n = -1
 	default:
@@ -76,86 +90,57 @@ func (c Curve) Eval(L float64) float64 {
 	return pc.cnst + pc.slope*L
 }
 
-// affine returns the single-piece, miss-free curve const + slope*L.
-func affine(cnst, slope float64) Curve {
-	return Curve{p: [maxPieces]piece{{end: math.Inf(1), cnst: cnst, slope: slope}}, n: 1}
-}
-
-// plus adds dc to every piece's constant, ds to its slope (e.g. an
-// always-leaking decay counter) and dm to its induced misses.
-func (c Curve) plus(dc, ds, dm float64) Curve {
-	for i := 0; i < c.n; i++ {
+// plus adds dc to the constant, ds to the slope (e.g. an always-leaking
+// decay counter) and dm to the induced misses of every piece from index
+// from on: the pieces a sub-build pushed, when from is c.n before it.
+func (c *Curve) plus(from int, dc, ds, dm float64) {
+	for i := from; i < c.n; i++ {
 		c.p[i].cnst += dc
 		c.p[i].slope += ds
 		c.p[i].misses += dm
 	}
-	return c
 }
 
-// switchAt composes the curve that equals low for L <= cut and high for
-// L > cut — the shape of every "length > theta" policy branch. A cut <= 0
-// (or NaN) selects high everywhere; +inf selects low everywhere.
-func switchAt(cut float64, low, high Curve) Curve {
+// switchAt ends the curve built so far at cut — the shape of every
+// "length > theta" policy branch: it holds for L <= cut, and the pieces
+// pushed next hold for L > cut (those ending at or below cut drop). A
+// cut <= 0 (or NaN) drops everything built so far, so the next pieces
+// hold everywhere; +Inf keeps it everywhere and drops every next piece.
+func (c *Curve) switchAt(cut float64) {
 	if !(cut > 0) {
-		return high
+		c.n = 0
+		return
 	}
-	if math.IsInf(cut, 1) {
-		return low
-	}
-	var out Curve
-	if !low.valid() || !high.valid() {
-		return out
-	}
-	for _, pc := range low.p[:low.n] {
-		end := pc.end
-		pc.end = math.Min(end, cut)
-		out.push(pc)
-		if end >= cut {
-			break
+	for i := 0; i < c.n; i++ {
+		if c.p[i].end >= cut {
+			c.p[i].end = cut
+			c.n = i + 1
+			return
 		}
 	}
-	for _, pc := range high.p[:high.n] {
-		if pc.end > cut { // pieces entirely below the switch point drop
-			out.push(pc)
-		}
-	}
-	return out
 }
 
-// pickBelow composes the curve that equals alt wherever alt(L) is
-// strictly below base(L), and base elsewhere — the dead-oracle's "gate
-// whenever CD-free sleep beats the drowsy schedule" selection. Affine
-// pieces cross at most once, so each elementary segment of the merged
-// piece ends splits at most once at the analytic crossover; both sides
-// agree at the crossover itself, so any ulp-level disagreement with the
-// reference's per-bucket comparison moves only values equal to within
-// ulps.
-func pickBelow(base, alt Curve) Curve {
-	var out Curve
-	if !base.valid() || !alt.valid() {
-		return out
-	}
+// pickBelow pushes the curve that equals the affine piece alt (end +Inf)
+// wherever alt(L) is strictly below base(L), and base elsewhere — the
+// dead-oracle's "gate whenever CD-free sleep beats the drowsy schedule"
+// selection. Affine pieces cross at most once, so each base piece splits
+// at most once at the analytic crossover; both sides agree at the
+// crossover itself, so any ulp-level disagreement with the reference's
+// per-bucket comparison moves only values equal to within ulps.
+func (c *Curve) pickBelow(base []piece, alt piece) {
 	lo := 0.0
-	for bi, ai := 0, 0; bi < base.n && ai < alt.n; {
-		b, a := base.p[bi], alt.p[ai]
-		hi := math.Min(b.end, a.end)
+	for _, b := range base {
+		hi := b.end
 		// Crossover of the two affine pieces inside (lo, hi), if any.
-		if b.slope != a.slope {
-			if x := (a.cnst - b.cnst) / (b.slope - a.slope); x > lo && x < hi {
-				out.push(lower(lo, x, b, a))
+		if b.slope != alt.slope {
+			if x := (alt.cnst - b.cnst) / (b.slope - alt.slope); x > lo && x < hi {
+				c.push(lower(lo, x, b, alt))
 				lo = x
 			}
 		}
-		out.push(lower(lo, hi, b, a))
+		c.push(lower(lo, hi, b, alt))
 		lo = hi
-		if b.end == hi {
-			bi++
-		}
-		if a.end == hi {
-			ai++
-		}
 	}
-	return out
 }
 
 // lower returns whichever of base and alt is strictly lower over
@@ -170,19 +155,20 @@ func lower(lo, end float64, base, alt piece) piece {
 	return pc
 }
 
-// tagTransform applies the AMC tag-array correction to a decay base
-// curve: wherever the base gated anything (slept(L) = PActive*L - base(L)
-// > 0) the tag's share tf of the savings is given back, i.e. the value
-// becomes (1-tf)*base(L) + tf*PActive*L. Per base piece slept is affine,
-// so the sign changes at most once per piece. The tag array staying
-// powered changes energy, not the re-fetch count.
-func tagTransform(base Curve, tf, pActive float64) Curve {
-	var out Curve
-	if !base.valid() {
-		return out
+// tagTransform applies the AMC tag-array correction to the decay base
+// curve in c: wherever the base gated anything (slept(L) = PActive*L -
+// base(L) > 0) the tag's share tf of the savings is given back, i.e. the
+// value becomes (1-tf)*base(L) + tf*PActive*L. Per base piece slept is
+// affine, so the sign changes at most once per piece. The tag array
+// staying powered changes energy, not the re-fetch count.
+func (c *Curve) tagTransform(tf, pActive float64) {
+	if !c.valid() {
+		return
 	}
+	base, n := c.p, c.n
+	c.n = 0
 	lo := 0.0
-	for _, pc := range base.p[:base.n] {
+	for _, pc := range base[:n] {
 		hi := pc.end
 		if hi <= lo {
 			continue
@@ -192,14 +178,13 @@ func tagTransform(base Curve, tf, pActive float64) Curve {
 		tagged.cnst, tagged.slope = (1-tf)*pc.cnst, pc.slope+tf*(pActive-pc.slope)
 		if d := pActive - pc.slope; d != 0 {
 			if x := pc.cnst / d; x > lo && x < hi {
-				out.push(gated(lo, x, pActive, pc, tagged))
+				c.push(gated(lo, x, pActive, pc, tagged))
 				lo = x
 			}
 		}
-		out.push(gated(lo, hi, pActive, pc, tagged))
+		c.push(gated(lo, hi, pActive, pc, tagged))
 		lo = hi
 	}
-	return out
 }
 
 // gated returns tagged where the base piece pc slept anything over

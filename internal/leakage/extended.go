@@ -37,7 +37,7 @@ type PeriodicDrowsy struct {
 }
 
 // Name implements Policy.
-func (p PeriodicDrowsy) Name() string { return fmt.Sprintf("Drowsy(%d)", p.Window) }
+func (p PeriodicDrowsy) Name() string { return paramName("Drowsy(", p.Window) }
 
 // IntervalEnergy implements Policy.
 func (p PeriodicDrowsy) IntervalEnergy(t power.Technology, length uint64, flags interval.Flags) float64 {
@@ -122,7 +122,7 @@ type AMCSleep struct {
 }
 
 // Name implements Policy.
-func (p AMCSleep) Name() string { return fmt.Sprintf("AMC(%d)", p.Theta) }
+func (p AMCSleep) Name() string { return paramName("AMC(", p.Theta) }
 
 // IntervalEnergy implements Policy.
 func (p AMCSleep) IntervalEnergy(t power.Technology, length uint64, flags interval.Flags) float64 {

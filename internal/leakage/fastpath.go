@@ -18,6 +18,10 @@ package leakage
 // Compiled its many-aggregate case: Compile builds each policy's curve
 // once per flags value present in the aggregates it is given, and names
 // each policy once, so a sweep's benchmarks share one curve table.
+// Builtin curves are built in place (curveBuilder), and the table keeps
+// one row per distinct set of curves: flags values whose curves all come
+// out equal point at the same row, so a theta ladder compiles a handful
+// of rows, not one per flags value present.
 //
 // Determinism: per policy, classes fold in ascending flags order and
 // pieces in ascending length order whatever the batch, so a given
@@ -65,16 +69,17 @@ func foldClass(pcs []piece, cls *interval.FlagsClass, hint *[maxPieces]int) (ene
 // the policy has no valid closed form for the row's flags value.
 type span struct{ off, n int32 }
 
-// curveRow holds every policy's curve for one flags value, in policy
-// order, keeping only the pieces in use.
+// curveRow holds every policy's curve for the flags values that share
+// it, in policy order, keeping only the pieces in use.
 type curveRow struct {
 	spans  []span
 	pieces []piece
 }
 
-// curveTable holds the compiled curves, one row per flags value.
+// curveTable holds the compiled curves: one row per distinct set of
+// curves, shared by every flags value whose curves are all equal.
 type curveTable struct {
-	rowOf [interval.NumFlags]int32 // flags → 1 + its index in rows; 0: not compiled
+	rowOf [interval.NumFlags]int32 // flags → 1 + its row's index in rows; 0: not compiled
 	rows  []curveRow
 }
 
@@ -216,6 +221,12 @@ type Compiled struct {
 // Compile prepares ps for evaluation at t over aggs (nil entries are
 // skipped). Aggregates need not be listed to be evaluated later: a class
 // whose flags no listed aggregate holds builds its curves inline.
+//
+// Builtin curves are built in place through one curveEnv, so the
+// technology is neither copied per curve nor its inflection point
+// recomputed. Flags values whose curves all come out equal share one
+// row: a sleep threshold's curves differ only by the few flag bits the
+// policy dispatches on.
 func Compile(t power.Technology, ps []Policy, aggs ...*interval.Aggregates) (*Compiled, error) {
 	if err := checkPolicies(&t, ps); err != nil {
 		return nil, err
@@ -225,7 +236,7 @@ func Compile(t power.Technology, ps []Policy, aggs ...*interval.Aggregates) (*Co
 		c.names[i] = p.Name()
 	}
 	var present [interval.NumFlags]bool
-	rows := 0
+	flags := 0
 	for _, agg := range aggs {
 		if agg == nil {
 			continue
@@ -233,33 +244,51 @@ func Compile(t power.Technology, ps []Policy, aggs ...*interval.Aggregates) (*Co
 		for k := range agg.Classes() {
 			if f := agg.Classes()[k].Flags; !present[f] {
 				present[f] = true
-				rows++
+				flags++
 			}
 		}
 	}
-	c.tab.rows = make([]curveRow, 0, rows)
-	// Each row's pieces are staged, then copied out at their exact size.
-	staged := make([]piece, 0, maxPieces*len(ps))
+	c.tab.rows = make([]curveRow, 0, flags)
+	env := &curveEnv{Technology: &c.t}
+	curve := new(Curve)
+	// Each row is staged, then copied out only if no earlier row holds it.
+	spans := make([]span, len(ps))
+	pieces := make([]piece, 0, maxPieces*len(ps))
 	for f, ok := range present {
 		if !ok {
 			continue
 		}
-		row := curveRow{spans: make([]span, len(ps))}
-		staged = staged[:0]
+		pieces = pieces[:0]
 		for i, p := range c.ps {
-			row.spans[i] = span{n: -1}
-			if cf, ok := p.(ClosedForm); ok {
-				if curve, ok := cf.EnergyCurve(t, interval.Flags(f)); ok && curve.valid() {
-					row.spans[i] = span{off: int32(len(staged)), n: int32(curve.n)}
-					staged = append(staged, curve.p[:curve.n]...)
-				}
+			spans[i] = span{n: -1}
+			ok := false
+			if cb, builtin := p.(curveBuilder); builtin {
+				curve.n = 0
+				cb.build(curve, env, interval.Flags(f))
+				ok = true
+			} else if cf, closed := p.(ClosedForm); closed {
+				*curve, ok = cf.EnergyCurve(t, interval.Flags(f))
+			}
+			if ok && curve.valid() {
+				spans[i] = span{off: int32(len(pieces)), n: int32(curve.n)}
+				pieces = append(pieces, curve.p[:curve.n]...)
 			}
 		}
-		row.pieces = slices.Clone(staged)
-		c.tab.rows = append(c.tab.rows, row)
-		c.tab.rowOf[f] = int32(len(c.tab.rows))
+		c.tab.rowOf[f] = c.tab.row(spans, pieces)
 	}
 	return c, nil
+}
+
+// row returns 1 + the index of the row holding exactly spans and pieces,
+// appending a copy of them when no row does yet.
+func (tab *curveTable) row(spans []span, pieces []piece) int32 {
+	for r := range tab.rows {
+		if slices.Equal(tab.rows[r].spans, spans) && slices.Equal(tab.rows[r].pieces, pieces) {
+			return int32(r + 1)
+		}
+	}
+	tab.rows = append(tab.rows, curveRow{spans: slices.Clone(spans), pieces: slices.Clone(pieces)})
+	return int32(len(tab.rows))
 }
 
 // foldChecked checks agg and runs the fold over it with c's table,

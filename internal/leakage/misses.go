@@ -166,7 +166,7 @@ func (p Coloring) IntervalMisses(t power.Technology, length uint64, flags interv
 	if !flags.Interior() {
 		return 0
 	}
-	if float64(length) > p.regionTheta(t) {
+	if _, b, err := t.InflectionPoints(); float64(length) > p.regionTheta(b, err) {
 		return 1
 	}
 	return 0

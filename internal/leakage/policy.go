@@ -1,7 +1,7 @@
 package leakage
 
 import (
-	"fmt"
+	"strconv"
 
 	"leakbound/internal/interval"
 	"leakbound/internal/power"
@@ -80,6 +80,16 @@ func drowsyEnergyFor(t power.Technology, length float64) float64 {
 	return t.DrowsyEnergy(length)
 }
 
+// paramName renders a parameterized policy's Name, prefix + v + ")", with
+// one allocation where fmt.Sprintf takes two: a dense sweep names every
+// one of its policies per query.
+func paramName(prefix string, v uint64) string {
+	var buf [48]byte
+	b := append(buf[:0], prefix...)
+	b = strconv.AppendUint(b, v, 10)
+	return string(append(b, ')'))
+}
+
 // AlwaysActive is the baseline: no power management at all.
 type AlwaysActive struct{}
 
@@ -115,7 +125,7 @@ type OPTSleep struct {
 }
 
 // Name implements Policy.
-func (p OPTSleep) Name() string { return fmt.Sprintf("OPT-Sleep(%d)", p.Theta) }
+func (p OPTSleep) Name() string { return paramName("OPT-Sleep(", p.Theta) }
 
 // IntervalEnergy implements Policy.
 func (p OPTSleep) IntervalEnergy(t power.Technology, length uint64, flags interval.Flags) float64 {
@@ -142,7 +152,7 @@ type SleepDecay struct {
 }
 
 // Name implements Policy.
-func (p SleepDecay) Name() string { return fmt.Sprintf("Sleep(%d)", p.Theta) }
+func (p SleepDecay) Name() string { return paramName("Sleep(", p.Theta) }
 
 // IntervalEnergy implements Policy.
 func (p SleepDecay) IntervalEnergy(t power.Technology, length uint64, flags interval.Flags) float64 {
@@ -195,7 +205,7 @@ type OPTHybrid struct {
 // Name implements Policy.
 func (p OPTHybrid) Name() string {
 	if p.SleepTheta > 0 {
-		return fmt.Sprintf("OPT-Hybrid(%d)", p.SleepTheta)
+		return paramName("OPT-Hybrid(", p.SleepTheta)
 	}
 	return "OPT-Hybrid"
 }

@@ -223,8 +223,11 @@ func (r *Registry) Build(spec PolicySpec, tech power.Technology) (Policy, error)
 	if !ok {
 		return nil, fmt.Errorf("%w: %q (known: %s)", ErrUnknownScheme, spec.Scheme, strings.Join(r.Names(), ", "))
 	}
+	// A sweep builds a one-parameter spec per value: its key fits the
+	// stack buffer, so sorting the keys allocates nothing.
+	var buf [1]string
 	params := make(Params, len(spec.Params))
-	for _, key := range spec.Params.sortedKeys() {
+	for _, key := range spec.Params.sortedKeys(buf[:0]) {
 		sch, declared := reg.Schema(strings.ToLower(strings.TrimSpace(key)))
 		if !declared {
 			return nil, fmt.Errorf("%w: unknown parameter %q for scheme %q (declared: %s)",

@@ -245,9 +245,9 @@ func (p Params) Bool(name string) (b, ok bool) {
 }
 
 // sortedKeys returns the parameter names in ascending order, for the
-// deterministic canonical form.
-func (p Params) sortedKeys() []string {
-	keys := make([]string, 0, len(p))
+// deterministic canonical form, appended to buf[:0] (nil allocates).
+func (p Params) sortedKeys(buf []string) []string {
+	keys := buf[:0]
 	for k := range p {
 		keys = append(keys, k)
 	}
@@ -272,7 +272,7 @@ func (s PolicySpec) String() string {
 		return s.Scheme
 	}
 	parts := make([]string, 0, len(s.Params))
-	for _, k := range s.Params.sortedKeys() {
+	for _, k := range s.Params.sortedKeys(nil) {
 		parts = append(parts, k+"="+s.Params[k].String())
 	}
 	return s.Scheme + "@" + strings.Join(parts, ",")
