@@ -324,24 +324,19 @@ func BenchmarkAblationWorkloadGeneration(b *testing.B) {
 
 // Extension benches (beyond the paper's evaluation):
 
-// BenchmarkExtensionL2Study evaluates the oracle on the 2MB L2, the
-// natural next target the paper's conclusion implies.
+// BenchmarkExtensionL2Study times the L2 study table, the natural next
+// target the paper's conclusion implies: per benchmark, one L2 aggregate
+// built and three oracles folded over it.
 func BenchmarkExtensionL2Study(b *testing.B) {
 	s := sharedSuite(b)
+	ctx := context.Background()
+	b.ReportAllocs()
 	b.ResetTimer()
-	var avg float64
 	for i := 0; i < b.N; i++ {
-		data, err := s.DataContext(context.Background(), "gcc")
-		if err != nil {
+		if _, err := experiments.L2StudyContext(ctx, s); err != nil {
 			b.Fatal(err)
 		}
-		ev, err := leakage.Evaluate(power.Default(), data.L2Cache, leakage.OPTHybrid{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		avg = ev.Savings
 	}
-	b.ReportMetric(avg*100, "gcc-L2-hybrid-%")
 }
 
 // BenchmarkExtensionAdaptiveDecay measures the feedback-tuned decay

@@ -5,11 +5,10 @@ package experiments
 // at): the L2 cache, extra baseline schemes from the related work, the
 // dirty-line write-back cost, and temperature sensitivity.
 //
-// Every L1 table evaluates through the aggregate kernels over the Suite's
-// cached IAgg/DAgg summaries (evaluateSide, or leakage.EvaluateMany in one
-// task per aggregate), never a bucket walk. The L2 study alone walks its
-// distribution, on purpose: the Suite builds no L2 aggregate, and that
-// one table would be its only reader.
+// Every table evaluates through the aggregate kernels (evaluateSide, or
+// leakage.EvaluateMany in one task per aggregate), never a bucket walk:
+// the L1 tables over the Suite's cached IAgg/DAgg summaries, the L2 study
+// over an aggregate it builds per benchmark and drops when done.
 
 import (
 	"context"
@@ -85,37 +84,32 @@ func ExtendedSchemesTableContext(ctx context.Context, s *Suite) (*report.Table, 
 // paper restricts itself to the L1s; this is the natural next target its
 // conclusion implies.
 //
-// Unlike the L1 tables, this one walks the L2 distributions through the
-// reference evaluator on purpose: the Suite builds no L2 aggregate, which
-// would cost about 25 ms and 54 MB per suite for this one table.
+// The Suite keeps no L2 aggregate: one task per benchmark builds it from
+// the L2 distribution, folds the three oracles in one EvaluateMany, reads
+// the frames touched off the Untouched classes' mass, and drops it.
 func L2StudyContext(ctx context.Context, s *Suite) (*report.Table, error) {
 	all, err := s.AllContext(ctx)
 	if err != nil {
 		return nil, err
 	}
 	tech := power.Default()
-	walkSavings := func(p leakage.Policy) func(*interval.Distribution) (float64, error) {
-		return func(d *interval.Distribution) (float64, error) {
-			ev, err := leakage.Evaluate(tech, d, p)
-			return ev.Savings, err
+	oracles := []leakage.Policy{leakage.OPTDrowsy{}, leakage.OPTSleep{Theta: 10000}, leakage.OPTHybrid{}}
+	// vals[bi] holds the frames touched, then each oracle's savings.
+	vals := make([][4]float64, len(all))
+	err = s.forEach(ctx, len(all), func(bi int) error {
+		agg := interval.NewAggregates(all[bi].L2Cache)
+		evs, err := leakage.EvaluateMany(tech, agg, oracles)
+		if err != nil {
+			return fmt.Errorf("experiments: L2 study on %s: %w", all[bi].Name, err)
 		}
-	}
-	cols := []func(*interval.Distribution) (float64, error){
-		func(d *interval.Distribution) (float64, error) {
-			untouchedMass := d.MassWhere(func(l uint64, f interval.Flags) bool {
-				return f&interval.Untouched == interval.Untouched
-			})
-			return 1 - float64(untouchedMass)/float64(d.Mass()), nil
-		},
-		walkSavings(leakage.OPTDrowsy{}),
-		walkSavings(leakage.OPTSleep{Theta: 10000}),
-		walkSavings(leakage.OPTHybrid{}),
-	}
-	vals := make([]float64, len(all)*len(cols))
-	err = s.forEach(ctx, len(vals), func(k int) error {
-		v, err := cols[k%len(cols)](all[k/len(cols)].L2Cache)
-		vals[k] = v
-		return err
+		var untouched uint64
+		for i := range agg.Classes() {
+			if cls := &agg.Classes()[i]; cls.Flags&interval.Untouched == interval.Untouched {
+				untouched += cls.TotalMass()
+			}
+		}
+		vals[bi] = [4]float64{1 - float64(untouched)/float64(agg.Mass()), evs[0].Savings, evs[1].Savings, evs[2].Savings}
+		return nil
 	})
 	if err != nil {
 		return nil, err
@@ -124,9 +118,8 @@ func L2StudyContext(ctx context.Context, s *Suite) (*report.Table, error) {
 		"benchmark", "frames touched", "OPT-Drowsy", "OPT-Sleep(10K)", "OPT-Hybrid")
 	var sums [3]float64
 	for bi, bd := range all {
-		row := vals[bi*len(cols) : (bi+1)*len(cols)]
 		cells := []string{bd.Name}
-		for j, v := range row {
+		for j, v := range vals[bi] {
 			cells = append(cells, report.Pct(v))
 			if j > 0 {
 				sums[j-1] += v
@@ -197,9 +190,7 @@ func WritebackAblationContext(ctx context.Context, s *Suite) (*report.Table, err
 // silicon should sleep more aggressively. The paper's generalized model
 // exists exactly to answer questions like this. Each temperature point
 // is its own technology, evaluated inline through leakage.EvaluateMany
-// over the benchmark's cached summary — the sweep never re-walks the
-// distribution, like every other L1 table here (only the L2 study walks,
-// see L2StudyContext).
+// over the benchmark's cached summary.
 func TemperatureSweepContext(ctx context.Context, s *Suite, benchmark string) (*report.Table, error) {
 	bd, err := s.DataContext(ctx, benchmark)
 	if err != nil {

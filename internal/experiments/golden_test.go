@@ -3,18 +3,23 @@ package experiments
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"os"
 	"reflect"
 	"testing"
 
 	"leakbound/internal/leakage"
 	"leakbound/internal/power"
+	"leakbound/internal/report"
 )
 
 // TestGoldenResultsUnchanged is the registry's regression anchor: with every
 // policy now built through the registered factories, the scale-1 suite must
-// render Figure 8 (both cache sides) and Table 2 byte-identically to the
-// committed RESULTS.txt. It also evaluates every registered scheme at its
+// render Figure 8 (both cache sides), Table 2, the L2 study and both Pareto
+// tables byte-identically to the committed RESULTS.txt. The L2 study and
+// the Pareto tables read the aggregate kernels' two outputs the figures do
+// not: savings over an L2 aggregate built per query, and the induced-miss
+// rates of Compiled.EvaluateMisses. It also evaluates every registered scheme at its
 // defaults on the same suite first, so a registration whose factory perturbs
 // shared state would be caught here rather than in a report diff.
 func TestGoldenResultsUnchanged(t *testing.T) {
@@ -55,30 +60,28 @@ func TestGoldenResultsUnchanged(t *testing.T) {
 		t.Fatalf(`ParsePolicy("opt-sleep@8192") = %#v, want leakage.OPTSleep{Theta: 8192}`, pol)
 	}
 
-	check := func(section string, buf []byte) {
+	check := func(section string, tbl *report.Table, err error) {
 		t.Helper()
-		if !bytes.Contains(golden, buf) {
-			t.Errorf("%s output no longer matches RESULTS.txt; got:\n%s", section, buf)
-		}
-	}
-	for _, iCache := range []bool{true, false} {
-		tbl, err := Figure8TableContext(context.Background(), s, iCache)
 		if err != nil {
-			t.Fatalf("Figure8TableContext(context.Background(), iCache=%v): %v", iCache, err)
+			t.Fatalf("%s: %v", section, err)
 		}
 		var buf bytes.Buffer
 		if err := tbl.Render(&buf); err != nil {
-			t.Fatalf("render figure 8: %v", err)
+			t.Fatalf("render %s: %v", section, err)
 		}
-		check("Figure 8", buf.Bytes())
+		if !bytes.Contains(golden, buf.Bytes()) {
+			t.Errorf("%s output no longer matches RESULTS.txt; got:\n%s", section, buf.Bytes())
+		}
 	}
-	tbl, err := Table2Context(context.Background(), s)
-	if err != nil {
-		t.Fatalf("Table2: %v", err)
+	ctx := context.Background()
+	for _, iCache := range []bool{true, false} {
+		tbl, err := Figure8TableContext(ctx, s, iCache)
+		check(fmt.Sprintf("Figure 8 (iCache=%v)", iCache), tbl, err)
+		tbl, err = s.ParetoTableContext(ctx, iCache, power.Default(), nil)
+		check(fmt.Sprintf("Pareto (iCache=%v)", iCache), tbl, err)
 	}
-	var buf bytes.Buffer
-	if err := tbl.Render(&buf); err != nil {
-		t.Fatalf("render table 2: %v", err)
-	}
-	check("Table 2", buf.Bytes())
+	tbl, err := Table2Context(ctx, s)
+	check("Table 2", tbl, err)
+	tbl, err = L2StudyContext(ctx, s)
+	check("L2 study", tbl, err)
 }

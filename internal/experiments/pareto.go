@@ -92,11 +92,8 @@ func (s *Suite) ParetoFrontierContext(ctx context.Context, iCache bool, tech pow
 		return nil, fmt.Errorf("experiments: pareto: %w", err)
 	}
 	evsAll := make([][]leakage.Evaluation, len(all))
-	rates := make([][]leakage.MissRate, len(all))
+	rates := make([][]float64, len(all))
 	err = s.forEach(ctx, len(all), func(bi int) error {
-		// Miss errors are per (spec, benchmark): EvaluateMisses returns
-		// them in rates, and the reduction below surfaces the first one
-		// in deterministic order, not in completion order.
 		evs, ms, err := cp.EvaluateMisses(aggs[bi])
 		if err != nil {
 			return fmt.Errorf("experiments: pareto %s: %w", all[bi].Name, err)
@@ -112,10 +109,7 @@ func (s *Suite) ParetoFrontierContext(ctx context.Context, iCache bool, tech pow
 		var leak, miss float64
 		for bi := range all {
 			leak += evsAll[bi][i].Energy / evsAll[bi][i].Baseline
-			if err := rates[bi][i].Err; err != nil {
-				return nil, fmt.Errorf("experiments: pareto %q: %w", specs[i], err)
-			}
-			miss += rates[bi][i].Rate
+			miss += rates[bi][i]
 		}
 		n := float64(len(all))
 		points[i] = ParetoPoint{

@@ -64,11 +64,13 @@ func TestWorkersDoNotChangeResults(t *testing.T) {
 	}
 }
 
-// TestL2WalksRaceFree walks a benchmark's L2 distribution from two
+// TestL2WalksRaceFree reads a benchmark's L2 distribution from two
 // goroutines at once, on a freshly simulated suite and on one loaded from
-// the disk cache. No aggregates are built for the L2 side, so only the
-// tail compaction in Collector.Finish and ReadDistribution keeps the two
-// walks from racing; run under -race (make race, make test-parallel).
+// the disk cache: one walks it, the other builds its aggregates, as two
+// concurrent L2 studies do. The Suite keeps no L2 aggregate, so every
+// study reads the shared distribution, and only the tail compaction in
+// Collector.Finish and ReadDistribution keeps those reads from racing;
+// run under -race (make race, make test-parallel).
 func TestL2WalksRaceFree(t *testing.T) {
 	fresh := MustNew(WithScale(0.05), WithMetrics(telemetry.NewRegistry()))
 	fd, err := fresh.DataContext(context.Background(), "gzip")
@@ -90,7 +92,7 @@ func TestL2WalksRaceFree(t *testing.T) {
 	walkConcurrently(t, "loaded", ld.L2Cache)
 }
 
-// walkConcurrently runs an Each walk and a MassWhere walk over d on two
+// walkConcurrently runs an Each walk and an aggregate build over d on two
 // goroutines and checks both saw the whole distribution, including its
 // long tail.
 func walkConcurrently(t *testing.T, label string, d *interval.Distribution) {
@@ -107,7 +109,10 @@ func walkConcurrently(t *testing.T, label string, d *interval.Distribution) {
 	}()
 	go func() {
 		defer wg.Done()
-		mass = d.MassWhere(func(uint64, interval.Flags) bool { return true })
+		agg := interval.NewAggregates(d)
+		for i := range agg.Classes() {
+			mass += agg.Classes()[i].TotalMass()
+		}
 	}()
 	wg.Wait()
 	if counted != d.NumIntervals() || mass != d.Mass() {

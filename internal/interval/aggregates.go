@@ -7,10 +7,11 @@ package interval
 // per affine piece, "how many intervals and how much mass fall in this
 // length range" — a binary search into sorted prefix arrays instead of a
 // walk over every bucket. Aggregates is that summary: built once per
-// Distribution (the Suite caches it next to the distribution itself) and
-// then shared read-only by any number of concurrent sweep points.
-
-import "sort"
+// Distribution and then shared read-only by any number of concurrent
+// sweep points. The Suite caches the L1 caches' next to their
+// distributions; the L2 study builds the L2 cache's per query. Either
+// way, nothing reaches the distribution through it: the kernels fold
+// aggregates only.
 
 // FlagsClass is the prefix-sum summary of one flags value: the distinct
 // interval lengths recorded under that flags combination in ascending
@@ -118,9 +119,8 @@ func (c *FlagsClass) PrefixFrom(cut float64, hint int) (count, mass uint64, next
 // Aggregates is an immutable prefix-sum summary of a Distribution,
 // organized per flags class. Build it with NewAggregates once the
 // distribution is final (no Add afterwards); it is then safe for
-// concurrent use.
+// concurrent use. It keeps no reference to the distribution.
 type Aggregates struct {
-	src     *Distribution
 	classes []FlagsClass
 
 	numFrames    uint32
@@ -129,53 +129,82 @@ type Aggregates struct {
 	mass         uint64
 }
 
-// NewAggregates builds the prefix-sum summary of d in one ordered walk.
-// It returns nil for a nil distribution. The walk compacts d's sparse
-// tail if anything was appended since the last compaction (see Each).
+// NewAggregates builds the prefix-sum summary of d. It returns nil for a
+// nil distribution. It compacts d's sparse tail if anything was appended
+// since the last compaction (see Each).
+//
+// It counts each flags value's distinct lengths first, then allocates
+// every class exactly (the class list, and three slices per class) in
+// ascending flags order and fills it: each class's dense row in
+// ascending length, then its tail buckets, whose lengths are all longer
+// than the dense rows'. The tail is sorted by (length, flags), so every
+// class's Lengths come out ascending with no re-sort.
 func NewAggregates(d *Distribution) *Aggregates {
 	if d == nil {
 		return nil
 	}
+	d.compact()
+	var size [NumFlags]int
+	for _, f := range d.present {
+		for _, c := range d.rows[f][:d.maxLen[f]+1] {
+			if c > 0 {
+				size[f]++
+			}
+		}
+	}
+	for _, b := range d.tail {
+		size[b.key&(NumFlags-1)]++
+	}
+	n := 0
+	for _, k := range size {
+		if k > 0 {
+			n++
+		}
+	}
 	a := &Aggregates{
-		src:          d,
+		classes:      make([]FlagsClass, 0, n),
 		numFrames:    d.NumFrames,
 		totalCycles:  d.TotalCycles,
 		numIntervals: d.NumIntervals(),
 		mass:         d.Mass(),
 	}
-	var idx [NumFlags]int
-	for i := range idx {
-		idx[i] = -1
+	var idx [NumFlags]int // flags → its class's index in a.classes
+	for f, k := range size {
+		if k == 0 {
+			continue
+		}
+		idx[f] = len(a.classes)
+		c := FlagsClass{
+			Flags:    Flags(f),
+			Lengths:  make([]uint64, 0, k),
+			CumCount: make([]uint64, 0, k),
+			CumMass:  make([]uint64, 0, k),
+		}
+		if row := d.rows[f]; row != nil {
+			for length, count := range row[:d.maxLen[f]+1] {
+				if count > 0 {
+					c.add(uint64(length), count)
+				}
+			}
+		}
+		a.classes = append(a.classes, c)
 	}
-	// Each yields ascending (length, flags); collecting per class keeps
-	// every class's Lengths ascending without any re-sort.
-	d.Each(func(length uint64, flags Flags, count uint64) bool {
-		j := idx[flags]
-		if j < 0 {
-			j = len(a.classes)
-			idx[flags] = j
-			a.classes = append(a.classes, FlagsClass{Flags: flags})
-		}
-		c := &a.classes[j]
-		cumCount, cumMass := uint64(0), uint64(0)
-		if n := len(c.Lengths); n > 0 {
-			cumCount, cumMass = c.CumCount[n-1], c.CumMass[n-1]
-		}
-		c.Lengths = append(c.Lengths, length)
-		c.CumCount = append(c.CumCount, cumCount+count)
-		c.CumMass = append(c.CumMass, cumMass+length*count)
-		return true
-	})
-	// Classes surface in first-appearance order of the length-major walk;
-	// fix them to ascending flags value so every consumer folds classes in
-	// one deterministic order.
-	sort.Slice(a.classes, func(i, j int) bool { return a.classes[i].Flags < a.classes[j].Flags })
+	for _, b := range d.tail {
+		a.classes[idx[b.key&(NumFlags-1)]].add(b.key>>6, b.count)
+	}
 	return a
 }
 
-// Source returns the distribution the aggregates were built from — the
-// reference path for policies without a closed form.
-func (a *Aggregates) Source() *Distribution { return a.src }
+// add appends one bucket, longer than every bucket already in c.
+func (c *FlagsClass) add(length, count uint64) {
+	cumCount, cumMass := uint64(0), uint64(0)
+	if n := len(c.Lengths); n > 0 {
+		cumCount, cumMass = c.CumCount[n-1], c.CumMass[n-1]
+	}
+	c.Lengths = append(c.Lengths, length)
+	c.CumCount = append(c.CumCount, cumCount+count)
+	c.CumMass = append(c.CumMass, cumMass+length*count)
+}
 
 // Classes returns the per-flags summaries in ascending flags order.
 // Callers must not mutate the returned slice.

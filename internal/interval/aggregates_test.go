@@ -3,6 +3,8 @@ package interval
 import (
 	"math"
 	"math/rand"
+	"reflect"
+	"slices"
 	"testing"
 )
 
@@ -89,8 +91,8 @@ func TestAggregatesMatchDistribution(t *testing.T) {
 	if a == nil {
 		t.Fatal("nil aggregates from non-nil distribution")
 	}
-	if a.Source() != d {
-		t.Fatal("Source must return the built-from distribution")
+	if want := walkClasses(d); !reflect.DeepEqual(a.Classes(), want) {
+		t.Fatalf("classes differ from a walk of the distribution:\n got %+v\nwant %+v", a.Classes(), want)
 	}
 	if a.NumIntervals() != d.NumIntervals() || a.Mass() != d.Mass() {
 		t.Fatalf("totals mismatch: aggregates (%d, %d), distribution (%d, %d)",
@@ -152,6 +154,74 @@ func TestAggregatesMatchDistribution(t *testing.T) {
 		}
 	}
 }
+
+// walkClasses is the reference aggregate builder: it collects d's Each
+// walk per flags class, appending as it goes, then orders the classes by
+// flags value.
+func walkClasses(d *Distribution) []FlagsClass {
+	var classes []FlagsClass
+	d.Each(func(length uint64, flags Flags, count uint64) bool {
+		i := slices.IndexFunc(classes, func(c FlagsClass) bool { return c.Flags == flags })
+		if i < 0 {
+			i = len(classes)
+			classes = append(classes, FlagsClass{Flags: flags})
+		}
+		classes[i].add(length, count)
+		return true
+	})
+	slices.SortFunc(classes, func(a, b FlagsClass) int { return int(a.Flags) - int(b.Flags) })
+	return classes
+}
+
+// TestNewAggregatesSizesExactly is the dynamic twin of NewAggregates'
+// counting pass: it allocates the Aggregates, the class list and three
+// slices per class, each at exactly its final length, and builds the same
+// classes as a walk of the distribution.
+func TestNewAggregatesSizesExactly(t *testing.T) {
+	rng := rand.New(rand.NewSource(12))
+	for _, d := range []*Distribution{buildTestDist(t), randomDist(rng, 5000), randomDist(rng, 40)} {
+		a := NewAggregates(d)
+		if want := walkClasses(d); len(want) > 0 && !reflect.DeepEqual(a.Classes(), want) || len(a.Classes()) != len(want) {
+			t.Fatalf("classes differ from a walk of the distribution")
+		}
+		if cap(a.Classes()) != len(a.Classes()) {
+			t.Errorf("class list: cap %d, len %d", cap(a.Classes()), len(a.Classes()))
+		}
+		for _, c := range a.Classes() {
+			for name, s := range map[string][]uint64{"Lengths": c.Lengths, "CumCount": c.CumCount, "CumMass": c.CumMass} {
+				if cap(s) != len(s) {
+					t.Errorf("class %v %s: cap %d, len %d", c.Flags, name, cap(s), len(s))
+				}
+			}
+		}
+		want := float64(2 + 3*len(a.Classes()))
+		if n := testing.AllocsPerRun(10, func() { NewAggregates(d) }); n != want {
+			t.Errorf("%d classes: %v allocs, want %v (the aggregates, the class list, 3 per class)", len(a.Classes()), n, want)
+		}
+	}
+}
+
+// BenchmarkNewAggregates builds the aggregates of a distribution shaped
+// like a cache's: 200,000 buckets with log-uniform lengths up to 2^24, so
+// the short dense rows fill up and the long tail stays sparse, over 16
+// flags classes.
+func BenchmarkNewAggregates(b *testing.B) {
+	rng := rand.New(rand.NewSource(3))
+	d := NewDistribution(1024, 1<<30)
+	for i := 0; i < 200000; i++ {
+		length := uint64(math.Exp(rng.Float64()*math.Log(1<<24))) + 1
+		d.Add(length, Flags(rng.Intn(16)), uint64(rng.Intn(4))+1)
+	}
+	NewAggregates(d) // compact the tail outside the timed loop
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		aggSink = NewAggregates(d)
+	}
+}
+
+// aggSink keeps BenchmarkNewAggregates' builds from being optimized away.
+var aggSink *Aggregates
 
 func TestAggregatesNil(t *testing.T) {
 	if a := NewAggregates(nil); a != nil {

@@ -11,37 +11,30 @@ package leakage
 // across every flags value, technology node, and threshold neighborhood;
 // the aggregate property tests pin it distribution-wide.
 //
-// Every builtin builds its curve in place (curveBuilder): its EnergyCurve
-// is one build into the named result, and Compile builds a whole policy
-// list's curves through one curveEnv. Custom registry schemes that do not
-// implement ClosedForm (no declared threshold structure) simply bypass the
-// fast path: EvaluateMany and Compiled fall back to the reference walk over
-// Aggregates.Source().
+// Every builtin is a curvePolicy: its EnergyCurve is one build into the
+// named result, and Compile builds a whole policy list's curves through
+// one curveEnv. The aggregate kernels accept nothing else: a policy
+// without a curve gets ErrNoClosedForm, so none silently walks buckets.
 
 import (
 	"leakbound/internal/interval"
 	"leakbound/internal/power"
 )
 
-// ClosedForm is implemented by policies whose IntervalEnergy is piecewise
-// affine in the interval length for any fixed flags value. EnergyCurve
-// returns the curve for one flags value, whose pieces also carry the
-// policy's IntervalMisses; ok=false (or an invalid curve) means the
-// policy cannot express this flags class in closed form and the caller
-// must fall back to the bucket-walking reference path for the whole
-// distribution.
-type ClosedForm interface {
-	EnergyCurve(t power.Technology, flags interval.Flags) (Curve, bool)
-}
-
-// curveBuilder is ClosedForm in place, implemented by every builtin:
-// build writes the policy's curve for flags into an empty c, reading the
-// technology through e. A builtin's EnergyCurve is one build over a fresh
-// env; Compile builds every curve of a policy list through one env, so it
+// curvePolicy is a policy the aggregate kernels can fold: one whose
+// IntervalEnergy is piecewise affine in the interval length for every
+// flags value, with pieces that also carry its IntervalMisses. build
+// writes the curve for flags into an empty c, reading the technology
+// through e; Compile builds a whole policy list through one env, so it
 // neither copies the technology per curve nor computes b more than once.
-// Since Compile prefers build, a type that embeds a builtin must not
-// override EnergyCurve: Compile would still build the builtin's curve.
-type curveBuilder interface {
+// EnergyCurve is the same build over a fresh env, returned by value: the
+// kernels' inline path calls it so that no pointer escapes through the
+// dynamic call. build is unexported, so only this package's policies
+// qualify; since Compile calls build, a type that embeds a builtin must
+// not override EnergyCurve.
+type curvePolicy interface {
+	Policy
+	EnergyCurve(t power.Technology, flags interval.Flags) Curve
 	build(c *Curve, e *curveEnv, flags interval.Flags)
 }
 
@@ -134,26 +127,26 @@ func (c *Curve) hybrid(e *curveEnv, theta float64, flags interval.Flags) {
 
 // The builtins: each EnergyCurve is one build into its named result.
 
-// EnergyCurve implements ClosedForm.
-func (p AlwaysActive) EnergyCurve(t power.Technology, flags interval.Flags) (c Curve, ok bool) {
+// EnergyCurve returns the policy's curve for flags.
+func (p AlwaysActive) EnergyCurve(t power.Technology, flags interval.Flags) (c Curve) {
 	p.build(&c, &curveEnv{Technology: &t}, flags)
-	return c, true
+	return c
 }
 
 func (AlwaysActive) build(c *Curve, e *curveEnv, _ interval.Flags) { c.active(e, inf) }
 
-// EnergyCurve implements ClosedForm.
-func (p OPTDrowsy) EnergyCurve(t power.Technology, flags interval.Flags) (c Curve, ok bool) {
+// EnergyCurve returns the policy's curve for flags.
+func (p OPTDrowsy) EnergyCurve(t power.Technology, flags interval.Flags) (c Curve) {
 	p.build(&c, &curveEnv{Technology: &t}, flags)
-	return c, true
+	return c
 }
 
 func (OPTDrowsy) build(c *Curve, e *curveEnv, _ interval.Flags) { c.drowsyFor(e) }
 
-// EnergyCurve implements ClosedForm.
-func (p OPTSleep) EnergyCurve(t power.Technology, flags interval.Flags) (c Curve, ok bool) {
+// EnergyCurve returns the policy's curve for flags.
+func (p OPTSleep) EnergyCurve(t power.Technology, flags interval.Flags) (c Curve) {
 	p.build(&c, &curveEnv{Technology: &t}, flags)
-	return c, true
+	return c
 }
 
 // build applies the reference's clamp: theta never drops below the sleep
@@ -167,10 +160,10 @@ func (p OPTSleep) build(c *Curve, e *curveEnv, flags interval.Flags) {
 	c.sleepFor(e, flags)
 }
 
-// EnergyCurve implements ClosedForm.
-func (p SleepDecay) EnergyCurve(t power.Technology, flags interval.Flags) (c Curve, ok bool) {
+// EnergyCurve returns the policy's curve for flags.
+func (p SleepDecay) EnergyCurve(t power.Technology, flags interval.Flags) (c Curve) {
 	p.build(&c, &curveEnv{Technology: &t}, flags)
-	return c, true
+	return c
 }
 
 // build: active until the line has been idle Theta cycles and (interior
@@ -201,10 +194,10 @@ func (p SleepDecay) build(c *Curve, e *curveEnv, flags interval.Flags) {
 	c.plus(0, 0, e.CounterLeak, 0)
 }
 
-// EnergyCurve implements ClosedForm.
-func (p OPTHybrid) EnergyCurve(t power.Technology, flags interval.Flags) (c Curve, ok bool) {
+// EnergyCurve returns the policy's curve for flags.
+func (p OPTHybrid) EnergyCurve(t power.Technology, flags interval.Flags) (c Curve) {
 	p.build(&c, &curveEnv{Technology: &t}, flags)
-	return c, true
+	return c
 }
 
 func (p OPTHybrid) build(c *Curve, e *curveEnv, flags interval.Flags) {
@@ -220,10 +213,10 @@ func (p OPTHybrid) build(c *Curve, e *curveEnv, flags interval.Flags) {
 	c.hybrid(e, theta, flags)
 }
 
-// EnergyCurve implements ClosedForm.
-func (p PeriodicDrowsy) EnergyCurve(t power.Technology, flags interval.Flags) (c Curve, ok bool) {
+// EnergyCurve returns the policy's curve for flags.
+func (p PeriodicDrowsy) EnergyCurve(t power.Technology, flags interval.Flags) (c Curve) {
 	p.build(&c, &curveEnv{Technology: &t}, flags)
-	return c, true
+	return c
 }
 
 func (p PeriodicDrowsy) build(c *Curve, e *curveEnv, flags interval.Flags) {
@@ -243,10 +236,10 @@ func (p PeriodicDrowsy) build(c *Curve, e *curveEnv, flags interval.Flags) {
 	c.push(piece{end: inf, cnst: wait*e.PActive + oh*e.PActive - (wait+oh)*e.PDrowsy, slope: e.PDrowsy})
 }
 
-// EnergyCurve implements ClosedForm.
-func (p PrefetchGuided) EnergyCurve(t power.Technology, flags interval.Flags) (c Curve, ok bool) {
+// EnergyCurve returns the policy's curve for flags.
+func (p PrefetchGuided) EnergyCurve(t power.Technology, flags interval.Flags) (c Curve) {
 	p.build(&c, &curveEnv{Technology: &t}, flags)
-	return c, true
+	return c
 }
 
 func (p PrefetchGuided) build(c *Curve, e *curveEnv, flags interval.Flags) {
@@ -271,10 +264,10 @@ func (p PrefetchGuided) build(c *Curve, e *curveEnv, flags interval.Flags) {
 	}
 }
 
-// EnergyCurve implements ClosedForm.
-func (p AMCSleep) EnergyCurve(t power.Technology, flags interval.Flags) (c Curve, ok bool) {
+// EnergyCurve returns the policy's curve for flags.
+func (p AMCSleep) EnergyCurve(t power.Technology, flags interval.Flags) (c Curve) {
 	p.build(&c, &curveEnv{Technology: &t}, flags)
-	return c, true
+	return c
 }
 
 // build: the decay base curve with the tag array's share of any sleep
@@ -284,10 +277,10 @@ func (p AMCSleep) build(c *Curve, e *curveEnv, flags interval.Flags) {
 	c.tagTransform(p.TagFraction, e.PActive)
 }
 
-// EnergyCurve implements ClosedForm.
-func (p DirtyAwareHybrid) EnergyCurve(t power.Technology, flags interval.Flags) (c Curve, ok bool) {
+// EnergyCurve returns the policy's curve for flags.
+func (p DirtyAwareHybrid) EnergyCurve(t power.Technology, flags interval.Flags) (c Curve) {
 	p.build(&c, &curveEnv{Technology: &t}, flags)
-	return c, true
+	return c
 }
 
 // build mirrors DirtyAwareHybrid's per-flag crossover: dirty intervals
@@ -304,10 +297,10 @@ func (DirtyAwareHybrid) build(c *Curve, e *curveEnv, flags interval.Flags) {
 	c.hybrid(e, b, flags)
 }
 
-// EnergyCurve implements ClosedForm.
-func (p DeadAwareHybrid) EnergyCurve(t power.Technology, flags interval.Flags) (c Curve, ok bool) {
+// EnergyCurve returns the policy's curve for flags.
+func (p DeadAwareHybrid) EnergyCurve(t power.Technology, flags interval.Flags) (c Curve) {
 	p.build(&c, &curveEnv{Technology: &t}, flags)
-	return c, true
+	return c
 }
 
 // build: the dead-interior branch gates wherever CD-free sleep beats the
@@ -329,10 +322,10 @@ func (DeadAwareHybrid) build(c *Curve, e *curveEnv, flags interval.Flags) {
 	}
 }
 
-// EnergyCurve implements ClosedForm.
-func (p Coloring) EnergyCurve(t power.Technology, flags interval.Flags) (c Curve, ok bool) {
+// EnergyCurve returns the policy's curve for flags.
+func (p Coloring) EnergyCurve(t power.Technology, flags interval.Flags) (c Curve) {
 	p.build(&c, &curveEnv{Technology: &t}, flags)
-	return c, true
+	return c
 }
 
 func (p Coloring) build(c *Curve, e *curveEnv, flags interval.Flags) {
@@ -347,10 +340,10 @@ func (p Coloring) build(c *Curve, e *curveEnv, flags interval.Flags) {
 	}
 }
 
-// EnergyCurve implements ClosedForm.
-func (p WayMemo) EnergyCurve(t power.Technology, flags interval.Flags) (c Curve, ok bool) {
+// EnergyCurve returns the policy's curve for flags.
+func (p WayMemo) EnergyCurve(t power.Technology, flags interval.Flags) (c Curve) {
 	p.build(&c, &curveEnv{Technology: &t}, flags)
-	return c, true
+	return c
 }
 
 func (p WayMemo) build(c *Curve, e *curveEnv, flags interval.Flags) {

@@ -114,24 +114,24 @@ func relClose(a, b, relTol, absTol float64) bool {
 // EnergyCurve pointwise against its IntervalEnergy and IntervalMisses, for
 // every flags value, at every builtin technology node and at the
 // write-back ablation's nodes, on lengths bracketing every piece end. No
-// builtin policy may lack a valid curve for any flags class: that is what
-// keeps the aggregate kernels off their reference fallback. Energies may differ
+// builtin policy may lack a valid curve for any flags class: the aggregate
+// kernels would reject it. Energies may differ
 // only by float regrouping (tight relative tolerance); the misses the same
 // pieces carry must match exactly — they sit on the very same threshold
 // comparisons.
 func TestClosedFormsMatchReference(t *testing.T) {
 	for _, tech := range closedFormTechnologies() {
 		for _, pol := range testPolicies(tech) {
-			cf, ok := pol.(ClosedForm)
+			cp, ok := pol.(curvePolicy)
 			if !ok {
-				t.Fatalf("%s (%T) does not declare a ClosedForm", pol.Name(), pol)
+				t.Fatalf("%s (%T) has no energy curve", pol.Name(), pol)
 			}
 			mm := pol.(MissModel)
 			for f := 0; f < 64; f++ {
 				flags := interval.Flags(f)
-				curve, ok := cf.EnergyCurve(tech, flags)
-				if !ok || !curve.valid() {
-					t.Fatalf("%s flags %v: no valid curve (ok=%v, %d pieces)", pol.Name(), flags, ok, curve.n)
+				curve := cp.EnergyCurve(tech, flags)
+				if !curve.valid() {
+					t.Fatalf("%s flags %v: no valid curve (%d pieces)", pol.Name(), flags, curve.n)
 				}
 				pieces := curve.p[:curve.n]
 				for i := 1; i < len(pieces); i++ {
@@ -188,7 +188,7 @@ func randomDistribution(rng *rand.Rand) *interval.Distribution {
 
 // missRates answers ps's induced-miss rates over agg through a Compiled
 // with no aggregates, so every curve is built inline.
-func missRates(t *testing.T, tech power.Technology, agg *interval.Aggregates, ps ...Policy) []MissRate {
+func missRates(t *testing.T, tech power.Technology, agg *interval.Aggregates, ps ...Policy) []float64 {
 	t.Helper()
 	cp, err := Compile(tech, ps)
 	if err != nil {
@@ -241,13 +241,12 @@ func TestEvaluateAggregateMatchesReference(t *testing.T) {
 			if math.Abs(fast.Savings-ref.Savings) > 1e-9 {
 				t.Fatalf("iter %d %s: savings fast %.17g, ref %.17g", iter, pol.Name(), fast.Savings, ref.Savings)
 			}
-			refMiss, refMissErr := InducedMissRate(tech, d, pol)
-			fastMiss := missRates(t, tech, agg, pol)[0]
-			if (refMissErr == nil) != (fastMiss.Err == nil) {
-				t.Fatalf("iter %d %s: miss error mismatch: ref %v, fast %v", iter, pol.Name(), refMissErr, fastMiss.Err)
+			refMiss, err := InducedMissRate(tech, d, pol)
+			if err != nil {
+				t.Fatalf("iter %d %s: InducedMissRate: %v", iter, pol.Name(), err)
 			}
-			if refMissErr == nil && !relClose(fastMiss.Rate, refMiss, 1e-12, 1e-12) {
-				t.Fatalf("iter %d %s: miss rate fast %.17g, ref %.17g", iter, pol.Name(), fastMiss.Rate, refMiss)
+			if fastMiss := missRates(t, tech, agg, pol)[0]; !relClose(fastMiss, refMiss, 1e-12, 1e-12) {
+				t.Fatalf("iter %d %s: miss rate fast %.17g, ref %.17g", iter, pol.Name(), fastMiss, refMiss)
 			}
 		}
 	}
@@ -280,35 +279,14 @@ func TestEvaluateManyMatchesEvaluateAll(t *testing.T) {
 	}
 }
 
-// noClosedForm is a custom policy without a declared closed form: the
-// fast path must transparently fall back to the reference walk.
+// noClosedForm is a custom policy without an energy curve: the aggregate
+// kernels reject it, and only the reference walk answers it.
 type noClosedForm struct{}
 
 func (noClosedForm) Name() string { return "custom-opaque" }
 func (noClosedForm) IntervalEnergy(t power.Technology, length uint64, flags interval.Flags) float64 {
 	// Deliberately non-affine in length.
 	return t.PActive * math.Sqrt(float64(length))
-}
-
-func TestEvaluateManyFallsBack(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	d := randomDistribution(rng)
-	agg := interval.NewAggregates(d)
-	tech := power.Default()
-	ref, err := Evaluate(tech, d, noClosedForm{})
-	if err != nil {
-		t.Fatalf("Evaluate: %v", err)
-	}
-	fast, err := EvaluateMany(tech, agg, []Policy{noClosedForm{}})
-	if err != nil {
-		t.Fatalf("EvaluateMany: %v", err)
-	}
-	if fast[0] != ref {
-		t.Fatalf("fallback must be bit-identical to the reference: %+v vs %+v", fast[0], ref)
-	}
-	if rate := missRates(t, tech, agg, noClosedForm{})[0]; !errors.Is(rate.Err, ErrNoMissModel) {
-		t.Fatalf("want ErrNoMissModel for a policy without a miss model, got %v", rate.Err)
-	}
 }
 
 // stairs is a test-only policy whose composed curve needs five pieces,
@@ -334,43 +312,79 @@ func (s stairs) IntervalEnergy(t power.Technology, length uint64, flags interval
 	return t.PActive*float64(length) + s.IntervalMisses(t, length, flags)
 }
 
-func (stairs) EnergyCurve(t power.Technology, _ interval.Flags) (c Curve, ok bool) {
-	for i, cut := range stairCuts {
-		c.push(piece{end: cut, cnst: float64(i), slope: t.PActive, misses: float64(i)})
-	}
-	c.push(piece{end: inf, cnst: float64(len(stairCuts)), slope: t.PActive, misses: float64(len(stairCuts))})
-	return c, true
+func (s stairs) EnergyCurve(t power.Technology, flags interval.Flags) (c Curve) {
+	s.build(&c, &curveEnv{Technology: &t}, flags)
+	return c
 }
 
-// TestOverflowingCurveFallsBack pins the maxPieces bound: a composition
-// past it yields an invalid curve, and the aggregate kernels then take
-// the reference walk for the whole distribution, on both axes.
-func TestOverflowingCurveFallsBack(t *testing.T) {
+func (stairs) build(c *Curve, e *curveEnv, _ interval.Flags) {
+	for i, cut := range stairCuts {
+		c.push(piece{end: cut, cnst: float64(i), slope: e.PActive, misses: float64(i)})
+	}
+	c.push(piece{end: inf, cnst: float64(len(stairCuts)), slope: e.PActive, misses: float64(len(stairCuts))})
+}
+
+// TestKernelsRejectPoliciesWithoutCurves pins the kernels' closed set.
+// A policy without an energy curve gets ErrNoClosedForm naming its index,
+// from EvaluateMany and from Compile, before any folding. A curve past
+// maxPieces is an error naming the policy and the flags value: from
+// EvaluateMany, from Compile when the flags value is present in the
+// aggregates compiled, and from Compiled.Evaluate and EvaluateMisses when
+// it is not. The reference walks still answer both policies.
+func TestKernelsRejectPoliciesWithoutCurves(t *testing.T) {
 	tech := power.Default()
-	if c, _ := (stairs{}).EnergyCurve(tech, 0); c.valid() {
+	if c := (stairs{}).EnergyCurve(tech, 0); c.valid() {
 		t.Fatalf("a %d-piece composition must be invalid, got %d pieces", maxPieces+1, c.n)
 	}
-	rng := rand.New(rand.NewSource(5))
-	d := randomDistribution(rng)
+	d := randomDistribution(rand.New(rand.NewSource(5)))
 	agg := interval.NewAggregates(d)
-	ref, err := Evaluate(tech, d, stairs{})
+	for _, p := range []Policy{noClosedForm{}, stairs{}} {
+		if _, err := Evaluate(tech, d, p); err != nil {
+			t.Errorf("Evaluate(%s): %v", p.Name(), err)
+		}
+	}
+	if _, err := InducedMissRate(tech, d, stairs{}); err != nil {
+		t.Errorf("InducedMissRate(stairs): %v", err)
+	}
+	if _, err := InducedMissRate(tech, d, noClosedForm{}); !errors.Is(err, ErrNoMissModel) {
+		t.Errorf("InducedMissRate(custom-opaque): %v, want ErrNoMissModel", err)
+	}
+
+	ps := []Policy{OPTHybrid{}, noClosedForm{}}
+	wantNo := func(kernel string, err error) {
+		t.Helper()
+		if !errors.Is(err, ErrNoClosedForm) || !strings.Contains(err.Error(), "policy 1 (custom-opaque)") {
+			t.Errorf("%s: %v, want ErrNoClosedForm naming policy 1 (custom-opaque)", kernel, err)
+		}
+	}
+	_, err := EvaluateMany(tech, agg, ps)
+	wantNo("EvaluateMany", err)
+	_, err = Compile(tech, ps, agg)
+	wantNo("Compile", err)
+	_, err = Compile(tech, ps)
+	wantNo("Compile without aggregates", err)
+
+	ps = []Policy{OPTHybrid{}, stairs{}}
+	first := agg.Classes()[0].Flags
+	want := fmt.Sprintf("leakage: policy 1 (stairs): curve for flags %v needs more than %d pieces", first, maxPieces)
+	wantOverflow := func(kernel string, err error) {
+		t.Helper()
+		if err == nil || err.Error() != want {
+			t.Errorf("%s: %v, want %q", kernel, err, want)
+		}
+	}
+	_, err = EvaluateMany(tech, agg, ps)
+	wantOverflow("EvaluateMany", err)
+	_, err = Compile(tech, ps, agg)
+	wantOverflow("Compile", err)
+	cp, err := Compile(tech, ps)
 	if err != nil {
-		t.Fatalf("Evaluate: %v", err)
+		t.Fatalf("Compile with no flags values present: %v", err)
 	}
-	fast, err := EvaluateMany(tech, agg, []Policy{stairs{}})
-	if err != nil {
-		t.Fatalf("EvaluateMany: %v", err)
-	}
-	if fast[0] != ref {
-		t.Fatalf("overflow must fall back bit-identically: %+v vs %+v", fast[0], ref)
-	}
-	refMiss, err := InducedMissRate(tech, d, stairs{})
-	if err != nil {
-		t.Fatalf("InducedMissRate: %v", err)
-	}
-	if fastMiss := missRates(t, tech, agg, stairs{})[0]; fastMiss.Err != nil || fastMiss.Rate != refMiss {
-		t.Fatalf("EvaluateMisses rate = %v, %v; want %v", fastMiss.Rate, fastMiss.Err, refMiss)
-	}
+	_, err = cp.Evaluate(agg)
+	wantOverflow("Compiled.Evaluate", err)
+	_, _, err = cp.EvaluateMisses(agg)
+	wantOverflow("Compiled.EvaluateMisses", err)
 }
 
 // sweepLadder is one sweep scheme's dense theta ladder.
@@ -476,7 +490,7 @@ func TestCompileSharesRows(t *testing.T) {
 				present++
 				row := &cp.tab.rows[r-1]
 				for i, pol := range l.pols {
-					c, _ := pol.(ClosedForm).EnergyCurve(tech, interval.Flags(f))
+					c := pol.(curvePolicy).EnergyCurve(tech, interval.Flags(f))
 					sp := row.spans[i]
 					if got := row.pieces[sp.off : sp.off+sp.n]; !slices.Equal(got, c.p[:c.n]) {
 						t.Fatalf("%s @%s flags %v: row %d holds %+v, EnergyCurve %+v", pol.Name(), tech.Name, interval.Flags(f), r, got, c.p[:c.n])
@@ -506,8 +520,7 @@ func TestCompileSharesRows(t *testing.T) {
 // TestCompiledMatchesEvaluateMany pins the many-aggregate kernel to the
 // one-aggregate kernel, == on every field: Compiled.Evaluate and
 // Compiled.EvaluateMisses against EvaluateMany over the whole list and
-// over each policy alone, for every builtin at every technology plus a
-// policy without a closed form and the overflowing stairs policy, over
+// over each policy alone, for every builtin at every technology, over
 // random distributions. The compiled sets cover curves all from the
 // table, classes absent at compile time (built inline), and no table at
 // all; the aggregates include zero-mass and nil ones, whose errors must
@@ -522,12 +535,11 @@ func TestCompiledMatchesEvaluateMany(t *testing.T) {
 	}
 	narrowAgg := interval.NewAggregates(narrow)
 	for _, tech := range power.Technologies() {
-		pols := append(testPolicies(tech), noClosedForm{}, stairs{})
-		wide := []*interval.Aggregates{
-			interval.NewAggregates(randomDistribution(rng)),
-			interval.NewAggregates(randomDistribution(rng)),
-		}
-		evalAggs := append([]*interval.Aggregates{narrowAgg, interval.NewAggregates(interval.NewDistribution(4, 0)), nil}, wide...)
+		pols := testPolicies(tech)
+		wideDists := []*interval.Distribution{randomDistribution(rng), randomDistribution(rng)}
+		wide := []*interval.Aggregates{interval.NewAggregates(wideDists[0]), interval.NewAggregates(wideDists[1])}
+		evalDists := append([]*interval.Distribution{narrow, interval.NewDistribution(4, 0), nil}, wideDists...)
+		evalAggs := append([]*interval.Aggregates{narrowAgg, interval.NewAggregates(evalDists[1]), nil}, wide...)
 		inline, err := Compile(tech, pols)
 		if err != nil {
 			t.Fatalf("Compile @%s: %v", tech.Name, err)
@@ -560,15 +572,12 @@ func TestCompiledMatchesEvaluateMany(t *testing.T) {
 						t.Fatalf("@%s agg %d %s: Evaluate %+v, EvaluateMisses %+v, EvaluateMany %+v; single-policy EvaluateMany %+v",
 							tech.Name, ai, pol.Name(), evs[i], mevs[i], many[i], want)
 					}
-					got, in := rates[i], inlineRates[i]
-					if got.Rate != in.Rate || (got.Err == nil) != (in.Err == nil) ||
-						(got.Err != nil && got.Err.Error() != in.Err.Error()) {
-						t.Fatalf("@%s agg %d %s: miss rate %v (%v), inline %v (%v)", tech.Name, ai, pol.Name(), got.Rate, got.Err, in.Rate, in.Err)
+					if got, in := rates[i], inlineRates[i]; got != in {
+						t.Fatalf("@%s agg %d %s: miss rate %v, inline %v", tech.Name, ai, pol.Name(), got, in)
 					}
-					refRate, refErr := InducedMissRate(tech, agg.Source(), pol)
-					if (got.Err == nil) != (refErr == nil) || (got.Err != nil && got.Err.Error() != refErr.Error()) ||
-						(refErr == nil && !relClose(got.Rate, refRate, 1e-12, 1e-12)) {
-						t.Fatalf("@%s agg %d %s: miss rate %v (%v), reference %v (%v)", tech.Name, ai, pol.Name(), got.Rate, got.Err, refRate, refErr)
+					refRate, refErr := InducedMissRate(tech, evalDists[ai], pol)
+					if refErr != nil || !relClose(rates[i], refRate, 1e-12, 1e-12) {
+						t.Fatalf("@%s agg %d %s: miss rate %v, reference %v (%v)", tech.Name, ai, pol.Name(), rates[i], refRate, refErr)
 					}
 				}
 			}
@@ -645,7 +654,8 @@ func TestEvaluateManyErrors(t *testing.T) {
 	if _, err := EvaluateMany(tech, nil, active); !errors.Is(err, ErrNilDistribution) {
 		t.Fatalf("nil aggregates: want ErrNilDistribution, got %v", err)
 	}
-	empty := interval.NewAggregates(interval.NewDistribution(4, 0))
+	emptyDist := interval.NewDistribution(4, 0)
+	empty := interval.NewAggregates(emptyDist)
 	if _, err := EvaluateMany(tech, empty, active); !errors.Is(err, ErrEmptyDistribution) {
 		t.Fatalf("zero mass: want ErrEmptyDistribution, got %v", err)
 	}
@@ -659,7 +669,7 @@ func TestEvaluateManyErrors(t *testing.T) {
 	if _, _, err := cp.EvaluateMisses(empty); !errors.Is(err, ErrEmptyDistribution) {
 		t.Fatalf("no intervals: want ErrEmptyDistribution, got %v", err)
 	}
-	if _, err := InducedMissRate(tech, empty.Source(), AlwaysActive{}); !errors.Is(err, ErrEmptyDistribution) {
+	if _, err := InducedMissRate(tech, emptyDist, AlwaysActive{}); !errors.Is(err, ErrEmptyDistribution) {
 		t.Fatalf("no intervals: want ErrEmptyDistribution from the reference, got %v", err)
 	}
 }

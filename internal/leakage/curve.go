@@ -31,9 +31,10 @@ package leakage
 import "math"
 
 // maxPieces bounds a Curve's pieces. Every builtin curve fits in 4 at
-// every technology node and flags value (TestClosedFormsMatchReference);
-// a composition that would exceed it yields an invalid curve, which sends
-// the whole evaluation down the reference walk.
+// every technology node, flags value and declared parameter
+// (TestBuiltinsEvaluateAndModelMisses); a composition that would exceed
+// it yields an invalid curve, which the aggregate kernels report as an
+// error.
 const maxPieces = 4
 
 // inf ends a Curve's last piece.

@@ -54,13 +54,13 @@ func dumpCurves() []string {
 	var lines []string
 	for ti, tech := range closedFormTechnologies() {
 		for _, pol := range goldenPolicies(tech) {
-			cf := pol.(ClosedForm)
+			cp := pol.(curvePolicy)
 			var order []string
 			masks := map[string]uint64{}
 			for f := 0; f < interval.NumFlags; f++ {
-				c, ok := cf.EnergyCurve(tech, interval.Flags(f))
+				c := cp.EnergyCurve(tech, interval.Flags(f))
 				key := "invalid"
-				if ok && c.valid() {
+				if c.valid() {
 					var sb strings.Builder
 					for _, pc := range c.p[:c.n] {
 						fmt.Fprintf(&sb, " %016x:%016x:%016x:%016x",

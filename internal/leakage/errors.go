@@ -12,6 +12,11 @@ var (
 	// ErrNilPolicy reports evaluation with a nil policy.
 	ErrNilPolicy = errors.New("leakage: nil policy")
 
+	// ErrNoClosedForm reports an aggregate-kernel evaluation (EvaluateMany,
+	// Compile) of a policy with no piecewise-affine energy curve: only
+	// this package's policies have one. Evaluate takes any policy.
+	ErrNoClosedForm = errors.New("leakage: policy has no closed form")
+
 	// ErrEmptyDistribution reports evaluation over a distribution with
 	// zero mass (no frame-cycles): there is no baseline to compare
 	// against.

@@ -1,14 +1,15 @@
 package leakage
 
-// The aggregate evaluation kernel: Evaluate's fast path over
-// interval.Aggregates. A policy with a ClosedForm answers one sweep point
-// in O(flags-classes x log buckets) — per class, each affine piece of the
-// curve costs one prefix search into the class's sorted lengths — instead
-// of the reference path's full walk over every (length, flags) bucket.
-// Policies without a closed form (custom registry schemes with no
-// declared threshold structure) transparently fall back to the reference
-// walk over Aggregates.Source(), so every kernel is safe to call with any
-// policy.
+// The aggregate evaluation kernel: the paper's closed form per interval,
+// folded over interval.Aggregates. Every builtin policy's curve
+// (curvePolicy) answers one sweep point in O(flags-classes x log
+// buckets): per class, each affine piece of the curve costs one prefix
+// search into the class's sorted lengths. The kernels take curve
+// policies only: a policy without a curve is rejected up front with
+// ErrNoClosedForm, and a curve that overflows maxPieces is an error, so
+// no evaluation silently walks buckets. Evaluate and InducedMissRate,
+// the per-bucket walks, are the reference oracle the kernels are tested
+// against.
 //
 // One fold serves every kernel: fold runs class-major, folding every
 // policy's curve over one flags class before moving to the next, so a
@@ -18,7 +19,7 @@ package leakage
 // Compiled its many-aggregate case: Compile builds each policy's curve
 // once per flags value present in the aggregates it is given, and names
 // each policy once, so a sweep's benchmarks share one curve table.
-// Builtin curves are built in place (curveBuilder), and the table keeps
+// Curves are built in place (curvePolicy.build), and the table keeps
 // one row per distinct set of curves: flags values whose curves all come
 // out equal point at the same row, so a theta ladder compiles a handful
 // of rows, not one per flags value present.
@@ -65,8 +66,7 @@ func foldClass(pcs []piece, cls *interval.FlagsClass, hint *[maxPieces]int) (ene
 	return energy, misses
 }
 
-// span locates one compiled curve in its curveRow's pieces; n < 0 means
-// the policy has no valid closed form for the row's flags value.
+// span locates one compiled curve in its curveRow's pieces.
 type span struct{ off, n int32 }
 
 // curveRow holds every policy's curve for the flags values that share
@@ -83,16 +83,20 @@ type curveTable struct {
 	rows  []curveRow
 }
 
+// errOverflow reports that policy i's curve for flags needs more than
+// maxPieces pieces.
+func errOverflow(i int, p Policy, flags interval.Flags) error {
+	return fmt.Errorf("leakage: policy %d (%s): curve for flags %v needs more than %d pieces", i, p.Name(), flags, maxPieces)
+}
+
 // fold is the one class-major fold behind every aggregate kernel: for
 // each flags class of agg in ascending order it folds the curve of every
 // policy in ps, accumulating energy into out[i].Energy and induced misses
-// into ms[i].Rate (ms may be nil). A class whose flags tab compiled (tab
-// may be nil) reads its curves from the table, any other builds them
-// inline. A policy without a ClosedForm, or with an invalid curve for a
-// class present, is marked by a negative out[i].Baseline and folds no
-// further: its caller takes the reference walk for the whole
-// distribution, never a mixed fast/reference sum.
-func fold(t *power.Technology, agg *interval.Aggregates, ps []Policy, tab *curveTable, out []Evaluation, ms []MissRate) {
+// into ms[i] (ms may be nil). A class whose flags tab compiled (tab may
+// be nil) reads its curves from the table, any other builds them inline.
+// Every policy in ps is a curvePolicy (checkPolicies); an inline curve
+// that overflows is an error.
+func fold(t *power.Technology, agg *interval.Aggregates, ps []Policy, tab *curveTable, out []Evaluation, ms []float64) error {
 	classes := agg.Classes()
 	for k := range classes {
 		cls := &classes[k]
@@ -104,54 +108,39 @@ func fold(t *power.Technology, agg *interval.Aggregates, ps []Policy, tab *curve
 		}
 		hint := noHint
 		for i, p := range ps {
-			if out[i].Baseline < 0 {
-				continue
-			}
 			var pcs []piece
 			if row != nil {
-				if sp := row.spans[i]; sp.n > 0 {
-					pcs = row.pieces[sp.off : sp.off+sp.n]
-				}
-			} else if cf, ok := p.(ClosedForm); ok {
+				sp := row.spans[i]
+				pcs = row.pieces[sp.off : sp.off+sp.n]
+			} else {
 				//lint:ignore hotalloc one virtual EnergyCurve dispatch per (policy, flags class) returning an inline Curve; TestAggregateKernelsDoNotAllocate pins EvaluateMany at its one result-slice alloc
-				if c, ok := cf.EnergyCurve(*t, cls.Flags); ok && c.valid() {
-					pcs = c.p[:c.n]
+				c := p.(curvePolicy).EnergyCurve(*t, cls.Flags)
+				if !c.valid() {
+					return errOverflow(i, p, cls.Flags)
 				}
-			}
-			if pcs == nil {
-				out[i].Baseline = -1
-				continue
+				pcs = c.p[:c.n]
 			}
 			e, m := foldClass(pcs, cls, &hint)
 			out[i].Energy += e
 			if ms != nil {
-				ms[i].Rate += m
+				ms[i] += m
 			}
 		}
-	}
-}
-
-// settle finishes a fold: each folded policy gets the baseline and its
-// savings, and each policy the fold marked takes the reference walk.
-func settle(t *power.Technology, agg *interval.Aggregates, ps []Policy, out []Evaluation, baseline float64) error {
-	for i := range out {
-		if out[i].Baseline >= 0 {
-			out[i].Baseline = baseline
-			out[i].Savings = 1 - out[i].Energy/baseline
-			continue
-		}
-		//lint:ignore hotalloc policies without a closed form, or with a flags class their curve cannot express, take the audited reference walk; TestClosedFormsMatchReference fails if any builtin policy lacks a valid curve for any flags class
-		ev, err := Evaluate(*t, agg.Source(), ps[i])
-		if err != nil {
-			return fmt.Errorf("leakage: evaluating %s: %w", out[i].Policy, err)
-		}
-		out[i] = ev
 	}
 	return nil
 }
 
-// checkPolicies validates the technology once and rejects a nil policy,
-// naming its index.
+// settle finishes a fold: every policy gets the baseline and its
+// savings.
+func settle(out []Evaluation, baseline float64) {
+	for i := range out {
+		out[i].Baseline = baseline
+		out[i].Savings = 1 - out[i].Energy/baseline
+	}
+}
+
+// checkPolicies validates the technology once and rejects a nil policy
+// and a policy without a curve, naming its index.
 func checkPolicies(t *power.Technology, ps []Policy) error {
 	if err := t.Validate(); err != nil {
 		return err
@@ -159,6 +148,9 @@ func checkPolicies(t *power.Technology, ps []Policy) error {
 	for i, p := range ps {
 		if p == nil {
 			return fmt.Errorf("leakage: evaluating policy %d: %w", i, ErrNilPolicy)
+		}
+		if _, ok := p.(curvePolicy); !ok {
+			return fmt.Errorf("leakage: evaluating policy %d (%s): %w", i, p.Name(), ErrNoClosedForm)
 		}
 	}
 	return nil
@@ -180,10 +172,10 @@ func baselineOf(t *power.Technology, agg *interval.Aggregates) (float64, error) 
 // EvaluateMany answers a whole policy list against one aggregated
 // distribution: the fold's one-aggregate case, which needs no curve
 // table because each (policy, class) curve is used once. Results are
-// indexed like policies. A nil policy is reported by index; the
-// technology and distribution errors are Evaluate's. A policy without a
-// closed form, or whose curve cannot express a class present, takes
-// Evaluate's reference walk over agg.Source().
+// indexed like policies. A nil policy and a policy without a closed form
+// are reported by index, and so is a curve that overflows maxPieces for
+// a class present; the technology and distribution errors are
+// Evaluate's.
 //
 //lint:hotpath entry
 func EvaluateMany(t power.Technology, agg *interval.Aggregates, ps []Policy) ([]Evaluation, error) {
@@ -199,10 +191,10 @@ func EvaluateMany(t power.Technology, agg *interval.Aggregates, ps []Policy) ([]
 		//lint:ignore hotalloc one Name dispatch per policy per call (parameterized names format here); sweeps over several aggregates name once per query through Compile
 		out[i].Policy = p.Name()
 	}
-	fold(&t, agg, ps, nil, out, nil)
-	if err := settle(&t, agg, ps, out, baseline); err != nil {
+	if err := fold(&t, agg, ps, nil, out, nil); err != nil {
 		return nil, err
 	}
+	settle(out, baseline)
 	return out, nil
 }
 
@@ -220,13 +212,16 @@ type Compiled struct {
 
 // Compile prepares ps for evaluation at t over aggs (nil entries are
 // skipped). Aggregates need not be listed to be evaluated later: a class
-// whose flags no listed aggregate holds builds its curves inline.
+// whose flags no listed aggregate holds builds its curves inline. The
+// errors are EvaluateMany's; a curve that overflows for a flags value
+// present in aggs fails Compile, for any other value the evaluation that
+// meets it.
 //
-// Builtin curves are built in place through one curveEnv, so the
-// technology is neither copied per curve nor its inflection point
-// recomputed. Flags values whose curves all come out equal share one
-// row: a sleep threshold's curves differ only by the few flag bits the
-// policy dispatches on.
+// Curves are built in place through one curveEnv, so the technology is
+// neither copied per curve nor its inflection point recomputed. Flags
+// values whose curves all come out equal share one row: a sleep
+// threshold's curves differ only by the few flag bits the policy
+// dispatches on.
 func Compile(t power.Technology, ps []Policy, aggs ...*interval.Aggregates) (*Compiled, error) {
 	if err := checkPolicies(&t, ps); err != nil {
 		return nil, err
@@ -260,19 +255,13 @@ func Compile(t power.Technology, ps []Policy, aggs ...*interval.Aggregates) (*Co
 		}
 		pieces = pieces[:0]
 		for i, p := range c.ps {
-			spans[i] = span{n: -1}
-			ok := false
-			if cb, builtin := p.(curveBuilder); builtin {
-				curve.n = 0
-				cb.build(curve, env, interval.Flags(f))
-				ok = true
-			} else if cf, closed := p.(ClosedForm); closed {
-				*curve, ok = cf.EnergyCurve(t, interval.Flags(f))
+			curve.n = 0
+			p.(curvePolicy).build(curve, env, interval.Flags(f))
+			if !curve.valid() {
+				return nil, errOverflow(i, p, interval.Flags(f))
 			}
-			if ok && curve.valid() {
-				spans[i] = span{off: int32(len(pieces)), n: int32(curve.n)}
-				pieces = append(pieces, curve.p[:curve.n]...)
-			}
+			spans[i] = span{off: int32(len(pieces)), n: int32(curve.n)}
+			pieces = append(pieces, curve.p[:curve.n]...)
 		}
 		c.tab.rowOf[f] = c.tab.row(spans, pieces)
 	}
@@ -291,19 +280,22 @@ func (tab *curveTable) row(spans []span, pieces []piece) int32 {
 	return int32(len(tab.rows))
 }
 
-// foldChecked checks agg and runs the fold over it with c's table,
-// returning the unsettled results and agg's baseline.
-func (c *Compiled) foldChecked(agg *interval.Aggregates, ms []MissRate) ([]Evaluation, float64, error) {
+// evaluate checks agg and folds it with c's table, accumulating induced
+// misses into ms when it is not nil.
+func (c *Compiled) evaluate(agg *interval.Aggregates, ms []float64) ([]Evaluation, error) {
 	baseline, err := baselineOf(&c.t, agg)
 	if err != nil {
-		return nil, 0, err
+		return nil, err
 	}
 	out := make([]Evaluation, len(c.ps))
 	for i, name := range c.names {
 		out[i].Policy = name
 	}
-	fold(&c.t, agg, c.ps, &c.tab, out, ms)
-	return out, baseline, nil
+	if err := fold(&c.t, agg, c.ps, &c.tab, out, ms); err != nil {
+		return nil, err
+	}
+	settle(out, baseline)
+	return out, nil
 }
 
 // Evaluate answers every compiled policy over agg, indexed like the
@@ -312,49 +304,23 @@ func (c *Compiled) foldChecked(agg *interval.Aggregates, ms []MissRate) ([]Evalu
 //
 //lint:hotpath entry
 func (c *Compiled) Evaluate(agg *interval.Aggregates) ([]Evaluation, error) {
-	out, baseline, err := c.foldChecked(agg, nil)
-	if err != nil {
-		return nil, err
-	}
-	if err := settle(&c.t, agg, c.ps, out, baseline); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// MissRate is one policy's induced re-fetches per 1000 intervals, or the
-// error InducedMissRate reports for it over agg.Source().
-type MissRate struct {
-	Rate float64
-	Err  error
+	return c.evaluate(agg, nil)
 }
 
 // EvaluateMisses is Evaluate plus, from the same fold, each policy's
-// induced-miss rate: rates[i] agrees with InducedMissRate over
-// agg.Source() for the i-th policy to ulp scale (bit for bit, and with the
-// same errors, when the policy takes the reference walk). A policy's miss
-// error does not fail the call.
-func (c *Compiled) EvaluateMisses(agg *interval.Aggregates) ([]Evaluation, []MissRate, error) {
-	ms := make([]MissRate, len(c.ps))
-	out, baseline, err := c.foldChecked(agg, ms)
+// induced re-fetches per 1000 intervals: rates[i] agrees with
+// InducedMissRate over agg's distribution for the i-th policy to ulp
+// scale.
+func (c *Compiled) EvaluateMisses(agg *interval.Aggregates) ([]Evaluation, []float64, error) {
+	rates := make([]float64, len(c.ps))
+	out, err := c.evaluate(agg, rates)
 	if err != nil {
 		return nil, nil, err
 	}
-	n := agg.NumIntervals()
-	for i, p := range c.ps {
-		_, ok := p.(MissModel)
-		switch {
-		case !ok:
-			ms[i] = MissRate{Err: fmt.Errorf("%w: %s", ErrNoMissModel, c.names[i])}
-		case out[i].Baseline < 0:
-			ms[i].Rate, ms[i].Err = InducedMissRate(c.t, agg.Source(), p)
-		default:
-			// foldChecked rejected a zero-mass agg, so n > 0.
-			ms[i].Rate = ms[i].Rate * 1000 / float64(n)
-		}
+	// evaluate rejected a zero-mass agg, so it holds intervals.
+	n := float64(agg.NumIntervals())
+	for i := range rates {
+		rates[i] = rates[i] * 1000 / n
 	}
-	if err := settle(&c.t, agg, c.ps, out, baseline); err != nil {
-		return nil, nil, err
-	}
-	return out, ms, nil
+	return out, rates, nil
 }

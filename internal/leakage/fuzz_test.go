@@ -91,25 +91,20 @@ func FuzzEvaluateFastPath(f *testing.F) {
 			t.Fatalf("%s @%s: energy fast %.17g, ref %.17g", pol.Name(), tech.Name, fast.Energy, ref.Energy)
 		}
 
-		if _, ok := pol.(MissModel); ok {
-			refMiss, refMissErr := InducedMissRate(tech, d, pol)
-			cp, err := Compile(tech, []Policy{pol})
-			if err != nil {
-				t.Fatalf("%s: Compile: %v", pol.Name(), err)
-			}
-			_, rates, err := cp.EvaluateMisses(agg)
-			if err != nil {
-				t.Fatalf("%s: EvaluateMisses: %v", pol.Name(), err)
-			}
-			fastMiss := rates[0]
-			if (refMissErr == nil) != (fastMiss.Err == nil) {
-				t.Fatalf("%s: miss error mismatch: ref %v, fast %v", pol.Name(), refMissErr, fastMiss.Err)
-			}
-			if refMissErr == nil {
-				if d := math.Abs(fastMiss.Rate - refMiss); d > 1e-12 && d > 1e-9*math.Abs(refMiss) {
-					t.Fatalf("%s: miss rate fast %.17g, ref %.17g", pol.Name(), fastMiss.Rate, refMiss)
-				}
-			}
+		refMiss, err := InducedMissRate(tech, d, pol)
+		if err != nil {
+			t.Fatalf("%s: InducedMissRate: %v", pol.Name(), err)
+		}
+		cp, err := Compile(tech, []Policy{pol})
+		if err != nil {
+			t.Fatalf("%s: Compile: %v", pol.Name(), err)
+		}
+		_, rates, err := cp.EvaluateMisses(agg)
+		if err != nil {
+			t.Fatalf("%s: EvaluateMisses: %v", pol.Name(), err)
+		}
+		if d := math.Abs(rates[0] - refMiss); d > 1e-12 && d > 1e-9*math.Abs(refMiss) {
+			t.Fatalf("%s: miss rate fast %.17g, ref %.17g", pol.Name(), rates[0], refMiss)
 		}
 	})
 }

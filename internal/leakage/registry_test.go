@@ -282,6 +282,53 @@ func TestPolicySpecJSON(t *testing.T) {
 	}
 }
 
+// paramGrid is the values TestBuiltinsEvaluateAndModelMisses builds each
+// declared parameter at, besides its default: the smallest value the
+// factory accepts (0 where 0 selects the default), 1 or the low edge, a
+// middle value, and values at or past 2^40 (for the bounded floats, their
+// edges instead). Every declared parameter of every registered scheme
+// must have an entry.
+var paramGrid = map[string][]ParamValue{
+	"theta":        {Uint(0), Uint(1), Uint(5000), Uint(1 << 40), Uint(math.MaxUint64)},
+	"window":       {Uint(0), Uint(1), Uint(2000), Uint(1 << 40), Uint(math.MaxUint64)},
+	"tag-fraction": {Float(0), Float(0.06), Float(0.5), Float(math.Nextafter(1, 0))},
+	"colors":       {Uint(1), Uint(8), Uint(1024), Uint(1 << 40), Uint(math.MaxUint64)},
+	"frames":       {Uint(1), Uint(1024), Uint(1 << 40), Uint(math.MaxUint64)},
+	"accuracy":     {Float(0), Float(0.5), Float(DefaultWayMemoAccuracy), Float(1)},
+}
+
+// gridSpecs returns reg's spec at its defaults and at every combination
+// of paramGrid values, each parameter also left at its default.
+func gridSpecs(t *testing.T, reg Registration) []PolicySpec {
+	t.Helper()
+	specs := []PolicySpec{{Scheme: reg.Name}}
+	for _, sch := range reg.Params {
+		grid, ok := paramGrid[sch.Name]
+		if !ok {
+			t.Fatalf("%s: parameter %q has no paramGrid entry", reg.Name, sch.Name)
+		}
+		for _, base := range specs {
+			for _, v := range grid {
+				params := Params{sch.Name: v}
+				for k, bv := range base.Params {
+					params[k] = bv
+				}
+				specs = append(specs, PolicySpec{Scheme: reg.Name, Params: params})
+			}
+		}
+	}
+	return specs
+}
+
+// TestBuiltinsEvaluateAndModelMisses builds every registered scheme over
+// paramGrid at every builtin technology node, a temperature-scaled node
+// and a node with a write-back cost, and checks that the aggregate
+// kernels can fold each built policy: it has an energy curve for all 64
+// flags values, of 1 to maxPieces pieces with the last ending at +Inf,
+// and EvaluateMany agrees with the reference walk. This is what shows no
+// builtin meets ErrNoClosedForm or the overflow error. Each grid value
+// must build for some combination; the factory may reject one only with
+// ErrBadParam. At the defaults every scheme also reports induced misses.
 func TestBuiltinsEvaluateAndModelMisses(t *testing.T) {
 	tech := power.Default()
 	d := interval.NewDistribution(4, 200000)
@@ -300,28 +347,65 @@ func TestBuiltinsEvaluateAndModelMisses(t *testing.T) {
 	add(200000, interval.Untouched, 1)
 	rest := uint64(4*200000) - d.Mass()
 	add(rest, interval.Leading, 1)
+	agg := interval.NewAggregates(d)
 
+	techs := power.Technologies()
+	hot, err := power.TemperatureScaledTechnology(power.Default(), 380)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wb := power.Default()
+	wb.WBEnergy = 0.5 * wb.CD
+	techs = append(techs, hot, wb)
 	for _, reg := range DefaultRegistry().Schemes() {
+		built := map[string]bool{}
+		for _, tn := range techs {
+			for _, spec := range gridSpecs(t, reg) {
+				pol, err := DefaultRegistry().Build(spec, tn)
+				if err != nil {
+					if !errors.Is(err, ErrBadParam) {
+						t.Errorf("Build(%s) @%s: %v", spec, tn.Name, err)
+					}
+					continue
+				}
+				for k, v := range spec.Params {
+					built[k+"="+v.String()] = true
+				}
+				cp, ok := pol.(curvePolicy)
+				if !ok {
+					t.Errorf("%s: factory returns %T, which has no energy curve", spec, pol)
+					continue
+				}
+				for f := interval.Flags(0); f < interval.NumFlags; f++ {
+					c := cp.EnergyCurve(tn, f)
+					if c.n < 1 || c.n > maxPieces || !math.IsInf(c.p[c.n-1].end, 1) {
+						t.Errorf("%s @%s flags %v: curve of %d pieces, %+v", spec, tn.Name, f, c.n, c.p)
+					}
+				}
+				ref, err := Evaluate(tn, d, pol)
+				if err != nil {
+					t.Fatalf("Evaluate(%s) @%s: %v", spec, tn.Name, err)
+				}
+				fast, err := EvaluateMany(tn, agg, []Policy{pol})
+				if err != nil {
+					t.Errorf("EvaluateMany(%s) @%s: %v", spec, tn.Name, err)
+				} else if !relClose(fast[0].Energy, ref.Energy, 1e-9, 1e-12) {
+					t.Errorf("%s @%s: kernel energy %.17g, reference %.17g", spec, tn.Name, fast[0].Energy, ref.Energy)
+				}
+			}
+		}
+		for _, sch := range reg.Params {
+			for _, v := range paramGrid[sch.Name] {
+				if !built[sch.Name+"="+v.String()] {
+					t.Errorf("%s: %s=%s never built", reg.Name, sch.Name, v)
+				}
+			}
+		}
+
 		pol, err := DefaultRegistry().Build(PolicySpec{Scheme: reg.Name}, tech)
 		if err != nil {
 			t.Errorf("Build(%s): %v", reg.Name, err)
 			continue
-		}
-		// Every factory must return a policy the aggregate kernels
-		// dispatch statically: a ClosedForm (a value type whose
-		// EnergyCurve sits on the pointer fails here) with a valid curve
-		// for every flags class, whose pieces also carry the induced
-		// misses. Otherwise sweeps silently take the per-bucket reference
-		// walk.
-		cf, ok := pol.(ClosedForm)
-		if !ok {
-			t.Errorf("%s: factory returns %T, which is not a ClosedForm", reg.Name, pol)
-		} else {
-			for f := interval.Flags(0); f < interval.DeadEnd<<1; f++ {
-				if c, ok := cf.EnergyCurve(tech, f); !ok || !c.valid() {
-					t.Errorf("%s: no valid energy curve for flags %v", reg.Name, f)
-				}
-			}
 		}
 		ev, err := Evaluate(tech, d, pol)
 		if err != nil {
