@@ -470,6 +470,31 @@ func BenchmarkSweepDense256Aggregates(b *testing.B) {
 	}
 }
 
+// BenchmarkSweepThetaQuery is a dense sweep end to end, as explore and
+// leakaged's sweep endpoint answer one: Suite.SweepThetaContext on the
+// 256-point opt-sleep ladder at the suite's default workers, per cache
+// side. Unlike BenchmarkSweepDense256Aggregates' hand-built policies, it
+// times the registry's resolution of the ladder, the compile and the
+// pooled fold together.
+func BenchmarkSweepThetaQuery(b *testing.B) {
+	s := sharedSuite(b)
+	ctx := context.Background()
+	thetas := denseSweepThetas()
+	tech := power.Default()
+	for _, side := range []string{"i", "d"} {
+		b.Run(side, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				pts, err := s.SweepThetaContext(ctx, "opt-sleep", side == "i", tech, thetas)
+				if err != nil {
+					b.Fatal(err)
+				}
+				benchSink = pts[len(pts)-1].Savings
+			}
+		})
+	}
+}
+
 // BenchmarkCompileDense256 times leakage.Compile alone, the curve layer of
 // a dense sweep: each sweep scheme's 256-point theta ladder, built through
 // the registry as SweepParamContext builds it, compiled over every

@@ -11,9 +11,11 @@ package experiments
 // the batch figures and tables.
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"math"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -48,7 +50,7 @@ func PolicyNames() []string { return leakage.PolicyNames() }
 func ParsePolicySpec(spec string) (leakage.PolicySpec, error) {
 	ps, err := leakage.DefaultRegistry().ParseSpec(spec)
 	if err != nil {
-		return leakage.PolicySpec{}, fmt.Errorf("%w: %w", ErrUnknownPolicy, err)
+		return leakage.PolicySpec{}, badPolicy(err)
 	}
 	return ps, nil
 }
@@ -59,9 +61,15 @@ func ParsePolicySpec(spec string) (leakage.PolicySpec, error) {
 func BuildPolicy(ps leakage.PolicySpec, tech power.Technology) (leakage.Policy, error) {
 	pol, err := leakage.DefaultRegistry().Build(ps, tech)
 	if err != nil {
-		return nil, fmt.Errorf("%w: %w", ErrUnknownPolicy, err)
+		return nil, badPolicy(err)
 	}
 	return pol, nil
+}
+
+// badPolicy wraps a registry error in ErrUnknownPolicy, which the serving
+// layer maps to a 400.
+func badPolicy(err error) error {
+	return fmt.Errorf("%w: %w", ErrUnknownPolicy, err)
 }
 
 // ParsePolicy builds a leakage policy from a query spelling — a thin
@@ -244,17 +252,20 @@ func (s *Suite) sweepPoints(values []leakage.ParamValue, res [][]leakage.Evaluat
 
 // evaluateSide is the suite's one evaluation over its benchmarks: it
 // compiles pols once at tech over the chosen cache side of all, then
-// answers the whole list on each benchmark in one forEach task.
-// res[bi][pi] is policy pi on benchmark bi, whatever the worker count;
-// errors name the query and the benchmark.
+// answers the whole list on each benchmark in one forEach task,
+// submitting the largest aggregates first (see largestFirst).
+// res[bi][pi] is policy pi on benchmark bi, whatever the worker count or
+// the order; errors name the query and the benchmark.
 func (s *Suite) evaluateSide(ctx context.Context, query string, all []*BenchmarkData, iCache bool, tech power.Technology, pols []leakage.Policy) ([][]leakage.Evaluation, error) {
 	aggs := sideAggregates(all, iCache)
 	cp, err := leakage.Compile(tech, pols, aggs...)
 	if err != nil {
 		return nil, fmt.Errorf("experiments: %s: %w", query, err)
 	}
+	order := largestFirst(aggs)
 	res := make([][]leakage.Evaluation, len(all))
-	err = s.forEach(ctx, len(all), func(bi int) error {
+	err = s.forEach(ctx, len(all), func(k int) error {
+		bi := order[k]
 		evs, err := cp.Evaluate(aggs[bi])
 		if err != nil {
 			return fmt.Errorf("experiments: %s/%s: %w", query, all[bi].Name, err)
@@ -266,6 +277,27 @@ func (s *Suite) evaluateSide(ctx context.Context, query string, all []*Benchmark
 		return nil, err
 	}
 	return res, nil
+}
+
+// largestFirst orders aggregate indices by descending distinct lengths
+// over all classes, ties in suite order. A fold's time tracks that count
+// (on the scale-1 I side vortex has 67k lengths, gzip 4.4k), so taking
+// the largest first keeps a long fold from starting last and leaving the
+// other workers idle.
+func largestFirst(aggs []*interval.Aggregates) []int {
+	size := make([]int, len(aggs))
+	order := make([]int, len(aggs))
+	for i, agg := range aggs {
+		order[i] = i
+		if agg == nil {
+			continue // Evaluate reports it
+		}
+		for _, c := range agg.Classes() {
+			size[i] += len(c.Lengths)
+		}
+	}
+	slices.SortStableFunc(order, func(a, b int) int { return cmp.Compare(size[b], size[a]) })
+	return order
 }
 
 // sideAggregates returns each benchmark's aggregates for the chosen cache
@@ -280,39 +312,27 @@ func sideAggregates(all []*BenchmarkData, iCache bool) []*interval.Aggregates {
 
 // resolveSweepPolicies validates a (scheme, param, values) sweep request
 // against the default registry and builds one policy per value at tech;
-// shared by the suite-wide and scenario-scoped parameter sweeps. It
+// shared by the suite-wide and scenario-scoped parameter sweeps. The
+// scheme and parameter resolve once; each policy, and the error for the
+// first bad value, are exactly BuildPolicy's for that value's spec. It
 // returns the canonical scheme name for error labels.
 func resolveSweepPolicies(scheme, param string, tech power.Technology, values []leakage.ParamValue) ([]leakage.Policy, string, error) {
 	if len(values) == 0 {
 		return nil, "", fmt.Errorf("%w: empty parameter sweep", ErrBadOption)
 	}
-	name := strings.ToLower(strings.TrimSpace(scheme))
-	reg, ok := leakage.DefaultRegistry().Lookup(name)
-	if !ok {
-		return nil, "", fmt.Errorf("%w: %q (known: %s)", ErrUnknownPolicy, scheme, strings.Join(PolicyNames(), ", "))
-	}
-	param = strings.ToLower(strings.TrimSpace(param))
-	if param == "" {
-		if reg.Positional == "" {
-			return nil, "", fmt.Errorf("%w: scheme %q has no positional parameter to sweep", ErrUnknownPolicy, scheme)
-		}
-		param = reg.Positional
-	}
-	if _, ok := reg.Schema(param); !ok {
-		return nil, "", fmt.Errorf("%w: scheme %q has no parameter %q", ErrUnknownPolicy, scheme, param)
+	sw, err := leakage.DefaultRegistry().Sweep(scheme, param)
+	if err != nil {
+		return nil, "", badPolicy(err)
 	}
 	pols := make([]leakage.Policy, len(values))
-	// Build copies the spec's params, so one map serves every value.
-	spec := leakage.PolicySpec{Scheme: name, Params: leakage.Params{}}
 	for vi, v := range values {
-		spec.Params[param] = v
-		pol, err := BuildPolicy(spec, tech)
+		pol, err := sw.Build(tech, v)
 		if err != nil {
-			return nil, "", err
+			return nil, "", badPolicy(err)
 		}
 		pols[vi] = pol
 	}
-	return pols, name, nil
+	return pols, sw.Scheme(), nil
 }
 
 // SweepThetaContext is the theta-specific compat shim over

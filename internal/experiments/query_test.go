@@ -163,6 +163,35 @@ func TestSweepThetaContext(t *testing.T) {
 	}
 }
 
+// sweepSetupAllocs bounds resolveSweepPolicies' allocations that do not
+// scale with the value list: the resolved sweep and its one parameter map,
+// and the policy slice.
+const sweepSetupAllocs = 8
+
+// TestResolveSweepPoliciesAllocs pins a sweep's set-up at one allocation
+// per policy (its boxing into the interface) plus a constant: building a
+// parameter map, or looking the scheme up, per value would exceed it.
+func TestResolveSweepPoliciesAllocs(t *testing.T) {
+	tech := power.Default()
+	thetas := GeometricThetas(1500, 103084, 256)
+	values := make([]leakage.ParamValue, len(thetas))
+	for i, theta := range thetas {
+		values[i] = leakage.Uint(theta)
+	}
+	for _, scheme := range []string{"opt-sleep", "opt-hybrid", "sleep-decay"} {
+		var err error
+		allocs := testing.AllocsPerRun(10, func() {
+			_, _, err = resolveSweepPolicies(scheme, "", tech, values)
+		})
+		if err != nil {
+			t.Fatalf("%s sweep: %v", scheme, err)
+		}
+		if limit := float64(len(values) + sweepSetupAllocs); allocs > limit {
+			t.Errorf("%s: %d-point sweep set-up makes %.0f allocations, want at most %.0f", scheme, len(values), allocs, limit)
+		}
+	}
+}
+
 func TestSuiteWorkers(t *testing.T) {
 	if got := MustNew(WithScale(0.02), WithWorkers(3)).Workers(); got != 3 {
 		t.Errorf("Workers() = %d, want 3", got)

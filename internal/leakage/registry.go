@@ -21,7 +21,9 @@ import (
 // Factory builds one policy from a calibrated technology node and the
 // normalized parameter map. Absent parameters mean "use the scheme's
 // default"; factories must return an error wrapping ErrBadParam for
-// out-of-range values.
+// out-of-range values. A factory must not keep the map, or anything that
+// aliases it, after it returns: a ParamSweep reuses one map for every
+// value it builds.
 type Factory func(power.Technology, Params) (Policy, error)
 
 // Registration describes one scheme: its canonical (lowercase) name, a
@@ -62,6 +64,16 @@ func (r Registration) paramNames() string {
 		names = append(names, p.Name)
 	}
 	return strings.Join(names, ", ")
+}
+
+// positional returns the schema the "scheme@N" shorthand binds to.
+func (r Registration) positional() (ParamSchema, error) {
+	if r.Positional == "" {
+		return ParamSchema{}, fmt.Errorf("%w: scheme %q takes no positional parameter (declared: %s)",
+			ErrBadParam, r.Name, r.paramNames())
+	}
+	sch, _ := r.Schema(r.Positional)
+	return sch, nil
 }
 
 // Registry maps scheme names to registrations, preserving registration
@@ -175,11 +187,10 @@ func (r *Registry) ParseSpec(s string) (PolicySpec, error) {
 	params := make(Params)
 	if !strings.Contains(rest, "=") {
 		// Positional shorthand: "scheme@N".
-		if reg.Positional == "" {
-			return PolicySpec{}, fmt.Errorf("%w: scheme %q takes no positional parameter (declared: %s)",
-				ErrBadParam, name, reg.paramNames())
+		sch, err := reg.positional()
+		if err != nil {
+			return PolicySpec{}, err
 		}
-		sch, _ := reg.Schema(reg.Positional)
 		v, err := parseParamValue(sch.Kind, rest)
 		if err != nil {
 			return PolicySpec{}, fmt.Errorf("%w: %s in %q: %w", ErrBadParam, sch.Name, s, err)
@@ -215,36 +226,127 @@ func (r *Registry) ParseSpec(s string) (PolicySpec, error) {
 // Build validates the spec against the scheme's declared schema and runs
 // the factory. Parameter values of the wrong kind are coerced when exact
 // (a JSON 8192 for a float parameter, an integral float for a uint
-// parameter); anything else returns ErrBadParam. Unknown schemes return
+// parameter); anything else returns ErrBadParam, as do two keys naming the
+// same parameter ("theta" and "Theta"). Unknown schemes return
 // ErrUnknownScheme.
 func (r *Registry) Build(spec PolicySpec, tech power.Technology) (Policy, error) {
-	name := strings.ToLower(strings.TrimSpace(spec.Scheme))
+	b, err := r.binding(spec.Scheme, len(spec.Params))
+	if err != nil {
+		return nil, err
+	}
+	// A one-parameter spec's key fits the stack buffer, so sorting the
+	// keys allocates nothing.
+	var buf [1]string
+	for _, key := range spec.Params.sortedKeys(buf[:0]) {
+		sch, err := b.schema(key, spec)
+		if err != nil {
+			return nil, err
+		}
+		if err := b.set(sch, spec.Params[key]); err != nil {
+			return nil, err
+		}
+	}
+	return b.build(tech)
+}
+
+// ParamSweep builds one scheme over a list of values for one of its
+// parameters, with the scheme and the parameter resolved once: each
+// value costs its coercion and one factory call on a single reused
+// parameter map. A ParamSweep is not safe for concurrent use.
+type ParamSweep struct {
+	b   binding
+	sch ParamSchema
+}
+
+// Sweep resolves scheme and the parameter to sweep, case- and
+// space-folded; an empty param selects the scheme's positional
+// parameter. Unknown schemes return ErrUnknownScheme; a scheme with no
+// positional parameter (when param is empty) or no parameter param
+// returns ErrBadParam.
+func (r *Registry) Sweep(scheme, param string) (*ParamSweep, error) {
+	b, err := r.binding(scheme, 1)
+	if err != nil {
+		return nil, err
+	}
+	var sch ParamSchema
+	if strings.TrimSpace(param) == "" {
+		sch, err = b.reg.positional()
+	} else {
+		sch, err = b.schema(param, PolicySpec{Scheme: b.name})
+	}
+	if err != nil {
+		return nil, err
+	}
+	return &ParamSweep{b: b, sch: sch}, nil
+}
+
+// Scheme returns the swept scheme's canonical name.
+func (s *ParamSweep) Scheme() string { return s.b.name }
+
+// Build builds the scheme with the swept parameter set to v. The policy
+// and the error are exactly Registry.Build's for the spec holding just
+// that parameter.
+func (s *ParamSweep) Build(tech power.Technology, v ParamValue) (Policy, error) {
+	if err := s.b.set(s.sch, v); err != nil {
+		return nil, err
+	}
+	return s.b.build(tech)
+}
+
+// binding is one scheme resolved against a registry together with the
+// normalized parameter map its factory receives. It holds every check
+// Build makes; Build runs them per spec, a ParamSweep resolves the
+// scheme and its key once and then only sets values.
+type binding struct {
+	reg    Registration
+	name   string // canonical scheme name, for errors
+	params Params
+}
+
+// binding resolves a scheme name, case- and space-folded, with room for
+// n parameters.
+func (r *Registry) binding(scheme string, n int) (binding, error) {
+	name := strings.ToLower(strings.TrimSpace(scheme))
 	reg, ok := r.Lookup(name)
 	if !ok {
-		return nil, fmt.Errorf("%w: %q (known: %s)", ErrUnknownScheme, spec.Scheme, strings.Join(r.Names(), ", "))
+		return binding{}, fmt.Errorf("%w: %q (known: %s)", ErrUnknownScheme, scheme, strings.Join(r.Names(), ", "))
 	}
-	// A sweep builds a one-parameter spec per value: its key fits the
-	// stack buffer, so sorting the keys allocates nothing.
-	var buf [1]string
-	params := make(Params, len(spec.Params))
-	for _, key := range spec.Params.sortedKeys(buf[:0]) {
-		sch, declared := reg.Schema(strings.ToLower(strings.TrimSpace(key)))
-		if !declared {
-			return nil, fmt.Errorf("%w: unknown parameter %q for scheme %q (declared: %s)",
-				ErrBadParam, key, name, reg.paramNames())
-		}
-		v, err := coerceParam(sch, spec.Params[key])
-		if err != nil {
-			return nil, fmt.Errorf("%w: %s for scheme %q: %w", ErrBadParam, sch.Name, name, err)
-		}
-		params[sch.Name] = v
+	return binding{reg: reg, name: name, params: make(Params, n)}, nil
+}
+
+// schema resolves a raw key, case- and space-folded, to a declared
+// parameter that holds no value yet; spec is the request the key came
+// from, quoted by the duplicate-key error.
+func (b binding) schema(key string, spec PolicySpec) (ParamSchema, error) {
+	sch, declared := b.reg.Schema(strings.ToLower(strings.TrimSpace(key)))
+	if !declared {
+		return ParamSchema{}, fmt.Errorf("%w: unknown parameter %q for scheme %q (declared: %s)",
+			ErrBadParam, key, b.name, b.reg.paramNames())
 	}
-	pol, err := reg.Factory(tech, params)
+	if _, dup := b.params[sch.Name]; dup {
+		return ParamSchema{}, fmt.Errorf("%w: duplicate parameter %q in %q", ErrBadParam, key, spec.String())
+	}
+	return sch, nil
+}
+
+// set coerces v to sch's kind and stores it, replacing any earlier value.
+func (b binding) set(sch ParamSchema, v ParamValue) error {
+	v, err := coerceParam(sch, v)
 	if err != nil {
-		return nil, fmt.Errorf("leakage: building %q: %w", name, err)
+		return fmt.Errorf("%w: %s for scheme %q: %w", ErrBadParam, sch.Name, b.name, err)
+	}
+	b.params[sch.Name] = v
+	return nil
+}
+
+// build runs the factory on the stored parameters.
+func (b binding) build(tech power.Technology) (Policy, error) {
+	pol, err := b.reg.Factory(tech, b.params)
+	if err != nil {
+		return nil, fmt.Errorf("leakage: building %q: %w", b.name, err)
 	}
 	if pol == nil {
-		return nil, fmt.Errorf("leakage: scheme %q factory returned a nil policy", name)
+		return nil, fmt.Errorf("leakage: scheme %q factory returned a nil policy", b.name)
 	}
 	return pol, nil
 }

@@ -230,6 +230,67 @@ func TestBuildValidationErrors(t *testing.T) {
 	}
 }
 
+// TestBuildRejectsDuplicateKeys pins that two keys naming one parameter
+// are an error, worded as ParseSpec words the duplicate in the spec's own
+// canonical spelling, instead of one value silently winning.
+func TestBuildRejectsDuplicateKeys(t *testing.T) {
+	tech := power.Default()
+	r := DefaultRegistry()
+	spec := PolicySpec{Scheme: "opt-sleep", Params: Params{"theta": Uint(5000), "Theta": Uint(7000)}}
+	pol, err := r.Build(spec, tech)
+	if !errors.Is(err, ErrBadParam) {
+		t.Fatalf("Build(%v) = %v, %v; want ErrBadParam", spec, pol, err)
+	}
+	want := `leakage: bad policy parameter: duplicate parameter "theta" in "opt-sleep@Theta=7000,theta=5000"`
+	if err.Error() != want {
+		t.Errorf("Build(%v) error %q, want %q", spec, err, want)
+	}
+	if _, perr := r.ParseSpec(spec.String()); !errors.Is(perr, ErrBadParam) || !strings.Contains(perr.Error(), "duplicate parameter") {
+		t.Errorf("ParseSpec(%q) = %v, want the same duplicate-parameter rejection", spec.String(), perr)
+	}
+	spaced := PolicySpec{Scheme: "coloring", Params: Params{"colors": Uint(4), " COLORS ": Uint(8)}}
+	if _, err := r.Build(spaced, tech); !errors.Is(err, ErrBadParam) || !strings.Contains(err.Error(), "duplicate parameter") {
+		t.Errorf("Build(%v) error = %v, want a duplicate-parameter ErrBadParam", spaced, err)
+	}
+}
+
+// TestSweepResolution pins Sweep's own errors and that it selects the
+// positional parameter when none is named.
+func TestSweepResolution(t *testing.T) {
+	tech := power.Default()
+	r := DefaultRegistry()
+	for _, c := range []struct {
+		scheme, param string
+		want          error
+	}{
+		{"bogus", "", ErrUnknownScheme},
+		{"opt-drowsy", "", ErrBadParam}, // no positional parameter
+		{"opt-sleep", "bogus", ErrBadParam},
+	} {
+		if _, err := r.Sweep(c.scheme, c.param); !errors.Is(err, c.want) {
+			t.Errorf("Sweep(%q, %q) error = %v, want %v", c.scheme, c.param, err, c.want)
+		}
+	}
+	sw, err := r.Sweep(" Coloring ", "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sw.Scheme() != "coloring" {
+		t.Errorf("Scheme() = %q, want coloring", sw.Scheme())
+	}
+	pol, err := sw.Build(tech, Uint(16))
+	if err != nil || pol != (Coloring{Colors: 16, Frames: DefaultColoringFrames}) {
+		t.Errorf("coloring sweep at 16 = %#v, %v", pol, err)
+	}
+	if _, err := sw.Build(tech, Uint(0)); !errors.Is(err, ErrBadParam) {
+		t.Errorf("coloring sweep at 0: error = %v, want ErrBadParam", err)
+	}
+	// A failed value leaves nothing behind for the next one.
+	if pol, err := sw.Build(tech, Float(4)); err != nil || pol != (Coloring{Colors: 4, Frames: DefaultColoringFrames}) {
+		t.Errorf("coloring sweep at 4.0 after a failure = %#v, %v", pol, err)
+	}
+}
+
 func TestPolicySpecJSON(t *testing.T) {
 	spec := PolicySpec{Scheme: "coloring", Params: Params{"colors": Uint(4), "frames": Uint(512)}}
 	b, err := json.Marshal(spec)

@@ -26,6 +26,7 @@ func FuzzPostBodies(f *testing.F) {
 		{0, `{"benchmark":"gzip","spec":null,"policy":"sleep-decay@0"}`},
 		{0, `{"benchmark":"nope"}`},
 		{0, `{"benchmark":"gzip","policy":{"scheme":""}}`},
+		{0, `{"benchmark":"gzip","policy":{"scheme":"opt-sleep","params":{"theta":5000,"Theta":7000}}}`},
 		{0, `{"benchmark":"gzip","extra":1}`},
 		{0, `{"spec":{"version":1},"cache":"i"}`},
 		{0, `[`},

@@ -241,6 +241,7 @@ func TestNewEndpointBadRequests(t *testing.T) {
 		{"/api/v1/eval", `{"benchmark":"gzip","policy":"nope"}`},
 		{"/api/v1/eval", `{"benchmark":"gzip","policy":{"scheme":""}}`},
 		{"/api/v1/eval", `{"benchmark":"gzip","policy":{"scheme":"opt-sleep","params":{"bogus":1}}}`},
+		{"/api/v1/eval", `{"benchmark":"gzip","policy":{"scheme":"opt-sleep","params":{"theta":5000,"Theta":7000}}}`},
 		{"/api/v1/eval", `{"unknown_field":1}`},
 		{"/api/v1/eval", `not json`},
 		{"/api/v1/sweep", `{"policy":"nope","values":[1]}`},

@@ -22,7 +22,9 @@
 # The benchmark selection is intentionally the *end-to-end* set: the
 # full-suite simulation (BenchmarkSuiteAll) that the ≥5x streaming claim
 # is made against, plus the per-benchmark pipeline, Figure 8 and geometry
-# sweep benches (the last two at 1 and 4 workers: the parallel speedup).
+# sweep benches (the last two at 1 and 4 workers: the parallel speedup),
+# the dense theta sweeps, and one dense sweep query end to end
+# (BenchmarkSweepThetaQuery: registry resolution, compile and fold).
 # Micro-benches churn too much to gate on.
 #
 # The snapshot records HEAD as the commit it measured, so the script
@@ -39,7 +41,7 @@ if [ -n "$(git status --porcelain --untracked-files=no)" ]; then
 fi
 
 GO="${GO:-go}"
-BENCH="${BENCH:-^(BenchmarkSuiteAll|BenchmarkPipelineSimulateGzip|BenchmarkFigure8Workers1|BenchmarkFigure8Workers4|BenchmarkGeometrySweepWorkers1|BenchmarkGeometrySweepWorkers4|BenchmarkSweepDense256Reference|BenchmarkSweepDense256Aggregates|BenchmarkParetoPopulation|BenchmarkSpecCompile|BenchmarkReplayPass)\$}"
+BENCH="${BENCH:-^(BenchmarkSuiteAll|BenchmarkPipelineSimulateGzip|BenchmarkFigure8Workers1|BenchmarkFigure8Workers4|BenchmarkGeometrySweepWorkers1|BenchmarkGeometrySweepWorkers4|BenchmarkSweepDense256Reference|BenchmarkSweepDense256Aggregates|BenchmarkSweepThetaQuery|BenchmarkParetoPopulation|BenchmarkSpecCompile|BenchmarkReplayPass)\$}"
 BENCHTIME="${BENCHTIME:-100ms}"
 COUNT="${COUNT:-3}"
 OUT="${OUT:-.}"
