@@ -12,6 +12,15 @@ package interval
 // distributions; the L2 study builds the L2 cache's per query. Either
 // way, nothing reaches the distribution through it: the kernels fold
 // aggregates only.
+//
+// Each class also carries a value index over its lengths (newIndex): 256
+// buckets per binade of float64(length), each holding how many lengths
+// lie below its start. A cut's bucket is read off its bit pattern, so
+// Prefix finds its search's bracket in O(1) and binary-searches only the
+// few lengths inside it, instead of probing across the class's sorted
+// arrays (megabytes at scale 1, one cache miss per probe).
+
+import "math"
 
 // FlagsClass is the prefix-sum summary of one flags value: the distinct
 // interval lengths recorded under that flags combination in ascending
@@ -22,12 +31,16 @@ package interval
 type FlagsClass struct {
 	// Flags is the class key every bucket in this class carries.
 	Flags Flags
-	// Lengths holds the distinct bucket lengths, strictly ascending.
+	// Lengths holds the distinct bucket lengths, strictly ascending and
+	// each at least 1 (a Distribution records no zero-length interval).
 	Lengths []uint64
 	// CumCount[i] is the total interval count over Lengths[0..i].
 	CumCount []uint64
 	// CumMass[i] is the total mass (sum length*count) over Lengths[0..i].
 	CumMass []uint64
+
+	// index is the value index Prefix brackets its search with (newIndex).
+	index []uint32
 }
 
 // TotalCount returns the class's interval count.
@@ -54,53 +67,20 @@ func (c *FlagsClass) TotalMass() uint64 {
 // float64(length) against its thresholds, keeping the two paths'
 // branch decisions aligned bucket for bucket. A NaN cut compares like no
 // length exceeds it, so it returns the whole class.
-//
-// Prefix is PrefixFrom without a hint: one binary search over the class.
 func (c *FlagsClass) Prefix(cut float64) (count, mass uint64) {
-	count, mass, _ = c.PrefixFrom(cut, -1)
-	return count, mass
-}
-
-// PrefixFrom is Prefix with a search hint. It also returns next, the
-// number of leading lengths at or below cut, which is the hint for the
-// following call. When hint is such an answer for a nearby cut, as it is
-// for a policy ladder folded class by class, the search gallops out from
-// hint and costs O(log distance) instead of O(log len). A hint outside
-// [0, len(Lengths)] searches the whole class. The answer never depends on
-// the hint.
-func (c *FlagsClass) PrefixFrom(cut float64, hint int) (count, mass uint64, next int) {
-	// Every probe asks one question, float64(Lengths[i]) > cut, which is
-	// false on a prefix of the class and true after it (false everywhere
-	// for a NaN cut); the answer is the first index where it is true.
-	// Galloping brackets that index in [lo, hi], then the binary search
-	// (sort.Search semantics, inline: a closure capturing c and cut was
-	// once this path's one allocation site) closes the bracket.
-	n := len(c.Lengths)
-	lo, hi := 0, n
-	switch {
-	case hint < 0 || hint > n:
-	case hint < n && !(float64(c.Lengths[hint]) > cut):
-		lo = hint + 1
-		for step := 1; hint+step < n; step *= 2 {
-			i := hint + step
-			if float64(c.Lengths[i]) > cut {
-				hi = i
-				break
-			}
-			lo = i + 1
-		}
-	case hint > 0 && float64(c.Lengths[hint-1]) > cut:
-		hi = hint - 1
-		for step := 2; hint-step >= 0; step *= 2 {
-			i := hint - step
-			if !(float64(c.Lengths[i]) > cut) {
-				lo = i + 1
-				break
-			}
-			hi = i
-		}
+	// The answer is the first index where float64(Lengths[i]) > cut,
+	// which is false on a prefix of the class and true after it (false
+	// everywhere for a NaN cut). The value index brackets it in [lo, hi],
+	// and a binary search (sort.Search semantics, inline: a closure
+	// capturing c and cut would allocate) closes the bracket.
+	lo, hi := 0, len(c.Lengths)
+	switch b := bucketOf(cut); {
+	case cut < 1:
+		hi = 0 // every length is at least 1
+	case b+1 >= len(c.index):
+		lo = hi // past the table: +Inf, and NaN, whose exponent is all ones
 	default:
-		lo, hi = hint, hint
+		lo, hi = int(c.index[b]), int(c.index[b+1])
 	}
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
@@ -111,9 +91,43 @@ func (c *FlagsClass) PrefixFrom(cut float64, hint int) (count, mass uint64, next
 		}
 	}
 	if lo == 0 {
-		return 0, 0, 0
+		return 0, 0
 	}
-	return c.CumCount[lo-1], c.CumMass[lo-1], lo
+	return c.CumCount[lo-1], c.CumMass[lo-1]
+}
+
+// indexBits is the value index's resolution: 2^indexBits buckets per
+// binade of float64(length).
+const indexBits = 8
+
+// bucketOf returns the value-index bucket of x >= 1: its binade above 1
+// and the top indexBits bits of its mantissa, read off its bit pattern.
+// Buckets ascend with x, so bucket b's start is the smallest float64 in
+// it. A positive x < 1 has a negative bucket; +Inf, NaN and any negative
+// x have one past every length's, so Prefix tests x < 1 first.
+func bucketOf(x float64) int {
+	return int(math.Float64bits(x)>>(52-indexBits)) - 1023<<indexBits
+}
+
+// newIndex builds the value index of lengths, ascending and each at
+// least 1: index[b] is the number of lengths whose float64 lies below
+// bucket b's start, so the lengths in bucket b sit at [index[b],
+// index[b+1]). It runs one bucket past the longest length's, where every
+// length is below the start, and is sized exactly.
+func newIndex(lengths []uint64) []uint32 {
+	top := -1
+	if n := len(lengths); n > 0 {
+		top = bucketOf(float64(lengths[n-1]))
+	}
+	index := make([]uint32, top+2)
+	i := 0
+	for b := range index {
+		for i < len(lengths) && bucketOf(float64(lengths[i])) < b {
+			i++
+		}
+		index[b] = uint32(i)
+	}
+	return index
 }
 
 // Aggregates is an immutable prefix-sum summary of a Distribution,
@@ -138,7 +152,8 @@ type Aggregates struct {
 // ascending flags order and fills it: each class's dense row in
 // ascending length, then its tail buckets, whose lengths are all longer
 // than the dense rows'. The tail is sorted by (length, flags), so every
-// class's Lengths come out ascending with no re-sort.
+// class's Lengths come out ascending with no re-sort. Last, each class
+// gets its value index, the fourth exact-size slice.
 func NewAggregates(d *Distribution) *Aggregates {
 	if d == nil {
 		return nil
@@ -191,6 +206,9 @@ func NewAggregates(d *Distribution) *Aggregates {
 	}
 	for _, b := range d.tail {
 		a.classes[idx[b.key&(NumFlags-1)]].add(b.key>>6, b.count)
+	}
+	for k := range a.classes {
+		a.classes[k].index = newIndex(a.classes[k].Lengths)
 	}
 	return a
 }

@@ -157,7 +157,7 @@ func TestAggregatesMatchDistribution(t *testing.T) {
 
 // walkClasses is the reference aggregate builder: it collects d's Each
 // walk per flags class, appending as it goes, then orders the classes by
-// flags value.
+// flags value and indexes each through NewAggregates' index builder.
 func walkClasses(d *Distribution) []FlagsClass {
 	var classes []FlagsClass
 	d.Each(func(length uint64, flags Flags, count uint64) bool {
@@ -170,13 +170,17 @@ func walkClasses(d *Distribution) []FlagsClass {
 		return true
 	})
 	slices.SortFunc(classes, func(a, b FlagsClass) int { return int(a.Flags) - int(b.Flags) })
+	for k := range classes {
+		classes[k].index = newIndex(classes[k].Lengths)
+	}
 	return classes
 }
 
 // TestNewAggregatesSizesExactly is the dynamic twin of NewAggregates'
-// counting pass: it allocates the Aggregates, the class list and three
-// slices per class, each at exactly its final length, and builds the same
-// classes as a walk of the distribution.
+// counting pass: it allocates the Aggregates, the class list and four
+// slices per class (three prefix arrays and the value index), each at
+// exactly its final length, and builds the same classes as a walk of the
+// distribution.
 func TestNewAggregatesSizesExactly(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	for _, d := range []*Distribution{buildTestDist(t), randomDist(rng, 5000), randomDist(rng, 40)} {
@@ -193,10 +197,13 @@ func TestNewAggregatesSizesExactly(t *testing.T) {
 					t.Errorf("class %v %s: cap %d, len %d", c.Flags, name, cap(s), len(s))
 				}
 			}
+			if cap(c.index) != len(c.index) {
+				t.Errorf("class %v index: cap %d, len %d", c.Flags, cap(c.index), len(c.index))
+			}
 		}
-		want := float64(2 + 3*len(a.Classes()))
+		want := float64(2 + 4*len(a.Classes()))
 		if n := testing.AllocsPerRun(10, func() { NewAggregates(d) }); n != want {
-			t.Errorf("%d classes: %v allocs, want %v (the aggregates, the class list, 3 per class)", len(a.Classes()), n, want)
+			t.Errorf("%d classes: %v allocs, want %v (the aggregates, the class list, 4 per class)", len(a.Classes()), n, want)
 		}
 	}
 }
@@ -233,10 +240,62 @@ func TestAggregatesNil(t *testing.T) {
 	}
 }
 
-// fuzzClass decodes a FlagsClass: each byte b adds a length b+1 past the
-// previous one, shifted left by b-200 bits for b >= 200 so the class
-// reaches past 2^53, where distinct lengths share a float64. Counts
-// cycle through 1..3.
+// bucketStart returns the smallest float64 in value-index bucket b >= 0.
+func bucketStart(b int) float64 {
+	return math.Float64frombits(uint64(b+1023<<indexBits) << (52 - indexBits))
+}
+
+// TestValueIndex checks newIndex against its definition, one float64
+// comparison per length and bucket: index[b] counts the lengths whose
+// float64 is below bucket b's start, up to one bucket past the longest
+// length's.
+func TestValueIndex(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	classes := [][]uint64{
+		nil,
+		{1},
+		{1, 2, 3, 255, 256, 257, 511, 512, 513},
+		{1 << 53, 1<<53 + 1, 1<<53 + 2, 1<<53 + 3, 1<<58 - 1},
+	}
+	for range 20 {
+		set := map[uint64]bool{}
+		var lengths []uint64
+		for range rng.Intn(2000) {
+			if l := uint64(math.Exp(rng.Float64() * math.Log(1<<40))); !set[l] {
+				set[l] = true
+				lengths = append(lengths, l)
+			}
+		}
+		slices.Sort(lengths)
+		classes = append(classes, lengths)
+	}
+	for _, lengths := range classes {
+		index := newIndex(lengths)
+		top := -1
+		if n := len(lengths); n > 0 {
+			top = bucketOf(float64(lengths[n-1]))
+		}
+		if len(index) != top+2 || cap(index) != len(index) {
+			t.Fatalf("%d lengths up to bucket %d: index len %d cap %d, want %d", len(lengths), top, len(index), cap(index), top+2)
+		}
+		for b, got := range index {
+			want := 0
+			for _, l := range lengths {
+				if float64(l) < bucketStart(b) {
+					want++
+				}
+			}
+			if int(got) != want {
+				t.Fatalf("%d lengths: index[%d] = %d, want %d (bucket start %g)", len(lengths), b, got, want, bucketStart(b))
+			}
+		}
+	}
+}
+
+// fuzzClass decodes a FlagsClass and indexes it through NewAggregates'
+// builder: each byte b adds a length b+1 past the previous one, shifted
+// left by b-200 bits for b >= 200 so the class reaches past 2^53, where
+// distinct lengths share a float64. Counts cycle through 1..3.
 func fuzzClass(data []byte) FlagsClass {
 	var c FlagsClass
 	var length, count, mass uint64
@@ -256,19 +315,24 @@ func fuzzClass(data []byte) FlagsClass {
 		c.CumCount = append(c.CumCount, count)
 		c.CumMass = append(c.CumMass, mass)
 	}
+	c.index = newIndex(c.Lengths)
 	return c
 }
 
-// fuzzCut decodes one two-byte cut: a NaN, an infinity, a recorded length
-// or its half-integer neighbours, or a plain value.
+// fuzzCut decodes one two-byte cut: a NaN of either sign, an infinity, a recorded length
+// or its neighbours (half an integer or one ulp away), the start of a
+// recorded length's value-index bucket or of the next bucket (each also
+// one ulp either side), a power of two, a value below 1, at or above
+// 2^53, or a plain value.
 func fuzzCut(c *FlagsClass, kind, v byte) float64 {
 	at := float64(v)
 	if n := len(c.Lengths); n > 0 {
 		at = float64(c.Lengths[int(v)%n])
 	}
-	switch kind % 8 {
+	start := bucketStart(bucketOf(max(at, 1)) + int(kind>>4&1))
+	switch kind % 16 {
 	case 0:
-		return math.NaN()
+		return math.Copysign(math.NaN(), float64(v&1)-0.5)
 	case 1:
 		return math.Inf(1)
 	case 2:
@@ -281,25 +345,50 @@ func fuzzCut(c *FlagsClass, kind, v byte) float64 {
 		return at + 0.5
 	case 6:
 		return -float64(v)
-	default:
+	case 7:
 		return float64(v) * 1e15
+	case 8:
+		return start
+	case 9:
+		return math.Nextafter(start, math.Inf(-1))
+	case 10:
+		return math.Nextafter(start, math.Inf(1))
+	case 11:
+		return math.Ldexp(1, int(v%64))
+	case 12:
+		return float64(v) / 256
+	case 13:
+		return math.Ldexp(1+float64(v)/256, 53+int(v%6))
+	case 14:
+		return math.Nextafter(at, math.Inf(-1))
+	default:
+		return math.Nextafter(at, math.Inf(1))
 	}
 }
 
-// FuzzPrefixFrom checks the hinted prefix search against a linear scan for
-// any class (empty included) and any cut sequence (ascending, descending,
-// repeated, NaN, ±Inf): chained through each answer as the next hint, from
-// a fixed arbitrary hint, and hint-less through Prefix.
+// FuzzPrefixFrom checks Prefix's value-indexed search against a linear
+// scan for any class (empty included) and any cut: NaN, ±Inf, below 1,
+// at and one ulp around a bucket start, at powers of two and past 2^53,
+// where distinct lengths share a float64. Its seeds fail an index filled
+// with <= in place of <, and a bracket that ends at index[b].
 func FuzzPrefixFrom(f *testing.F) {
-	f.Add([]byte{}, []byte{0, 0, 1, 0, 3, 7}, 0)
-	f.Add([]byte{0, 1, 2, 3, 4, 5, 6, 7}, []byte{3, 0, 3, 1, 3, 2, 3, 5, 3, 7}, -1)
-	f.Add([]byte{9, 9, 9, 9, 9, 9, 9, 9}, []byte{3, 7, 4, 5, 5, 3, 3, 1, 3, 0}, 8)
-	f.Add([]byte{1, 1, 1, 1, 255, 1, 1, 1}, []byte{3, 4, 3, 4, 4, 4, 0, 0, 3, 2, 1, 0, 2, 0}, 3)
-	f.Add([]byte{250, 250, 0, 0, 250, 240}, []byte{5, 0, 5, 1, 5, 2, 4, 3, 4, 4, 5, 5}, 100)
-	f.Add([]byte{7, 3}, []byte{6, 9, 7, 1, 0, 0, 7, 3}, -7)
-	f.Fuzz(func(t *testing.T, lengths, cuts []byte, hint int) {
+	f.Add([]byte{}, []byte{0, 0, 1, 0, 3, 7})
+	f.Add([]byte{0, 1, 2, 3, 4, 5, 6, 7}, []byte{3, 0, 3, 1, 3, 2, 3, 5, 3, 7})
+	f.Add([]byte{9, 9, 9, 9, 9, 9, 9, 9}, []byte{3, 7, 4, 5, 5, 3, 3, 1, 3, 0})
+	f.Add([]byte{1, 1, 1, 1, 255, 1, 1, 1}, []byte{3, 4, 3, 4, 4, 4, 0, 0, 3, 2, 1, 0, 2, 0})
+	f.Add([]byte{250, 250, 0, 0, 250, 240}, []byte{5, 0, 5, 1, 5, 2, 4, 3, 4, 4, 5, 5})
+	f.Add([]byte{7, 3}, []byte{6, 9, 7, 1, 0, 0, 7, 3})
+	// Bucket starts and their ulp neighbours, in a bucket holding many
+	// lengths (one 2^18-scale jump, then steps of one).
+	f.Add([]byte{211, 0, 0, 0, 0, 0, 0, 0, 3, 0, 0}, []byte{8, 0, 9, 0, 10, 0, 8, 5, 9, 5, 10, 5, 24, 0, 25, 0, 26, 0, 3, 2, 4, 3, 14, 4, 15, 1})
+	// Powers of two and the lengths at them.
+	f.Add([]byte{0, 0, 1, 3, 7, 15, 31, 63, 127, 201, 207}, []byte{11, 0, 11, 1, 11, 2, 11, 3, 11, 4, 11, 8, 11, 13, 11, 40, 3, 3, 14, 3, 15, 3})
+	// Past 2^53, where neighbouring lengths round to one float64.
+	f.Add([]byte{247, 0, 0, 0, 1, 0, 2}, []byte{3, 0, 3, 1, 3, 2, 4, 3, 5, 4, 13, 0, 13, 7, 14, 2, 15, 5, 8, 1, 9, 1, 10, 1})
+	// Below 1, NaN and ±Inf.
+	f.Add([]byte{0, 1, 2}, []byte{12, 0, 12, 128, 12, 255, 6, 0, 6, 1, 0, 0, 0, 1, 1, 0, 2, 0})
+	f.Fuzz(func(t *testing.T, lengths, cuts []byte) {
 		c := fuzzClass(lengths)
-		chained := -1
 		for ; len(cuts) >= 2; cuts = cuts[2:] {
 			cut := fuzzCut(&c, cuts[0], cuts[1])
 			want := len(c.Lengths)
@@ -313,17 +402,51 @@ func FuzzPrefixFrom(f *testing.F) {
 			if want > 0 {
 				wantCount, wantMass = c.CumCount[want-1], c.CumMass[want-1]
 			}
-			count, mass, next := c.PrefixFrom(cut, chained)
-			if count != wantCount || mass != wantMass || next != want {
-				t.Fatalf("PrefixFrom(%g, hint %d) = (%d, %d, %d), want (%d, %d, %d)", cut, chained, count, mass, next, wantCount, wantMass, want)
-			}
-			chained = next
-			if count, mass, next := c.PrefixFrom(cut, hint); count != wantCount || mass != wantMass || next != want {
-				t.Fatalf("PrefixFrom(%g, hint %d) = (%d, %d, %d), want (%d, %d, %d)", cut, hint, count, mass, next, wantCount, wantMass, want)
-			}
 			if count, mass := c.Prefix(cut); count != wantCount || mass != wantMass {
 				t.Fatalf("Prefix(%g) = (%d, %d), want (%d, %d)", cut, count, mass, wantCount, wantMass)
 			}
 		}
 	})
 }
+
+// BenchmarkPrefix times one prefix search in a 32k-length class with
+// log-uniform lengths up to 2^27, cycling through a 256-point geometric
+// ladder over Figure 7's span (1,500 to 103,084 cycles) and through 4,096
+// random log-uniform cuts over the whole class. It does not depend on a
+// suite's scale.
+func BenchmarkPrefix(b *testing.B) {
+	rng := rand.New(rand.NewSource(17))
+	set := map[uint64]bool{}
+	for len(set) < 32768 {
+		set[uint64(math.Exp(rng.Float64()*math.Log(1<<27)))] = true
+	}
+	d := NewDistribution(1, 1<<40)
+	for length := range set {
+		d.Add(length, 0, 1)
+	}
+	cls := &NewAggregates(d).Classes()[0]
+	ladder := make([]float64, 256)
+	for i := range ladder {
+		ladder[i] = 1500 * math.Pow(103084.0/1500, float64(i)/255)
+	}
+	random := make([]float64, 4096)
+	for i := range random {
+		random[i] = math.Exp(rng.Float64() * math.Log(1<<27))
+	}
+	for _, bc := range []struct {
+		name string
+		cuts []float64
+	}{{"ladder", ladder}, {"random", random}} {
+		b.Run(bc.name, func(b *testing.B) {
+			var sum uint64
+			for i := 0; i < b.N; i++ {
+				count, _ := cls.Prefix(bc.cuts[i%len(bc.cuts)])
+				sum += count
+			}
+			prefixSink = sum
+		})
+	}
+}
+
+// prefixSink keeps BenchmarkPrefix's searches from being optimized away.
+var prefixSink uint64

@@ -25,7 +25,8 @@ func sortMerge(log []tailBucket) []tailBucket {
 }
 
 // checkCompact compacts a distribution whose tail is log and compares the
-// result with the reference; a second compact must change nothing.
+// result with the reference, held at exact size; a second compact must
+// change nothing.
 func checkCompact(t *testing.T, name string, log []tailBucket) {
 	t.Helper()
 	want := sortMerge(log)
@@ -38,6 +39,9 @@ func checkCompact(t *testing.T, name string, log []tailBucket) {
 	}
 	if d.tailClean != len(d.tail) {
 		t.Fatalf("%s: tailClean %d, len %d", name, d.tailClean, len(d.tail))
+	}
+	if cap(d.tail) != len(d.tail) {
+		t.Fatalf("%s: compacted tail keeps cap %d for len %d", name, cap(d.tail), len(d.tail))
 	}
 	again := slices.Clone(d.tail)
 	d.compact()

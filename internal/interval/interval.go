@@ -163,8 +163,10 @@ const (
 type tailBucket struct{ key, count uint64 }
 
 // compact sorts the tail log and merges duplicate keys, making it a
-// deterministic ascending bucket list. Idempotent and cheap when nothing
-// was appended since the last call.
+// deterministic ascending bucket list, then copies it to exact size: the
+// log's growth slack and merged duplicates would otherwise stay allocated
+// for as long as the distribution lives. Idempotent and cheap when
+// nothing was appended since the last call.
 func (d *Distribution) compact() {
 	if d.tailClean == len(d.tail) {
 		return
@@ -189,6 +191,10 @@ func (d *Distribution) compact() {
 		out = append(out, b)
 	}
 	d.tail = out
+	if cap(out) > len(out) {
+		d.tail = make([]tailBucket, len(out))
+		copy(d.tail, out)
+	}
 	d.tailClean = len(out)
 }
 

@@ -6,10 +6,11 @@ package leakage
 // handful of pieces (a threshold theta, a drowse window, an accuracy
 // cutoff), so a policy evaluation over a whole distribution collapses to,
 // per piece, const*count + slope*mass of the lengths falling in the
-// piece — two prefix-sum lookups (interval.FlagsClass.PrefixFrom) instead of
-// a walk over every bucket. Each piece also carries its induced-miss
-// count: the sleep decisions that charge CD are exactly the pieces that
-// re-fetch, so the same two lookups answer misses*count too.
+// piece — two prefix-sum lookups (interval.FlagsClass.Prefix, each an
+// O(1) bracket from the class's value index and a short binary search)
+// instead of a walk over every bucket. Each piece also carries its
+// induced-miss count: the sleep decisions that charge CD are exactly the
+// pieces that re-fetch, so the same two lookups answer misses*count too.
 //
 // Branch-boundary discipline: the reference implementations all branch on
 // strict "float64(length) > threshold" comparisons (or their negations),

@@ -2,19 +2,21 @@ package leakage
 
 // The aggregate evaluation kernel: the paper's closed form per interval,
 // folded over interval.Aggregates. Every builtin policy's curve
-// (curvePolicy) answers one sweep point in O(flags-classes x log
-// buckets): per class, each affine piece of the curve costs one prefix
-// search into the class's sorted lengths. The kernels take curve
-// policies only: a policy without a curve is rejected up front with
-// ErrNoClosedForm, and a curve that overflows maxPieces is an error, so
-// no evaluation silently walks buckets. Evaluate and InducedMissRate,
+// (curvePolicy) answers one sweep point in O(flags-classes x pieces):
+// per class, each affine piece of the curve costs one prefix search,
+// which reads its bracket from the class's value index and
+// binary-searches only the few lengths inside it
+// (interval.FlagsClass.Prefix). The kernels take curve policies only: a
+// policy without a curve is rejected up front with ErrNoClosedForm, and
+// a curve that overflows maxPieces is an error, so no evaluation
+// silently walks buckets. Evaluate and InducedMissRate,
 // the per-bucket walks, are the reference oracle the kernels are tested
 // against.
 //
 // One fold serves every kernel: fold runs class-major, folding every
 // policy's curve over one flags class before moving to the next, so a
-// policy ladder's searches in one class start from the previous policy's
-// answers (interval.FlagsClass.PrefixFrom) instead of from scratch.
+// policy ladder's searches in one class read the same index and arrays
+// while they are still in cache. No search depends on another's answer.
 // Two kernels remain over it: EvaluateMany is its one-aggregate case, and
 // Compiled its many-aggregate case: Compile builds each policy's curve
 // once per flags value present in the aggregates it is given, and names
@@ -40,22 +42,17 @@ import (
 	"leakbound/internal/power"
 )
 
-// noHint starts a class's fold with hint-less prefix searches.
-var noHint = [maxPieces]int{-1, -1, -1, -1}
-
 // foldClass folds one curve's pieces over one flags class via prefix
 // differences: the energy sum over pieces of cnst*Δcount + slope*Δmass,
-// and from the same lookups the induced misses, misses*Δcount. Piece j's
-// search starts from hint[j], the answer of the class's previous fold
-// (-1: none), and leaves its own answer there.
-func foldClass(pcs []piece, cls *interval.FlagsClass, hint *[maxPieces]int) (energy, misses float64) {
+// and from the same lookups the induced misses, misses*Δcount.
+func foldClass(pcs []piece, cls *interval.FlagsClass) (energy, misses float64) {
 	var prevCount, prevMass uint64
 	last := len(pcs) - 1
 	for j := range pcs {
 		pc := &pcs[j]
 		count, mass := cls.TotalCount(), cls.TotalMass()
 		if j < last {
-			count, mass, hint[j] = cls.PrefixFrom(pc.end, hint[j])
+			count, mass = cls.Prefix(pc.end)
 		}
 		if dc, dm := count-prevCount, mass-prevMass; dc != 0 || dm != 0 {
 			energy += pc.cnst*float64(dc) + pc.slope*float64(dm)
@@ -106,7 +103,6 @@ func fold(t *power.Technology, agg *interval.Aggregates, ps []Policy, tab *curve
 				row = &tab.rows[r-1]
 			}
 		}
-		hint := noHint
 		for i, p := range ps {
 			var pcs []piece
 			if row != nil {
@@ -120,7 +116,7 @@ func fold(t *power.Technology, agg *interval.Aggregates, ps []Policy, tab *curve
 				}
 				pcs = c.p[:c.n]
 			}
-			e, m := foldClass(pcs, cls, &hint)
+			e, m := foldClass(pcs, cls)
 			out[i].Energy += e
 			if ms != nil {
 				ms[i] += m
