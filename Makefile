@@ -75,7 +75,7 @@ bench-json:
 # report without failing; GATE_FLAGS+='-summary $$GITHUB_STEP_SUMMARY'
 # in CI to publish the comparison table.
 bench-gate:
-	$(GO) test -run '^$$' -bench '^(BenchmarkSuiteAll|BenchmarkPipelineSimulateGzip|BenchmarkFigure8Workers1|BenchmarkFigure8Workers4|BenchmarkGeometrySweepWorkers1|BenchmarkGeometrySweepWorkers4|BenchmarkSweepDense256Reference|BenchmarkSweepDense256Aggregates|BenchmarkSweepThetaQuery|BenchmarkParetoPopulation|BenchmarkSpecCompile|BenchmarkReplayPass)$$' \
+	$(GO) test -run '^$$' -bench '^(BenchmarkSuiteAll|BenchmarkPipelineSimulateGzip|BenchmarkFigure8Workers1|BenchmarkFigure8Workers4|BenchmarkGeometrySweepWorkers1|BenchmarkGeometrySweepWorkers4|BenchmarkSweepDense256Reference|BenchmarkSweepDense256Aggregates|BenchmarkSweepThetaQuery|BenchmarkCompileDense256|BenchmarkParetoPopulation|BenchmarkSpecCompile|BenchmarkReplayPass)$$' \
 		-benchmem -benchtime 100ms -count 3 . | $(GO) run ./cmd/benchsnap -compare . $(GATE_FLAGS)
 
 cover:

@@ -213,9 +213,12 @@ type ParamSweepPoint struct {
 //
 // Dense sweeps are the aggregate kernel's home turf: evaluateSide
 // compiles the value list once, then each benchmark task answers it in
-// one pass over the suite's cached prefix aggregates, O(values x classes)
-// prefix searches per benchmark, each starting from the previous value's
-// answer. The reduction runs in value-major, benchmark-inner order.
+// one pass over the suite's cached prefix aggregates, at most O(values x
+// classes x pieces) prefix searches per benchmark, each bracketed by the
+// class's value index. A cut the previous value shares at the same piece
+// (a ladder's fixed drowsy, wake and S1 cuts) reuses that answer from the
+// fold's per-class memo, so mostly the moving cut is searched. The
+// reduction runs in value-major, benchmark-inner order.
 func (s *Suite) SweepParamContext(ctx context.Context, scheme, param string, iCache bool, tech power.Technology, values []leakage.ParamValue) ([]ParamSweepPoint, error) {
 	pols, name, err := resolveSweepPolicies(scheme, param, tech, values)
 	if err != nil {

@@ -394,23 +394,53 @@ type sweepLadder struct {
 }
 
 // sweepLadders builds a 256-point theta ladder of each sweep scheme at
-// tech through the default registry, as a dense parameter sweep does.
+// tech through the default registry, as a dense parameter sweep does,
+// followed by memoLadders.
 func sweepLadders(t *testing.T, tech power.Technology) []sweepLadder {
 	t.Helper()
 	var out []sweepLadder
 	for _, scheme := range []string{"opt-sleep", "opt-hybrid", "sleep-decay"} {
 		l := sweepLadder{scheme: scheme}
 		for i := 0; i < 256; i++ {
-			spec := PolicySpec{Scheme: scheme, Params: Params{"theta": Uint(uint64(1000 + 400*i))}}
-			pol, err := DefaultRegistry().Build(spec, tech)
-			if err != nil {
-				t.Fatalf("Build %s: %v", scheme, err)
-			}
-			l.pols = append(l.pols, pol)
+			l.pols = append(l.pols, buildTheta(t, tech, scheme, uint64(1000+400*i)))
 		}
 		out = append(out, l)
 	}
-	return out
+	return append(out, memoLadders(t, tech)...)
+}
+
+// memoLadders builds two 256-policy lists aimed at the fold's cut memo:
+// an OPT-Hybrid ladder that names each theta twice in a row, so its
+// sleep cuts hit the memo too, and OPT-Hybrid at two thetas followed by
+// OPT-Drowsy, which share the drowsy cut at piece 0 and differ after it,
+// so each piece 1 misses against the previous hybrid's cut.
+func memoLadders(t *testing.T, tech power.Technology) []sweepLadder {
+	t.Helper()
+	twice := sweepLadder{scheme: "opt-hybrid, each theta twice"}
+	mixed := sweepLadder{scheme: "opt-hybrid at two thetas, then opt-drowsy"}
+	for i := 0; i < 256; i++ {
+		twice.pols = append(twice.pols, buildTheta(t, tech, "opt-hybrid", uint64(1000+400*(i/2))))
+		switch theta := uint64(1000 + 400*(i/3)); i % 3 {
+		case 0:
+			mixed.pols = append(mixed.pols, buildTheta(t, tech, "opt-hybrid", theta))
+		case 1:
+			mixed.pols = append(mixed.pols, buildTheta(t, tech, "opt-hybrid", 2*theta))
+		default:
+			mixed.pols = append(mixed.pols, OPTDrowsy{})
+		}
+	}
+	return []sweepLadder{twice, mixed}
+}
+
+// buildTheta builds scheme with its theta parameter through the default
+// registry.
+func buildTheta(t *testing.T, tech power.Technology, scheme string, theta uint64) Policy {
+	t.Helper()
+	pol, err := DefaultRegistry().Build(PolicySpec{Scheme: scheme, Params: Params{"theta": Uint(theta)}}, tech)
+	if err != nil {
+		t.Fatalf("Build %s: %v", scheme, err)
+	}
+	return pol
 }
 
 // TestAggregateKernelsDoNotAllocate is the dynamic twin of the hotalloc
@@ -418,8 +448,8 @@ func sweepLadders(t *testing.T, tech power.Technology) []sweepLadder {
 // EvaluateMany over builtins whose Name is constant allocates only its
 // result slice, one policy or many, and Compiled allocates only its
 // result slices (EvaluateMisses adds the rates) for any builtin. Compile
-// itself allocates per policy only its name, and per distinct curve row
-// only that row's two slices: no curve build allocates.
+// itself allocates nothing per policy, and per distinct curve row only
+// that row's two slices: no curve build allocates.
 func TestAggregateKernelsDoNotAllocate(t *testing.T) {
 	agg := interval.NewAggregates(randomDistribution(rand.New(rand.NewSource(11))))
 	constNamed := []Policy{AlwaysActive{}, OPTDrowsy{}, OPTHybrid{}, PrefetchA(), PrefetchB(), DirtyAwareHybrid{}, DeadAwareHybrid{}}
@@ -433,9 +463,9 @@ func TestAggregateKernelsDoNotAllocate(t *testing.T) {
 		if n := testing.AllocsPerRun(10, func() { _, _ = EvaluateMany(tech, agg, constNamed) }); n != 1 {
 			t.Errorf("EvaluateMany @%s: %v allocs, want 1 (the result slice)", tech.Name, n)
 		}
-		// Compiled names every policy up front, so Evaluate allocates only
-		// its result slice for parameterized names too, whether a class's
-		// curves come from the table or are built inline.
+		// Compiled names no policy, so Evaluate allocates only its result
+		// slice for parameterized names too, whether a class's curves come
+		// from the table or are built inline.
 		for _, aggs := range [][]*interval.Aggregates{{agg}, nil} {
 			cp, err := Compile(tech, testPolicies(tech), aggs...)
 			if err != nil {
@@ -448,16 +478,16 @@ func TestAggregateKernelsDoNotAllocate(t *testing.T) {
 				t.Errorf("Compiled.EvaluateMisses @%s (%d aggregates compiled): %v allocs, want 2 (the result slices)", tech.Name, len(aggs), n)
 			}
 		}
-		// Compile's fixed eight: the Compiled, its policy and name slices,
-		// the row list, the curve env, the staging curve, spans and pieces.
+		// Compile's fixed seven: the Compiled, its policy slice, the row
+		// list, the curve env, the staging curve, spans and pieces.
 		for _, l := range sweepLadders(t, tech) {
 			cp, err := Compile(tech, l.pols, agg)
 			if err != nil {
 				t.Fatalf("Compile %s @%s: %v", l.scheme, tech.Name, err)
 			}
-			want := 8 + len(l.pols) + 2*len(cp.tab.rows)
+			want := 7 + 2*len(cp.tab.rows)
 			if n := testing.AllocsPerRun(10, func() { _, _ = Compile(tech, l.pols, agg) }); n != float64(want) {
-				t.Errorf("Compile(%d-point %s @%s): %v allocs, want %d (8 fixed, a name per policy, 2 per each of %d rows)",
+				t.Errorf("Compile(%d-point %s @%s): %v allocs, want %d (7 fixed, 2 per each of %d rows)",
 					len(l.pols), l.scheme, tech.Name, n, want, len(cp.tab.rows))
 			}
 		}
@@ -467,9 +497,9 @@ func TestAggregateKernelsDoNotAllocate(t *testing.T) {
 // TestCompileSharesRows pins the curve table's row sharing. Every flags
 // value present maps to a row whose curves equal, piece for piece, that
 // policy's EnergyCurve for the flags value, and evaluating through the
-// shared rows equals EvaluateMany (==) on every aggregate. An OPT-Sleep
-// curve depends only on a few flag bits, so its ladder keeps fewer rows
-// than flags values present.
+// shared rows equals EvaluateMany (==, less the names Compiled leaves
+// empty) on every aggregate. An OPT-Sleep curve depends only on a few
+// flag bits, so its ladder keeps fewer rows than flags values present.
 func TestCompileSharesRows(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	var aggs []*interval.Aggregates
@@ -509,6 +539,9 @@ func TestCompileSharesRows(t *testing.T) {
 				if err != nil {
 					t.Fatalf("EvaluateMany: %v", err)
 				}
+				for i := range want {
+					want[i].Policy = ""
+				}
 				if !slices.Equal(got, want) {
 					t.Fatalf("%s @%s aggregate %d: shared rows evaluate differently from EvaluateMany", l.scheme, tech.Name, ai)
 				}
@@ -520,8 +553,12 @@ func TestCompileSharesRows(t *testing.T) {
 // TestCompiledMatchesEvaluateMany pins the many-aggregate kernel to the
 // one-aggregate kernel, == on every field: Compiled.Evaluate and
 // Compiled.EvaluateMisses against EvaluateMany over the whole list and
-// over each policy alone, for every builtin at every technology, over
-// random distributions. The compiled sets cover curves all from the
+// over each policy alone, for every builtin and both memoLadders lists
+// at every technology, over random distributions. Compiled results equal
+// the single-policy one with an empty Policy; EvaluateMany's keep the
+// name. A one-policy fold never reuses a cut, so the lists' shared and
+// repeated cuts pin the fold's cut memo, hits and misses alike, to a
+// fold without one. The compiled sets cover curves all from the
 // table, classes absent at compile time (built inline), and no table at
 // all; the aggregates include zero-mass and nil ones, whose errors must
 // read exactly like EvaluateMany's. On the miss axis every table-backed
@@ -535,49 +572,59 @@ func TestCompiledMatchesEvaluateMany(t *testing.T) {
 	}
 	narrowAgg := interval.NewAggregates(narrow)
 	for _, tech := range power.Technologies() {
-		pols := testPolicies(tech)
 		wideDists := []*interval.Distribution{randomDistribution(rng), randomDistribution(rng)}
 		wide := []*interval.Aggregates{interval.NewAggregates(wideDists[0]), interval.NewAggregates(wideDists[1])}
 		evalDists := append([]*interval.Distribution{narrow, interval.NewDistribution(4, 0), nil}, wideDists...)
 		evalAggs := append([]*interval.Aggregates{narrowAgg, interval.NewAggregates(evalDists[1]), nil}, wide...)
-		inline, err := Compile(tech, pols)
-		if err != nil {
-			t.Fatalf("Compile @%s: %v", tech.Name, err)
+		lists := [][]Policy{testPolicies(tech)}
+		for _, l := range memoLadders(t, tech) {
+			lists = append(lists, l.pols)
 		}
-		for _, compiled := range [][]*interval.Aggregates{wide, {narrowAgg, nil}, nil} {
-			cp, err := Compile(tech, pols, compiled...)
+		for _, pols := range lists {
+			inline, err := Compile(tech, pols)
 			if err != nil {
 				t.Fatalf("Compile @%s: %v", tech.Name, err)
 			}
-			for ai, agg := range evalAggs {
-				evs, err := cp.Evaluate(agg)
-				mevs, rates, merr := cp.EvaluateMisses(agg)
-				_, inlineRates, inlineErr := inline.EvaluateMisses(agg)
-				many, manyErr := EvaluateMany(tech, agg, pols)
-				for i, pol := range pols {
-					one, wantErr := EvaluateMany(tech, agg, []Policy{pol})
-					if wantErr != nil {
-						for name, got := range map[string]error{"Evaluate": err, "EvaluateMisses": merr, "inline EvaluateMisses": inlineErr, "EvaluateMany": manyErr} {
-							if got == nil || got.Error() != wantErr.Error() {
-								t.Fatalf("@%s agg %d %s: %s error %v, want %v", tech.Name, ai, pol.Name(), name, got, wantErr)
+			for ci, compiled := range [][]*interval.Aggregates{wide, {narrowAgg, nil}, nil} {
+				cp, err := Compile(tech, pols, compiled...)
+				if err != nil {
+					t.Fatalf("Compile @%s: %v", tech.Name, err)
+				}
+				for ai, agg := range evalAggs {
+					evs, err := cp.Evaluate(agg)
+					mevs, rates, merr := cp.EvaluateMisses(agg)
+					_, inlineRates, inlineErr := inline.EvaluateMisses(agg)
+					many, manyErr := EvaluateMany(tech, agg, pols)
+					for i, pol := range pols {
+						one, wantErr := EvaluateMany(tech, agg, []Policy{pol})
+						if wantErr != nil {
+							for name, got := range map[string]error{"Evaluate": err, "EvaluateMisses": merr, "inline EvaluateMisses": inlineErr, "EvaluateMany": manyErr} {
+								if got == nil || got.Error() != wantErr.Error() {
+									t.Fatalf("@%s agg %d %s: %s error %v, want %v", tech.Name, ai, pol.Name(), name, got, wantErr)
+								}
 							}
+							continue
 						}
-						continue
-					}
-					if err != nil || merr != nil || inlineErr != nil || manyErr != nil {
-						t.Fatalf("@%s agg %d %s: unexpected errors %v / %v / %v / %v", tech.Name, ai, pol.Name(), err, merr, inlineErr, manyErr)
-					}
-					want := one[0]
-					if evs[i] != want || mevs[i] != want || many[i] != want {
-						t.Fatalf("@%s agg %d %s: Evaluate %+v, EvaluateMisses %+v, EvaluateMany %+v; single-policy EvaluateMany %+v",
-							tech.Name, ai, pol.Name(), evs[i], mevs[i], many[i], want)
-					}
-					if got, in := rates[i], inlineRates[i]; got != in {
-						t.Fatalf("@%s agg %d %s: miss rate %v, inline %v", tech.Name, ai, pol.Name(), got, in)
-					}
-					refRate, refErr := InducedMissRate(tech, evalDists[ai], pol)
-					if refErr != nil || !relClose(rates[i], refRate, 1e-12, 1e-12) {
-						t.Fatalf("@%s agg %d %s: miss rate %v, reference %v (%v)", tech.Name, ai, pol.Name(), rates[i], refRate, refErr)
+						if err != nil || merr != nil || inlineErr != nil || manyErr != nil {
+							t.Fatalf("@%s agg %d %s: unexpected errors %v / %v / %v / %v", tech.Name, ai, pol.Name(), err, merr, inlineErr, manyErr)
+						}
+						want := one[0]
+						nameless := want
+						nameless.Policy = ""
+						if evs[i] != nameless || mevs[i] != nameless || many[i] != want {
+							t.Fatalf("@%s agg %d policy %d %s: Evaluate %#v, EvaluateMisses %#v, EvaluateMany %#v; single-policy EvaluateMany %#v",
+								tech.Name, ai, i, pol.Name(), evs[i], mevs[i], many[i], want)
+						}
+						if got, in := rates[i], inlineRates[i]; got != in {
+							t.Fatalf("@%s agg %d policy %d %s: miss rate %v, inline %v", tech.Name, ai, i, pol.Name(), got, in)
+						}
+						if ci > 0 {
+							continue // the rate equals the inline one, checked against the reference once
+						}
+						refRate, refErr := InducedMissRate(tech, evalDists[ai], pol)
+						if refErr != nil || !relClose(rates[i], refRate, 1e-12, 1e-12) {
+							t.Fatalf("@%s agg %d policy %d %s: miss rate %v, reference %v (%v)", tech.Name, ai, i, pol.Name(), rates[i], refRate, refErr)
+						}
 					}
 				}
 			}

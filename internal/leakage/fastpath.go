@@ -16,11 +16,18 @@ package leakage
 // One fold serves every kernel: fold runs class-major, folding every
 // policy's curve over one flags class before moving to the next, so a
 // policy ladder's searches in one class read the same index and arrays
-// while they are still in cache. No search depends on another's answer.
+// while they are still in cache. Within a class the policies share a cut
+// memo, one entry per piece index: a ladder gives every curve the same
+// drowsy break-even, wake and S1 cuts and moves only its sleep cut, so
+// a cut equal to the previous one at its index reuses that answer
+// instead of searching again. The memo is exact, since equal cuts get
+// equal answers, and resets with each class.
+//
 // Two kernels remain over it: EvaluateMany is its one-aggregate case, and
 // Compiled its many-aggregate case: Compile builds each policy's curve
-// once per flags value present in the aggregates it is given, and names
-// each policy once, so a sweep's benchmarks share one curve table.
+// once per flags value present in the aggregates it is given, so a
+// sweep's benchmarks share one curve table. Compile names no policy
+// (EvaluateMany does): no sweep, frontier or figure reads the names.
 // Curves are built in place (curvePolicy.build), and the table keeps
 // one row per distinct set of curves: flags values whose curves all come
 // out equal point at the same row, so a theta ladder compiles a handful
@@ -28,11 +35,12 @@ package leakage
 //
 // Determinism: per policy, classes fold in ascending flags order and
 // pieces in ascending length order whatever the batch, so a given
-// (technology, aggregates, policy) triple produces bit-identical output
-// through both kernels and at any position in the policy list. Against
-// the reference path the values agree to ulp-scale relative error (the
-// prefix sums are exact uint64; only the float regrouping differs) —
-// pinned by TestEvaluateAggregateMatchesReference and FuzzEvaluateFastPath.
+// (technology, aggregates, policy) triple produces bit-identical energy,
+// baseline and savings through both kernels and at any position in the
+// policy list, whatever the memo hits. Against the reference path the
+// values agree to ulp-scale relative error (the prefix sums are exact
+// uint64; only the float regrouping differs) — pinned by
+// TestEvaluateAggregateMatchesReference and FuzzEvaluateFastPath.
 
 import (
 	"fmt"
@@ -42,17 +50,34 @@ import (
 	"leakbound/internal/power"
 )
 
+// cutMemo is one piece index's last prefix search in a flags class: the
+// cut and its answer. Equal float64 cuts get equal Prefix answers, so a
+// hit is exact; NaN never compares equal, and piece ends are positive
+// (Curve.push), so a zeroed entry matches no cut.
+type cutMemo struct {
+	end         float64
+	count, mass uint64
+}
+
 // foldClass folds one curve's pieces over one flags class via prefix
 // differences: the energy sum over pieces of cnst*Δcount + slope*Δmass,
-// and from the same lookups the induced misses, misses*Δcount.
-func foldClass(pcs []piece, cls *interval.FlagsClass) (energy, misses float64) {
+// and from the same lookups the induced misses, misses*Δcount. A piece
+// whose cut equals memo's at its index reuses that answer; any other
+// searches and stores its own.
+func foldClass(pcs []piece, cls *interval.FlagsClass, memo *[maxPieces]cutMemo) (energy, misses float64) {
 	var prevCount, prevMass uint64
 	last := len(pcs) - 1
 	for j := range pcs {
 		pc := &pcs[j]
-		count, mass := cls.TotalCount(), cls.TotalMass()
-		if j < last {
+		var count, mass uint64
+		switch m := &memo[j]; {
+		case j == last:
+			count, mass = cls.TotalCount(), cls.TotalMass()
+		case m.end == pc.end:
+			count, mass = m.count, m.mass
+		default:
 			count, mass = cls.Prefix(pc.end)
+			*m = cutMemo{end: pc.end, count: count, mass: mass}
 		}
 		if dc, dm := count-prevCount, mass-prevMass; dc != 0 || dm != 0 {
 			energy += pc.cnst*float64(dc) + pc.slope*float64(dm)
@@ -91,6 +116,7 @@ func errOverflow(i int, p Policy, flags interval.Flags) error {
 // policy in ps, accumulating energy into out[i].Energy and induced misses
 // into ms[i] (ms may be nil). A class whose flags tab compiled (tab may
 // be nil) reads its curves from the table, any other builds them inline.
+// Each class starts a fresh cut memo that its policies' folds share.
 // Every policy in ps is a curvePolicy (checkPolicies); an inline curve
 // that overflows is an error.
 func fold(t *power.Technology, agg *interval.Aggregates, ps []Policy, tab *curveTable, out []Evaluation, ms []float64) error {
@@ -103,6 +129,7 @@ func fold(t *power.Technology, agg *interval.Aggregates, ps []Policy, tab *curve
 				row = &tab.rows[r-1]
 			}
 		}
+		var memo [maxPieces]cutMemo
 		for i, p := range ps {
 			var pcs []piece
 			if row != nil {
@@ -116,7 +143,7 @@ func fold(t *power.Technology, agg *interval.Aggregates, ps []Policy, tab *curve
 				}
 				pcs = c.p[:c.n]
 			}
-			e, m := foldClass(pcs, cls)
+			e, m := foldClass(pcs, cls, &memo)
 			out[i].Energy += e
 			if ms != nil {
 				ms[i] += m
@@ -184,7 +211,7 @@ func EvaluateMany(t power.Technology, agg *interval.Aggregates, ps []Policy) ([]
 	}
 	out := make([]Evaluation, len(ps))
 	for i, p := range ps {
-		//lint:ignore hotalloc one Name dispatch per policy per call (parameterized names format here); sweeps over several aggregates name once per query through Compile
+		//lint:ignore hotalloc one Name dispatch per policy per call (parameterized names format here); sweeps over several aggregates go through Compile, which names none
 		out[i].Policy = p.Name()
 	}
 	if err := fold(&t, agg, ps, nil, out, nil); err != nil {
@@ -195,15 +222,15 @@ func EvaluateMany(t power.Technology, agg *interval.Aggregates, ps []Policy) ([]
 }
 
 // Compiled is a policy list prepared for evaluation over many
-// aggregates: the technology validated once, each policy named once, and
-// each policy's curve built once per flags value present in the
-// aggregates given to Compile. It is read-only after Compile, so any
-// number of goroutines may evaluate through it at once.
+// aggregates: the technology validated once and each policy's curve
+// built once per flags value present in the aggregates given to Compile.
+// It names no policy: its results carry an empty Policy, and a caller
+// that shows names has the policies it compiled. It is read-only after
+// Compile, so any number of goroutines may evaluate through it at once.
 type Compiled struct {
-	t     power.Technology
-	ps    []Policy
-	names []string
-	tab   curveTable
+	t   power.Technology
+	ps  []Policy
+	tab curveTable
 }
 
 // Compile prepares ps for evaluation at t over aggs (nil entries are
@@ -222,10 +249,7 @@ func Compile(t power.Technology, ps []Policy, aggs ...*interval.Aggregates) (*Co
 	if err := checkPolicies(&t, ps); err != nil {
 		return nil, err
 	}
-	c := &Compiled{t: t, ps: slices.Clone(ps), names: make([]string, len(ps))}
-	for i, p := range c.ps {
-		c.names[i] = p.Name()
-	}
+	c := &Compiled{t: t, ps: slices.Clone(ps)}
 	var present [interval.NumFlags]bool
 	flags := 0
 	for _, agg := range aggs {
@@ -284,9 +308,6 @@ func (c *Compiled) evaluate(agg *interval.Aggregates, ms []float64) ([]Evaluatio
 		return nil, err
 	}
 	out := make([]Evaluation, len(c.ps))
-	for i, name := range c.names {
-		out[i].Policy = name
-	}
 	if err := fold(&c.t, agg, c.ps, &c.tab, out, ms); err != nil {
 		return nil, err
 	}
@@ -295,8 +316,9 @@ func (c *Compiled) evaluate(agg *interval.Aggregates, ms []float64) ([]Evaluatio
 }
 
 // Evaluate answers every compiled policy over agg, indexed like the
-// policies given to Compile; each result equals EvaluateMany's for the
-// same policies, bit for bit, and so do the errors.
+// policies given to Compile. Each result's Energy, Baseline and Savings
+// equal EvaluateMany's for the same policies, bit for bit, and so do the
+// errors; its Policy is empty.
 //
 //lint:hotpath entry
 func (c *Compiled) Evaluate(agg *interval.Aggregates) ([]Evaluation, error) {

@@ -23,8 +23,10 @@
 # full-suite simulation (BenchmarkSuiteAll) that the ≥5x streaming claim
 # is made against, plus the per-benchmark pipeline, Figure 8 and geometry
 # sweep benches (the last two at 1 and 4 workers: the parallel speedup),
-# the dense theta sweeps, and one dense sweep query end to end
-# (BenchmarkSweepThetaQuery: registry resolution, compile and fold).
+# the dense theta sweeps, one dense sweep query end to end
+# (BenchmarkSweepThetaQuery: registry resolution, compile and fold), and
+# the compile alone (BenchmarkCompileDense256), whose allocs/op gate the
+# curve table's per-policy and per-row allocations.
 # Micro-benches churn too much to gate on.
 #
 # The snapshot records HEAD as the commit it measured, so the script
@@ -41,7 +43,7 @@ if [ -n "$(git status --porcelain --untracked-files=no)" ]; then
 fi
 
 GO="${GO:-go}"
-BENCH="${BENCH:-^(BenchmarkSuiteAll|BenchmarkPipelineSimulateGzip|BenchmarkFigure8Workers1|BenchmarkFigure8Workers4|BenchmarkGeometrySweepWorkers1|BenchmarkGeometrySweepWorkers4|BenchmarkSweepDense256Reference|BenchmarkSweepDense256Aggregates|BenchmarkSweepThetaQuery|BenchmarkParetoPopulation|BenchmarkSpecCompile|BenchmarkReplayPass)\$}"
+BENCH="${BENCH:-^(BenchmarkSuiteAll|BenchmarkPipelineSimulateGzip|BenchmarkFigure8Workers1|BenchmarkFigure8Workers4|BenchmarkGeometrySweepWorkers1|BenchmarkGeometrySweepWorkers4|BenchmarkSweepDense256Reference|BenchmarkSweepDense256Aggregates|BenchmarkSweepThetaQuery|BenchmarkCompileDense256|BenchmarkParetoPopulation|BenchmarkSpecCompile|BenchmarkReplayPass)\$}"
 BENCHTIME="${BENCHTIME:-100ms}"
 COUNT="${COUNT:-3}"
 OUT="${OUT:-.}"
