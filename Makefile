@@ -52,10 +52,14 @@ vulncheck:
 # worker-count (suite and studies), concurrent-walk, parallel-evaluation
 # (TestEvaluateSideMatchesSequential, evaluateSide against a sequential
 # oracle), singleflight and cancellation (AllContext and forEach) tests of
-# the experiments package. Every alternative in the -run pattern must match
-# a test (go test -list), since -run passes silently when nothing matches.
+# the experiments package; then, in the leakage package, one Compiled
+# shared by goroutines and a theta point's bits alone, in its ladder and
+# in a mixed list, through both kernels. Every alternative in a -run
+# pattern must match a test (go test -list), since -run passes silently
+# when nothing matches.
 test-parallel:
 	$(GO) test -race -count=1 -run 'TestWorkersDoNotChangeResults|TestStudiesDoNotDependOnWorkers|TestL2WalksRaceFree|TestEvaluateSideMatches|TestAllContextCancel|TestForEachCancel|TestDataSingleflight|TestWaiterCancellation' ./internal/experiments/
+	$(GO) test -race -count=1 -run 'TestCompiledSharedAcrossGoroutines|TestThetaPointBitsDoNotDependOnList' ./internal/leakage/
 
 # One iteration of every benchmark, no unit tests: a smoke test that keeps
 # bench_test.go compiling and running (the nightly CI job runs this).

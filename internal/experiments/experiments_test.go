@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"leakbound/internal/interval"
 	"leakbound/internal/power"
 )
 
@@ -116,16 +117,19 @@ func TestTable2Shape(t *testing.T) {
 		t.Fatalf("Table 2 has %d rows:\n%s", len(tab.Rows), tab.String())
 	}
 	// Paper's qualitative claims:
-	// 1. OPT-Hybrid savings increase as technology scales down (both caches).
+	// 1. OPT-Hybrid savings increase as technology scales down (both
+	// caches), at every step from 180nm to 70nm.
 	for _, iCache := range []bool{true, false} {
 		techs := power.Technologies()
-		prev := math.Inf(1)
+		prev := math.Inf(-1)
 		for i := len(techs) - 1; i >= 0; i-- { // 180nm -> 70nm
 			v, err := Table2ValueContext(context.Background(), s, "OPT-Hybrid", iCache, techs[i])
 			if err != nil {
 				t.Fatal(err)
 			}
-			_ = prev
+			if v <= prev {
+				t.Errorf("iCache=%v: hybrid savings at %s (%.4f) not above the node before (%.4f)", iCache, techs[i].Name, v, prev)
+			}
 			prev = v
 		}
 		v70, _ := Table2ValueContext(context.Background(), s, "OPT-Hybrid", iCache, techs[0])
@@ -350,5 +354,15 @@ func TestMassProfile(t *testing.T) {
 	}
 	if math.Abs(total-1) > 1e-9 {
 		t.Errorf("mass profile sums to %g", total)
+	}
+	// Each regime's share equals a predicate walk over its length range.
+	for name, r := range map[string][2]float64{
+		"(0,6]": {0, 6}, "(6,1057]": {6, 1057}, "(1057,10K]": {1057, 10000},
+		"(10K,103K]": {10000, 103084}, "(103K,+inf)": {103084, math.Inf(1)},
+	} {
+		mass := d.ICache.MassWhere(func(l uint64, _ interval.Flags) bool { return float64(l) > r[0] && float64(l) <= r[1] })
+		if want := float64(mass) / float64(d.ICache.Mass()); prof[name] != want {
+			t.Errorf("regime %s: share %v, walk %v", name, prof[name], want)
+		}
 	}
 }

@@ -250,23 +250,32 @@ func GapToOptimalContext(ctx context.Context, s *Suite, iCache bool) (prefetchB,
 }
 
 // MassProfile summarizes a distribution's interval mass by the regimes the
-// study cares about; used in EXPERIMENTS.md and diagnostics.
+// study cares about; used in EXPERIMENTS.md and diagnostics. One walk
+// sums each regime's mass exactly, bucket by bucket.
 func MassProfile(d *interval.Distribution) map[string]float64 {
 	total := float64(d.Mass())
 	if total == 0 {
 		return nil
 	}
-	share := func(lo, hi float64) float64 {
-		return float64(d.MassWhere(func(l uint64, f interval.Flags) bool {
-			return float64(l) > lo && float64(l) <= hi
-		})) / total
-	}
+	// Regime i holds the lengths in (ends[i-1], ends[i]], the last one
+	// every length past ends[3].
+	ends := [...]float64{6, 1057, 10000, 103084}
+	var mass [len(ends) + 1]uint64
+	d.Each(func(l uint64, _ interval.Flags, count uint64) bool {
+		i := 0
+		for i < len(ends) && float64(l) > ends[i] {
+			i++
+		}
+		mass[i] += l * count
+		return true
+	})
+	share := func(i int) float64 { return float64(mass[i]) / total }
 	return map[string]float64{
-		"(0,6]":       share(0, 6),
-		"(6,1057]":    share(6, 1057),
-		"(1057,10K]":  share(1057, 10000),
-		"(10K,103K]":  share(10000, 103084),
-		"(103K,+inf)": share(103084, math.Inf(1)),
+		"(0,6]":       share(0),
+		"(6,1057]":    share(1),
+		"(1057,10K]":  share(2),
+		"(10K,103K]":  share(3),
+		"(103K,+inf)": share(4),
 	}
 }
 

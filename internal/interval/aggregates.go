@@ -11,7 +11,9 @@ package interval
 // sweep points. The Suite caches the L1 caches' next to their
 // distributions; the L2 study builds the L2 cache's per query. Either
 // way, nothing reaches the distribution through it: the kernels fold
-// aggregates only.
+// aggregates only. Besides the flags classes it holds the edge classes,
+// the same buckets merged by edge kind (Flags.Edge), which a policy
+// whose curve depends only on the edge kind folds instead.
 //
 // Each class also carries a value index over its lengths (newIndex): 256
 // buckets per binade of float64(length), each holding how many lengths
@@ -131,11 +133,14 @@ func newIndex(lengths []uint64) []uint32 {
 }
 
 // Aggregates is an immutable prefix-sum summary of a Distribution,
-// organized per flags class. Build it with NewAggregates once the
-// distribution is final (no Add afterwards); it is then safe for
-// concurrent use. It keeps no reference to the distribution.
+// organized per flags class, and again per edge class: the flags classes
+// merged by edge kind (Flags.Edge), for policies whose energy depends on
+// an interval's length and edge kind only. Build it with NewAggregates
+// once the distribution is final (no Add afterwards); it is then safe
+// for concurrent use. It keeps no reference to the distribution.
 type Aggregates struct {
 	classes []FlagsClass
+	edges   []FlagsClass
 
 	numFrames    uint32
 	totalCycles  uint64
@@ -144,73 +149,110 @@ type Aggregates struct {
 }
 
 // NewAggregates builds the prefix-sum summary of d. It returns nil for a
-// nil distribution. It compacts d's sparse tail if anything was appended
-// since the last compaction (see Each).
+// nil distribution. It compacts d's tail if anything was appended since
+// the last compaction (see Each).
 //
-// It counts each flags value's distinct lengths first, then allocates
-// every class exactly (the class list, and three slices per class) in
-// ascending flags order and fills it: each class's dense row in
-// ascending length, then its tail buckets, whose lengths are all longer
-// than the dense rows'. The tail is sorted by (length, flags), so every
-// class's Lengths come out ascending with no re-sort. Last, each class
-// gets its value index, the fourth exact-size slice.
+// It walks d twice in Each's (length, flags) order. The first walk
+// counts each flags value's distinct lengths, and each edge kind's: a
+// length seen under several flags of one kind counts once, and the walk
+// meets those flags one after another. Then it allocates every class
+// exactly (the class lists, and three slices per class) in ascending
+// flags order, and the second walk fills them: each walk step appends to
+// its flags class and appends to, or merges into the last bucket of, its
+// edge class, so every class's Lengths come out ascending with no
+// re-sort. Last, each class gets its value index, the fourth exact-size
+// slice. An edge kind with a single member flags value shares that
+// class's four slices.
 func NewAggregates(d *Distribution) *Aggregates {
 	if d == nil {
 		return nil
 	}
 	d.compact()
-	var size [NumFlags]int
-	for _, f := range d.present {
-		for _, c := range d.rows[f][:d.maxLen[f]+1] {
-			if c > 0 {
-				size[f]++
-			}
+	var size, edgeSize, members [NumFlags]int
+	var edgeLast [NumFlags]uint64
+	var member [NumFlags]Flags // edge kind → a member flags value
+	d.Each(func(length uint64, f Flags, _ uint64) bool {
+		if size[f] == 0 {
+			members[f.Edge()]++
+			member[f.Edge()] = f
 		}
-	}
-	for _, b := range d.tail {
-		size[b.key&(NumFlags-1)]++
-	}
-	n := 0
-	for _, k := range size {
-		if k > 0 {
+		size[f]++
+		if k := f.Edge(); edgeLast[k] != length {
+			edgeLast[k] = length
+			edgeSize[k]++
+		}
+		return true
+	})
+	n, ne := 0, 0
+	for f := range size {
+		if size[f] > 0 {
 			n++
+		}
+		if edgeSize[f] > 0 {
+			ne++
 		}
 	}
 	a := &Aggregates{
 		classes:      make([]FlagsClass, 0, n),
+		edges:        make([]FlagsClass, ne),
 		numFrames:    d.NumFrames,
 		totalCycles:  d.TotalCycles,
 		numIntervals: d.NumIntervals(),
 		mass:         d.Mass(),
 	}
-	var idx [NumFlags]int // flags → its class's index in a.classes
+	// flags → its class's index in a.classes, edge kind → its in a.edges.
+	var idx, edge [NumFlags]int
 	for f, k := range size {
 		if k == 0 {
 			continue
 		}
 		idx[f] = len(a.classes)
-		c := FlagsClass{
-			Flags:    Flags(f),
-			Lengths:  make([]uint64, 0, k),
-			CumCount: make([]uint64, 0, k),
-			CumMass:  make([]uint64, 0, k),
-		}
-		if row := d.rows[f]; row != nil {
-			for length, count := range row[:d.maxLen[f]+1] {
-				if count > 0 {
-					c.add(uint64(length), count)
-				}
-			}
-		}
-		a.classes = append(a.classes, c)
+		a.classes = append(a.classes, newClass(Flags(f), k))
 	}
-	for _, b := range d.tail {
-		a.classes[idx[b.key&(NumFlags-1)]].add(b.key>>6, b.count)
+	e := 0
+	for f, k := range edgeSize {
+		if k == 0 {
+			continue
+		}
+		edge[f] = e
+		if members[f] > 1 {
+			a.edges[e] = newClass(Flags(f), k)
+		}
+		e++
 	}
+	d.Each(func(length uint64, f Flags, count uint64) bool {
+		a.classes[idx[f]].add(length, count)
+		if k := f.Edge(); members[k] > 1 {
+			a.edges[edge[k]].merge(length, count)
+		}
+		return true
+	})
 	for k := range a.classes {
 		a.classes[k].index = newIndex(a.classes[k].Lengths)
 	}
+	for f, k := range edgeSize {
+		if k == 0 {
+			continue
+		}
+		e := &a.edges[edge[f]]
+		if members[f] > 1 {
+			e.index = newIndex(e.Lengths)
+		} else {
+			*e = a.classes[idx[member[f]]]
+			e.Flags = Flags(f)
+		}
+	}
 	return a
+}
+
+// newClass returns an empty class for flags with room for k buckets.
+func newClass(flags Flags, k int) FlagsClass {
+	return FlagsClass{
+		Flags:    flags,
+		Lengths:  make([]uint64, 0, k),
+		CumCount: make([]uint64, 0, k),
+		CumMass:  make([]uint64, 0, k),
+	}
 }
 
 // add appends one bucket, longer than every bucket already in c.
@@ -224,9 +266,28 @@ func (c *FlagsClass) add(length, count uint64) {
 	c.CumMass = append(c.CumMass, cumMass+length*count)
 }
 
+// merge adds one bucket at least as long as every bucket already in c:
+// into c's last bucket when the lengths are equal, as a new one past it
+// otherwise.
+func (c *FlagsClass) merge(length, count uint64) {
+	if n := len(c.Lengths); n > 0 && c.Lengths[n-1] == length {
+		c.CumCount[n-1] += count
+		c.CumMass[n-1] += length * count
+		return
+	}
+	c.add(length, count)
+}
+
 // Classes returns the per-flags summaries in ascending flags order.
 // Callers must not mutate the returned slice.
 func (a *Aggregates) Classes() []FlagsClass { return a.classes }
+
+// EdgeClasses returns the classes merged by edge kind, in ascending
+// order: at most four, each keyed by its edge kind (Flags.Edge) and
+// holding every bucket of the flags classes of that kind. Counts and
+// masses are exact sums, so an edge class's Prefix equals the sum of its
+// members' at every cut. Callers must not mutate the returned slice.
+func (a *Aggregates) EdgeClasses() []FlagsClass { return a.edges }
 
 // NumFrames returns the source distribution's frame count.
 func (a *Aggregates) NumFrames() uint32 { return a.numFrames }

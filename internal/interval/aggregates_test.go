@@ -176,11 +176,39 @@ func walkClasses(d *Distribution) []FlagsClass {
 	return classes
 }
 
+// walkEdges is the reference edge-class builder: it collects d's Each
+// walk per edge kind, merging equal lengths, then orders the classes by
+// edge kind and indexes each.
+func walkEdges(d *Distribution) []FlagsClass {
+	var classes []FlagsClass
+	d.Each(func(length uint64, flags Flags, count uint64) bool {
+		i := slices.IndexFunc(classes, func(c FlagsClass) bool { return c.Flags == flags.Edge() })
+		if i < 0 {
+			i = len(classes)
+			classes = append(classes, FlagsClass{Flags: flags.Edge()})
+		}
+		classes[i].merge(length, count)
+		return true
+	})
+	slices.SortFunc(classes, func(a, b FlagsClass) int { return int(a.Flags) - int(b.Flags) })
+	for k := range classes {
+		classes[k].index = newIndex(classes[k].Lengths)
+	}
+	return classes
+}
+
+// sameArrays reports whether a and b hold the same four slices.
+func sameArrays(a, b *FlagsClass) bool {
+	return len(a.Lengths) > 0 && &a.Lengths[0] == &b.Lengths[0] && &a.CumCount[0] == &b.CumCount[0] &&
+		&a.CumMass[0] == &b.CumMass[0] && &a.index[0] == &b.index[0]
+}
+
 // TestNewAggregatesSizesExactly is the dynamic twin of NewAggregates'
-// counting pass: it allocates the Aggregates, the class list and four
-// slices per class (three prefix arrays and the value index), each at
-// exactly its final length, and builds the same classes as a walk of the
-// distribution.
+// counting pass. It allocates the Aggregates, the two class lists and
+// four slices per flags class (three prefix arrays and the value index)
+// and per edge class of two or more members, each at exactly its final
+// length. An edge class of one member shares that member's four slices.
+// Both lists equal a walk of the distribution.
 func TestNewAggregatesSizesExactly(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	for _, d := range []*Distribution{buildTestDist(t), randomDist(rng, 5000), randomDist(rng, 40)} {
@@ -188,10 +216,34 @@ func TestNewAggregatesSizesExactly(t *testing.T) {
 		if want := walkClasses(d); len(want) > 0 && !reflect.DeepEqual(a.Classes(), want) || len(a.Classes()) != len(want) {
 			t.Fatalf("classes differ from a walk of the distribution")
 		}
-		if cap(a.Classes()) != len(a.Classes()) {
-			t.Errorf("class list: cap %d, len %d", cap(a.Classes()), len(a.Classes()))
+		if want := walkEdges(d); len(want) > 0 && !reflect.DeepEqual(a.EdgeClasses(), want) || len(a.EdgeClasses()) != len(want) {
+			t.Fatalf("edge classes differ from a walk of the distribution")
 		}
-		for _, c := range a.Classes() {
+		if cap(a.Classes()) != len(a.Classes()) || cap(a.EdgeClasses()) != len(a.EdgeClasses()) {
+			t.Errorf("class lists: cap %d and %d, len %d and %d", cap(a.Classes()), cap(a.EdgeClasses()), len(a.Classes()), len(a.EdgeClasses()))
+		}
+		owned := 0
+		for k := range a.EdgeClasses() {
+			e := &a.EdgeClasses()[k]
+			var members []*FlagsClass
+			for i := range a.Classes() {
+				if c := &a.Classes()[i]; c.Flags.Edge() == e.Flags {
+					members = append(members, c)
+				}
+			}
+			switch {
+			case len(members) == 1 && !sameArrays(e, members[0]):
+				t.Errorf("edge class %v has one member, %v, but its own arrays", e.Flags, members[0].Flags)
+			case len(members) > 1:
+				owned++
+				for _, c := range members {
+					if sameArrays(e, c) {
+						t.Errorf("edge class %v shares the arrays of its member %v", e.Flags, c.Flags)
+					}
+				}
+			}
+		}
+		for _, c := range append(slices.Clone(a.Classes()), a.EdgeClasses()...) {
 			for name, s := range map[string][]uint64{"Lengths": c.Lengths, "CumCount": c.CumCount, "CumMass": c.CumMass} {
 				if cap(s) != len(s) {
 					t.Errorf("class %v %s: cap %d, len %d", c.Flags, name, cap(s), len(s))
@@ -201,11 +253,61 @@ func TestNewAggregatesSizesExactly(t *testing.T) {
 				t.Errorf("class %v index: cap %d, len %d", c.Flags, cap(c.index), len(c.index))
 			}
 		}
-		want := float64(2 + 4*len(a.Classes()))
+		want := float64(3 + 4*len(a.Classes()) + 4*owned)
 		if n := testing.AllocsPerRun(10, func() { NewAggregates(d) }); n != want {
-			t.Errorf("%d classes: %v allocs, want %v (the aggregates, the class list, 4 per class)", len(a.Classes()), n, want)
+			t.Errorf("%d classes, %d edge classes of their own: %v allocs, want %v (the aggregates, 2 class lists, 4 per class)",
+				len(a.Classes()), owned, n, want)
 		}
 	}
+}
+
+// FuzzEdgeClasses checks that every edge class's Prefix equals the sum
+// of its member flags classes' answers, count and mass, at any cut. The
+// distribution is fuzzClass's length sequence, each length recorded
+// under one or two flags values drawn from the input, so members share
+// lengths; cuts are fuzzCut's, read off the edge class: bucket starts
+// and one ulp either side, powers of two, past 2^53, below 1, NaN and
+// ±Inf.
+func FuzzEdgeClasses(f *testing.F) {
+	f.Add([]byte{0, 1, 2, 3}, []byte{0, 17, 4, 16}, []byte{3, 0, 4, 1, 5, 2})
+	// Every length under an interior and a trailing flags value, and a
+	// dirty twin, so the interior and trailing kinds each merge two
+	// members at every length.
+	f.Add([]byte{5, 5, 5, 200, 9}, []byte{1, 16, 8, 24, 3, 48}, []byte{8, 0, 9, 0, 10, 0, 8, 3, 9, 3, 10, 3, 11, 5})
+	// Bucket starts and their neighbours in a bucket of many lengths.
+	f.Add([]byte{211, 0, 0, 0, 0, 0, 0, 0, 3, 0, 0}, []byte{0, 2, 2, 16, 16, 0}, []byte{8, 0, 9, 0, 10, 0, 24, 5, 25, 5, 26, 5, 3, 2, 14, 4, 15, 1})
+	// Powers of two, past 2^53, below 1, NaN and ±Inf.
+	f.Add([]byte{0, 1, 3, 7, 201, 247, 0, 1}, []byte{4, 8, 12, 0, 17, 33}, []byte{11, 0, 11, 3, 11, 40, 13, 0, 13, 7, 12, 0, 12, 200, 6, 1, 0, 0, 0, 1, 1, 0, 2, 0})
+	f.Fuzz(func(t *testing.T, lengths, flags, cuts []byte) {
+		if len(flags) == 0 {
+			return
+		}
+		d := NewDistribution(1, 0)
+		for i, l := range fuzzClass(lengths).Lengths {
+			d.Add(l, Flags(flags[i%len(flags)]%NumFlags), uint64(i%3+1))
+			if g := flags[(i+1)%len(flags)]; i%2 == 0 {
+				d.Add(l, Flags(g%NumFlags), 1)
+			}
+		}
+		a := NewAggregates(d)
+		for k := range a.EdgeClasses() {
+			e := &a.EdgeClasses()[k]
+			for c := cuts; len(c) >= 2; c = c[2:] {
+				cut := fuzzCut(e, c[0], c[1])
+				var wantCount, wantMass uint64
+				for i := range a.Classes() {
+					if m := &a.Classes()[i]; m.Flags.Edge() == e.Flags {
+						count, mass := m.Prefix(cut)
+						wantCount += count
+						wantMass += mass
+					}
+				}
+				if count, mass := e.Prefix(cut); count != wantCount || mass != wantMass {
+					t.Fatalf("edge class %v: Prefix(%g) = (%d, %d), members sum to (%d, %d)", e.Flags, cut, count, mass, wantCount, wantMass)
+				}
+			}
+		}
+	})
 }
 
 // BenchmarkNewAggregates builds the aggregates of a distribution shaped
@@ -235,7 +337,7 @@ func TestAggregatesNil(t *testing.T) {
 		t.Fatal("NewAggregates(nil) must be nil")
 	}
 	empty := NewAggregates(NewDistribution(0, 0))
-	if empty == nil || empty.NumIntervals() != 0 || empty.Mass() != 0 || len(empty.Classes()) != 0 {
+	if empty == nil || empty.NumIntervals() != 0 || empty.Mass() != 0 || len(empty.Classes()) != 0 || len(empty.EdgeClasses()) != 0 {
 		t.Fatal("empty distribution must yield empty aggregates")
 	}
 }

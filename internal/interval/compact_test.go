@@ -1,6 +1,7 @@
 package interval
 
 import (
+	"bytes"
 	"cmp"
 	"encoding/binary"
 	"math/rand"
@@ -24,28 +25,71 @@ func sortMerge(log []tailBucket) []tailBucket {
 	return out
 }
 
-// checkCompact compacts a distribution whose tail is log and compares the
-// result with the reference, held at exact size; a second compact must
-// change nothing.
+// unpack decodes a packed tail with encoding/binary, independently of
+// tailReader.
+func unpack(packed []byte) []tailBucket {
+	var out []tailBucket
+	var key uint64
+	for len(packed) > 0 {
+		delta, n := binary.Uvarint(packed)
+		count, m := binary.Uvarint(packed[n:])
+		packed = packed[n+m:]
+		key += delta
+		out = append(out, tailBucket{key, count})
+	}
+	return out
+}
+
+// readTail walks a packed tail through tailReader.
+func readTail(packed []byte) []tailBucket {
+	var out []tailBucket
+	buf := make([]tailBucket, 3)
+	for r := (tailReader{buf: packed}); ; {
+		n := r.read(buf)
+		if n == 0 {
+			return out
+		}
+		out = append(out, buf[:n]...)
+	}
+}
+
+// checkPacked checks that d's tail is compacted to exactly want: no log
+// left, and packed bytes that decode to want both independently and
+// through tailReader, held at exactly their encoded size.
+func checkPacked(t *testing.T, name string, d *Distribution, want []tailBucket) {
+	t.Helper()
+	if len(d.tail) != 0 {
+		t.Fatalf("%s: %d log entries left after compact", name, len(d.tail))
+	}
+	for via, got := range map[string][]tailBucket{"decoded": unpack(d.packed), "read": readTail(d.packed)} {
+		if !slices.Equal(got, want) && len(want)+len(got) > 0 {
+			t.Fatalf("%s: %s tail has %d buckets, want %d (first diff at %d)",
+				name, via, len(got), len(want), firstDiff(got, want))
+		}
+	}
+	var size int
+	var prev uint64
+	for _, b := range want {
+		size += len(binary.AppendUvarint(nil, b.key-prev)) + len(binary.AppendUvarint(nil, b.count))
+		prev = b.key
+	}
+	if len(d.packed) != size || cap(d.packed) != len(d.packed) {
+		t.Fatalf("%s: packed tail len %d cap %d, want both %d", name, len(d.packed), cap(d.packed), size)
+	}
+}
+
+// checkCompact compacts a distribution whose tail log is log and compares
+// the packed result with the reference; a second compact must change
+// nothing.
 func checkCompact(t *testing.T, name string, log []tailBucket) {
 	t.Helper()
-	want := sortMerge(log)
 	d := NewDistribution(1, 0)
 	d.tail = slices.Clone(log)
 	d.compact()
-	if !slices.Equal(d.tail, want) && len(want)+len(d.tail) > 0 {
-		t.Fatalf("%s: compact of %d entries gave %d buckets, want %d (first diff at %d)",
-			name, len(log), len(d.tail), len(want), firstDiff(d.tail, want))
-	}
-	if d.tailClean != len(d.tail) {
-		t.Fatalf("%s: tailClean %d, len %d", name, d.tailClean, len(d.tail))
-	}
-	if cap(d.tail) != len(d.tail) {
-		t.Fatalf("%s: compacted tail keeps cap %d for len %d", name, cap(d.tail), len(d.tail))
-	}
-	again := slices.Clone(d.tail)
+	checkPacked(t, name, d, sortMerge(log))
+	again := slices.Clone(d.packed)
 	d.compact()
-	if !slices.Equal(d.tail, again) {
+	if !bytes.Equal(d.packed, again) {
 		t.Fatalf("%s: second compact changed the tail", name)
 	}
 }
@@ -98,18 +142,35 @@ func TestCompactMatchesSortMerge(t *testing.T) {
 	checkCompact(t, "extreme-keys", []tailBucket{{^uint64(0), 1}, {0, 2}, {1 << 63, 3}, {^uint64(0), 4}, {1, 5}})
 
 	// Tails as collection leaves them: an untouched-style bucket of
-	// count > 1, and a compacted tail followed by a second, sorted one.
+	// count > 1, then Adds after compaction that repeat and extend the
+	// packed keys; the second compact merges the log into the packed tail.
 	a := NewDistribution(4, 1<<40)
-	for _, l := range randomLog(rng, 5000, denseLimit, 1<<16, 1) {
+	first := append(randomLog(rng, 5000, denseLimit, 1<<16, 1), tailBucket{1<<40<<6 | uint64(Untouched), 3})
+	for _, l := range first {
 		a.Add(l.key>>6, Flags(l.key&(NumFlags-1)), l.count)
 	}
-	a.Add(1<<40, Untouched, 3)
 	a.compact()
-	second := append(randomLog(rng, 5000, denseLimit, 1<<16, 1), tailBucket{1<<40<<6 | uint64(Untouched), 2})
-	for _, l := range sortMerge(second) {
+	checkPacked(t, "first compaction", a, sortMerge(first))
+	second := append(randomLog(rng, 5000, denseLimit, 1<<17, 1), tailBucket{1<<40<<6 | uint64(Untouched), 2})
+	for _, l := range second {
 		a.Add(l.key>>6, Flags(l.key&(NumFlags-1)), l.count)
 	}
-	checkCompact(t, "two compacted tails", a.tail)
+	if len(a.tail) != len(second) {
+		t.Fatalf("Add after compaction: log holds %d entries, want %d", len(a.tail), len(second))
+	}
+	a.compact()
+	checkPacked(t, "Add after compaction", a, sortMerge(append(first, second...)))
+
+	// The longest length a key holds, under every flags value.
+	top := NewDistribution(1, 0)
+	var log []tailBucket
+	for f := range NumFlags {
+		log = append(log, tailBucket{maxLength<<6 | uint64(f), uint64(f + 1)})
+		top.Add(maxLength, Flags(f), uint64(f+1))
+	}
+	top.Add(maxLength-1, 0, 1)
+	top.compact()
+	checkPacked(t, "longest keys", top, sortMerge(append(log, tailBucket{(maxLength - 1) << 6, 1})))
 }
 
 // FuzzCompact feeds arbitrary (key, count) logs to compact and checks them
@@ -152,7 +213,7 @@ func BenchmarkDistributionCompact(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
 		d.tail = append(d.tail[:0], src...)
-		d.tailClean = 0
+		d.packed = nil
 		b.StartTimer()
 		d.compact()
 	}

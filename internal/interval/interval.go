@@ -21,6 +21,7 @@
 package interval
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math/bits"
@@ -76,6 +77,10 @@ func (f Flags) Prefetchable() bool {
 // interval (neither leading nor trailing).
 func (f Flags) Interior() bool { return f&(Leading|Trailing) == 0 }
 
+// Edge returns f's edge kind: f with every flag but Leading and Trailing
+// cleared, so 0 (interior), Leading, Trailing or Untouched.
+func (f Flags) Edge() Flags { return f & (Leading | Trailing) }
+
 // String implements fmt.Stringer.
 func (f Flags) String() string {
 	if f == 0 {
@@ -127,7 +132,8 @@ type Key struct {
 // dense per-flag rows, allocated lazily the first time a flag combination
 // appears (a real run uses a dozen of the 64 combinations, so the old
 // always-allocated 8192x64 table wasted both the 4MB zeroing and the
-// cache locality); the long tail lives in an open-addressed sparse table.
+// cache locality); the long tail lives in an append log that compact
+// sorts, merges and packs into a few bytes per bucket.
 type Distribution struct {
 	NumFrames   uint32
 	TotalCycles uint64
@@ -136,14 +142,17 @@ type Distribution struct {
 	maxLen  [NumFlags]uint32   // highest populated length per row, bounds iteration
 	present []uint8            // flags with non-nil rows, ascending
 
-	// tail holds the long buckets (length >= denseLimit) as an append log
-	// of packed (length<<6|flags, count) pairs, sorted and merged lazily by
-	// compact. A hash table would cost a cache-missing probe per Add plus
-	// rehash churn; appending is a sequential store. At read time compact
-	// orders the log with an in-place radix sort on the packed keys (no
+	// The long buckets (length >= denseLimit) live in two forms. tail is
+	// an append log of (length<<6|flags, count) pairs: a hash table would
+	// cost a cache-missing probe per Add plus rehash churn; appending is a
+	// sequential store. packed is the compacted form compact folds the log
+	// into: every bucket sorted by key, equal keys merged, stored as
+	// uvarint (key delta, count) pairs, so a bucket of a long tail costs a
+	// few bytes instead of sixteen for as long as the distribution lives.
+	// compact orders the log with an in-place radix sort on the keys (no
 	// comparisons, no scratch buffer) and merges equal keys.
-	tail      []tailBucket
-	tailClean int // len(tail) when last compacted; == len(tail) means sorted+merged
+	tail   []tailBucket
+	packed []byte
 
 	numIntervals uint64 // total recorded intervals (all kinds)
 	mass         uint64 // sum of length*count
@@ -162,40 +171,88 @@ const (
 // order IS (length, flags) order.
 type tailBucket struct{ key, count uint64 }
 
-// compact sorts the tail log and merges duplicate keys, making it a
-// deterministic ascending bucket list, then copies it to exact size: the
-// log's growth slack and merged duplicates would otherwise stay allocated
-// for as long as the distribution lives. Idempotent and cheap when
-// nothing was appended since the last call.
+// compact folds the tail log into the packed tail: it decodes the packed
+// buckets onto the log, sorts the log by key and merges equal keys, then
+// packs the result at exact size and drops the log, whose growth slack
+// would otherwise stay allocated for as long as the distribution lives.
+// Idempotent, and free when nothing was appended since the last call.
 func (d *Distribution) compact() {
-	if d.tailClean == len(d.tail) {
+	if len(d.tail) == 0 {
 		return
+	}
+	log := d.tail
+	var buf [64]tailBucket
+	for r := (tailReader{buf: d.packed}); ; {
+		n := r.read(buf[:])
+		if n == 0 {
+			break
+		}
+		log = append(log, buf[:n]...)
 	}
 	// The first digit is the byte holding the largest key's top bit, so a
 	// suite whose keys stay below 2^32 sorts in at most four passes.
 	var union uint64
-	for _, b := range d.tail {
+	for _, b := range log {
 		union |= b.key
 	}
 	shift := uint(0)
 	if union > 0 {
 		shift = uint(bits.Len64(union)-1) / 8 * 8
 	}
-	radixSort(d.tail, shift)
-	out := d.tail[:0]
-	for _, b := range d.tail {
+	radixSort(log, shift)
+	out := log[:0]
+	for _, b := range log {
 		if n := len(out); n > 0 && out[n-1].key == b.key {
 			out[n-1].count += b.count
 			continue
 		}
 		out = append(out, b)
 	}
-	d.tail = out
-	if cap(out) > len(out) {
-		d.tail = make([]tailBucket, len(out))
-		copy(d.tail, out)
+	d.packed = packTail(out)
+	d.tail = nil
+}
+
+// packTail encodes buckets, ascending by key, as uvarint (key delta,
+// count) pairs in a slice of exactly their size.
+func packTail(buckets []tailBucket) []byte {
+	size, prev := 0, uint64(0)
+	for _, b := range buckets {
+		size += uvarintLen(b.key-prev) + uvarintLen(b.count)
+		prev = b.key
 	}
-	d.tailClean = len(out)
+	packed := make([]byte, 0, size)
+	prev = 0
+	for _, b := range buckets {
+		packed = binary.AppendUvarint(packed, b.key-prev)
+		packed = binary.AppendUvarint(packed, b.count)
+		prev = b.key
+	}
+	return packed
+}
+
+// uvarintLen returns the bytes binary.AppendUvarint writes for x.
+func uvarintLen(x uint64) int { return (bits.Len64(x|1) + 6) / 7 }
+
+// tailReader walks a packed tail in ascending key order. It only reads
+// the bytes, so any number of readers may walk one tail at once.
+type tailReader struct {
+	buf []byte
+	key uint64
+}
+
+// read decodes the next buckets into buf, as many as fit, and returns
+// how many it decoded: 0 past the last bucket.
+func (r *tailReader) read(buf []tailBucket) int {
+	b, key, i := r.buf, r.key, 0
+	for ; i < len(buf) && len(b) > 0; i++ {
+		delta, n := binary.Uvarint(b)
+		count, m := binary.Uvarint(b[n:])
+		b = b[n+m:]
+		key += delta
+		buf[i] = tailBucket{key, count}
+	}
+	r.buf, r.key = b, key
+	return i
 }
 
 // insertionCutoff is the bucket size below which radixSort finishes with
@@ -355,16 +412,17 @@ func (d *Distribution) Mass() uint64 { return d.mass }
 // therefore strictly ascending, which is the invariant the prefix-sum
 // aggregate builder (NewAggregates) and the bit-identical reduction
 // discipline both depend on. The order is independent of insertion order
-// and of compact (sorting by the packed length<<6|flags key IS the
+// and of compact (sorting by the length<<6|flags key IS the
 // (length, flags) order; dense lengths are all below the tail's
 // denseLimit floor, so the dense walk strictly precedes the tail walk).
 // TestEachOrderDeterministic pins this. Iteration stops if fn returns
 // false.
 //
-// The first Each after new tail appends compacts the tail in place, so it
-// must not race with other walks. Collector.Finish and ReadDistribution
-// return compacted distributions, which concurrent walks may share until
-// the next Add.
+// The first Each after new tail appends folds the log into the packed
+// tail (compact), so it must not race with other walks. A compacted
+// distribution's walk only reads it: Collector.Finish and
+// ReadDistribution return compacted distributions, which concurrent walks
+// may share until the next Add.
 func (d *Distribution) Each(fn func(length uint64, flags Flags, count uint64) bool) {
 	var max uint64
 	for _, f := range d.present {
@@ -385,9 +443,16 @@ func (d *Distribution) Each(fn func(length uint64, flags Flags, count uint64) bo
 		}
 	}
 	d.compact()
-	for _, b := range d.tail {
-		if !fn(b.key>>6, Flags(b.key&(NumFlags-1)), b.count) {
+	var buf [64]tailBucket
+	for r := (tailReader{buf: d.packed}); ; {
+		n := r.read(buf[:])
+		if n == 0 {
 			return
+		}
+		for _, b := range buf[:n] {
+			if !fn(b.key>>6, Flags(b.key&(NumFlags-1)), b.count) {
+				return
+			}
 		}
 	}
 }

@@ -478,16 +478,17 @@ func TestAggregateKernelsDoNotAllocate(t *testing.T) {
 				t.Errorf("Compiled.EvaluateMisses @%s (%d aggregates compiled): %v allocs, want 2 (the result slices)", tech.Name, len(aggs), n)
 			}
 		}
-		// Compile's fixed seven: the Compiled, its policy slice, the row
-		// list, the curve env, the staging curve, spans and pieces.
+		// Compile's fixed eight: the Compiled, its policy slice, the row
+		// list, the per-policy edge bits, the curve env, the staging
+		// curve, spans and pieces.
 		for _, l := range sweepLadders(t, tech) {
 			cp, err := Compile(tech, l.pols, agg)
 			if err != nil {
 				t.Fatalf("Compile %s @%s: %v", l.scheme, tech.Name, err)
 			}
-			want := 7 + 2*len(cp.tab.rows)
+			want := 8 + 2*len(cp.tab.rows)
 			if n := testing.AllocsPerRun(10, func() { _, _ = Compile(tech, l.pols, agg) }); n != float64(want) {
-				t.Errorf("Compile(%d-point %s @%s): %v allocs, want %d (7 fixed, 2 per each of %d rows)",
+				t.Errorf("Compile(%d-point %s @%s): %v allocs, want %d (8 fixed, 2 per each of %d rows)",
 					len(l.pols), l.scheme, tech.Name, n, want, len(cp.tab.rows))
 			}
 		}
