@@ -79,7 +79,7 @@ bench-json:
 # report without failing; GATE_FLAGS+='-summary $$GITHUB_STEP_SUMMARY'
 # in CI to publish the comparison table.
 bench-gate:
-	$(GO) test -run '^$$' -bench '^(BenchmarkSuiteAll|BenchmarkPipelineSimulateGzip|BenchmarkFigure8Workers1|BenchmarkFigure8Workers4|BenchmarkGeometrySweepWorkers1|BenchmarkGeometrySweepWorkers4|BenchmarkSweepDense256Reference|BenchmarkSweepDense256Aggregates|BenchmarkSweepThetaQuery|BenchmarkCompileDense256|BenchmarkParetoPopulation|BenchmarkSpecCompile|BenchmarkReplayPass)$$' \
+	$(GO) test -run '^$$' -bench '^(BenchmarkSuiteAll|BenchmarkPipelineSimulateGzip|BenchmarkFigure8Workers1|BenchmarkFigure8Workers4|BenchmarkGeometrySweepWorkers1|BenchmarkGeometrySweepWorkers4|BenchmarkSweepDense256Reference|BenchmarkSweepDense256Aggregates|BenchmarkSweepThetaQuery|BenchmarkCompileDense256|BenchmarkEvaluateCell|BenchmarkParetoPopulation|BenchmarkSpecCompile|BenchmarkReplayPass)$$' \
 		-benchmem -benchtime 100ms -count 3 . | $(GO) run ./cmd/benchsnap -compare . $(GATE_FLAGS)
 
 cover:
@@ -94,7 +94,8 @@ smoke:
 # Replay the seed corpus of every fuzz target as plain tests (no fuzzing
 # time budget needed) — the regression net for the trace and distribution
 # codecs, the tail compaction, the CPU core's fetch grouping, the prefetch
-# classifier, the query parser, the workload-spec parser, and leakaged's
+# classifier, the query parser, the workload-spec parser, the aggregate
+# kernels and the curves' flag masks (FuzzCurveReads), and leakaged's
 # POST bodies.
 fuzz-regress:
 	$(GO) test -run=Fuzz ./internal/sim/trace/ ./internal/sim/cpu/ ./internal/interval/ ./internal/prefetch/ ./internal/experiments/ ./internal/leakage/ ./internal/workload/spec/ ./internal/server/

@@ -498,8 +498,11 @@ func BenchmarkSweepThetaQuery(b *testing.B) {
 // BenchmarkCompileDense256 times leakage.Compile alone, the curve layer of
 // a dense sweep: each sweep scheme's 256-point theta ladder, built through
 // the registry as SweepParamContext builds it, compiled over every
-// benchmark's aggregates on each cache side. ns/curve divides by the
-// curves a compile builds, one per (policy, flags value present).
+// benchmark's aggregates on each cache side. ns/cell divides by the
+// (policy, flags value present) cells a compile covers, whatever number
+// of curves it builds for them: flags values that agree on every bit the
+// ladder's curves read share one row, so at the paper's nodes a ladder
+// builds curves for its edge kinds only.
 func BenchmarkCompileDense256(b *testing.B) {
 	s := sharedSuite(b)
 	all, err := s.AllContext(context.Background())
@@ -536,10 +539,63 @@ func BenchmarkCompileDense256(b *testing.B) {
 						b.Fatal(err)
 					}
 				}
-				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(pols)*flags), "ns/curve")
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(pols)*flags), "ns/cell")
 			})
 		}
 	}
+}
+
+// BenchmarkEvaluateCell is the cell path explore's and leakaged's single
+// evaluations take: Suite.EvaluateCellContext, one policy on one
+// benchmark's D-cache aggregate through leakage.EvaluateMany, for every
+// builtin policy name on every benchmark. It runs at 70nm and 180nm (the
+// paper's sleep break-evens at its ends, WBEnergy 0) and at 70nm with
+// WBEnergy = 0.5*CD, where the sleep curves read Dirty too. ns/cell
+// divides by the cells evaluated.
+func BenchmarkEvaluateCell(b *testing.B) {
+	s := sharedSuite(b)
+	ctx := context.Background()
+	names := s.BenchmarkNames()
+	wb := power.Default()
+	wb.Name += "-wb0.5"
+	wb.WBEnergy = 0.5 * wb.CD
+	for _, tech := range []power.Technology{power.Default(), mustTechnology(b, "180nm"), wb} {
+		var pols []leakage.Policy
+		for _, name := range experiments.PolicyNames() {
+			pol, err := experiments.ParsePolicy(name, tech)
+			if err != nil {
+				b.Fatal(err)
+			}
+			pols = append(pols, pol)
+		}
+		b.Run(tech.Name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				var sink float64
+				for _, bench := range names {
+					for _, pol := range pols {
+						cell, err := s.EvaluateCellContext(ctx, bench, false, tech, pol)
+						if err != nil {
+							b.Fatal(err)
+						}
+						sink += cell.Savings
+					}
+				}
+				benchSink = sink
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(names)*len(pols)), "ns/cell")
+		})
+	}
+}
+
+// mustTechnology returns the built-in node with the given name.
+func mustTechnology(b *testing.B, name string) power.Technology {
+	b.Helper()
+	tech, err := power.TechnologyByName(name)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return tech
 }
 
 // benchSpecJSON is a representative two-phase workload spec (kernel mix,

@@ -22,7 +22,10 @@ package interval
 // few lengths inside it, instead of probing across the class's sorted
 // arrays (megabytes at scale 1, one cache miss per probe).
 
-import "math"
+import (
+	"math"
+	"math/bits"
+)
 
 // FlagsClass is the prefix-sum summary of one flags value: the distinct
 // interval lengths recorded under that flags combination in ascending
@@ -122,12 +125,14 @@ func newIndex(lengths []uint64) []uint32 {
 		top = bucketOf(float64(lengths[n-1]))
 	}
 	index := make([]uint32, top+2)
-	i := 0
-	for b := range index {
-		for i < len(lengths) && bucketOf(float64(lengths[i])) < b {
-			i++
+	b := 0
+	for i, l := range lengths {
+		for lb := bucketOf(float64(l)); b <= lb; b++ {
+			index[b] = uint32(i)
 		}
-		index[b] = uint32(i)
+	}
+	for ; b < len(index); b++ {
+		index[b] = uint32(len(lengths))
 	}
 	return index
 }
@@ -152,94 +157,153 @@ type Aggregates struct {
 // nil distribution. It compacts d's tail if anything was appended since
 // the last compaction (see Each).
 //
-// It walks d twice in Each's (length, flags) order. The first walk
-// counts each flags value's distinct lengths, and each edge kind's: a
-// length seen under several flags of one kind counts once, and the walk
-// meets those flags one after another. Then it allocates every class
-// exactly (the class lists, and three slices per class) in ascending
-// flags order, and the second walk fills them: each walk step appends to
-// its flags class and appends to, or merges into the last bucket of, its
-// edge class, so every class's Lengths come out ascending with no
-// re-sort. Last, each class gets its value index, the fourth exact-size
-// slice. An edge kind with a single member flags value shares that
-// class's four slices.
+// It counts before it allocates. The packed tail is decoded once for its
+// buckets per flags value and its distinct lengths per edge kind: in key
+// order a length seen under several flags of one kind comes up once per
+// flags value, one after another. Each dense row is counted on its own,
+// and marks its lengths in its edge kind's occupancy bitmap, whose
+// population is the kind's distinct dense lengths. Then it allocates
+// every class exactly (the class lists, and three slices per class) in
+// ascending flags order and fills them: each flags class from its dense
+// row, each edge class of several members at its bitmap's lengths, with
+// the members' counts summed, and then both from a second decode of the
+// tail, which appends to its flags class and appends to, or merges into
+// the last bucket of, its edge class. So every class's Lengths come out
+// ascending with no re-sort. Last, each class gets its value index, the
+// fourth exact-size slice. An edge kind with a single member flags value
+// shares that class's four slices.
 func NewAggregates(d *Distribution) *Aggregates {
 	if d == nil {
 		return nil
 	}
 	d.compact()
-	var size, edgeSize, members [NumFlags]int
+	// Every flags value with a dense row has a bucket there, since a row
+	// is made only by the Add that fills it.
+	var has uint64
+	for _, f := range d.present {
+		has |= 1 << f
+	}
+	var size, edgeSize [NumFlags]int
 	var edgeLast [NumFlags]uint64
+	var buf [64]tailBucket
+	for r := (tailReader{buf: d.packed}); ; {
+		n := r.read(buf[:])
+		if n == 0 {
+			break
+		}
+		for _, b := range buf[:n] {
+			length, f := b.key>>6, Flags(b.key&(NumFlags-1))
+			has |= 1 << f
+			size[f]++
+			if k := f.Edge(); edgeLast[k] != length {
+				edgeLast[k] = length
+				edgeSize[k]++
+			}
+		}
+	}
+	var members [NumFlags]int
 	var member [NumFlags]Flags // edge kind → a member flags value
-	d.Each(func(length uint64, f Flags, _ uint64) bool {
-		if size[f] == 0 {
-			members[f.Edge()]++
-			member[f.Edge()] = f
-		}
-		size[f]++
-		if k := f.Edge(); edgeLast[k] != length {
-			edgeLast[k] = length
-			edgeSize[k]++
-		}
-		return true
-	})
-	n, ne := 0, 0
-	for f := range size {
-		if size[f] > 0 {
-			n++
-		}
-		if edgeSize[f] > 0 {
+	for m := has; m != 0; m &= m - 1 {
+		f := Flags(bits.TrailingZeros64(m))
+		members[f.Edge()]++
+		member[f.Edge()] = f
+	}
+	// edge kind → its class's index in a.edges, and its occupancy bitmap.
+	var edge [NumFlags]int
+	ne := 0
+	for k, n := range members {
+		if n > 0 {
+			edge[k] = ne
 			ne++
 		}
 	}
+	var occ [4][denseLimit / 64]uint64
+	for _, f := range d.present {
+		o := &occ[edge[Flags(f).Edge()]]
+		for l, c := range d.rows[f][:d.maxLen[f]+1] {
+			if c != 0 {
+				size[f]++
+				o[l>>6] |= 1 << (l & 63)
+			}
+		}
+	}
+	for k, n := range members {
+		if n > 1 {
+			for _, w := range occ[edge[k]] {
+				edgeSize[k] += bits.OnesCount64(w)
+			}
+		}
+	}
 	a := &Aggregates{
-		classes:      make([]FlagsClass, 0, n),
+		classes:      make([]FlagsClass, 0, bits.OnesCount64(has)),
 		edges:        make([]FlagsClass, ne),
 		numFrames:    d.NumFrames,
 		totalCycles:  d.TotalCycles,
 		numIntervals: d.NumIntervals(),
 		mass:         d.Mass(),
 	}
-	// flags → its class's index in a.classes, edge kind → its in a.edges.
-	var idx, edge [NumFlags]int
-	for f, k := range size {
-		if k == 0 {
-			continue
-		}
+	var idx [NumFlags]int // flags → its class's index in a.classes
+	for m := has; m != 0; m &= m - 1 {
+		f := Flags(bits.TrailingZeros64(m))
 		idx[f] = len(a.classes)
-		a.classes = append(a.classes, newClass(Flags(f), k))
+		a.classes = append(a.classes, newClass(f, size[f]))
 	}
-	e := 0
-	for f, k := range edgeSize {
-		if k == 0 {
+	for _, f := range d.present {
+		a.classes[idx[f]].addRow(d.rows[f][:d.maxLen[f]+1])
+	}
+	for k, n := range members {
+		if n < 2 {
 			continue
 		}
-		edge[f] = e
-		if members[f] > 1 {
-			a.edges[e] = newClass(Flags(f), k)
+		e := &a.edges[edge[k]]
+		*e = newClass(Flags(k), edgeSize[k])
+		var rows [NumFlags / 4][]uint64 // the kind's dense rows: 4 bits vary within a kind
+		nr := 0
+		for _, f := range d.present {
+			if Flags(f).Edge() == Flags(k) {
+				rows[nr] = d.rows[f][:d.maxLen[f]+1]
+				nr++
+			}
 		}
-		e++
+		for w, word := range occ[edge[k]] {
+			for ; word != 0; word &= word - 1 {
+				l := w<<6 | bits.TrailingZeros64(word)
+				var count uint64
+				for _, row := range rows[:nr] {
+					if l < len(row) {
+						count += row[l]
+					}
+				}
+				e.add(uint64(l), count)
+			}
+		}
 	}
-	d.Each(func(length uint64, f Flags, count uint64) bool {
-		a.classes[idx[f]].add(length, count)
-		if k := f.Edge(); members[k] > 1 {
-			a.edges[edge[k]].merge(length, count)
+	for r := (tailReader{buf: d.packed}); ; {
+		n := r.read(buf[:])
+		if n == 0 {
+			break
 		}
-		return true
-	})
+		for _, b := range buf[:n] {
+			length, f := b.key>>6, Flags(b.key&(NumFlags-1))
+			a.classes[idx[f]].add(length, b.count)
+			if k := f.Edge(); members[k] > 1 {
+				a.edges[edge[k]].merge(length, b.count)
+			}
+		}
+	}
 	for k := range a.classes {
 		a.classes[k].index = newIndex(a.classes[k].Lengths)
 	}
-	for f, k := range edgeSize {
-		if k == 0 {
+	for k, n := range members {
+		if n == 0 {
 			continue
 		}
-		e := &a.edges[edge[f]]
-		if members[f] > 1 {
+		e := &a.edges[edge[k]]
+		if n > 1 {
 			e.index = newIndex(e.Lengths)
 		} else {
-			*e = a.classes[idx[member[f]]]
-			e.Flags = Flags(f)
+			*e = a.classes[idx[member[k]]]
+			e.Flags = Flags(k)
 		}
 	}
 	return a
@@ -264,6 +328,23 @@ func (c *FlagsClass) add(length, count uint64) {
 	c.Lengths = append(c.Lengths, length)
 	c.CumCount = append(c.CumCount, cumCount+count)
 	c.CumMass = append(c.CumMass, cumMass+length*count)
+}
+
+// addRow appends the buckets of a dense row, row[length] the count at
+// length, to the empty class c, keeping the running sums in registers.
+func (c *FlagsClass) addRow(row []uint64) {
+	lengths, cumCount, cumMass := c.Lengths, c.CumCount, c.CumMass
+	var count, mass uint64
+	for l, n := range row {
+		if n != 0 {
+			count += n
+			mass += uint64(l) * n
+			lengths = append(lengths, uint64(l))
+			cumCount = append(cumCount, count)
+			cumMass = append(cumMass, mass)
+		}
+	}
+	c.Lengths, c.CumCount, c.CumMass = lengths, cumCount, cumMass
 }
 
 // merge adds one bucket at least as long as every bucket already in c:

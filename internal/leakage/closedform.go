@@ -15,6 +15,10 @@ package leakage
 // named result, and Compile builds a whole policy list's curves through
 // one curveEnv. The aggregate kernels accept nothing else: a policy
 // without a curve gets ErrNoClosedForm, so none silently walks buckets.
+// Each builtin also declares the flag bits its build dispatches on at a
+// technology (reads), so the kernels skip the curve builds a mask implies
+// (Compile builds one row per distinct masked flags value);
+// TestCurveReads and FuzzCurveReads check every mask against the builds.
 
 import (
 	"leakbound/internal/interval"
@@ -32,10 +36,17 @@ import (
 // dynamic call. build is unexported, so only this package's policies
 // qualify; since Compile calls build, a type that embeds a builtin must
 // not override EnergyCurve.
+//
+// reads returns the flag bits build reads at t: build(f) equals
+// build(f & reads(t)) piece for piece, for every f. A mask may hold bits
+// the curve does not need (DirtyAwareHybrid's Dirty at WBEnergy 0), never
+// leave one out. It takes the technology by value, like EnergyCurve, so
+// that nothing escapes through the dynamic call.
 type curvePolicy interface {
 	Policy
 	EnergyCurve(t power.Technology, flags interval.Flags) Curve
 	build(c *Curve, e *curveEnv, flags interval.Flags)
+	reads(t power.Technology) interval.Flags
 }
 
 // curveEnv is what a curve build reads: the technology, by pointer, and
@@ -88,6 +99,15 @@ func (c *Curve) untouchedSleep(e *curveEnv) {
 	c.push(piece{end: inf, slope: e.PSleep})
 }
 
+// sleepBits is what sleepFor reads at t: the edge bits, and Dirty only
+// when a write-back costs something (writeBack adds 0 otherwise).
+func sleepBits(t *power.Technology) interval.Flags {
+	if t.WBEnergy != 0 {
+		return interval.Leading | interval.Trailing | interval.Dirty
+	}
+	return interval.Leading | interval.Trailing
+}
+
 // writeBack is the write-back charge a dirty interval pays when gated.
 func writeBack(e *curveEnv, flags interval.Flags) float64 {
 	if flags&interval.Dirty != 0 {
@@ -135,6 +155,8 @@ func (p AlwaysActive) EnergyCurve(t power.Technology, flags interval.Flags) (c C
 
 func (AlwaysActive) build(c *Curve, e *curveEnv, _ interval.Flags) { c.active(e, inf) }
 
+func (AlwaysActive) reads(power.Technology) interval.Flags { return 0 }
+
 // EnergyCurve returns the policy's curve for flags.
 func (p OPTDrowsy) EnergyCurve(t power.Technology, flags interval.Flags) (c Curve) {
 	p.build(&c, &curveEnv{Technology: &t}, flags)
@@ -142,6 +164,8 @@ func (p OPTDrowsy) EnergyCurve(t power.Technology, flags interval.Flags) (c Curv
 }
 
 func (OPTDrowsy) build(c *Curve, e *curveEnv, _ interval.Flags) { c.drowsyFor(e) }
+
+func (OPTDrowsy) reads(power.Technology) interval.Flags { return 0 }
 
 // EnergyCurve returns the policy's curve for flags.
 func (p OPTSleep) EnergyCurve(t power.Technology, flags interval.Flags) (c Curve) {
@@ -159,6 +183,8 @@ func (p OPTSleep) build(c *Curve, e *curveEnv, flags interval.Flags) {
 	c.active(e, theta)
 	c.sleepFor(e, flags)
 }
+
+func (OPTSleep) reads(t power.Technology) interval.Flags { return sleepBits(&t) }
 
 // EnergyCurve returns the policy's curve for flags.
 func (p SleepDecay) EnergyCurve(t power.Technology, flags interval.Flags) (c Curve) {
@@ -194,6 +220,8 @@ func (p SleepDecay) build(c *Curve, e *curveEnv, flags interval.Flags) {
 	c.plus(0, 0, e.CounterLeak, 0)
 }
 
+func (SleepDecay) reads(t power.Technology) interval.Flags { return sleepBits(&t) }
+
 // EnergyCurve returns the policy's curve for flags.
 func (p OPTHybrid) EnergyCurve(t power.Technology, flags interval.Flags) (c Curve) {
 	p.build(&c, &curveEnv{Technology: &t}, flags)
@@ -212,6 +240,8 @@ func (p OPTHybrid) build(c *Curve, e *curveEnv, flags interval.Flags) {
 	}
 	c.hybrid(e, theta, flags)
 }
+
+func (OPTHybrid) reads(t power.Technology) interval.Flags { return sleepBits(&t) }
 
 // EnergyCurve returns the policy's curve for flags.
 func (p PeriodicDrowsy) EnergyCurve(t power.Technology, flags interval.Flags) (c Curve) {
@@ -234,6 +264,11 @@ func (p PeriodicDrowsy) build(c *Curve, e *curveEnv, flags interval.Flags) {
 	oh := float64(e.Durations.DrowsyOverhead())
 	c.active(e, wait+oh)
 	c.push(piece{end: inf, cnst: wait*e.PActive + oh*e.PActive - (wait+oh)*e.PDrowsy, slope: e.PDrowsy})
+}
+
+// reads: a drowsy line keeps its data, so no write-back rides on it.
+func (PeriodicDrowsy) reads(power.Technology) interval.Flags {
+	return interval.Leading | interval.Trailing
 }
 
 // EnergyCurve returns the policy's curve for flags.
@@ -264,6 +299,10 @@ func (p PrefetchGuided) build(c *Curve, e *curveEnv, flags interval.Flags) {
 	}
 }
 
+func (PrefetchGuided) reads(t power.Technology) interval.Flags {
+	return sleepBits(&t) | interval.NLPrefetchable | interval.StridePrefetchable
+}
+
 // EnergyCurve returns the policy's curve for flags.
 func (p AMCSleep) EnergyCurve(t power.Technology, flags interval.Flags) (c Curve) {
 	p.build(&c, &curveEnv{Technology: &t}, flags)
@@ -276,6 +315,8 @@ func (p AMCSleep) build(c *Curve, e *curveEnv, flags interval.Flags) {
 	SleepDecay{Theta: p.Theta}.build(c, e, flags)
 	c.tagTransform(p.TagFraction, e.PActive)
 }
+
+func (AMCSleep) reads(t power.Technology) interval.Flags { return sleepBits(&t) }
 
 // EnergyCurve returns the policy's curve for flags.
 func (p DirtyAwareHybrid) EnergyCurve(t power.Technology, flags interval.Flags) (c Curve) {
@@ -295,6 +336,12 @@ func (DirtyAwareHybrid) build(c *Curve, e *curveEnv, flags interval.Flags) {
 		b += e.WBEnergy / (e.PDrowsy - e.PSleep)
 	}
 	c.hybrid(e, b, flags)
+}
+
+// reads: Dirty moves the crossover even at WBEnergy 0, where it moves it
+// by nothing; the mask may over-approximate.
+func (DirtyAwareHybrid) reads(power.Technology) interval.Flags {
+	return interval.Leading | interval.Trailing | interval.Dirty
 }
 
 // EnergyCurve returns the policy's curve for flags.
@@ -322,6 +369,10 @@ func (DeadAwareHybrid) build(c *Curve, e *curveEnv, flags interval.Flags) {
 	}
 }
 
+func (DeadAwareHybrid) reads(t power.Technology) interval.Flags {
+	return sleepBits(&t) | interval.DeadEnd
+}
+
 // EnergyCurve returns the policy's curve for flags.
 func (p Coloring) EnergyCurve(t power.Technology, flags interval.Flags) (c Curve) {
 	p.build(&c, &curveEnv{Technology: &t}, flags)
@@ -339,6 +390,8 @@ func (p Coloring) build(c *Curve, e *curveEnv, flags interval.Flags) {
 		c.sleepFor(e, flags)
 	}
 }
+
+func (Coloring) reads(t power.Technology) interval.Flags { return sleepBits(&t) }
 
 // EnergyCurve returns the policy's curve for flags.
 func (p WayMemo) EnergyCurve(t power.Technology, flags interval.Flags) (c Curve) {
@@ -372,4 +425,8 @@ func (p WayMemo) build(c *Curve, e *curveEnv, flags interval.Flags) {
 		// A mispredicted pre-wake adds one more CD-equivalent re-fetch.
 		c.plus(from, (1-p.Accuracy)*e.CD, 0, 1-p.Accuracy)
 	}
+}
+
+func (WayMemo) reads(t power.Technology) interval.Flags {
+	return sleepBits(&t) | interval.NLPrefetchable | interval.StridePrefetchable
 }

@@ -324,6 +324,8 @@ func (stairs) build(c *Curve, e *curveEnv, _ interval.Flags) {
 	c.push(piece{end: inf, cnst: float64(len(stairCuts)), slope: e.PActive, misses: float64(len(stairCuts))})
 }
 
+func (stairs) reads(power.Technology) interval.Flags { return 0 }
+
 // TestKernelsRejectPoliciesWithoutCurves pins the kernels' closed set.
 // A policy without an energy curve gets ErrNoClosedForm naming its index,
 // from EvaluateMany and from Compile, before any folding. A curve past
@@ -479,8 +481,8 @@ func TestAggregateKernelsDoNotAllocate(t *testing.T) {
 			}
 		}
 		// Compile's fixed eight: the Compiled, its policy slice, the row
-		// list, the per-policy edge bits, the curve env, the staging
-		// curve, spans and pieces.
+		// list, the per-policy edge bits and masks, the curve env, the
+		// staging curve, spans and pieces.
 		for _, l := range sweepLadders(t, tech) {
 			cp, err := Compile(tech, l.pols, agg)
 			if err != nil {

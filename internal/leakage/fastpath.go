@@ -32,23 +32,33 @@ package leakage
 // nodes), so a theta ladder searches each cut once per edge kind, not
 // once per flags class.
 //
-// Two kernels remain over it: EvaluateMany is its one-aggregate case, and
-// Compiled its many-aggregate case: Compile builds each policy's curve
-// once per flags value present in the aggregates it is given, and once
-// per edge kind of those, so a sweep's benchmarks share one curve table.
-// Compile names no policy (EvaluateMany does): no sweep, frontier or
-// figure reads the names. Curves are built in place (curvePolicy.build),
-// and the table keeps one row per distinct set of curves: flags values
-// whose curves all come out equal point at the same row, so a theta
-// ladder compiles a handful of rows, not one per flags value present.
+// Every builtin declares the flag bits its curve reads at a technology
+// (curvePolicy.reads): its curve for f equals its curve for f masked by
+// them. Both kernels use the mask to skip builds whose result it
+// implies; neither decides anything from the mask alone, since a mask
+// may over-approximate.
+//
+// Two kernels remain over the fold: EvaluateMany is its one-aggregate
+// case, and Compiled its many-aggregate case, so a sweep's benchmarks
+// share one curve table. Compile keys the table's rows by a flags value masked by
+// the union of the list's masks: it builds a row for the first flags
+// value present of each key, and for each edge kind of those whose key
+// has no row yet, and points every other value of a key at its row.
+// Rows may still come out equal across keys (DirtyAwareHybrid reads
+// Dirty, but at WBEnergy 0 its curve does not change), so the table
+// keeps one row per distinct set of curves. At the paper's nodes a theta
+// ladder reads only the edge bits and builds at most four rows. Compile
+// names no policy (EvaluateMany does): no sweep, frontier or figure
+// reads the names. Curves are built in place (curvePolicy.build).
 //
 // Determinism: the choice of class set depends only on the (technology,
 // aggregates, policy) triple: EvaluateMany compares curves it builds,
-// Compiled reads the comparisons Compile made, and both compare the same
-// curves. Per policy, classes fold in ascending order and pieces in
-// ascending length order whatever the batch, so a given triple produces
-// bit-identical energy, baseline and savings through both kernels and at
-// any position in the policy list, whatever the memo hits
+// Compiled reads the comparisons Compile made, both compare the same
+// curves, and the mask only skips comparisons it decides. Per policy,
+// classes fold in ascending order and pieces in ascending length order
+// whatever the batch, so a given triple produces bit-identical energy,
+// baseline and savings through both kernels and at any position in the
+// policy list, whatever the memo hits
 // (TestThetaPointBitsDoNotDependOnList). Against the reference path the
 // values agree to ulp-scale relative error (the prefix sums are exact
 // uint64; only the float regrouping differs) — pinned by
@@ -117,11 +127,18 @@ type curveRow struct {
 type curveTable struct {
 	rowOf [interval.NumFlags]int32 // flags → 1 + its row's index in rows; 0: not compiled
 	rows  []curveRow
-	// compiled has bit f set when flags value f has a row, and edge[i]
-	// when, besides, policy i's curve for f equals its curve for f's
-	// edge kind.
+	// compiled has bit f set when flags value f has a row.
 	compiled uint64
-	edge     []uint64
+	pol      []tablePolicy // indexed like the policies
+}
+
+// tablePolicy is what a curveTable keeps of one policy: the flag bits
+// its curve reads (curvePolicy.reads), and in edge bit f for each
+// compiled flags value f whose curve equals the policy's curve for f's
+// edge kind.
+type tablePolicy struct {
+	edge  uint64
+	reads interval.Flags
 }
 
 // errOverflow reports that policy i's curve for flags needs more than
@@ -137,6 +154,14 @@ func curveOf(t *power.Technology, p Policy, flags interval.Flags) Curve {
 	return p.(curvePolicy).EnergyCurve(*t, flags)
 }
 
+// readsOf returns the flag bits p's curve reads at t: the one dynamic
+// call a fold without a table makes per policy to skip curve builds.
+// p is a curvePolicy (checkPolicies).
+func readsOf(t *power.Technology, p Policy) interval.Flags {
+	//lint:ignore hotalloc one virtual reads dispatch per policy per fold without a table, returning a Flags and taking the technology by value so nothing escapes; TestAggregateKernelsDoNotAllocate pins EvaluateMany at its one result-slice alloc
+	return p.(curvePolicy).reads(*t)
+}
+
 // equal reports whether c and o are the same valid curve, piece for
 // piece.
 func (c *Curve) equal(o *Curve) bool {
@@ -147,17 +172,23 @@ func (c *Curve) equal(o *Curve) bool {
 // an aggregate whose flags classes are the bits of present: whether its
 // curve for every one of those flags values equals its curve for the
 // value's edge kind. tab (possibly nil) answers for the values it
-// compiled; for any other value edgeOnly builds both curves. An invalid
-// curve is never equal, so the fold over the flags classes meets it and
-// reports the overflow. The answer depends only on the technology, the
-// aggregate and the policy, never on the rest of the list or the
-// kernel.
+// compiled. For any other value edgeOnly builds the edge kind's curve
+// and, unless the policy's mask implies the answer (the value and its
+// edge kind agree on every bit the curve reads), the value's curve too.
+// An invalid curve is never equal, so the fold over the flags classes
+// meets it and reports the overflow. The answer depends only on the
+// technology, the aggregate and the policy, never on the rest of the
+// list or the kernel; the mask only skips builds.
 func edgeOnly(t *power.Technology, p Policy, i int, tab *curveTable, present uint64) bool {
+	var reads interval.Flags
 	if tab != nil {
-		if present&tab.compiled&^tab.edge[i] != 0 {
+		if present&tab.compiled&^tab.pol[i].edge != 0 {
 			return false
 		}
 		present &^= tab.compiled
+		reads = tab.pol[i].reads
+	} else {
+		reads = readsOf(t, p)
 	}
 	for present != 0 {
 		kind := interval.Flags(bits.TrailingZeros64(present)).Edge()
@@ -171,7 +202,7 @@ func edgeOnly(t *power.Technology, p Policy, i int, tab *curveTable, present uin
 				continue
 			}
 			present &^= 1 << f
-			if f == kind {
+			if f&reads == kind&reads {
 				continue
 			}
 			if c := curveOf(t, p, f); !c.equal(&rep) {
@@ -325,11 +356,13 @@ func EvaluateMany(t power.Technology, agg *interval.Aggregates, ps []Policy) ([]
 }
 
 // Compiled is a policy list prepared for evaluation over many
-// aggregates: the technology validated once and each policy's curve
-// built once per flags value present in the aggregates given to Compile.
-// It names no policy: its results carry an empty Policy, and a caller
-// that shows names has the policies it compiled. It is read-only after
-// Compile, so any number of goroutines may evaluate through it at once.
+// aggregates: the technology validated once, each policy's flag mask
+// read once, and each policy's curve built once per distinct masked
+// flags value among those present in the aggregates given to Compile
+// and their edge kinds. It names no policy: its results carry an empty
+// Policy, and a caller that shows names has the policies it compiled. It
+// is read-only after Compile, so any number of goroutines may evaluate
+// through it at once.
 type Compiled struct {
 	t   power.Technology
 	ps  []Policy
@@ -343,96 +376,109 @@ type Compiled struct {
 // present in aggs fails Compile, for any other value the evaluation that
 // meets it.
 //
-// Curves are built in place through one curveEnv, so the technology is
-// neither copied per curve nor its inflection point recomputed. Flags
-// values whose curves all come out equal share one row: a sleep
-// threshold's curves differ only by the few flag bits the policy
-// dispatches on.
+// Rows are keyed by a flags value masked by U, the union of the
+// policies' masks (curvePolicy.reads): every policy's curve for f equals
+// its curve for f&U, so the flags values of one key share one row. Taking
+// the present values in ascending order, the first of each key builds
+// its row, so an overflow names the same policy and flags value as a
+// build of every value would; each later one points at that row. Curves
+// are built in place through one curveEnv, so the technology is neither
+// copied per curve nor its inflection point recomputed.
 func Compile(t power.Technology, ps []Policy, aggs ...*interval.Aggregates) (*Compiled, error) {
 	if err := checkPolicies(&t, ps); err != nil {
 		return nil, err
 	}
 	c := &Compiled{t: t, ps: slices.Clone(ps)}
-	var present [interval.NumFlags]bool
-	flags := 0
+	c.tab.pol = make([]tablePolicy, len(ps))
+	var union interval.Flags
+	for i, p := range c.ps {
+		c.tab.pol[i].reads = p.(curvePolicy).reads(t)
+		union |= c.tab.pol[i].reads
+	}
+	var present uint64
 	for _, agg := range aggs {
 		if agg == nil {
 			continue
 		}
 		for k := range agg.Classes() {
-			if f := agg.Classes()[k].Flags; !present[f] {
-				present[f] = true
-				flags++
-			}
+			present |= 1 << agg.Classes()[k].Flags
 		}
 	}
 	// Each present value's edge kind gets a row too, when it is not
 	// present itself: edgeOnly compares against it, and an edge class of
-	// that kind folds with it.
-	var kinds [interval.NumFlags]bool
-	for f, ok := range present {
-		if k := interval.Flags(f).Edge(); ok && !kinds[k] {
-			kinds[k] = true
-			if !present[k] {
-				flags++
-			}
-		}
+	// that kind folds with it. No more rows than keys are built.
+	var kinds, keys uint64
+	for m := present; m != 0; m &= m - 1 {
+		f := interval.Flags(bits.TrailingZeros64(m))
+		kinds |= 1 << f.Edge()
+		keys |= 1 << (f & union)
 	}
-	c.tab.rows = make([]curveRow, 0, flags)
-	c.tab.edge = make([]uint64, len(ps))
+	for m := kinds; m != 0; m &= m - 1 {
+		keys |= 1 << (interval.Flags(bits.TrailingZeros64(m)) & union)
+	}
+	c.tab.rows = make([]curveRow, 0, bits.OnesCount64(keys))
 	env := &curveEnv{Technology: &c.t}
 	curve := new(Curve)
 	// Each row is staged, then copied out only if no earlier row holds it.
 	spans := make([]span, len(ps))
 	pieces := make([]piece, 0, maxPieces*len(ps))
-	for f, ok := range present {
-		if !ok {
-			continue
-		}
-		pieces = pieces[:0]
-		for i, p := range c.ps {
-			curve.n = 0
-			p.(curvePolicy).build(curve, env, interval.Flags(f))
-			if !curve.valid() {
-				return nil, errOverflow(i, p, interval.Flags(f))
+	var keyRow [interval.NumFlags]int32 // masked flags → its rowOf entry
+	for m := present; m != 0; m &= m - 1 {
+		f := interval.Flags(bits.TrailingZeros64(m))
+		key := &keyRow[f&union]
+		if *key == 0 {
+			pieces = pieces[:0]
+			for i, p := range c.ps {
+				curve.n = 0
+				p.(curvePolicy).build(curve, env, f)
+				if !curve.valid() {
+					return nil, errOverflow(i, p, f)
+				}
+				spans[i] = span{off: int32(len(pieces)), n: int32(curve.n)}
+				pieces = append(pieces, curve.p[:curve.n]...)
 			}
-			spans[i] = span{off: int32(len(pieces)), n: int32(curve.n)}
-			pieces = append(pieces, curve.p[:curve.n]...)
+			*key = c.tab.row(spans, pieces)
 		}
-		c.tab.rowOf[f] = c.tab.row(spans, pieces)
+		c.tab.rowOf[f] = *key
 		c.tab.compiled |= 1 << f
 	}
-	for k, ok := range kinds {
-		if ok {
-			c.edgeRow(interval.Flags(k), env, curve, spans, pieces[:0])
-		}
+	for m := kinds; m != 0; m &= m - 1 {
+		kind := interval.Flags(bits.TrailingZeros64(m))
+		c.edgeRow(kind, &keyRow[kind&union], env, curve, spans, pieces[:0])
 	}
 	return c, nil
 }
 
-// edgeRow sets edge[i] for every present flags value of edge kind kind
-// whose curve of policy i equals the policy's curve for kind. When kind
-// is not present itself, it stages kind's curves in spans and pieces
-// first, and compiles them as kind's row unless one overflowed (an
-// overflowing curve stages as n == 0 and equals nothing). A flags value
-// that shares kind's row has every curve of kind, so only a value with
-// a row of its own compares curves.
-func (c *Compiled) edgeRow(kind interval.Flags, env *curveEnv, curve *Curve, spans []span, pieces []piece) {
+// edgeRow sets policy i's edge bit for every present flags value of edge
+// kind kind whose curve of policy i equals the policy's curve for kind.
+// When kind is not present itself, it takes the row of its key (*key)
+// if there is one; otherwise it stages kind's curves in spans and pieces
+// and compiles them as kind's row, and its key's, unless one overflowed
+// (an overflowing curve stages as n == 0 and equals nothing). A flags
+// value that shares kind's row has every curve of kind, and so does, per
+// policy, a value that agrees with kind on every bit the policy reads, so
+// only the rest compare curves.
+func (c *Compiled) edgeRow(kind interval.Flags, key *int32, env *curveEnv, curve *Curve, spans []span, pieces []piece) {
 	tab := &c.tab
 	if tab.rowOf[kind] == 0 {
-		whole := true
-		for i, p := range c.ps {
-			curve.n = 0
-			p.(curvePolicy).build(curve, env, kind)
-			if !curve.valid() {
-				spans[i], whole = span{}, false
-				continue
+		if *key == 0 {
+			whole := true
+			for i, p := range c.ps {
+				curve.n = 0
+				p.(curvePolicy).build(curve, env, kind)
+				if !curve.valid() {
+					spans[i], whole = span{}, false
+					continue
+				}
+				spans[i] = span{off: int32(len(pieces)), n: int32(curve.n)}
+				pieces = append(pieces, curve.p[:curve.n]...)
 			}
-			spans[i] = span{off: int32(len(pieces)), n: int32(curve.n)}
-			pieces = append(pieces, curve.p[:curve.n]...)
+			if whole {
+				*key = tab.row(spans, pieces)
+			}
 		}
-		if whole {
-			tab.rowOf[kind] = tab.row(spans, pieces)
+		if *key > 0 {
+			tab.rowOf[kind] = *key
 			tab.compiled |= 1 << kind
 		}
 	}
@@ -444,14 +490,16 @@ func (c *Compiled) edgeRow(kind interval.Flags, env *curveEnv, curve *Curve, spa
 		switch {
 		case r == 0 || interval.Flags(f).Edge() != kind:
 		case r == tab.rowOf[kind]:
-			for i := range tab.edge {
-				tab.edge[i] |= 1 << f
+			for i := range tab.pol {
+				tab.pol[i].edge |= 1 << f
 			}
 		default:
 			row := &tab.rows[r-1]
 			for i, sp := range rep.spans {
-				if own := row.spans[i]; sp.n > 0 && slices.Equal(row.pieces[own.off:own.off+own.n], rep.pieces[sp.off:sp.off+sp.n]) {
-					tab.edge[i] |= 1 << f
+				pol := &tab.pol[i]
+				if own := row.spans[i]; sp.n > 0 && (interval.Flags(f)&pol.reads == kind&pol.reads ||
+					slices.Equal(row.pieces[own.off:own.off+own.n], rep.pieces[sp.off:sp.off+sp.n])) {
+					pol.edge |= 1 << f
 				}
 			}
 		}

@@ -26,7 +26,8 @@
 # the dense theta sweeps, one dense sweep query end to end
 # (BenchmarkSweepThetaQuery: registry resolution, compile and fold), and
 # the compile alone (BenchmarkCompileDense256), whose allocs/op gate the
-# curve table's per-policy and per-row allocations.
+# curve table's per-policy and per-row allocations, and the single-cell
+# evaluations explore and leakaged answer (BenchmarkEvaluateCell).
 # Micro-benches churn too much to gate on.
 #
 # The snapshot records HEAD as the commit it measured, so the script
@@ -43,7 +44,7 @@ if [ -n "$(git status --porcelain --untracked-files=no)" ]; then
 fi
 
 GO="${GO:-go}"
-BENCH="${BENCH:-^(BenchmarkSuiteAll|BenchmarkPipelineSimulateGzip|BenchmarkFigure8Workers1|BenchmarkFigure8Workers4|BenchmarkGeometrySweepWorkers1|BenchmarkGeometrySweepWorkers4|BenchmarkSweepDense256Reference|BenchmarkSweepDense256Aggregates|BenchmarkSweepThetaQuery|BenchmarkCompileDense256|BenchmarkParetoPopulation|BenchmarkSpecCompile|BenchmarkReplayPass)\$}"
+BENCH="${BENCH:-^(BenchmarkSuiteAll|BenchmarkPipelineSimulateGzip|BenchmarkFigure8Workers1|BenchmarkFigure8Workers4|BenchmarkGeometrySweepWorkers1|BenchmarkGeometrySweepWorkers4|BenchmarkSweepDense256Reference|BenchmarkSweepDense256Aggregates|BenchmarkSweepThetaQuery|BenchmarkCompileDense256|BenchmarkEvaluateCell|BenchmarkParetoPopulation|BenchmarkSpecCompile|BenchmarkReplayPass)\$}"
 BENCHTIME="${BENCHTIME:-100ms}"
 COUNT="${COUNT:-3}"
 OUT="${OUT:-.}"
