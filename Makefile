@@ -52,13 +52,17 @@ vulncheck:
 # worker-count (suite and studies), concurrent-walk, parallel-evaluation
 # (TestEvaluateSideMatchesSequential, evaluateSide against a sequential
 # oracle), singleflight and cancellation (AllContext and forEach) tests of
-# the experiments package; then, in the leakage package, one Compiled
+# the experiments package; the caller-runs fan-out's own tests
+# (telemetry.ForEach: every task once, drain after a failure, the
+# lowest-index error, the bound counting the caller, inline runs); then,
+# in the leakage package, one Compiled
 # shared by goroutines and a theta point's bits alone, in its ladder and
 # in a mixed list, through both kernels. Every alternative in a -run
 # pattern must match a test (go test -list), since -run passes silently
 # when nothing matches.
 test-parallel:
 	$(GO) test -race -count=1 -run 'TestWorkersDoNotChangeResults|TestStudiesDoNotDependOnWorkers|TestL2WalksRaceFree|TestEvaluateSideMatches|TestAllContextCancel|TestForEachCancel|TestDataSingleflight|TestWaiterCancellation' ./internal/experiments/
+	$(GO) test -race -count=1 -run 'TestForEachRunsEveryTask|TestForEachDrainsAfterFailure|TestForEachLowestIndexError|TestForEachBoundsConcurrency|TestForEachInlineStartsNoGoroutine' ./internal/telemetry/
 	$(GO) test -race -count=1 -run 'TestCompiledSharedAcrossGoroutines|TestThetaPointBitsDoNotDependOnList' ./internal/leakage/
 
 # One iteration of every benchmark, no unit tests: a smoke test that keeps
@@ -79,7 +83,7 @@ bench-json:
 # report without failing; GATE_FLAGS+='-summary $$GITHUB_STEP_SUMMARY'
 # in CI to publish the comparison table.
 bench-gate:
-	$(GO) test -run '^$$' -bench '^(BenchmarkSuiteAll|BenchmarkPipelineSimulateGzip|BenchmarkFigure8Workers1|BenchmarkFigure8Workers4|BenchmarkGeometrySweepWorkers1|BenchmarkGeometrySweepWorkers4|BenchmarkSweepDense256Reference|BenchmarkSweepDense256Aggregates|BenchmarkSweepThetaQuery|BenchmarkCompileDense256|BenchmarkEvaluateCell|BenchmarkParetoPopulation|BenchmarkSpecCompile|BenchmarkReplayPass)$$' \
+	$(GO) test -run '^$$' -bench '^(BenchmarkSuiteAll|BenchmarkPipelineSimulateGzip|BenchmarkFigure8Workers1|BenchmarkFigure8Workers4|BenchmarkTable2_TechnologyScaling|BenchmarkGeometrySweepWorkers1|BenchmarkGeometrySweepWorkers4|BenchmarkSweepDense256Reference|BenchmarkSweepDense256Aggregates|BenchmarkSweepThetaQuery|BenchmarkCompileDense256|BenchmarkEvaluateCell|BenchmarkParetoPopulation|BenchmarkSpecCompile|BenchmarkReplayPass)$$' \
 		-benchmem -benchtime 100ms -count 3 . | $(GO) run ./cmd/benchsnap -compare . $(GATE_FLAGS)
 
 cover:

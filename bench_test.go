@@ -213,7 +213,7 @@ func BenchmarkFigure8Workers4(b *testing.B) { benchFigure8(b, 4) }
 
 // benchGeometrySweep measures the geometry sweep: six tasks, one per
 // benchmark, each driving the five geometries' machines from one emit,
-// fanned out over a pool of the given size. The sweep takes its own scale
+// run at most the given number at once. The sweep takes its own scale
 // and simulates outside the suite's cache, so every iteration
 // re-simulates; 0.05 keeps one iteration well under a second.
 func benchGeometrySweep(b *testing.B, workers int) {

@@ -26,7 +26,7 @@
 // check and partial telemetry is still flushed.
 //
 // Observability: -metrics prints a telemetry snapshot (per-benchmark
-// simulation time, event counts, disk-cache hits/misses, pool utilization)
+// simulation time, event counts, disk-cache hits/misses, fan-out utilization)
 // to stderr after the run; -cpuprofile/-memprofile write pprof profiles;
 // -metrics-addr serves /metrics, expvar and pprof over HTTP for long
 // sweeps.

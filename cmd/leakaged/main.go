@@ -15,7 +15,7 @@
 // closes, /readyz flips to 503, in-flight requests get -drain-timeout to
 // finish, and whatever still runs is cancelled. A clean drain exits 0.
 //
-// -workers sizes the suite's worker pool (benchmark simulations and the
+// -workers bounds the suite's fan-out (benchmark simulations and the
 // per-benchmark evaluation tasks) and the number of heavy requests
 // admission control runs at once (0 = GOMAXPROCS); each benchmark
 // simulates on one goroutine, and a single served cell evaluates on its
@@ -55,7 +55,7 @@ import (
 func main() {
 	addr := flag.String("addr", ":8080", "listen address (host:port; :0 for ephemeral)")
 	scale := flag.Float64("scale", experiments.DefaultScale, "workload scale (1.0 = full study length)")
-	workers := flag.Int("workers", 0, "parallelism bound shared by the suite's worker pool (simulations and per-benchmark evaluations) and admission control (0 = GOMAXPROCS)")
+	workers := flag.Int("workers", 0, "parallelism bound shared by the suite's fan-out (simulations and per-benchmark evaluations) and admission control (0 = GOMAXPROCS)")
 	cacheDir := flag.String("cache", "", "directory for on-disk simulation caching (empty = off)")
 	specsDir := flag.String("specs", "", "directory of workload specs (.json) and recordings (.trc) served as extra benchmarks")
 	cacheEntries := flag.Int("cache-entries", server.DefaultCacheEntries, "LRU result-cache bound (negative disables result caching)")

@@ -3,13 +3,12 @@ package experiments
 // The context-aware options API. experiments.New(opts...) is the only
 // constructor; the deprecated NewSuite/MustNewSuite scale-only wrappers
 // are gone now that every call site uses options. The one parallelism
-// knob, WithWorkers, sizes the pool every simulation and every
-// per-benchmark evaluation task runs on.
+// knob, WithWorkers, bounds how many simulations and per-benchmark
+// evaluation tasks one fan-out runs at once.
 
 import (
 	"errors"
 	"fmt"
-	"runtime"
 
 	"leakbound/internal/telemetry"
 )
@@ -52,7 +51,7 @@ func WithCacheDir(dir string) Option {
 }
 
 // WithMetrics directs the suite's telemetry (simulation timings, sweep
-// counters, disk-cache hits, pool utilization) into reg instead of the
+// counters, disk-cache hits, fan-out utilization) into reg instead of the
 // process-wide default registry. Useful for tests and for isolating
 // concurrent sweeps.
 func WithMetrics(reg *telemetry.Registry) Option {
@@ -67,9 +66,9 @@ func WithMetrics(reg *telemetry.Registry) Option {
 
 // WithWorkers bounds the suite's parallelism: each fan-out (forEach) — the
 // benchmarks, the geometry sweep, every evaluation's per-benchmark tasks —
-// runs on a pool of n workers, one simulation per goroutine, and no result
-// depends on n. n <= 0 (the default) means GOMAXPROCS, resolved at each
-// use.
+// runs at most n tasks at once, on the calling goroutine and up to n-1
+// helpers, one simulation per goroutine, and no result depends on n.
+// n <= 0 (the default) means GOMAXPROCS, resolved at each use.
 func WithWorkers(n int) Option {
 	return func(s *Suite) error {
 		s.workers = n
@@ -104,12 +103,4 @@ func MustNew(opts ...Option) *Suite {
 		panic(err)
 	}
 	return s
-}
-
-// poolWorkers resolves the configured worker bound.
-func (s *Suite) poolWorkers() int {
-	if s.workers > 0 {
-		return s.workers
-	}
-	return runtime.GOMAXPROCS(0)
 }

@@ -24,8 +24,8 @@ import (
 	"leakbound/internal/telemetry"
 )
 
-// TestWorkersDoNotChangeResults pins pool determinism end to end: a
-// suite simulating every benchmark through a 4-worker pool produces
+// TestWorkersDoNotChangeResults pins fan-out determinism end to end: a
+// suite simulating every benchmark through a 4-worker fan-out produces
 // byte-identical distributions, identical simulation results and
 // identical engine statistics to a 1-worker suite.
 func TestWorkersDoNotChangeResults(t *testing.T) {
@@ -215,8 +215,8 @@ func TestEvaluateSideMatchesSequential(t *testing.T) {
 }
 
 // TestAllContextCancelNoLeak cancels a suite-wide simulation mid-flight:
-// AllContext must return ctx.Err() promptly, and every pool worker must
-// drain afterwards.
+// AllContext must return ctx.Err() promptly, and every helper goroutine
+// must exit afterwards.
 func TestAllContextCancelNoLeak(t *testing.T) {
 	before := runtime.NumGoroutine()
 	reg := telemetry.NewRegistry()
@@ -234,8 +234,8 @@ func TestAllContextCancelNoLeak(t *testing.T) {
 	if elapsed := time.Since(start); elapsed > 10*time.Second {
 		t.Fatalf("cancellation took %v, want prompt return", elapsed)
 	}
-	// All pool workers must exit; poll because worker teardown finishes
-	// just after AllContext returns.
+	// All helper goroutines must exit; poll because goroutine teardown
+	// finishes just after AllContext returns.
 	deadline := time.Now().Add(5 * time.Second)
 	for {
 		if g := runtime.NumGoroutine(); g <= before+2 {
@@ -253,9 +253,46 @@ func TestAllContextCancelNoLeak(t *testing.T) {
 	}
 }
 
+// TestAllContextResidentSkipsFanOut: once every benchmark is resident,
+// AllContext reads them under the suite's lock without a fan-out, so it
+// allocates only the name list and the result, records no pool task, and
+// still returns ctx.Err() on a cancelled ctx.
+func TestAllContextResidentSkipsFanOut(t *testing.T) {
+	reg := telemetry.NewRegistry()
+	s := MustNew(WithScale(0.02), WithWorkers(4), WithMetrics(reg))
+	first, err := s.AllContext(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	tasks := reg.Scope("pool").Counter("tasks_submitted").Value()
+	var again []*BenchmarkData
+	allocs := testing.AllocsPerRun(100, func() {
+		again, err = s.AllContext(context.Background())
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if allocs > 2 {
+		t.Errorf("AllContext on a resident suite: %v allocs, want <= 2", allocs)
+	}
+	if got := reg.Scope("pool").Counter("tasks_submitted").Value(); got != tasks {
+		t.Errorf("resident AllContext submitted %d pool tasks, want none", got-tasks)
+	}
+	for i := range first {
+		if again[i] != first[i] {
+			t.Fatalf("benchmark %d: resident AllContext returned different data", i)
+		}
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := s.AllContext(ctx); !errors.Is(err, context.Canceled) {
+		t.Errorf("cancelled ctx on a resident suite: got %v, want context.Canceled", err)
+	}
+}
+
 // TestForEachCancelNoLeak cancels the suite's fan-out from inside a task:
 // forEach must return ctx.Err() — not a task's own error — skip the tasks
-// not yet started, and leave no pool worker behind. A real fan-out, the
+// not yet started, and leave no helper goroutine behind. A real fan-out, the
 // geometry sweep, must also stop promptly when cancelled mid-simulation.
 func TestForEachCancelNoLeak(t *testing.T) {
 	before := runtime.NumGoroutine()
@@ -290,7 +327,7 @@ func TestForEachCancelNoLeak(t *testing.T) {
 	if elapsed := time.Since(start); elapsed > 10*time.Second {
 		t.Fatalf("geometry sweep cancellation took %v, want prompt return", elapsed)
 	}
-	// Poll: worker teardown finishes just after forEach returns.
+	// Poll: goroutine teardown finishes just after forEach returns.
 	deadline := time.Now().Add(5 * time.Second)
 	for {
 		if g := runtime.NumGoroutine(); g <= before+2 {
@@ -439,11 +476,11 @@ func TestOptionsValidation(t *testing.T) {
 	if s.Scale() != 0.5 {
 		t.Errorf("scale = %g, want 0.5", s.Scale())
 	}
-	if s.poolWorkers() != 3 {
-		t.Errorf("poolWorkers = %d, want 3", s.poolWorkers())
+	if s.Workers() != 3 {
+		t.Errorf("Workers() = %d, want 3", s.Workers())
 	}
-	if def := MustNew(); def.poolWorkers() != runtime.GOMAXPROCS(0) {
-		t.Errorf("default poolWorkers = %d, want GOMAXPROCS", def.poolWorkers())
+	if def := MustNew(); def.Workers() != runtime.GOMAXPROCS(0) {
+		t.Errorf("default Workers() = %d, want GOMAXPROCS", def.Workers())
 	}
 	if _, err := Table2ValueContext(context.Background(), testSuiteShared, "OPT-Bogus", true, power.Default()); !errors.Is(err, ErrUnknownScheme) {
 		t.Errorf("unknown scheme: got %v, want ErrUnknownScheme", err)

@@ -7,7 +7,7 @@ package experiments
 // fixed figure set the batch CLIs print. A served cell evaluates inline
 // on the request goroutine through leakage.EvaluateMany; every query over
 // the suite's benchmarks goes through evaluateSide, one compiled policy
-// list per query and one worker-pool task per benchmark, the same path as
+// list per query and one fan-out task per benchmark, the same path as
 // the batch figures and tables.
 
 import (
@@ -15,6 +15,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"runtime"
 	"slices"
 	"strconv"
 	"strings"
@@ -163,7 +164,7 @@ func (s *Suite) EvaluateCellContext(ctx context.Context, benchmark string, iCach
 }
 
 // evaluateCell evaluates pol on one cache side of bd inline (one cell
-// needs no pool), reporting the cell under benchmark; scope names where
+// needs no fan-out), reporting the cell under benchmark; scope names where
 // the data came from (the benchmark, or "adhoc") in errors.
 func evaluateCell(ctx context.Context, bd *BenchmarkData, benchmark, scope string, iCache bool, tech power.Technology, pol leakage.Policy) (CellEvaluation, error) {
 	if err := ctx.Err(); err != nil {
@@ -387,4 +388,9 @@ func GeometricThetas(from, to uint64, points int) []uint64 {
 // defaulting to GOMAXPROCS); the serving layer sizes its admission
 // semaphore off it so HTTP concurrency and simulation concurrency share
 // one budget.
-func (s *Suite) Workers() int { return s.poolWorkers() }
+func (s *Suite) Workers() int {
+	if s.workers > 0 {
+		return s.workers
+	}
+	return runtime.GOMAXPROCS(0)
+}

@@ -149,7 +149,7 @@ func (s *Suite) EvaluateScenarioCellContext(ctx context.Context, sc Scenario, iC
 // ad-hoc scenario's chosen cache: the scenario-scoped counterpart of
 // SweepParamContext, answering the whole value list in one inline
 // leakage.EvaluateMany pass over the scenario's prefix aggregates (one
-// aggregate needs no pool). Points carry the scenario's own savings, not
+// aggregate needs no fan-out). Points carry the scenario's own savings, not
 // a suite average.
 func (s *Suite) SweepParamScenarioContext(ctx context.Context, sc Scenario, scheme, param string, iCache bool, tech power.Technology, values []leakage.ParamValue) ([]ParamSweepPoint, error) {
 	pols, name, err := resolveSweepPolicies(scheme, param, tech, values)

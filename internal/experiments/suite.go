@@ -15,8 +15,8 @@
 // generator feeds the CPU model, which feeds the interval collectors and
 // prefetch engines through one reused struct-of-arrays batch
 // (internal/sim/stream) — no intermediate trace is ever materialized.
-// Parallelism lives above that pass, in one indexed fan-out (Suite.forEach)
-// on a pool sized by WithWorkers: the benchmarks of AllContext, the
+// Parallelism lives above that pass, in one indexed caller-runs fan-out
+// (Suite.forEach) bounded by WithWorkers: the benchmarks of AllContext, the
 // geometry sweep's simulations, and every evaluation, one task per
 // benchmark aggregate answering a policy list compiled once per query
 // (evaluateSide: the figures, tables, sweeps and extension studies; and
@@ -250,10 +250,25 @@ func (s *Suite) produceWorkload(ctx context.Context, name, key string, perName b
 // AllContext simulates every benchmark in parallel through forEach and
 // returns them in presentation order. Cancelling ctx aborts in-flight
 // simulations at their next cancellation check, skips queued ones, and
-// returns ctx.Err().
+// returns ctx.Err(). Once every benchmark is resident, as it is for every
+// query after the first, it only reads them under one lock.
 func (s *Suite) AllContext(ctx context.Context) ([]*BenchmarkData, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
 	names := s.BenchmarkNames()
 	out := make([]*BenchmarkData, len(names))
+	resident := 0
+	s.mu.Lock()
+	for i, name := range names {
+		if out[i] = s.data[name]; out[i] != nil {
+			resident++
+		}
+	}
+	s.mu.Unlock()
+	if resident == len(names) {
+		return out, nil
+	}
 	err := s.forEach(ctx, len(names), func(i int) error {
 		d, err := s.DataContext(ctx, names[i])
 		if err != nil {
@@ -268,23 +283,20 @@ func (s *Suite) AllContext(ctx context.Context) ([]*BenchmarkData, error) {
 	return out, nil
 }
 
-// forEach is the suite's one parallel primitive: it runs fn(0..n-1) on a
-// bounded, metric-instrumented pool of WithWorkers workers and returns once
-// every task has finished. Each task writes only its own slot i and the
-// caller reduces in index order, so results (floating-point sums included)
-// are bit-identical at any worker count. Cancelling ctx skips tasks not
-// yet started and returns ctx.Err(); otherwise the first task error.
+// forEach is the suite's one parallel primitive: it runs fn(0..n-1)
+// through telemetry.ForEach, on the calling goroutine and at most
+// WithWorkers-1 helpers, and returns once every task has finished. Each
+// task writes only its own slot i and the caller reduces in index order,
+// so results (floating-point sums included) are bit-identical at any
+// worker count. Cancelling ctx skips tasks not yet started and returns
+// ctx.Err(); otherwise the lowest-index task error.
 func (s *Suite) forEach(ctx context.Context, n int, fn func(i int) error) error {
-	pool := telemetry.NewPoolIn(s.metrics, s.poolWorkers())
-	for i := 0; i < n; i++ {
-		pool.Go(func() error {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			return fn(i)
-		})
-	}
-	err := pool.Wait()
+	err := telemetry.ForEach(s.metrics, s.workers, n, func(i int) error {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		return fn(i)
+	})
 	if cerr := ctx.Err(); cerr != nil {
 		return cerr
 	}

@@ -13,7 +13,7 @@ import (
 
 // TestSuiteAllConcurrentRace is the -race regression for the event-sink
 // contract: several goroutines drive Suite.AllContext on the same suite
-// at once, so every per-benchmark sink runs inside the bounded pool while
+// at once, so every per-benchmark sink runs inside the bounded fan-out while
 // other callers race on DataContext's cache. The sink state must stay
 // single-goroutine-owned per cpu.RunStreamContext call.
 func TestSuiteAllConcurrentRace(t *testing.T) {

@@ -157,48 +157,35 @@ type Aggregates struct {
 // nil distribution. It compacts d's tail if anything was appended since
 // the last compaction (see Each).
 //
-// It counts before it allocates. The packed tail is decoded once for its
-// buckets per flags value and its distinct lengths per edge kind: in key
-// order a length seen under several flags of one kind comes up once per
-// flags value, one after another. Each dense row is counted on its own,
-// and marks its lengths in its edge kind's occupancy bitmap, whose
-// population is the kind's distinct dense lengths. Then it allocates
-// every class exactly (the class lists, and three slices per class) in
-// ascending flags order and fills them: each flags class from its dense
-// row, each edge class of several members at its bitmap's lengths, with
-// the members' counts summed, and then both from a second decode of the
-// tail, which appends to its flags class and appends to, or merges into
-// the last bucket of, its edge class. So every class's Lengths come out
-// ascending with no re-sort. Last, each class gets its value index, the
-// fourth exact-size slice. An edge kind with a single member flags value
-// shares that class's four slices.
+// It counts before it allocates. The packed tail's buckets per flags
+// value and distinct lengths per edge kind were counted when compact
+// packed it. Each dense row is counted on its own, and marks its lengths
+// in its edge kind's occupancy bitmap, whose population is the kind's
+// distinct dense lengths. Then it allocates every class exactly (the
+// class lists, and three slices per class) in ascending flags order and
+// fills them: each flags class from its dense row, each edge class of
+// several members at its bitmap's lengths, with the members' counts
+// summed, and then both from the one decode of the tail, which appends
+// to its flags class and appends to, or merges into the last bucket of,
+// its edge class. So every class's Lengths come out ascending with no
+// re-sort. Last, each class gets its value index, the fourth exact-size
+// slice. An edge kind with a single member flags value shares that
+// class's four slices.
 func NewAggregates(d *Distribution) *Aggregates {
 	if d == nil {
 		return nil
 	}
 	d.compact()
+	size, edgeSize := d.tailSize, d.tailEdgeSize
 	// Every flags value with a dense row has a bucket there, since a row
 	// is made only by the Add that fills it.
 	var has uint64
 	for _, f := range d.present {
 		has |= 1 << f
 	}
-	var size, edgeSize [NumFlags]int
-	var edgeLast [NumFlags]uint64
-	var buf [64]tailBucket
-	for r := (tailReader{buf: d.packed}); ; {
-		n := r.read(buf[:])
-		if n == 0 {
-			break
-		}
-		for _, b := range buf[:n] {
-			length, f := b.key>>6, Flags(b.key&(NumFlags-1))
+	for f, n := range size {
+		if n > 0 {
 			has |= 1 << f
-			size[f]++
-			if k := f.Edge(); edgeLast[k] != length {
-				edgeLast[k] = length
-				edgeSize[k]++
-			}
 		}
 	}
 	var members [NumFlags]int
@@ -278,6 +265,7 @@ func NewAggregates(d *Distribution) *Aggregates {
 			}
 		}
 	}
+	var buf [64]tailBucket
 	for r := (tailReader{buf: d.packed}); ; {
 		n := r.read(buf[:])
 		if n == 0 {

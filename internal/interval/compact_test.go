@@ -54,8 +54,9 @@ func readTail(packed []byte) []tailBucket {
 }
 
 // checkPacked checks that d's tail is compacted to exactly want: no log
-// left, and packed bytes that decode to want both independently and
-// through tailReader, held at exactly their encoded size.
+// left, packed bytes that decode to want both independently and through
+// tailReader, held at exactly their encoded size, and want's buckets per
+// flags value and distinct lengths per edge kind counted.
 func checkPacked(t *testing.T, name string, d *Distribution, want []tailBucket) {
 	t.Helper()
 	if len(d.tail) != 0 {
@@ -75,6 +76,20 @@ func checkPacked(t *testing.T, name string, d *Distribution, want []tailBucket) 
 	}
 	if len(d.packed) != size || cap(d.packed) != len(d.packed) {
 		t.Fatalf("%s: packed tail len %d cap %d, want both %d", name, len(d.packed), cap(d.packed), size)
+	}
+	var wantSize, wantEdgeSize [NumFlags]int
+	edgeLengths := map[[2]uint64]bool{}
+	for _, b := range want {
+		f := Flags(b.key & (NumFlags - 1))
+		wantSize[f]++
+		edgeLengths[[2]uint64{uint64(f.Edge()), b.key >> 6}] = true
+	}
+	for el := range edgeLengths {
+		wantEdgeSize[el[0]]++
+	}
+	if d.tailSize != wantSize || d.tailEdgeSize != wantEdgeSize {
+		t.Fatalf("%s: counted %v buckets per flags and %v lengths per edge kind, want %v and %v",
+			name, d.tailSize, d.tailEdgeSize, wantSize, wantEdgeSize)
 	}
 }
 

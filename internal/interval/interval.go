@@ -153,6 +153,9 @@ type Distribution struct {
 	// comparisons, no scratch buffer) and merges equal keys.
 	tail   []tailBucket
 	packed []byte
+	// packed's buckets under each flags value, and its distinct lengths
+	// under each edge kind (Flags.Edge), counted by compact.
+	tailSize, tailEdgeSize [NumFlags]int
 
 	numIntervals uint64 // total recorded intervals (all kinds)
 	mass         uint64 // sum of length*count
@@ -172,9 +175,10 @@ const (
 type tailBucket struct{ key, count uint64 }
 
 // compact folds the tail log into the packed tail: it decodes the packed
-// buckets onto the log, sorts the log by key and merges equal keys, then
-// packs the result at exact size and drops the log, whose growth slack
-// would otherwise stay allocated for as long as the distribution lives.
+// buckets onto the log, sorts the log by key, merges equal keys and
+// counts the merged buckets (tailSize, tailEdgeSize), then packs the
+// result at exact size and drops the log, whose growth slack would
+// otherwise stay allocated for as long as the distribution lives.
 // Idempotent, and free when nothing was appended since the last call.
 func (d *Distribution) compact() {
 	if len(d.tail) == 0 {
@@ -200,6 +204,9 @@ func (d *Distribution) compact() {
 		shift = uint(bits.Len64(union)-1) / 8 * 8
 	}
 	radixSort(log, shift)
+	d.tailSize, d.tailEdgeSize = [NumFlags]int{}, [NumFlags]int{}
+	// In key order a length's flags of one edge kind come up together.
+	var edgeLast [NumFlags]uint64 // 1 + each kind's last length
 	out := log[:0]
 	for _, b := range log {
 		if n := len(out); n > 0 && out[n-1].key == b.key {
@@ -207,6 +214,12 @@ func (d *Distribution) compact() {
 			continue
 		}
 		out = append(out, b)
+		length, f := b.key>>6, Flags(b.key&(NumFlags-1))
+		d.tailSize[f]++
+		if k := f.Edge(); edgeLast[k] != length+1 {
+			edgeLast[k] = length + 1
+			d.tailEdgeSize[k]++
+		}
 	}
 	d.packed = packTail(out)
 	d.tail = nil

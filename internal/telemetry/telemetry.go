@@ -6,7 +6,7 @@
 // The hot paths (cpu.RunStreamContext, interval.Collector,
 // prefetch.Engine) accumulate locally and flush into the default registry
 // once per run/Finish, so instrumentation costs nothing per simulated
-// event; coarse-grained callers (experiments.Suite, the worker pool)
+// event; coarse-grained callers (experiments.Suite, the ForEach fan-out)
 // record directly. All metric
 // operations are safe for concurrent use; snapshots observe each metric
 // atomically (counters are exact, cross-metric consistency is best-effort).

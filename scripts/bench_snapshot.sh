@@ -23,6 +23,7 @@
 # full-suite simulation (BenchmarkSuiteAll) that the ≥5x streaming claim
 # is made against, plus the per-benchmark pipeline, Figure 8 and geometry
 # sweep benches (the last two at 1 and 4 workers: the parallel speedup),
+# Table 2 (eight small fan-outs per call, so the fan-out's own cost),
 # the dense theta sweeps, one dense sweep query end to end
 # (BenchmarkSweepThetaQuery: registry resolution, compile and fold), and
 # the compile alone (BenchmarkCompileDense256), whose allocs/op gate the
@@ -44,7 +45,7 @@ if [ -n "$(git status --porcelain --untracked-files=no)" ]; then
 fi
 
 GO="${GO:-go}"
-BENCH="${BENCH:-^(BenchmarkSuiteAll|BenchmarkPipelineSimulateGzip|BenchmarkFigure8Workers1|BenchmarkFigure8Workers4|BenchmarkGeometrySweepWorkers1|BenchmarkGeometrySweepWorkers4|BenchmarkSweepDense256Reference|BenchmarkSweepDense256Aggregates|BenchmarkSweepThetaQuery|BenchmarkCompileDense256|BenchmarkEvaluateCell|BenchmarkParetoPopulation|BenchmarkSpecCompile|BenchmarkReplayPass)\$}"
+BENCH="${BENCH:-^(BenchmarkSuiteAll|BenchmarkPipelineSimulateGzip|BenchmarkFigure8Workers1|BenchmarkFigure8Workers4|BenchmarkTable2_TechnologyScaling|BenchmarkGeometrySweepWorkers1|BenchmarkGeometrySweepWorkers4|BenchmarkSweepDense256Reference|BenchmarkSweepDense256Aggregates|BenchmarkSweepThetaQuery|BenchmarkCompileDense256|BenchmarkEvaluateCell|BenchmarkParetoPopulation|BenchmarkSpecCompile|BenchmarkReplayPass)\$}"
 BENCHTIME="${BENCHTIME:-100ms}"
 COUNT="${COUNT:-3}"
 OUT="${OUT:-.}"
